@@ -9,6 +9,7 @@ HOTPATH_PKGS = ./internal/bitset/ ./internal/carminer/ ./internal/core/ ./intern
 # (go test allows only one -fuzz pattern per invocation).
 FUZZ_TARGETS = \
 	./internal/bitset:FuzzUnmarshalBinary \
+	./internal/core:FuzzBSTCE \
 	./internal/dataset:FuzzReadBool \
 	./internal/dataset:FuzzReadContinuous \
 	./internal/dataset:FuzzReadARFF \
@@ -27,7 +28,7 @@ CHAOS_TESTS = Chaos|Fault|Panic|Watchdog|Checkpoint|Deadline|Cancel|RetryAfter|T
 CHAOS_PKGS = ./internal/fault/ ./internal/dataset/ ./internal/eval/ ./internal/serve/ ./internal/registry/ ./internal/fleet/
 CHAOS_SEED ?= 1
 
-.PHONY: check vet lint build test race bench bench-json bench-smoke bench-gate fuzz-smoke chaos load-smoke load-report fleet-smoke
+.PHONY: check vet lint build test bench-module race bench bench-json bench-smoke bench-gate fuzz-smoke chaos load-smoke load-report fleet-smoke
 
 # The tier-1 gate plus the race-sensitive packages: the obs counters are
 # hit concurrently by parallel batch classification, eval threads the
@@ -36,8 +37,11 @@ CHAOS_SEED ?= 1
 # enumeration, and the serving layer coalesces concurrent requests into
 # batches. bench-smoke keeps the benchmark/benchjson pipeline compiling
 # and parsing (one iteration per benchmark); fuzz-smoke gives every fuzz
-# target a short budget on top of the committed corpora.
-check: vet lint build race test bench-smoke fuzz-smoke fleet-smoke
+# target a short budget on top of the committed corpora. bench-module
+# vets and tests the repository benchmark (bench/, a module of its own that
+# ./... does not reach): its smoke tests and serving goldens pin the served
+# class and confidence bits.
+check: vet lint build race test bench-module bench-smoke fuzz-smoke fleet-smoke
 
 vet:
 	$(GO) vet ./...
@@ -63,6 +67,9 @@ race:
 
 test:
 	$(GO) test ./...
+
+bench-module:
+	$(GO) -C bench vet ./... && $(GO) -C bench test ./...
 
 bench:
 	$(GO) test -bench=. -benchmem

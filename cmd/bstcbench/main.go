@@ -360,8 +360,8 @@ func sloLine(w io.Writer, s *obs.SLO) {
 }
 
 // summaryLine prints one experiment's wall time with counter highlights:
-// the Top-k search volume and prune counts, the BSTCE clause-cache hit
-// rate, lower-bound mining effort, and DNF-relevant deadline expiries.
+// the Top-k search volume and prune counts, lower-bound mining effort, and
+// DNF-relevant deadline expiries.
 // Counters absent from the delta (experiment didn't exercise them, or
 // instrumentation is off) are simply omitted.
 func summaryLine(w io.Writer, label string, elapsed time.Duration, delta obs.Snapshot) {
@@ -369,9 +369,6 @@ func summaryLine(w io.Writer, label string, elapsed time.Duration, delta obs.Sna
 	c := delta.Flat()
 	if n := c["core.bst.builds"]; n > 0 {
 		fmt.Fprintf(w, " bst-builds=%d cells=%d", n, c["core.bst.cells"])
-	}
-	if hits, misses := c["core.clause_cache.hits"], c["core.clause_cache.misses"]; hits+misses > 0 {
-		fmt.Fprintf(w, " clause-hit=%.1f%%", 100*float64(hits)/float64(hits+misses))
 	}
 	if n := c["carminer.topk.nodes"]; n > 0 {
 		pruned := c["carminer.topk.pruned_support"] + c["carminer.topk.pruned_confidence"] +

@@ -89,7 +89,7 @@ func TestRunTable4RunlogTelemetry(t *testing.T) {
 	}
 	for _, want := range []string{
 		"core.bst.builds", "core.bst.cells", "core.bstce.evals",
-		"core.clause_cache.hits", "carminer.topk.nodes", "carminer.deadline.polls",
+		"core.classify.queries", "carminer.topk.nodes", "carminer.deadline.polls",
 	} {
 		if !counters[want] {
 			t.Errorf("counter %q never appeared", want)

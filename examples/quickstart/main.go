@@ -25,13 +25,14 @@ func main() {
 	// The §5.4 query: g1, g4 and g5 expressed; g2, g3, g6 not.
 	q := bstc.GeneSetOf(data.NumGenes(), 0, 3, 4)
 
-	values := cl.Values(q)
+	// One BSTCE pass per class yields the values, the class (Algorithm 6)
+	// and §8's confidence heuristic together.
+	values := make([]float64, data.NumClasses())
+	pred, conf := cl.DecideInto(values, q)
 	for ci, v := range values {
 		fmt.Printf("BSTCE(T(%s), Q) = %.3f\n", data.ClassNames[ci], v)
 	}
-	pred := cl.Classify(q)
-	fmt.Printf("query classified as %s (confidence %.2f)\n",
-		data.ClassNames[pred], cl.Confidence(q))
+	fmt.Printf("query classified as %s (confidence %.2f)\n", data.ClassNames[pred], conf)
 
 	// §5.3.2: justify the classification with the atomic cell rules the
 	// query satisfies at level >= 0.5.

@@ -239,6 +239,59 @@ func (s *Set) AndNotInto(dst, t *Set) *Set {
 	return dst
 }
 
+// Extract removes s ∩ t from s, calling fn for each removed element in
+// ascending order, and returns how many it removed. One call is a single
+// word-parallel pass: it is the "resolve, then clear" step of BSTCE's column
+// sweep (internal/core), where s holds the still-unresolved genes.
+func (s *Set) Extract(t *Set, fn func(i int)) int {
+	s.guardWrite()
+	s.sameUniverse(t)
+	n := 0
+	sw, tw := s.words, t.words[:len(s.words)] // one bounds check, not one per word
+	for wi, x := range sw {
+		w := x & tw[wi]
+		if w == 0 {
+			continue
+		}
+		sw[wi] = x &^ w
+		n += bits.OnesCount64(w)
+		for ; w != 0; w &= w - 1 {
+			fn(wi*wordBits + bits.TrailingZeros64(w))
+		}
+	}
+	return n
+}
+
+// Transpose returns the transpose of the bit matrix whose rows are sets,
+// each over [0, n): out[j] is a set over [0, len(sets)) holding i exactly
+// when sets[i] contains j. The n result sets share one word slab, so the
+// whole transpose costs three allocations regardless of n.
+func Transpose(sets []*Set, n int) []*Set {
+	if n < 0 {
+		panic("bitset: negative universe size")
+	}
+	m := len(sets)
+	nw := (m + wordBits - 1) / wordBits
+	slab := make([]uint64, n*nw)
+	rows := make([]Set, n)
+	out := make([]*Set, n)
+	for j := range out {
+		rows[j] = Set{words: slab[j*nw : (j+1)*nw : (j+1)*nw], n: m}
+		out[j] = &rows[j]
+	}
+	for i, s := range sets {
+		if s.n != n {
+			panic(fmt.Sprintf("bitset: universe mismatch %d vs %d", s.n, n))
+		}
+		word, bit := i/wordBits, uint64(1)<<(uint(i)%wordBits)
+		s.ForEach(func(j int) bool {
+			slab[j*nw+word] |= bit
+			return true
+		})
+	}
+	return out
+}
+
 // Intersect returns a new set holding s ∩ t.
 func Intersect(s, t *Set) *Set { return s.Clone().And(t) }
 
@@ -293,8 +346,9 @@ func (s *Set) Intersects(t *Set) bool {
 func (s *Set) IntersectionCount(t *Set) int {
 	s.sameUniverse(t)
 	c := 0
-	for i := range s.words {
-		c += bits.OnesCount64(s.words[i] & t.words[i])
+	tw := t.words[:len(s.words)] // one bounds check, not one per word
+	for i, w := range s.words {
+		c += bits.OnesCount64(w & tw[i])
 	}
 	return c
 }

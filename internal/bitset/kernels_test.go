@@ -102,3 +102,63 @@ func TestAppendKeyNoAllocWithCapacity(t *testing.T) {
 		t.Errorf("Key allocates %v times per run, want at most 1", n)
 	}
 }
+
+// TestExtract checks Extract against Intersect/Difference: it reports
+// exactly s ∩ t in ascending order, returns its size, and leaves s \ t.
+func TestExtract(t *testing.T) {
+	r := rand.New(rand.NewSource(13))
+	for trial := 0; trial < 50; trial++ {
+		n := 1 + r.Intn(300)
+		s, u := randomSet(r, n), randomSet(r, n)
+		want, rest := Intersect(s, u).Indices(), Difference(s, u)
+		var got []int
+		removed := s.Extract(u, func(i int) { got = append(got, i) })
+		if removed != len(want) || len(got) != len(want) {
+			t.Fatalf("Extract removed %d, reported %d, want %d", removed, len(got), len(want))
+		}
+		for k := range want {
+			if got[k] != want[k] {
+				t.Fatalf("Extract reported %v, want %v", got, want)
+			}
+		}
+		if !s.Equal(rest) {
+			t.Fatalf("after Extract s = %v, want %v", s, rest)
+		}
+	}
+}
+
+// TestTranspose checks Transpose element by element, including an empty
+// row list and rows that share storage in the result.
+func TestTranspose(t *testing.T) {
+	r := rand.New(rand.NewSource(17))
+	for trial := 0; trial < 30; trial++ {
+		m, n := r.Intn(140), 1+r.Intn(140)
+		rows := make([]*Set, m)
+		for i := range rows {
+			rows[i] = randomSet(r, n)
+		}
+		cols := Transpose(rows, n)
+		if len(cols) != n {
+			t.Fatalf("Transpose returned %d sets, want %d", len(cols), n)
+		}
+		for j, col := range cols {
+			if col.Len() != m {
+				t.Fatalf("column %d has universe %d, want %d", j, col.Len(), m)
+			}
+			for i := range rows {
+				if col.Contains(i) != rows[i].Contains(j) {
+					t.Fatalf("cols[%d].Contains(%d) = %v, rows disagree", j, i, col.Contains(i))
+				}
+			}
+		}
+		// Result sets are independent despite the shared slab.
+		if n > 1 && m > 0 {
+			cols[0].Fill()
+			for i := range rows {
+				if cols[1].Contains(i) != rows[i].Contains(1) {
+					t.Fatal("filling one transposed set changed its neighbour")
+				}
+			}
+		}
+	}
+}

@@ -42,6 +42,13 @@ type BST struct {
 	// geneOutside[g] is the set of outside positions h expressing gene g
 	// (universe = len(OutsideSamples)).
 	geneOutside []*bitset.Set
+	// outsideGenes[h] is geneOutside transposed: the genes outside sample h
+	// expresses. BSTCE's column sweep resolves whole words of genes per
+	// outside sample with it.
+	outsideGenes []*bitset.Set
+	// exclusiveGenes is exclusive as a gene set: the black dots the column
+	// sweep masks out before resolving.
+	exclusiveGenes *bitset.Set
 	// pairList[c][h] is the shared exclusion list for column c and outside
 	// sample h: the paper's (h: -g_l1 … -g_lm) with genes h\c, or, when
 	// h ⊆ c, the positive list (h: g_l1 … g_lm) with genes c\h.
@@ -107,7 +114,9 @@ func NewBST(d *dataset.Bool, ci int) (*BST, error) {
 	for g := range t.geneOutside {
 		t.geneOutside[g] = bitset.New(len(t.OutsideSamples))
 	}
+	t.outsideGenes = make([]*bitset.Set, len(t.OutsideSamples))
 	for h, si := range t.OutsideSamples {
+		t.outsideGenes[h] = d.Rows[si]
 		d.Rows[si].ForEach(func(g int) bool {
 			t.geneOutside[g].Add(h)
 			return true
@@ -121,6 +130,7 @@ func NewBST(d *dataset.Bool, ci int) (*BST, error) {
 	for g := 0; g < t.numGenes; g++ {
 		t.exclusive[g] = expressedInClass.Contains(g) && t.geneOutside[g].IsEmpty()
 	}
+	t.exclusiveGenes = geneSet(t.exclusive)
 
 	// One shared exclusion list per (c, h) pair (Algorithm 1 lines 13-18).
 	t.pairList = make([][]rules.Clause, len(t.ClassSamples))
@@ -162,6 +172,17 @@ func NewBST(d *dataset.Bool, ci int) (*BST, error) {
 		met.exclGenes.Add(genes)
 	}
 	return t, nil
+}
+
+// geneSet returns the genes flagged in mask as a set over len(mask) genes.
+func geneSet(mask []bool) *bitset.Set {
+	s := bitset.New(len(mask))
+	for g, in := range mask {
+		if in {
+			s.Add(g)
+		}
+	}
+	return s
 }
 
 // NumGenes returns |G|.

@@ -80,12 +80,20 @@ func (t *BST) EvaluateValue(q *bitset.Set, opts EvalOptions) float64 {
 
 // evaluate is Algorithm 5 against caller-provided scratch. s.colVals holds
 // the per-column means on return.
+//
+// The paper's configuration (MinCombine, no culling) resolves each column
+// with the exact sweep of sweepColumn; ProductCombine and §8 culling walk
+// each cell with cellValue. Both paths sum a column's cell values in
+// ascending gene order, so the sweep's column means are bit-identical to
+// the cell walk's, not merely close (TestEvaluateMatchesReference and
+// FuzzBSTCE pin this).
 func (t *BST) evaluate(q *bitset.Set, opts EvalOptions, s *evalScratch) float64 {
 	if q.Len() != t.numGenes {
 		panic("core: query gene universe does not match BST")
 	}
 	met.evals.Inc()
 	s.reset()
+	sweep := opts.Arithmetization == MinCombine && opts.CullListsTo <= 0
 
 	var colSum float64
 	nonBlank := 0
@@ -99,11 +107,20 @@ func (t *BST) evaluate(q *bitset.Set, opts EvalOptions, s *evalScratch) float64 
 		}
 		var sum float64
 		n := 0
-		qAndCol.ForEach(func(g int) bool {
-			sum += t.cellValue(q, s, g, c, opts)
-			n++
-			return true
-		})
+		if sweep {
+			t.sweepColumn(q, s, c)
+			qAndCol.ForEach(func(g int) bool {
+				sum += s.cells[g]
+				n++
+				return true
+			})
+		} else {
+			qAndCol.ForEach(func(g int) bool {
+				sum += t.cellValue(q, s, g, c, opts)
+				n++
+				return true
+			})
+		}
 		v := sum / float64(n)
 		s.colVals[c] = v
 		colSum += v
@@ -113,6 +130,98 @@ func (t *BST) evaluate(q *bitset.Set, opts EvalOptions, s *evalScratch) float64 
 		return colSum / float64(nonBlank)
 	}
 	return 0
+}
+
+// sweepColumn writes the MinCombine value of every cell (g, c) with g in
+// s.qAndCol into s.cells[g]. A cell's value is the smallest pair value
+// pv[c][h] over the outside samples h expressing g, capped at 1, so rather
+// than walking each gene's outside expressers it visits the outside samples
+// once, in ascending pv order: the genes still unresolved that h expresses
+// take pv[c][h] and are cleared, a whole word of genes at a time. The sweep
+// stops once every gene is resolved or pv reaches 1 (the cap). Black dots
+// and genes no visited sample expresses keep 1.
+func (t *BST) sweepColumn(q *bitset.Set, s *evalScratch, c int) {
+	cells := s.cells
+	s.qAndCol.ForEach(func(g int) bool {
+		cells[g] = 1
+		return true
+	})
+	unresolved := s.qAndCol.AndNotInto(s.unresolved, t.exclusiveGenes)
+	left := unresolved.Count()
+	if left == 0 {
+		return
+	}
+	ranks := rankHeap(s.ranks)
+	for h := range ranks {
+		ranks[h] = pairRank{
+			v: t.pairList[c][h].SatisfactionFractionSized(q, int(t.pairSize[c][h])),
+			h: int32(h),
+		}
+	}
+	ranks.init()
+	for len(ranks) > 0 {
+		p := ranks.pop()
+		if p.v >= 1 {
+			return
+		}
+		left -= unresolved.Extract(t.outsideGenes[p.h], func(g int) { cells[g] = p.v })
+		if left == 0 {
+			return
+		}
+	}
+}
+
+// pairRank is one outside sample's pair value in a column sweep, packed
+// with its position so the heap moves the pair, not an index into pv.
+type pairRank struct {
+	v float64
+	h int32
+}
+
+// rankHeap is a binary min-heap of pair ranks by value. A sweep usually
+// resolves every gene after visiting a fraction of the outside samples
+// (about a fifth on the OC paper profile), so building the heap in O(n)
+// and popping only what is visited beats sorting the whole column. Tied
+// samples may pop in any order: they resolve their genes to the same value.
+type rankHeap []pairRank
+
+func (r rankHeap) init() {
+	for i := len(r)/2 - 1; i >= 0; i-- {
+		r.down(i)
+	}
+}
+
+// pop removes and returns the smallest rank.
+func (r *rankHeap) pop() pairRank {
+	h := *r
+	top, n := h[0], len(h)-1
+	h[0] = h[n]
+	*r = h[:n]
+	r.down(0)
+	return top
+}
+
+func (r rankHeap) down(i int) {
+	n := len(r)
+	if i >= n {
+		return
+	}
+	x := r[i]
+	for {
+		c := 2*i + 1
+		if c >= n {
+			break
+		}
+		if c+1 < n && r[c+1].v < r[c].v {
+			c++
+		}
+		if r[c].v >= x.v {
+			break
+		}
+		r[i] = r[c]
+		i = c
+	}
+	r[i] = x
 }
 
 // cellValue computes Algorithm 5 lines 7-11 for cell (g, c): 1 for black
@@ -175,10 +284,7 @@ func (t *BST) cellValue(q *bitset.Set, s *evalScratch, g, c int, opts EvalOption
 
 func (t *BST) pairValue(q *bitset.Set, pv []float64, c, h int) float64 {
 	if math.IsNaN(pv[h]) {
-		met.clauseCacheMiss.Inc()
 		pv[h] = t.pairList[c][h].SatisfactionFractionSized(q, int(t.pairSize[c][h]))
-	} else {
-		met.clauseCacheHits.Inc()
 	}
 	return pv[h]
 }

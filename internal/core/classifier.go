@@ -64,17 +64,55 @@ func (cl *Classifier) ValuesInto(dst []float64, q *bitset.Set) []float64 {
 	return dst
 }
 
+// Decide is the single-pass classification of q: one BSTCE evaluation per
+// table, then Algorithm 6's argmax and §8's confidence over the same
+// values. It returns exactly what Classify and Confidence return, for the
+// cost of one of them, and allocates nothing for up to eight classes.
+func (cl *Classifier) Decide(q *bitset.Set) (class int, confidence float64) {
+	var buf [8]float64
+	if n := len(cl.Tables); n > len(buf) {
+		return cl.DecideInto(make([]float64, n), q)
+	}
+	return cl.DecideInto(buf[:len(cl.Tables)], q)
+}
+
+// DecideInto is Decide that also leaves the classification values in dst,
+// which must have one slot per class.
+func (cl *Classifier) DecideInto(dst []float64, q *bitset.Set) (class int, confidence float64) {
+	met.queries.Inc()
+	return decideValues(cl.ValuesInto(dst, q))
+}
+
+// decideValues turns classification values into Algorithm 6's class — the
+// smallest index whose value is maximal — and §8's confidence heuristic:
+// the normalized difference between the highest and second-highest value,
+// in [0, 1], and 0 when no value is positive. A single class is decided
+// with confidence 1 whatever its value; Adaptive's argmaxWithConfidence
+// gives a single non-positive value 0 instead, so the two rules differ
+// there on purpose.
+func decideValues(vals []float64) (class int, confidence float64) {
+	first, second := math.Inf(-1), math.Inf(-1)
+	for i, v := range vals {
+		if v > first {
+			class, first, second = i, v, first
+		} else if v > second {
+			second = v
+		}
+	}
+	switch {
+	case len(vals) < 2:
+		return class, 1
+	case first <= 0:
+		return class, 0
+	}
+	return class, (first - second) / first
+}
+
 // Classify implements Algorithm 6: it returns the smallest class index whose
 // classification value is maximal.
 func (cl *Classifier) Classify(q *bitset.Set) int {
-	met.queries.Inc()
-	best, bestV := 0, math.Inf(-1)
-	for i, t := range cl.Tables {
-		if v := t.EvaluateValue(q, cl.Opts); v > bestV {
-			best, bestV = i, v
-		}
-	}
-	return best
+	class, _ := cl.Decide(q)
+	return class
 }
 
 // ClassifyBatch classifies every row of a test dataset (which must share the
@@ -89,24 +127,11 @@ func (cl *Classifier) ClassifyBatch(test *dataset.Bool) []int {
 
 // Confidence returns §8's proposed classification confidence heuristic: the
 // normalized difference between the highest and second-highest BST
-// satisfaction levels, in [0, 1]. Single-class classifiers return 1.
+// satisfaction levels, in [0, 1]. Single-class classifiers return 1. Callers
+// that also need the class should use Decide, which evaluates once.
 func (cl *Classifier) Confidence(q *bitset.Set) float64 {
-	if len(cl.Tables) < 2 {
-		return 1
-	}
-	first, second := math.Inf(-1), math.Inf(-1)
-	for _, t := range cl.Tables {
-		v := t.EvaluateValue(q, cl.Opts)
-		if v > first {
-			first, second = v, first
-		} else if v > second {
-			second = v
-		}
-	}
-	if first <= 0 {
-		return 0
-	}
-	return (first - second) / first
+	_, conf := cl.Decide(q)
+	return conf
 }
 
 // Explanation is one atomic cell rule supporting a classification (§5.3.2):

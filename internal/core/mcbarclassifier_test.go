@@ -123,10 +123,20 @@ func TestClassifyBatchParallelMatchesSerial(t *testing.T) {
 	}
 	test := randomBoolDataset(r, 40, 15, 3)
 	serial := cl.ClassifyBatch(test)
+	confs := make([]float64, len(test.Rows))
+	for i, row := range test.Rows {
+		confs[i] = cl.Confidence(row)
+	}
 	for _, workers := range []int{-1, 0, 1, 2, 7, 100} {
 		got := cl.ClassifyBatchParallel(test, workers)
 		if !reflect.DeepEqual(got, serial) {
 			t.Errorf("workers=%d: parallel results differ from serial", workers)
+		}
+		// The single-pass batch must give the same classes and the same
+		// confidence bits as the two-pass serial answers.
+		classes, gotConfs := cl.DecideBatchParallel(test.Rows, workers)
+		if !reflect.DeepEqual(classes, serial) || !reflect.DeepEqual(gotConfs, confs) {
+			t.Errorf("workers=%d: DecideBatchParallel differs from Classify/Confidence", workers)
 		}
 	}
 }

@@ -14,13 +14,9 @@ var met struct {
 	pairClauses *obs.Counter // core.bst.pair_clauses — shared (c,h) exclusion lists materialized
 	exclGenes   *obs.Counter // core.bst.excl_genes — total genes across exclusion lists
 
-	// BSTCE evaluation (Algorithm 5). The pair-clause satisfaction cache
-	// is the lazy per-query pairV table: a hit means a cell reused a
-	// clause fraction another cell of the same column already computed.
+	// BSTCE evaluation (Algorithm 5).
 	evals            *obs.Counter // core.bstce.evals — table evaluations
 	queries          *obs.Counter // core.classify.queries — samples classified
-	clauseCacheHits  *obs.Counter // core.clause_cache.hits
-	clauseCacheMiss  *obs.Counter // core.clause_cache.misses
 	clauseExprHits   *obs.Counter // core.clause_expr_cache.hits — mining-path Expr cache
 	clauseExprMisses *obs.Counter // core.clause_expr_cache.misses
 }
@@ -35,8 +31,6 @@ func SetMetrics(r *obs.Registry) {
 	met.exclGenes = r.Counter("core.bst.excl_genes")
 	met.evals = r.Counter("core.bstce.evals")
 	met.queries = r.Counter("core.classify.queries")
-	met.clauseCacheHits = r.Counter("core.clause_cache.hits")
-	met.clauseCacheMiss = r.Counter("core.clause_cache.misses")
 	met.clauseExprHits = r.Counter("core.clause_expr_cache.hits")
 	met.clauseExprMisses = r.Counter("core.clause_expr_cache.misses")
 }

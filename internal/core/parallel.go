@@ -4,6 +4,7 @@ import (
 	"runtime"
 	"sync"
 
+	"bstc/internal/bitset"
 	"bstc/internal/dataset"
 )
 
@@ -14,7 +15,26 @@ import (
 // scratch back — so queries parallelize without locking or steady-state
 // allocation. Results are returned in input order.
 func (cl *Classifier) ClassifyBatchParallel(test *dataset.Bool, workers int) []int {
-	n := test.NumSamples()
+	out := make([]int, test.NumSamples())
+	parallelChunks(len(out), workers, func(i int) { out[i] = cl.Classify(test.Rows[i]) })
+	return out
+}
+
+// DecideBatchParallel is the batch form of Decide: one evaluation pass per
+// row yields both its class and its confidence, in input order, spread over
+// up to workers goroutines exactly like ClassifyBatchParallel. Serving
+// answers every micro-batch with it.
+func (cl *Classifier) DecideBatchParallel(rows []*bitset.Set, workers int) (classes []int, confidences []float64) {
+	classes = make([]int, len(rows))
+	confidences = make([]float64, len(rows))
+	parallelChunks(len(rows), workers, func(i int) { classes[i], confidences[i] = cl.Decide(rows[i]) })
+	return classes, confidences
+}
+
+// parallelChunks calls fn(i) for every i in [0, n), splitting the range into
+// one contiguous chunk per worker (≤ 0 workers means GOMAXPROCS). With one
+// worker it runs inline.
+func parallelChunks(n, workers int, fn func(i int)) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
@@ -22,28 +42,22 @@ func (cl *Classifier) ClassifyBatchParallel(test *dataset.Bool, workers int) []i
 		workers = n
 	}
 	if workers <= 1 {
-		return cl.ClassifyBatch(test)
+		for i := 0; i < n; i++ {
+			fn(i)
+		}
+		return
 	}
-	out := make([]int, n)
 	chunk := (n + workers - 1) / workers
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		if lo >= hi {
-			break
-		}
+	for lo := 0; lo < n; lo += chunk {
+		hi := min(lo+chunk, n)
 		wg.Add(1)
-		go func(lo, hi int) {
+		go func() {
 			defer wg.Done()
 			for i := lo; i < hi; i++ {
-				out[i] = cl.Classify(test.Rows[i])
+				fn(i)
 			}
-		}(lo, hi)
+		}()
 	}
 	wg.Wait()
-	return out
 }

@@ -182,6 +182,11 @@ func buildTable(b TableData, numGenes int) (*BST, error) {
 		colGenes:       b.ColGenes,
 		exclusive:      b.Exclusive,
 		geneOutside:    b.GeneOutside,
+		// The sweep's view of the outside sets is derived, not persisted:
+		// transposing the validated GeneOutside makes it agree with
+		// cellValue's per-gene walk by construction.
+		outsideGenes:   bitset.Transpose(b.GeneOutside, nh),
+		exclusiveGenes: geneSet(b.Exclusive),
 	}
 	t.pairList = make([][]rules.Clause, nc)
 	for c := range t.pairList {

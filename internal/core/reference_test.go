@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -74,24 +75,37 @@ func TestEvaluateMatchesReference(t *testing.T) {
 			for qn := 0; qn < 4; qn++ {
 				q := randomRow(r, d.NumGenes())
 				for _, arith := range []Arithmetization{MinCombine, ProductCombine} {
-					got := bst.Evaluate(q, EvalOptions{Arithmetization: arith})
-					want := referenceEvaluate(bst, q, arith)
-					if math.Abs(got.Value-want.Value) > 1e-12 {
-						t.Fatalf("trial %d class %d arith %v: value %v, reference %v",
-							trial, ci, arith, got.Value, want.Value)
-					}
-					for c := range want.ColumnValues {
-						g, w := got.ColumnValues[c], want.ColumnValues[c]
-						if math.IsNaN(g) != math.IsNaN(w) ||
-							(!math.IsNaN(g) && math.Abs(g-w) > 1e-12) {
-							t.Fatalf("trial %d class %d arith %v col %d: %v vs reference %v",
-								trial, ci, arith, c, g, w)
-						}
+					if err := matchesReference(bst, q, arith); err != nil {
+						t.Fatalf("trial %d class %d: %v", trial, ci, err)
 					}
 				}
 			}
 		}
 	}
+}
+
+// matchesReference compares Evaluate against referenceEvaluate. The
+// paper's MinCombine runs the column sweep, which must agree bit for bit
+// (same float64 bits, NaN for the same blank columns); ProductCombine keeps
+// a 1e-12 tolerance.
+func matchesReference(bst *BST, q *bitset.Set, arith Arithmetization) error {
+	got := bst.Evaluate(q, EvalOptions{Arithmetization: arith})
+	want := referenceEvaluate(bst, q, arith)
+	same := func(g, w float64) bool {
+		if arith == MinCombine {
+			return math.Float64bits(g) == math.Float64bits(w) || math.IsNaN(g) && math.IsNaN(w)
+		}
+		return math.IsNaN(g) == math.IsNaN(w) && (math.IsNaN(g) || math.Abs(g-w) <= 1e-12)
+	}
+	if !same(got.Value, want.Value) {
+		return fmt.Errorf("arith %v: value %v, reference %v", arith, got.Value, want.Value)
+	}
+	for c := range want.ColumnValues {
+		if g, w := got.ColumnValues[c], want.ColumnValues[c]; !same(g, w) {
+			return fmt.Errorf("arith %v col %d: %v vs reference %v", arith, c, g, w)
+		}
+	}
+	return nil
 }
 
 // TestCellAccessorsConsistent cross-checks the derived Cell view against

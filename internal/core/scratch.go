@@ -12,12 +12,20 @@ import (
 // materialized lazily per column exactly like the old per-call allocation;
 // touched remembers which stripes were handed out so reset stays
 // proportional to the work actually done, not the table size.
+//
+// cells, unresolved and ranks are the column sweep's state (see
+// sweepColumn): per-gene cell values, the genes not yet resolved, and the
+// column's outside samples keyed by pair value. Each sweep overwrites the
+// entries it reads, so reset leaves them alone.
 type evalScratch struct {
-	pairV   [][]float64
-	slab    []float64
-	touched []int
-	colVals []float64
-	qAndCol *bitset.Set
+	pairV      [][]float64
+	slab       []float64
+	touched    []int
+	colVals    []float64
+	qAndCol    *bitset.Set
+	cells      []float64
+	unresolved *bitset.Set
+	ranks      []pairRank
 }
 
 // reset prepares the scratch for a fresh query.
@@ -55,11 +63,14 @@ func (t *BST) getScratch() *evalScratch {
 	}
 	cols, outs := len(t.ClassSamples), len(t.OutsideSamples)
 	return &evalScratch{
-		pairV:   make([][]float64, cols),
-		slab:    make([]float64, cols*outs),
-		touched: make([]int, 0, cols),
-		colVals: make([]float64, cols),
-		qAndCol: bitset.New(t.numGenes),
+		pairV:      make([][]float64, cols),
+		slab:       make([]float64, cols*outs),
+		touched:    make([]int, 0, cols),
+		colVals:    make([]float64, cols),
+		qAndCol:    bitset.New(t.numGenes),
+		cells:      make([]float64, t.numGenes),
+		unresolved: bitset.New(t.numGenes),
+		ranks:      make([]pairRank, outs),
 	}
 }
 

@@ -21,8 +21,9 @@ func allocsWithRetry(t *testing.T, want float64, f func()) float64 {
 }
 
 // TestEvaluateSteadyStateAllocs pins the BSTCE hot path at zero steady-state
-// allocations: EvaluateValue, Classify, and ValuesInto must all run entirely
-// out of pooled scratch once warm.
+// allocations: EvaluateValue, Classify (the single-pass Decide, with its
+// stack buffer of values), and ValuesInto must all run entirely out of
+// pooled scratch once warm.
 func TestEvaluateSteadyStateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops items under the race detector, so pooled paths allocate")

@@ -19,6 +19,7 @@ var benchState struct {
 	once    sync.Once
 	dir     string
 	art     *Artifact
+	rows    [][]float64
 	gobPath string
 	v2Path  string
 	err     error
@@ -49,6 +50,7 @@ func benchArtifact(b *testing.B) (*Artifact, string, string) {
 			s.err = err
 			return
 		}
+		s.rows = c.Values
 		if s.art, err = TrainArtifact(c, nil, 4); err != nil {
 			s.err = err
 			return
@@ -106,21 +108,22 @@ func BenchmarkArtifactColdStartMapped(b *testing.B) {
 }
 
 // BenchmarkMappedClassifyRow pins per-query classification cost when
-// serving out of the mapping: frozen views classify at native Set speed
-// (steady state stays at a handful of allocations per row), so the
-// cold-start win is not paid back per query.
+// serving out of the mapping, on the traffic a server actually sees: it
+// cycles the OC profile's real samples (an all-zero row would express no
+// genes and leave BSTCE nothing to do). Frozen views classify at native Set
+// speed, so the cold-start win is not paid back per query.
 func BenchmarkMappedClassifyRow(b *testing.B) {
-	art, _, v2Path := benchArtifact(b)
+	_, _, v2Path := benchArtifact(b)
+	rows := benchState.rows
 	m, err := LoadArtifactMapped(v2Path)
 	if err != nil {
 		b.Fatal(err)
 	}
 	defer m.Close()
-	row := make([]float64, art.Disc.NumGenes())
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := m.ClassifyRow(row); err != nil {
+		if _, _, err := m.ClassifyRow(rows[i%len(rows)]); err != nil {
 			b.Fatal(err)
 		}
 	}

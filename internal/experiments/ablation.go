@@ -73,14 +73,16 @@ func Ablation(ctx context.Context, w io.Writer, cfg Config, profileName string) 
 			if err != nil {
 				return nil, err
 			}
+			preds := make([]int, ps.TestBool.NumSamples())
+			var conf float64
 			start := obs.Now()
-			preds := cl.ClassifyBatch(ps.TestBool)
+			for i, row := range ps.TestBool.Rows {
+				var c float64
+				preds[i], c = cl.Decide(row)
+				conf += c
+			}
 			perQuery[vi] += obs.Now().Sub(start)
 			accs[vi] = append(accs[vi], stats.Accuracy(preds, ps.TestBool.Classes))
-			var conf float64
-			for _, row := range ps.TestBool.Rows {
-				conf += cl.Confidence(row)
-			}
 			confs[vi] = append(confs[vi], conf/float64(ps.TestBool.NumSamples()))
 		}
 		// §8's adaptive procedure selection over min + product.

@@ -21,7 +21,7 @@ func sampleRecord() RunRecord {
 		Seed:                     20080407,
 		Config:                   map[string]float64{"tests": 5, "cutoff_ms": 8000, "min_support": 0.7, "k": 10, "nl": 20},
 		PhasesMS:                 map[string]float64{"discretize": 12.5, "bstc/build": 3.25, "rcbt/topk": 950},
-		Counters:                 map[string]int64{"carminer.topk.nodes": 5432, "core.clause_cache.hits": 100},
+		Counters:                 map[string]int64{"carminer.topk.nodes": 5432, "core.bstce.evals": 100},
 		BSTCAccuracy:             Float64Ptr(0.9375),
 		TopkDNF:                  true,
 		NLUsed:                   20,

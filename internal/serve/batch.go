@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"bstc/internal/bitset"
-	"bstc/internal/dataset"
 	"bstc/internal/fault"
 	"bstc/internal/obs"
 	"bstc/internal/obs/trace"
@@ -107,12 +106,11 @@ func failBatch(batch []*pending, err error) {
 	}
 }
 
-// dispatch classifies one micro-batch on a worker goroutine. Rows are
-// assembled into a throwaway Bool dataset view (the query sets are shared,
-// not copied) and routed through the parallel classify kernel; per-request
-// confidences reuse the trained tables' pooled scratch. Delivery into the
-// buffered done channels never blocks, so a request that already gave up
-// on its deadline cannot stall the batch.
+// dispatch classifies one micro-batch on a worker goroutine. The rows go
+// through the parallel single-pass kernel (core.DecideBatchParallel), which
+// evaluates every table once per request for both the class and the
+// confidence. Delivery into the buffered done channels never blocks, so a
+// request that already gave up on its deadline cannot stall the batch.
 //
 // The worker is fenced two ways: a panic is contained into 500s with the
 // stack in the run log, and a watchdog fails the batch with 504s — plus an
@@ -162,19 +160,13 @@ func (m *model) dispatch(batch []*pending) {
 				}
 			}
 		}
-		test := &dataset.Bool{
-			GeneNames:  m.art.Classifier.GeneNames,
-			ClassNames: m.art.Classifier.ClassNames,
-			Classes:    make([]int, len(batch)),
-			Rows:       rows,
-		}
 
 		ph := obs.NewPhasesIn(s.cfg.Registry)
 		span := ph.Start("serve/classify")
 		classify := flush.StartChild("serve/classify")
-		preds := m.art.Classifier.ClassifyBatchParallel(test, s.cfg.Workers)
+		preds, confs := m.art.Classifier.DecideBatchParallel(rows, s.cfg.Workers)
 		for i, p := range batch {
-			deliver(p, result{class: preds[i], confidence: m.art.Classifier.Confidence(p.q)})
+			deliver(p, result{class: preds[i], confidence: confs[i]})
 		}
 		classify.End()
 		classifyNS := span.End()
