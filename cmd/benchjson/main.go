@@ -16,7 +16,8 @@
 // With -gate PCT the command additionally compares the run against a
 // committed reference (-baseline FILE, its "benchmarks" section) and exits
 // non-zero when any benchmark present in both regresses by more than PCT
-// percent in ns/op or allocs/op — the bench-smoke regression gate. ns/op is
+// percent in ns/op or allocs/op, or when a reference benchmark is missing
+// from the run — the bench-smoke regression gate. ns/op is
 // gated only when the run measured at least -gate-min-iters iterations
 // (single-shot timings are noise); allocs/op always gates, with a small
 // absolute slack absorbing warmup effects, since allocation counts are
@@ -155,7 +156,7 @@ func run() error {
 			for _, msg := range fails {
 				fmt.Fprintln(os.Stderr, "benchjson: GATE:", msg)
 			}
-			return fmt.Errorf("%d benchmark(s) regressed more than %.0f%% vs baseline", len(fails), *gate)
+			return fmt.Errorf("%d gate failure(s): regressed more than %.0f%% vs baseline, or missing", len(fails), *gate)
 		}
 		fmt.Fprintf(os.Stderr, "benchjson: gate ok (no regression beyond %.0f%% across %d tracked benchmarks)\n",
 			*gate, len(ref))
@@ -164,23 +165,27 @@ func run() error {
 }
 
 // gateFailures compares cur against the reference and returns one message
-// per benchmark breaching the pct regression allowance. Benchmarks absent
-// from the reference are recorded but not gated. ns/op is compared only
+// per benchmark breaching the pct regression allowance, and one per
+// reference benchmark the run did not produce — a deleted or renamed
+// benchmark must leave the gate by an edit to the reference, not silently.
+// Benchmarks absent from the reference are recorded but not gated. ns/op
+// is compared only
 // when the current run measured at least minIters iterations — single-shot
 // smoke timings are noise — while allocs/op, being deterministic, always
 // compares, with an absolute slack of max(2, ref·pct/100) absorbing one-off
 // warmup allocations.
 func gateFailures(cur, ref map[string]Result, pct float64, minIters int64) []string {
-	names := make([]string, 0, len(cur))
-	for n := range cur {
+	names := make([]string, 0, len(ref))
+	for n := range ref {
 		names = append(names, n)
 	}
 	sort.Strings(names)
 	var fails []string
 	for _, n := range names {
-		c := cur[n]
-		b, ok := ref[n]
+		b := ref[n]
+		c, ok := cur[n]
 		if !ok {
+			fails = append(fails, fmt.Sprintf("%s: in the baseline but missing from this run", n))
 			continue
 		}
 		if c.Iterations >= minIters && b.NsPerOp > 0 && c.NsPerOp > b.NsPerOp*(1+pct/100) {

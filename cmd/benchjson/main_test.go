@@ -11,9 +11,12 @@ func TestGateFailures(t *testing.T) {
 		"BenchmarkTiny":  {Iterations: 100000, NsPerOp: 50, AllocsPerOp: 0},
 		"BenchmarkOther": {Iterations: 1000, NsPerOp: 1000, AllocsPerOp: 10},
 	}
+	// Each case's cur overrides (or, via drop, removes) entries of a run
+	// that reproduced the reference exactly.
 	cases := []struct {
 		name string
 		cur  map[string]Result
+		drop []string
 		want []string // substrings, one per expected failure
 	}{
 		{
@@ -62,6 +65,11 @@ func TestGateFailures(t *testing.T) {
 			},
 		},
 		{
+			name: "baseline benchmark missing from the run",
+			drop: []string{"BenchmarkOther"},
+			want: []string{"BenchmarkOther: in the baseline but missing"},
+		},
+		{
 			name: "both dimensions fail, sorted by name",
 			cur: map[string]Result{
 				"BenchmarkOther": {Iterations: 1000, NsPerOp: 2000, AllocsPerOp: 100},
@@ -72,7 +80,17 @@ func TestGateFailures(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			got := gateFailures(tc.cur, ref, 25, 10)
+			cur := make(map[string]Result, len(ref)+len(tc.cur))
+			for n, r := range ref {
+				cur[n] = r
+			}
+			for n, r := range tc.cur {
+				cur[n] = r
+			}
+			for _, n := range tc.drop {
+				delete(cur, n)
+			}
+			got := gateFailures(cur, ref, 25, 10)
 			if len(got) != len(tc.want) {
 				t.Fatalf("got %d failures %v, want %d", len(got), got, len(tc.want))
 			}

@@ -249,15 +249,11 @@ func TestArtifactSubcommand(t *testing.T) {
 	if err := run([]string{"artifact", "-in", in, "-out", out, "-workers", "2"}); err != nil {
 		t.Fatal(err)
 	}
-	f, err := os.Open(out)
+	art, err := eval.LoadArtifactMapped(out)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer f.Close()
-	art, err := eval.LoadArtifact(f)
-	if err != nil {
-		t.Fatal(err)
-	}
+	defer art.Close()
 	class, _, err := art.ClassifyRow([]float64{1.1, 7})
 	if err != nil {
 		t.Fatal(err)
@@ -267,50 +263,5 @@ func TestArtifactSubcommand(t *testing.T) {
 	}
 	if err := run([]string{"artifact", "-in", in}); err == nil {
 		t.Error("artifact without -out should error")
-	}
-}
-
-// TestArtifactFormats writes both artifact formats and checks each loads:
-// the default v2 through the mapped zero-copy path, gob through the v1
-// stream reader, with identical predictions.
-func TestArtifactFormats(t *testing.T) {
-	in := writeContinuous(t)
-	dir := t.TempDir()
-	v2 := filepath.Join(dir, "model.v2.bstc")
-	gob := filepath.Join(dir, "model.gob.bstc")
-	if err := run([]string{"artifact", "-in", in, "-out", v2}); err != nil {
-		t.Fatal(err)
-	}
-	if err := run([]string{"artifact", "-in", in, "-out", gob, "-format", "gob"}); err != nil {
-		t.Fatal(err)
-	}
-	mapped, err := eval.LoadArtifactMapped(v2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer mapped.Close()
-	f, err := os.Open(gob)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	fromGob, err := eval.LoadArtifact(f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	row := []float64{1.1, 7}
-	mc, mconf, err := mapped.ClassifyRow(row)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gc, gconf, err := fromGob.ClassifyRow(row)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if mc != gc || mconf != gconf {
-		t.Fatalf("mapped v2 predicts (%d, %v), gob (%d, %v)", mc, mconf, gc, gconf)
-	}
-	if err := run([]string{"artifact", "-in", in, "-out", v2, "-format", "nope"}); err == nil {
-		t.Error("unknown -format should error")
 	}
 }

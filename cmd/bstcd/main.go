@@ -2,32 +2,32 @@
 // over HTTP, batching concurrent classify requests through the parallel
 // evaluation kernel.
 //
-//	bstcd -model model.bstc [-mmap] [-model-version v1] [-addr :8080]
+//	bstcd -model model.bstc [-model-version v1] [-addr :8080]
 //	bstcd -registry DIR [-registry-poll 5s] [-addr :8080]
 //	      [-batch 32] [-max-wait 2ms] [-max-inflight 128] [-workers N]
 //	      [-timeout 5s] [-runlog batches.jsonl] [-trace spans.jsonl]
 //	      [-trace-sample 0.1] [-slo-latency 100ms] [-slo-target 0.999]
 //
-// Single-model mode (-model) serves one artifact file. With -mmap the model
-// must be a format-v2 artifact (`bstc artifact -format v2`); it is served
-// zero-copy out of a read-only mapping, so cold start skips deserializing
-// the bitset payload and replicas on one host share a single page-cache
-// copy. The measured load time lands on the serve.artifact_load_ns gauge
-// and /v1/model either way.
+// Every model is served through a model registry (internal/registry): a
+// directory of artifact files plus a manifest naming versions and the route
+// (stable version, optional canary with a deterministic traffic percentage).
+// -registry DIR serves a registry directory and its manifest.json. -model
+// FILE is shorthand for a one-entry manifest: the file's directory is the
+// registry and the file its only version, named by -model-version. Each
+// version is mapped zero-copy (eval.LoadArtifactMapped), so cold start
+// parses only the metadata section and replicas on one host share a single
+// page-cache copy; /v1/model reports the file digest as its fingerprint and
+// the measured load time, which also lands on the serve.artifact_load_ns
+// gauge.
 //
-// Registry mode (-registry) serves a model registry directory: artifact
-// files plus a manifest.json naming versions and the route (stable version,
-// optional canary with a deterministic traffic percentage — see
-// internal/registry). Versions load through a warm LRU cache, mapped
-// zero-copy when the file is format v2.
-//
-// Both modes hot-reload on SIGHUP with no dropped requests: registry mode
-// re-reads the manifest and atomically swaps to its route; single-model
-// mode re-loads the -model file as a new version. With -registry-poll the
-// daemon also watches the manifest and swaps when it changes. A reload
-// that fails to load leaves the current versions serving untouched. Swaps
-// are observable on /v1/model (version, fingerprint, generation, canary)
-// and every classify response names its version (model_version,
+// SIGHUP hot-reloads with no dropped requests through one path: the daemon
+// takes the current manifest — re-read from -registry, or -model's rebuilt
+// with the version bumped to v1.1, v1.2, … so the rewritten file loads
+// fresh — and atomically swaps to its route. With -registry-poll the daemon
+// also watches the manifest and swaps when it changes. A reload that fails
+// to load leaves the current versions serving untouched. Swaps are
+// observable on /v1/model (version, fingerprint, generation, canary) and
+// every classify response names its version (model_version,
 // X-Model-Version).
 //
 // Endpoints (see internal/serve): POST /v1/classify, GET /v1/model,
@@ -43,8 +43,8 @@
 package main
 
 import (
-	"bytes"
 	"context"
+	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
@@ -80,7 +80,6 @@ func run(ctx context.Context, args []string, stdout io.Writer, ready func(net.Ad
 	fs := flag.NewFlagSet("bstcd", flag.ContinueOnError)
 	model := fs.String("model", "", "artifact written by `bstc artifact` (this or -registry is required)")
 	modelVersion := fs.String("model-version", "v1", "version name for the -model artifact")
-	mmapModel := fs.Bool("mmap", false, "serve a v2 artifact zero-copy out of a read-only memory mapping (page cache shared across replicas)")
 	registryDir := fs.String("registry", "", "serve a model registry directory (manifest.json routing; hot-reload on SIGHUP)")
 	registryPoll := fs.Duration("registry-poll", 0, "also watch the registry manifest and swap when it changes (0 disables)")
 	addr := fs.String("addr", ":8080", "listen address")
@@ -137,40 +136,46 @@ func run(ctx context.Context, args []string, stdout io.Writer, ready func(net.Ad
 	}
 	cfg.Tracer = trace.New(traceCfg)
 
-	// Boot the stable version: from the registry route, or the -model file.
-	var (
-		s       *serve.Server
-		reg     *registry.Registry
-		reloads int
-	)
-	if *registryDir != "" {
-		var err error
-		reg, err = registry.Open(registry.Config{Dir: *registryDir})
-		if err != nil {
+	// Both modes serve through a registry. -model's manifest is implicit and
+	// rebuilt per reload as a fresh version; superseded versions are never
+	// routed again, so none are kept warm.
+	regCfg := registry.Config{Dir: *registryDir}
+	if *model != "" {
+		regCfg = registry.Config{Dir: filepath.Dir(*model), Cache: -1}
+	}
+	reg, err := registry.Open(regCfg)
+	if err != nil {
+		return err
+	}
+	defer reg.Close()
+	reloads := 0
+	manifest := func() (*registry.Manifest, error) {
+		if *model == "" {
+			return reg.Manifest()
+		}
+		version := *modelVersion
+		if reloads > 0 {
+			version = fmt.Sprintf("%s.%d", version, reloads)
+		}
+		return modelManifest(*model, version)
+	}
+
+	// Boot from the manifest a reload would read: the server starts on the
+	// stable version, then applyManifest adds the canary when there is one.
+	man, err := manifest()
+	if err != nil {
+		return err
+	}
+	h, err := reg.Acquire(man, man.Serve.Model, man.Serve.Stable)
+	if err != nil {
+		return err
+	}
+	s := serve.NewFromModel(handleToModel(h), cfg)
+	if man.Serve.Canary != "" {
+		if err := applyManifest(s, reg, man); err != nil {
+			s.Close()
 			return err
 		}
-		defer reg.Close()
-		man, err := reg.Manifest()
-		if err != nil {
-			return err
-		}
-		h, err := reg.Acquire(man, man.Serve.Model, man.Serve.Stable)
-		if err != nil {
-			return err
-		}
-		s = serve.NewFromModel(handleToModel(h), cfg)
-		if man.Serve.Canary != "" {
-			if err := applyManifest(s, reg, man); err != nil {
-				s.Close()
-				return err
-			}
-		}
-	} else {
-		d, err := loadModelFile(*model, *modelVersion, *mmapModel)
-		if err != nil {
-			return err
-		}
-		s = serve.NewFromModel(d, cfg)
 	}
 
 	ln, err := net.Listen("tcp", *addr)
@@ -194,7 +199,7 @@ func run(ctx context.Context, args []string, stdout io.Writer, ready func(net.Ad
 	signal.Notify(hup, syscall.SIGHUP)
 	defer signal.Stop(hup)
 	manifestDigest := func() string {
-		if reg == nil {
+		if *registryDir == "" {
 			return ""
 		}
 		b, err := os.ReadFile(filepath.Join(*registryDir, registry.ManifestName))
@@ -205,34 +210,21 @@ func run(ctx context.Context, args []string, stdout io.Writer, ready func(net.Ad
 	}
 	lastManifest := manifestDigest()
 	reload := func() {
-		if reg != nil {
-			man, err := reg.Manifest()
-			if err != nil {
-				fmt.Fprintf(stdout, "bstcd: reload failed (%v); keeping current route\n", err)
-				return
-			}
-			if err := applyManifest(s, reg, man); err != nil {
-				fmt.Fprintf(stdout, "bstcd: reload failed (%v); keeping current route\n", err)
-				return
-			}
-		} else {
-			reloads++
-			d, err := loadModelFile(*model, fmt.Sprintf("%s.%d", *modelVersion, reloads), *mmapModel)
-			if err != nil {
-				fmt.Fprintf(stdout, "bstcd: reload failed (%v); keeping current model\n", err)
-				return
-			}
-			if err := s.Apply(serve.Update{Stable: d}); err != nil {
-				fmt.Fprintf(stdout, "bstcd: reload failed (%v); keeping current model\n", err)
-				return
-			}
+		reloads++
+		man, err := manifest()
+		if err == nil {
+			err = applyManifest(s, reg, man)
+		}
+		if err != nil {
+			fmt.Fprintf(stdout, "bstcd: reload failed (%v); keeping current route\n", err)
+			return
 		}
 		stable, canary, pct := s.Route()
 		fmt.Fprintf(stdout, "bstcd: reloaded generation %d: %s\n",
 			s.Generation(), routeBanner(stable, canary, pct))
 	}
 	var pollC <-chan time.Time
-	if reg != nil && *registryPoll > 0 {
+	if *registryDir != "" && *registryPoll > 0 {
 		tick := time.NewTicker(*registryPoll)
 		defer tick.Stop()
 		pollC = tick.C
@@ -290,7 +282,6 @@ func handleToModel(h *registry.Handle) *serve.Model {
 		Version:     h.ModelVersion,
 		Artifact:    h.Artifact,
 		Fingerprint: fp,
-		Format:      h.Format,
 		LoadNanos:   h.LoadNanos,
 		Release:     h.Release,
 	}
@@ -320,44 +311,19 @@ func applyManifest(s *serve.Server, reg *registry.Registry, man *registry.Manife
 	return s.Apply(u) // Apply releases the update's handles on error
 }
 
-// loadModelFile loads one artifact file for single-model mode, timing the
-// cold start. The mapped path parses only the v2 metadata section and
-// aliases the bitset words in place, so it is the number to watch when
-// rollout speed matters; its Release hook unmaps once the version drains.
-func loadModelFile(path, version string, useMmap bool) (*serve.Model, error) {
-	start := time.Now()
-	if useMmap {
-		mapped, err := eval.LoadArtifactMapped(path)
-		if err != nil {
-			return nil, fmt.Errorf("load %s: %w", path, err)
-		}
-		return &serve.Model{
-			Version:   version,
-			Artifact:  mapped.Artifact,
-			Format:    "v2+mmap",
-			LoadNanos: time.Since(start).Nanoseconds(),
-			Release:   func() { mapped.Close() },
-		}, nil
-	}
-	b, err := os.ReadFile(path)
+// modelManifest is -model's implicit one-entry manifest: the file's base
+// name inside its directory, served as the given version. It goes through
+// registry.ParseManifest, so -model-version gets the same name checks as a
+// registry manifest.
+func modelManifest(path, version string) (*registry.Manifest, error) {
+	b, err := json.Marshal(registry.Manifest{
+		Version: 1,
+		Models:  []registry.ModelEntry{{Name: "model", ModelVersion: version, Path: filepath.Base(path)}},
+	})
 	if err != nil {
 		return nil, err
 	}
-	art, err := eval.LoadArtifact(bytes.NewReader(b))
-	if err != nil {
-		return nil, fmt.Errorf("load %s: %w", path, err)
-	}
-	format := "gob"
-	if bytes.HasPrefix(b, []byte("BSTCART2")) {
-		format = "v2"
-	}
-	return &serve.Model{
-		Version:     version,
-		Artifact:    art,
-		Fingerprint: eval.FileDigest(b)[:16],
-		Format:      format,
-		LoadNanos:   time.Since(start).Nanoseconds(),
-	}, nil
+	return registry.ParseManifest(b)
 }
 
 // routeBanner renders the live route for log lines.

@@ -34,12 +34,7 @@ func writeArtifact(t *testing.T) (string, *eval.Artifact, [][]float64) {
 		t.Fatal(err)
 	}
 	path := filepath.Join(t.TempDir(), "model.bstc")
-	f, err := os.Create(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	if err := art.Save(f); err != nil {
+	if err := eval.WriteArtifactFile(path, art, eval.FormatV2); err != nil {
 		t.Fatal(err)
 	}
 	return path, art, c.Values
@@ -189,15 +184,11 @@ func TestRunlogFile(t *testing.T) {
 	}
 }
 
-// TestServeMmap boots the daemon on a v2 artifact with -mmap and verifies
-// zero-copy serving answers exactly like the in-memory pipeline, and that
-// /v1/model reports the mapped format and a measured load time.
+// TestServeMmap boots the daemon on an artifact file and verifies the
+// zero-copy mapped serving answers exactly like the in-memory pipeline, and
+// that /v1/model reports the file's fingerprint and a measured load time.
 func TestServeMmap(t *testing.T) {
-	_, art, rows := writeArtifact(t)
-	model := filepath.Join(t.TempDir(), "model.v2.bstc")
-	if err := eval.WriteArtifactFile(model, art, eval.FormatV2); err != nil {
-		t.Fatal(err)
-	}
+	model, art, rows := writeArtifact(t)
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 
@@ -206,7 +197,7 @@ func TestServeMmap(t *testing.T) {
 	var out bytes.Buffer
 	go func() {
 		done <- run(ctx,
-			[]string{"-model", model, "-mmap", "-addr", "127.0.0.1:0", "-batch", "4", "-max-wait", "1ms"},
+			[]string{"-model", model, "-addr", "127.0.0.1:0", "-batch", "4", "-max-wait", "1ms"},
 			&out, func(a net.Addr) { addrCh <- a })
 	}()
 	var base string
@@ -224,15 +215,19 @@ func TestServeMmap(t *testing.T) {
 		t.Fatal(err)
 	}
 	var meta struct {
-		ArtifactFormat string `json:"artifact_format"`
+		Fingerprint    string `json:"fingerprint"`
 		ArtifactLoadNs int64  `json:"artifact_load_ns"`
 	}
 	if err := json.NewDecoder(resp.Body).Decode(&meta); err != nil {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
-	if meta.ArtifactFormat != "v2+mmap" {
-		t.Errorf("artifact_format = %q, want v2+mmap", meta.ArtifactFormat)
+	data, err := os.ReadFile(model)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := eval.FileDigest(data)[:16]; meta.Fingerprint != want {
+		t.Errorf("fingerprint = %q, want the file digest prefix %q", meta.Fingerprint, want)
 	}
 	if meta.ArtifactLoadNs <= 0 {
 		t.Errorf("artifact_load_ns = %d, want > 0", meta.ArtifactLoadNs)
@@ -268,15 +263,29 @@ func TestServeMmap(t *testing.T) {
 		}
 	}
 
-	// -mmap on a v1 gob file must fail loudly, not serve garbage.
 	cancel()
 	if err := <-done; err != nil {
 		t.Fatal(err)
 	}
-	gobModel, _, _ := writeArtifact(t)
-	if err := run(context.Background(),
-		[]string{"-model", gobModel, "-mmap", "-addr", "127.0.0.1:0"},
-		&out, nil); err == nil {
-		t.Error("-mmap on a v1 gob artifact should error")
+}
+
+// TestServeRejectsV1Artifact: a file in the retired v1 gob format must stop
+// the daemon at boot (main exits 1 on a run error) with a message naming
+// the format and the command that rewrites the file.
+func TestServeRejectsV1Artifact(t *testing.T) {
+	old := filepath.Join(t.TempDir(), "old-v1.bstc")
+	v1 := "BSTC-ARTIFACT\n=\xff\x99\x03\x01\x01\vartifactDTO\x01\xff\x9a\x00"
+	if err := os.WriteFile(old, []byte(v1), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var out bytes.Buffer
+	err := run(context.Background(), []string{"-model", old, "-addr", "127.0.0.1:0"}, &out, nil)
+	if err == nil {
+		t.Fatal("a v1 gob artifact booted")
+	}
+	for _, want := range []string{"v1", "bstc artifact"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("boot error %q does not mention %q", err, want)
+		}
 	}
 }

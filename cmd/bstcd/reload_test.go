@@ -47,12 +47,12 @@ func trainOpposed(t *testing.T) (v1, v2 *eval.Artifact, rows [][]float64) {
 }
 
 // writeFleet lays out a registry directory holding both opposed artifacts
-// (v1 as gob, v2 as format v2) routed per the given serve block.
+// routed per the given serve block.
 func writeFleet(t *testing.T, serveJSON string) (dir string, v1, v2 *eval.Artifact, rows [][]float64) {
 	t.Helper()
 	dir = t.TempDir()
 	v1, v2, rows = trainOpposed(t)
-	if err := eval.WriteArtifactFile(filepath.Join(dir, "model-v1.bstc"), v1, eval.FormatGob); err != nil {
+	if err := eval.WriteArtifactFile(filepath.Join(dir, "model-v1.bstc"), v1, eval.FormatV2); err != nil {
 		t.Fatal(err)
 	}
 	if err := eval.WriteArtifactFile(filepath.Join(dir, "model-v2.bstc"), v2, eval.FormatV2); err != nil {
@@ -215,8 +215,8 @@ func TestServeRegistryPollSwap(t *testing.T) {
 		"-batch", "4", "-max-wait", "1ms")
 
 	m := modelMeta(t, base)
-	if m["version"] != "v1" || m["artifact_format"] != "gob" {
-		t.Fatalf("boot route = %v/%v, want v1/gob", m["version"], m["artifact_format"])
+	if m["version"] != "v1" {
+		t.Fatalf("boot route = %v, want v1", m["version"])
 	}
 	wantV1, _, err := v1.ClassifyRow(rows[0])
 	if err != nil {
@@ -243,10 +243,7 @@ func TestServeRegistryPollSwap(t *testing.T) {
 
 	// Fix the manifest to stable=v2: the poller swaps without a signal.
 	writeManifest(t, dir, `{"model": "bstc", "stable": "v2"}`)
-	m = waitModelVersion(t, base, "v2")
-	if m["artifact_format"] != "v2+mmap" {
-		t.Errorf("v2 artifact_format = %v, want v2+mmap", m["artifact_format"])
-	}
+	waitModelVersion(t, base, "v2")
 	if idx, ver := classifyRow(t, base, rows[0], ""); idx != wantV2 || ver != "v2" {
 		t.Fatalf("v2 route answered (%d, %s), want (%d, v2)", idx, ver, wantV2)
 	}
@@ -282,11 +279,11 @@ func TestServeRegistryPollSwap(t *testing.T) {
 
 // TestSighupSingleModelReload covers -model mode's SIGHUP path in-process:
 // the file is replaced on disk, SIGHUP loads it as a bumped version, and
-// answers flip while the endpoint stays up.
+// answers and the reported fingerprint flip while the endpoint stays up.
 func TestSighupSingleModelReload(t *testing.T) {
 	v1, v2, rows := trainOpposed(t)
 	path := filepath.Join(t.TempDir(), "model.bstc")
-	if err := eval.WriteArtifactFile(path, v1, eval.FormatGob); err != nil {
+	if err := eval.WriteArtifactFile(path, v1, eval.FormatV2); err != nil {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
@@ -307,6 +304,10 @@ func TestSighupSingleModelReload(t *testing.T) {
 	if idx, ver := classifyRow(t, base, rows[3], ""); idx != wantV1 || ver != "prostate" {
 		t.Fatalf("boot answered (%d, %s), want (%d, prostate)", idx, ver, wantV1)
 	}
+	bootFP, _ := modelMeta(t, base)["fingerprint"].(string)
+	if bootFP == "" {
+		t.Fatal("/v1/model reports no fingerprint at boot")
+	}
 
 	if err := eval.WriteArtifactFile(path, v2, eval.FormatV2); err != nil {
 		t.Fatal(err)
@@ -315,8 +316,8 @@ func TestSighupSingleModelReload(t *testing.T) {
 		t.Fatal(err)
 	}
 	m := waitModelVersion(t, base, "prostate.1")
-	if m["artifact_format"] != "v2" {
-		t.Errorf("reloaded artifact_format = %v, want v2", m["artifact_format"])
+	if fp, _ := m["fingerprint"].(string); fp == "" || fp == bootFP {
+		t.Errorf("reloaded fingerprint = %q, want a new one (boot was %q)", fp, bootFP)
 	}
 	if idx, ver := classifyRow(t, base, rows[3], ""); idx != wantV2 || ver != "prostate.1" {
 		t.Fatalf("reload answered (%d, %s), want (%d, prostate.1)", idx, ver, wantV2)

@@ -168,11 +168,12 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 		if err != nil {
 			return err
 		}
+		defer art.Close() // deferred first, so it runs after the servers drain
 		rows = trainRows
 		replicas := maxInt(1, *fleetN)
 		urls := make([]string, replicas)
 		for i := range urls {
-			s := serve.New(art, serve.Config{
+			s := serve.New(art.Artifact, serve.Config{
 				BatchSize:   *batch,
 				Workers:     *workers,
 				MaxInFlight: maxInt(128, 4**concurrency),
@@ -398,10 +399,11 @@ func fire(client *http.Client, base string, body []byte, i int64, seed int64) sa
 	}
 }
 
-// selfArtifact produces the model for a self-hosted target: loaded from the
-// -model file, or trained on a seeded synthetic expression matrix. The
-// returned rows, when non-nil, are real samples to classify.
-func selfArtifact(path string, synthMode bool, seed int64) (*eval.Artifact, [][]float64, error) {
+// selfArtifact produces the model for a self-hosted target: mapped from the
+// -model file, or trained on a seeded synthetic expression matrix (which
+// has no mapping to release on Close). The returned rows, when non-nil, are
+// real samples to classify.
+func selfArtifact(path string, synthMode bool, seed int64) (*eval.MappedArtifact, [][]float64, error) {
 	if synthMode {
 		p := synth.Profile{
 			Name:            "loadgen",
@@ -421,14 +423,9 @@ func selfArtifact(path string, synthMode bool, seed int64) (*eval.Artifact, [][]
 		if err != nil {
 			return nil, nil, err
 		}
-		return art, c.Values, nil
+		return &eval.MappedArtifact{Artifact: art}, c.Values, nil
 	}
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, nil, err
-	}
-	defer f.Close()
-	art, err := eval.LoadArtifact(f)
+	art, err := eval.LoadArtifactMapped(path)
 	if err != nil {
 		return nil, nil, fmt.Errorf("load %s: %w", path, err)
 	}

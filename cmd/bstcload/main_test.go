@@ -93,7 +93,7 @@ func TestModelFileTarget(t *testing.T) {
 		t.Fatal(err)
 	}
 	path := filepath.Join(t.TempDir(), "model.bstc")
-	if err := eval.WriteArtifactFile(path, art, eval.FormatGob); err != nil {
+	if err := eval.WriteArtifactFile(path, art, eval.FormatV2); err != nil {
 		t.Fatal(err)
 	}
 	rep, out, err := loadReport(t, "-model", path, "-requests", "32", "-concurrency", "2")

@@ -305,9 +305,10 @@ func (t *BST) cullIdx() []*bitset.Index {
 
 // buildDerived computes the evaluation state every query path touches: the
 // pair-clause size cache feeding SatisfactionFractionSized. It runs once at
-// construction and once on every load path (gob v1, mapped v2). The
-// culling-only state (cull orders, rank directories) is built lazily by
-// cullIdx instead, so loads and non-culling queries never pay for it.
+// construction and once on every load path (the gob classifier stream, the
+// mapped artifact). The culling-only state (cull orders, rank directories)
+// is built lazily by cullIdx instead, so loads and non-culling queries never
+// pay for it.
 func (t *BST) buildDerived() {
 	t.pairSize = make([][]int32, len(t.pairList))
 	for c := range t.pairList {

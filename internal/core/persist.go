@@ -23,9 +23,10 @@ import (
 // incompatible layout.
 const persistFormatVersion = 1
 
-// The gob DTO types below ARE the v1 wire format (gob encodes their names
-// and field sets); do not rename or reorder them. They mirror TableData /
-// ClassifierData, which new encodings should use instead.
+// The gob DTO types below ARE the wire format of the classifier stream
+// `bstc train` writes (gob encodes their names and field sets); do not
+// rename or reorder them. They mirror TableData / ClassifierData, which new
+// encodings should use instead.
 
 type classifierDTO struct {
 	Version    int

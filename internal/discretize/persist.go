@@ -1,83 +1,27 @@
 package discretize
 
 import (
-	"encoding/gob"
 	"fmt"
-	"io"
 	"math"
 
 	"bstc/internal/bitset"
 )
 
-// Model persistence: a fitted discretizer serializes to a self-contained
-// gob stream so the cut points learned at training time can be reapplied at
-// serving time (see internal/eval's Artifact, which pairs a saved Model
-// with a saved core.Classifier). The derived fields (Selected, itemBase)
-// are rebuilt on load and the stream is validated, so a loaded model either
-// behaves exactly like the one saved or the load fails.
-
-// modelFormatVersion guards against reading streams written by an
-// incompatible layout.
-const modelFormatVersion = 1
-
-type modelDTO struct {
-	Version    int
-	NumGenes   int
-	GeneCuts   [][]float64
-	ItemNames  []string
-	ClassNames []string
-}
-
-// Save writes the fitted model to w.
-func (m *Model) Save(w io.Writer) error {
-	return gob.NewEncoder(w).Encode(modelDTO{
-		Version:    modelFormatVersion,
-		NumGenes:   m.numGenes,
-		GeneCuts:   m.GeneCuts,
-		ItemNames:  m.ItemNames,
-		ClassNames: m.ClassNames,
-	})
-}
-
-// LoadModel reads a model previously written by Save. The stream is
-// validated structurally (version, cut ordering and finiteness, item-name
-// arity) and the derived index fields are rebuilt, so anything accepted
-// transforms data exactly as the saved model did.
-func LoadModel(r io.Reader) (*Model, error) {
-	var dto modelDTO
-	if err := gob.NewDecoder(r).Decode(&dto); err != nil {
-		return nil, fmt.Errorf("discretize: load model: %w", err)
-	}
-	return modelFromDTO(dto)
-}
-
 // NewModel assembles a model from its persisted parts — gene count, per-gene
-// cut points, item and class vocabularies — applying the same structural
-// validation as LoadModel and rebuilding the derived index fields. It is the
-// constructor for alternative save formats (internal/eval's mapped v2 layout)
-// so every load path shares one validation gate.
+// cut points, item and class vocabularies — as internal/eval's artifact
+// loader decodes them. The parts are validated structurally (cut ordering
+// and finiteness, item-name arity) and the derived index fields (Selected,
+// itemBase) are rebuilt, so a model accepted here transforms data exactly as
+// the fitted one it was saved from.
 func NewModel(numGenes int, geneCuts [][]float64, itemNames, classNames []string) (*Model, error) {
-	return modelFromDTO(modelDTO{
-		Version:    modelFormatVersion,
-		NumGenes:   numGenes,
+	if numGenes != len(geneCuts) {
+		return nil, fmt.Errorf("discretize: model has cuts for %d genes, claims %d", len(geneCuts), numGenes)
+	}
+	m := &Model{
 		GeneCuts:   geneCuts,
 		ItemNames:  itemNames,
 		ClassNames: classNames,
-	})
-}
-
-func modelFromDTO(dto modelDTO) (*Model, error) {
-	if dto.Version != modelFormatVersion {
-		return nil, fmt.Errorf("discretize: model format version %d, want %d", dto.Version, modelFormatVersion)
-	}
-	if dto.NumGenes != len(dto.GeneCuts) {
-		return nil, fmt.Errorf("discretize: model has cuts for %d genes, claims %d", len(dto.GeneCuts), dto.NumGenes)
-	}
-	m := &Model{
-		GeneCuts:   dto.GeneCuts,
-		ItemNames:  dto.ItemNames,
-		ClassNames: dto.ClassNames,
-		numGenes:   dto.NumGenes,
+		numGenes:   numGenes,
 	}
 	items := 0
 	for g, cuts := range m.GeneCuts {

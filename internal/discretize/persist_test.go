@@ -1,7 +1,6 @@
 package discretize
 
 import (
-	"bytes"
 	"math"
 	"reflect"
 	"testing"
@@ -21,22 +20,25 @@ func persistTestData() *dataset.Continuous {
 	}
 }
 
-func TestModelSaveLoadRoundTrip(t *testing.T) {
+// rebuild reassembles m from the parts an artifact persists.
+func rebuild(t *testing.T, m *Model) *Model {
+	t.Helper()
+	loaded, err := NewModel(m.NumGenes(), m.GeneCuts, m.ItemNames, m.ClassNames)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return loaded
+}
+
+func TestNewModelRoundTrip(t *testing.T) {
 	c := persistTestData()
 	m, err := Fit(c)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if err := m.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := LoadModel(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
+	loaded := rebuild(t, m)
 	if !m.Equal(loaded) {
-		t.Fatalf("loaded model differs: %+v vs %+v", m, loaded)
+		t.Fatalf("rebuilt model differs: %+v vs %+v", m, loaded)
 	}
 	// The transform — the behaviour persistence must preserve — is
 	// byte-identical on both datasets and per-row queries.
@@ -94,51 +96,45 @@ func TestItemIndex(t *testing.T) {
 	}
 }
 
-func TestLoadModelRejectsCorruptStreams(t *testing.T) {
+func TestNewModelRejectsCorruptParts(t *testing.T) {
 	m, err := Fit(persistTestData())
 	if err != nil {
 		t.Fatal(err)
 	}
-	corrupt := func(name string, mutate func(*modelDTO)) {
+	type parts struct {
+		numGenes   int
+		geneCuts   [][]float64
+		itemNames  []string
+		classNames []string
+	}
+	corrupt := func(name string, mutate func(*parts)) {
 		t.Helper()
-		dto := modelDTO{
-			Version:    modelFormatVersion,
-			NumGenes:   m.numGenes,
-			GeneCuts:   append([][]float64(nil), m.GeneCuts...),
-			ItemNames:  append([]string(nil), m.ItemNames...),
-			ClassNames: m.ClassNames,
+		p := parts{
+			numGenes:   m.numGenes,
+			geneCuts:   append([][]float64(nil), m.GeneCuts...),
+			itemNames:  append([]string(nil), m.ItemNames...),
+			classNames: m.ClassNames,
 		}
-		mutate(&dto)
-		if _, err := modelFromDTO(dto); err == nil {
+		mutate(&p)
+		if _, err := NewModel(p.numGenes, p.geneCuts, p.itemNames, p.classNames); err == nil {
 			t.Errorf("%s: corrupt model accepted", name)
 		}
 	}
-	corrupt("bad version", func(d *modelDTO) { d.Version = 99 })
-	corrupt("gene count mismatch", func(d *modelDTO) { d.NumGenes++ })
-	corrupt("item arity mismatch", func(d *modelDTO) { d.ItemNames = d.ItemNames[1:] })
-	corrupt("NaN cut", func(d *modelDTO) { d.GeneCuts[0] = []float64{math.NaN()} })
-	corrupt("unsorted cuts", func(d *modelDTO) {
-		d.GeneCuts[0] = []float64{2, 1}
-		d.ItemNames = append(d.ItemNames, "extra")
+	corrupt("gene count mismatch", func(p *parts) { p.numGenes++ })
+	corrupt("item arity mismatch", func(p *parts) { p.itemNames = p.itemNames[1:] })
+	corrupt("NaN cut", func(p *parts) { p.geneCuts[0] = []float64{math.NaN()} })
+	corrupt("unsorted cuts", func(p *parts) {
+		p.geneCuts[0] = []float64{2, 1}
+		p.itemNames = append(p.itemNames, "extra")
 	})
-	if _, err := LoadModel(bytes.NewReader([]byte("not a gob stream"))); err == nil {
-		t.Error("garbage stream should error")
-	}
 }
 
-func TestLoadModelRebuildsDerivedFields(t *testing.T) {
+func TestNewModelRebuildsDerivedFields(t *testing.T) {
 	m, err := Fit(persistTestData())
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if err := m.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := LoadModel(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
+	loaded := rebuild(t, m)
 	if !reflect.DeepEqual(m.Selected, loaded.Selected) {
 		t.Errorf("Selected = %v, want %v", loaded.Selected, m.Selected)
 	}

@@ -1,7 +1,6 @@
 package eval
 
 import (
-	"bufio"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -13,23 +12,20 @@ import (
 // directory plus fsync and an atomic rename, so a crash mid-write — or a
 // fault injected at any site below — can never leave a torn artifact at the
 // destination: readers see the old complete file or the new complete file,
-// nothing in between. Reading offers the mmap-backed zero-copy path.
+// nothing in between. Reading is LoadArtifactMapped, the one loader.
 
-// Artifact file formats accepted by WriteArtifactFile.
-const (
-	// FormatGob is the v1 gob stream (Save) — the long-standing default,
-	// readable by every released loader.
-	FormatGob = "gob"
-	// FormatV2 is the flat mappable layout (SaveV2) that
-	// LoadArtifactMapped serves zero-copy.
-	FormatV2 = "v2"
-)
+// FormatV2 names the flat mappable layout (SaveV2), the one format
+// WriteArtifactFile accepts.
+const FormatV2 = "v2"
 
-// WriteArtifactFile writes the artifact to path in the given format
-// (FormatGob or FormatV2) atomically: the bytes land in an O_EXCL temp file
-// next to path, are fsynced, and only then renamed over the destination,
-// followed by a directory sync so the rename itself is durable.
+// WriteArtifactFile writes the artifact to path in format v2 atomically: the
+// bytes land in an O_EXCL temp file next to path, are fsynced, and only then
+// renamed over the destination, followed by a directory sync so the rename
+// itself is durable. format must be FormatV2.
 func WriteArtifactFile(path string, a *Artifact, format string) (err error) {
+	if format != FormatV2 {
+		return fmt.Errorf("eval: write artifact: unknown format %q (want %q)", format, FormatV2)
+	}
 	dir := filepath.Dir(path)
 	tmp, err := os.CreateTemp(dir, "."+filepath.Base(path)+".tmp-*")
 	if err != nil {
@@ -42,18 +38,8 @@ func WriteArtifactFile(path string, a *Artifact, format string) (err error) {
 		}
 	}()
 
-	w := bufio.NewWriter(tmp)
-	switch format {
-	case FormatGob:
-		err = a.Save(w)
-	case FormatV2:
-		err = a.SaveV2(w)
-	default:
-		err = fmt.Errorf("eval: unknown artifact format %q (want %q or %q)", format, FormatGob, FormatV2)
-	}
-	if err == nil {
-		err = w.Flush()
-	}
+	// SaveV2 builds the whole image first and hands it over in one write.
+	err = a.SaveV2(tmp)
 	if err == nil {
 		err = fault.Hit("eval.artifact.write.sync")
 	}
@@ -88,8 +74,14 @@ func WriteArtifactFile(path string, a *Artifact, format string) (err error) {
 // used afterwards.
 type MappedArtifact struct {
 	*Artifact
+	data  []byte
 	unmap func() error
 }
+
+// Bytes returns the file image the artifact was decoded from — the mapping
+// itself, not a copy — so a caller can hash exactly the bytes being served.
+// It is valid until Close.
+func (m *MappedArtifact) Bytes() []byte { return m.data }
 
 // Close releases the mapping.
 func (m *MappedArtifact) Close() error {
@@ -97,7 +89,7 @@ func (m *MappedArtifact) Close() error {
 		return nil
 	}
 	u := m.unmap
-	m.unmap = nil
+	m.unmap, m.data = nil, nil
 	return u()
 }
 
@@ -109,10 +101,12 @@ func (m *MappedArtifact) Close() error {
 // artifact — are never copied or even touched until queries fault their
 // pages in.
 //
-// The file must outlive the returned artifact; Close unmaps. On hosts
-// where aliasing is impossible (big-endian) the words are copied and the
-// call still succeeds. v1 gob files are rejected with ErrCorruptArtifact —
-// use LoadArtifact for format-agnostic reading.
+// The file must outlive the returned artifact; Close unmaps. Where mmap is
+// unavailable the file is read into memory instead, and on hosts where
+// aliasing is impossible (big-endian) the words are copied; either way the
+// call still succeeds. Files in the retired v1 gob format are rejected with
+// ErrCorruptArtifact and a message saying to rewrite them with
+// `bstc artifact`.
 func LoadArtifactMapped(path string) (*MappedArtifact, error) {
 	if err := fault.Hit("eval.artifact.load"); err != nil {
 		return nil, err
@@ -121,10 +115,10 @@ func LoadArtifactMapped(path string) (*MappedArtifact, error) {
 	if err != nil {
 		return nil, err
 	}
-	a, err := decodeV2(data, true)
+	a, err := decodeV2(data)
 	if err != nil {
 		unmap()
 		return nil, err
 	}
-	return &MappedArtifact{Artifact: a, unmap: unmap}, nil
+	return &MappedArtifact{Artifact: a, data: data, unmap: unmap}, nil
 }

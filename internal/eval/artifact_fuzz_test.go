@@ -14,54 +14,31 @@ func FuzzLoadArtifact(f *testing.F) {
 		f.Fatal(err)
 	}
 	var seed bytes.Buffer
-	if err := art.Save(&seed); err != nil {
+	if err := art.SaveV2(&seed); err != nil {
 		f.Fatal(err)
 	}
 	good := seed.Bytes()
 	f.Add(good)
-	f.Add([]byte(artifactMagic))
-	f.Add(good[:len(good)/2])
-	f.Add([]byte(nil))
-	f.Add(bytes.Replace(good, []byte{0x01}, []byte{0x02}, 3))
-	// v2 flat-layout seeds: the full image, the bare magic, a header-only
-	// prefix, a mid-metadata truncation, and one byte short of complete, so
-	// the fuzzer explores the offset-indexed decoder, not just gob.
-	var seedV2 bytes.Buffer
-	if err := art.SaveV2(&seedV2); err != nil {
-		f.Fatal(err)
-	}
-	goodV2 := seedV2.Bytes()
-	f.Add(goodV2)
 	f.Add([]byte(artifactMagicV2))
-	for _, n := range []int{v2HeaderLen, v2HeaderLen + 16, len(goodV2) / 2, len(goodV2) - 1} {
-		if n >= 0 && n <= len(goodV2) {
-			f.Add(goodV2[:n])
-		}
+	f.Add([]byte(nil))
+	f.Add([]byte(artifactMagicV1))
+	f.Add(append([]byte(artifactMagicV1), good...))
+	// Truncations: inside the magic, inside and just past the header,
+	// mid-metadata, and one byte short of complete.
+	for _, n := range []int{3, 8, v2HeaderLen - 1, v2HeaderLen, v2HeaderLen + 16,
+		len(good) / 3, len(good) / 2, 3 * len(good) / 4, len(good) - 1} {
+		f.Add(good[:n])
 	}
-	for _, off := range []int{8, v2HeaderLen + 4, len(goodV2) / 2, len(goodV2) - 2} {
-		if off >= 0 && off < len(goodV2) {
-			flipped := append([]byte(nil), goodV2...)
-			flipped[off] ^= 0x10
-			f.Add(flipped)
-		}
-	}
-	// Truncations at framing-sensitive offsets: inside the magic, just past
-	// it, inside the JSON frame, and one byte short of complete.
-	for _, n := range []int{3, len(artifactMagic), len(artifactMagic) + 2, 3 * len(good) / 4, len(good) - 1} {
-		if n >= 0 && n <= len(good) {
-			f.Add(good[:n])
-		}
-	}
-	// Single bit flips spread across the stream.
-	for _, off := range []int{0, len(artifactMagic), len(good) / 3, len(good) / 2, len(good) - 2} {
-		if off >= 0 && off < len(good) {
-			flipped := append([]byte(nil), good...)
-			flipped[off] ^= 0x10
-			f.Add(flipped)
-		}
+	// Single bit flips: in the magic, in each header field (version,
+	// section offsets and lengths, checksums), and across the sections.
+	for _, off := range []int{0, 8, 12, 16, 24, 32, 40, 48, 52,
+		v2HeaderLen + 4, len(good) / 2, len(good) - 2} {
+		flipped := append([]byte(nil), good...)
+		flipped[off] ^= 0x10
+		f.Add(flipped)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		a, err := LoadArtifact(bytes.NewReader(data))
+		a, err := decodeV2(data)
 		if err != nil {
 			return
 		}
@@ -69,10 +46,10 @@ func FuzzLoadArtifact(f *testing.F) {
 			t.Fatalf("accepted artifact fails validation: %v", err)
 		}
 		var buf bytes.Buffer
-		if err := a.Save(&buf); err != nil {
+		if err := a.SaveV2(&buf); err != nil {
 			t.Fatalf("cannot re-save accepted artifact: %v", err)
 		}
-		if _, err := LoadArtifact(&buf); err != nil {
+		if _, err := decodeV2(buf.Bytes()); err != nil {
 			t.Fatalf("round trip of accepted artifact failed: %v", err)
 		}
 	})

@@ -2,12 +2,11 @@ package eval
 
 import (
 	"bytes"
-	"math"
+	"errors"
 	"testing"
 
 	"bstc/internal/core"
 	"bstc/internal/dataset"
-	"bstc/internal/synth"
 )
 
 func tinyContinuous() *dataset.Continuous {
@@ -22,78 +21,6 @@ func tinyContinuous() *dataset.Continuous {
 	}
 }
 
-// TestArtifactRoundTripPaperDatasets is the serving-path regression pin:
-// for every paper dataset profile, the save→load→classify pipeline must be
-// byte-identical to in-memory classify — same predicted classes, same
-// bit-exact classification values, and a re-saved artifact must reproduce
-// the original stream byte for byte.
-func TestArtifactRoundTripPaperDatasets(t *testing.T) {
-	for _, p := range synth.PaperProfiles(synth.Small) {
-		p := p
-		t.Run(p.Name, func(t *testing.T) {
-			c, err := p.Generate()
-			if err != nil {
-				t.Fatal(err)
-			}
-			art, err := TrainArtifact(c, nil, 4)
-			if err != nil {
-				t.Fatal(err)
-			}
-			var buf bytes.Buffer
-			if err := art.Save(&buf); err != nil {
-				t.Fatal(err)
-			}
-			saved := append([]byte(nil), buf.Bytes()...)
-			loaded, err := LoadArtifact(&buf)
-			if err != nil {
-				t.Fatal(err)
-			}
-			vals := make([]float64, len(art.Classifier.Tables))
-			lvals := make([]float64, len(loaded.Classifier.Tables))
-			for i, row := range c.Values {
-				wantClass, wantConf, err := art.ClassifyRow(row)
-				if err != nil {
-					t.Fatal(err)
-				}
-				gotClass, gotConf, err := loaded.ClassifyRow(row)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if wantClass != gotClass || math.Float64bits(wantConf) != math.Float64bits(gotConf) {
-					t.Fatalf("sample %d: loaded artifact predicts (%d, %v), in-memory (%d, %v)",
-						i, gotClass, gotConf, wantClass, wantConf)
-				}
-				q, err := art.TransformRow(row)
-				if err != nil {
-					t.Fatal(err)
-				}
-				lq, err := loaded.TransformRow(row)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !q.Equal(lq) {
-					t.Fatalf("sample %d: discretized rows differ after round trip", i)
-				}
-				art.Classifier.ValuesInto(vals, q)
-				loaded.Classifier.ValuesInto(lvals, lq)
-				for ci := range vals {
-					if math.Float64bits(vals[ci]) != math.Float64bits(lvals[ci]) {
-						t.Fatalf("sample %d class %d: value %v vs %v after round trip",
-							i, ci, lvals[ci], vals[ci])
-					}
-				}
-			}
-			var again bytes.Buffer
-			if err := loaded.Save(&again); err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(saved, again.Bytes()) {
-				t.Fatal("re-saved artifact is not byte-identical to the original stream")
-			}
-		})
-	}
-}
-
 func TestTrainArtifactWorkerInvariance(t *testing.T) {
 	c := tinyContinuous()
 	a1, err := TrainArtifact(c, nil, 1)
@@ -105,10 +32,10 @@ func TestTrainArtifactWorkerInvariance(t *testing.T) {
 		t.Fatal(err)
 	}
 	var b1, b8 bytes.Buffer
-	if err := a1.Save(&b1); err != nil {
+	if err := a1.SaveV2(&b1); err != nil {
 		t.Fatal(err)
 	}
-	if err := a8.Save(&b8); err != nil {
+	if err := a8.SaveV2(&b8); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(b1.Bytes(), b8.Bytes()) {
@@ -116,13 +43,15 @@ func TestTrainArtifactWorkerInvariance(t *testing.T) {
 	}
 }
 
+// TestLoadArtifactRejectsBadStreams feeds the v2 decoder a table of
+// damaged and foreign images; each must fail with the typed error.
 func TestLoadArtifactRejectsBadStreams(t *testing.T) {
 	art, err := TrainArtifact(tinyContinuous(), nil, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := art.Save(&buf); err != nil {
+	if err := art.SaveV2(&buf); err != nil {
 		t.Fatal(err)
 	}
 	good := buf.Bytes()
@@ -131,12 +60,14 @@ func TestLoadArtifactRejectsBadStreams(t *testing.T) {
 		"empty":           nil,
 		"bad magic":       []byte("GOBBLEDYGOOK\n\x00\x01"),
 		"truncated magic": good[:4],
+		"header only":     good[:v2HeaderLen],
 		"truncated body":  good[:len(good)-7],
-		"magic only":      []byte(artifactMagic),
+		"magic only":      []byte(artifactMagicV2),
+		"retired v1":      []byte(artifactMagicV1),
 	}
 	for name, data := range cases {
-		if _, err := LoadArtifact(bytes.NewReader(data)); err == nil {
-			t.Errorf("%s: corrupt artifact accepted", name)
+		if _, err := loadNoPanic(t, name, data); !errors.Is(err, ErrCorruptArtifact) {
+			t.Errorf("%s: err = %v, want ErrCorruptArtifact", name, err)
 		}
 	}
 
@@ -150,11 +81,11 @@ func TestLoadArtifactRejectsBadStreams(t *testing.T) {
 	}
 	franken := &Artifact{Disc: mismatched.Disc, Classifier: art.Classifier}
 	var fb bytes.Buffer
-	if err := franken.Save(&fb); err != nil {
+	if err := franken.SaveV2(&fb); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := LoadArtifact(&fb); err == nil {
-		t.Error("artifact with mismatched item vocabularies accepted")
+	if _, err := decodeV2(fb.Bytes()); !errors.Is(err, ErrCorruptArtifact) {
+		t.Errorf("artifact with mismatched item vocabularies: err = %v, want ErrCorruptArtifact", err)
 	}
 }
 

@@ -1,6 +1,7 @@
 package eval
 
 import (
+	"bytes"
 	"fmt"
 	"hash/crc32"
 	"io"
@@ -13,14 +14,13 @@ import (
 )
 
 // Artifact format v2: a flat, versioned, offset-indexed binary layout built
-// for memory mapping. Where v1 is a gob stream that must be decoded
-// allocation-by-allocation into heap objects, v2 separates the artifact into
-// a small metadata section (names, cut points, table shapes, bitset
-// references) and one 8-aligned little-endian words section holding every
-// bitset's storage back to back. A loader with the file mapped aliases the
-// words section in place — the page cache is the storage, shared across
-// every process serving the same artifact — and only the metadata is
-// materialized.
+// for memory mapping, and the only artifact format. It separates the
+// artifact into a small metadata section (names, cut points, table shapes,
+// bitset references) and one 8-aligned little-endian words section holding
+// every bitset's storage back to back. A loader with the file mapped
+// aliases the words section in place — the page cache is the storage,
+// shared across every process serving the same artifact — and only the
+// metadata is materialized.
 //
 //	offset 0   magic "BSTCART2"                  (8 bytes)
 //	offset 8   header                            (48 bytes)
@@ -41,9 +41,13 @@ import (
 // (bitset.ViewBlock), which is what keeps mapped cold start proportional
 // to the metadata — per set it costs a padding-bit test and two pointer
 // stores, never a decode. The metadata also persists each table's
-// pair-size cache (core.TableData.PairSizes), so loading skips the one
-// remaining full pass v1 pays over the pair lists' words.
+// pair-size cache (core.TableData.PairSizes), so loading never makes a full
+// pass over the pair lists' words.
+//
+// The retired v1 format was a gob stream led by artifactMagicV1; the decoder
+// recognizes that magic only to reject such files with a pointer to the fix.
 const (
+	artifactMagicV1   = "BSTC-ARTIFACT\n"
 	artifactMagicV2   = "BSTCART2"
 	artifactVersionV2 = 2
 	v2HeaderLen       = 8 + 4 + 4 + 4*8 + 4 + 4 // magic through wordsCRC
@@ -380,9 +384,8 @@ func appendV2(dst []byte, a *Artifact) ([]byte, error) {
 	return append(out, sets.words...), nil
 }
 
-// SaveV2 writes the artifact in format v2. The result is what
-// LoadArtifactMapped serves zero-copy; LoadArtifact also reads it (copying,
-// since it only has an io.Reader).
+// SaveV2 writes the artifact in format v2, the layout LoadArtifactMapped
+// serves zero-copy.
 func (a *Artifact) SaveV2(w io.Writer) error {
 	if a.Disc == nil || a.Classifier == nil {
 		return fmt.Errorf("eval: artifact needs both a discretizer and a classifier")
@@ -400,16 +403,18 @@ func (a *Artifact) SaveV2(w io.Writer) error {
 
 // ---- decode ----
 
-// decodeV2 parses a complete v2 image. With alias=true the bitset words are
-// aliased in place (data must outlive the artifact — it is a mapping, or a
-// buffer the caller keeps); with alias=false, or whenever in-place aliasing
-// is impossible (misalignment, big-endian host), the words are copied and
-// data may be discarded.
+// decodeV2 parses a complete v2 image. The bitset words are aliased in
+// place, so data must outlive the artifact (it is a mapping, or a buffer the
+// caller keeps); where in-place aliasing is impossible (misalignment,
+// big-endian host) the words are copied instead.
 //
 // Every failure path wraps ErrCorruptArtifact; no input panics.
-func decodeV2(data []byte, alias bool) (*Artifact, error) {
+func decodeV2(data []byte) (*Artifact, error) {
 	corrupt := func(format string, args ...any) (*Artifact, error) {
 		return nil, fmt.Errorf("%w: %s", ErrCorruptArtifact, fmt.Sprintf(format, args...))
+	}
+	if bytes.HasPrefix(data, []byte(artifactMagicV1)) {
+		return corrupt("v1 gob artifact: the v1 format is retired; rewrite the file with `bstc artifact`")
 	}
 	if len(data) < v2HeaderLen || string(data[:8]) != artifactMagicV2 {
 		return corrupt("not a v2 artifact (bad magic)")
@@ -445,11 +450,8 @@ func decodeV2(data []byte, alias bool) (*Artifact, error) {
 		return corrupt("words checksum mismatch")
 	}
 
-	var words []uint64
-	if alias {
-		words, alias = bitset.AliasWords(wordBytes)
-	}
-	if !alias {
+	words, aliased := bitset.AliasWords(wordBytes)
+	if !aliased {
 		var err error
 		if words, err = bitset.CopyWords(wordBytes); err != nil {
 			return corrupt("words section: %v", err)

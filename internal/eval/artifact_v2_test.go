@@ -6,11 +6,33 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
+	"bstc/internal/dataset"
 	"bstc/internal/fault"
 	"bstc/internal/synth"
 )
+
+// loadNoPanic runs the v2 decoder with a panic trap so a corrupt image that
+// crashes it reports the offending mutation instead of killing the whole
+// test binary.
+func loadNoPanic(t *testing.T, what string, data []byte) (*Artifact, error) {
+	t.Helper()
+	var (
+		a   *Artifact
+		err error
+	)
+	func() {
+		defer func() {
+			if r := recover(); r != nil {
+				t.Fatalf("%s: decoder panicked: %v", what, r)
+			}
+		}()
+		a, err = decodeV2(data)
+	}()
+	return a, err
+}
 
 func savedArtifactV2(t *testing.T) []byte {
 	t.Helper()
@@ -25,11 +47,53 @@ func savedArtifactV2(t *testing.T) []byte {
 	return buf.Bytes()
 }
 
-// TestArtifactV2MappedParityPaperDatasets is the zero-copy acceptance pin:
-// on every paper dataset profile, a v2 artifact served through
-// LoadArtifactMapped must classify byte-identically to the v1 in-memory
-// pipeline — same classes, bit-exact confidences and per-class values.
-func TestArtifactV2MappedParityPaperDatasets(t *testing.T) {
+// assertSamePredictions checks that got classifies every row of c exactly as
+// ref does: same classes, same discretized rows, bit-exact confidences and
+// per-class values.
+func assertSamePredictions(t *testing.T, c *dataset.Continuous, ref, got *Artifact) {
+	t.Helper()
+	vals := make([]float64, len(ref.Classifier.Tables))
+	gvals := make([]float64, len(got.Classifier.Tables))
+	for i, row := range c.Values {
+		wantClass, wantConf, err := ref.ClassifyRow(row)
+		if err != nil {
+			t.Fatal(err)
+		}
+		gotClass, gotConf, err := got.ClassifyRow(row)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if wantClass != gotClass || math.Float64bits(wantConf) != math.Float64bits(gotConf) {
+			t.Fatalf("sample %d: loaded artifact predicts (%d, %v), in-memory (%d, %v)",
+				i, gotClass, gotConf, wantClass, wantConf)
+		}
+		q, err := ref.TransformRow(row)
+		if err != nil {
+			t.Fatal(err)
+		}
+		gq, err := got.TransformRow(row)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !q.Equal(gq) {
+			t.Fatalf("sample %d: discretized rows differ between in-memory and loaded", i)
+		}
+		ref.Classifier.ValuesInto(vals, q)
+		got.Classifier.ValuesInto(gvals, gq)
+		for ci := range vals {
+			if math.Float64bits(vals[ci]) != math.Float64bits(gvals[ci]) {
+				t.Fatalf("sample %d class %d: loaded value %v, in-memory value %v",
+					i, ci, gvals[ci], vals[ci])
+			}
+		}
+	}
+}
+
+// TestArtifactRoundTripPaperDatasets pins the heap decode path: on every
+// paper dataset profile, a v2 image saved to a buffer and decoded from it
+// must classify byte-identically to the in-memory artifact, and re-saving
+// the decoded artifact must reproduce the image byte for byte.
+func TestArtifactRoundTripPaperDatasets(t *testing.T) {
 	for _, p := range synth.PaperProfiles(synth.Small) {
 		p := p
 		t.Run(p.Name, func(t *testing.T) {
@@ -41,19 +105,47 @@ func TestArtifactV2MappedParityPaperDatasets(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-
-			// v1 round trip is the reference serving path.
-			var v1 bytes.Buffer
-			if err := art.Save(&v1); err != nil {
+			var buf bytes.Buffer
+			if err := art.SaveV2(&buf); err != nil {
 				t.Fatal(err)
 			}
-			ref, err := LoadArtifact(&v1)
+			saved := append([]byte(nil), buf.Bytes()...)
+			loaded, err := decodeV2(buf.Bytes())
+			if err != nil {
+				t.Fatal(err)
+			}
+			assertSamePredictions(t, c, art, loaded)
+			var again bytes.Buffer
+			if err := loaded.SaveV2(&again); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(saved, again.Bytes()) {
+				t.Fatal("re-saved artifact is not byte-identical to the original image")
+			}
+		})
+	}
+}
+
+// TestArtifactV2MappedParityPaperDatasets is the serving-path regression
+// pin: on every paper dataset profile, an artifact written to disk and
+// served through LoadArtifactMapped must classify byte-identically to the
+// in-memory pipeline it was trained as, and re-saving the mapped artifact
+// must reproduce the file byte for byte.
+func TestArtifactV2MappedParityPaperDatasets(t *testing.T) {
+	for _, p := range synth.PaperProfiles(synth.Small) {
+		p := p
+		t.Run(p.Name, func(t *testing.T) {
+			c, err := p.Generate()
+			if err != nil {
+				t.Fatal(err)
+			}
+			ref, err := TrainArtifact(c, nil, 4)
 			if err != nil {
 				t.Fatal(err)
 			}
 
 			path := filepath.Join(t.TempDir(), "model.bstc")
-			if err := WriteArtifactFile(path, art, FormatV2); err != nil {
+			if err := WriteArtifactFile(path, ref, FormatV2); err != nil {
 				t.Fatal(err)
 			}
 			mapped, err := LoadArtifactMapped(path)
@@ -62,51 +154,23 @@ func TestArtifactV2MappedParityPaperDatasets(t *testing.T) {
 			}
 			defer mapped.Close()
 
-			vals := make([]float64, len(ref.Classifier.Tables))
-			mvals := make([]float64, len(mapped.Classifier.Tables))
-			for i, row := range c.Values {
-				wantClass, wantConf, err := ref.ClassifyRow(row)
-				if err != nil {
-					t.Fatal(err)
-				}
-				gotClass, gotConf, err := mapped.ClassifyRow(row)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if wantClass != gotClass || math.Float64bits(wantConf) != math.Float64bits(gotConf) {
-					t.Fatalf("sample %d: mapped artifact predicts (%d, %v), v1 (%d, %v)",
-						i, gotClass, gotConf, wantClass, wantConf)
-				}
-				q, err := ref.TransformRow(row)
-				if err != nil {
-					t.Fatal(err)
-				}
-				mq, err := mapped.TransformRow(row)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !q.Equal(mq) {
-					t.Fatalf("sample %d: discretized rows differ between v1 and mapped v2", i)
-				}
-				ref.Classifier.ValuesInto(vals, q)
-				mapped.Classifier.ValuesInto(mvals, mq)
-				for ci := range vals {
-					if math.Float64bits(vals[ci]) != math.Float64bits(mvals[ci]) {
-						t.Fatalf("sample %d class %d: mapped value %v, v1 value %v",
-							i, ci, mvals[ci], vals[ci])
-					}
-				}
+			assertSamePredictions(t, c, ref, mapped.Artifact)
+			var again bytes.Buffer
+			if err := mapped.SaveV2(&again); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(mapped.Bytes(), again.Bytes()) {
+				t.Fatal("re-saved artifact is not byte-identical to the file it was mapped from")
 			}
 		})
 	}
 }
 
-// TestArtifactV2ReaderRoundTrip pins that LoadArtifact sniffs and decodes
-// the v2 stream (copying path) and that a decoded artifact re-encodes to
-// the identical v2 image.
+// TestArtifactV2ReaderRoundTrip pins that an image decoded from a heap
+// buffer, rather than a mapping, re-encodes to the identical v2 image.
 func TestArtifactV2ReaderRoundTrip(t *testing.T) {
 	good := savedArtifactV2(t)
-	a, err := LoadArtifact(bytes.NewReader(good))
+	a, err := decodeV2(good)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,14 +180,6 @@ func TestArtifactV2ReaderRoundTrip(t *testing.T) {
 	}
 	if !bytes.Equal(good, again.Bytes()) {
 		t.Fatal("re-saved v2 artifact is not byte-identical to the original image")
-	}
-	// Cross-format: a v2-loaded artifact saved as v1 must load again.
-	var v1 bytes.Buffer
-	if err := a.Save(&v1); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := LoadArtifact(&v1); err != nil {
-		t.Fatal(err)
 	}
 }
 
@@ -153,23 +209,31 @@ func TestMappedArtifactSetsAreFrozen(t *testing.T) {
 	s.Add(0)
 }
 
-// TestLoadArtifactMappedRejectsV1 pins the mapped loader to the v2 layout.
+// v1Prefix is the head of a file in the retired v1 format: its magic and
+// the start of the gob frame, as the last v1 writer produced them.
+const v1Prefix = "BSTC-ARTIFACT\n=\xff\x99\x03\x01\x01\vartifactDTO\x01\xff\x9a\x00\x01\x03\x01\aVersion\x01\x04\x00"
+
+// TestLoadArtifactMappedRejectsV1 pins that a v1 gob file fails loudly,
+// naming the retired format and the command that rewrites it.
 func TestLoadArtifactMappedRejectsV1(t *testing.T) {
-	art, err := TrainArtifact(tinyContinuous(), nil, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
 	path := filepath.Join(t.TempDir(), "model.bstc")
-	if err := WriteArtifactFile(path, art, FormatGob); err != nil {
+	if err := os.WriteFile(path, []byte(v1Prefix), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := LoadArtifactMapped(path); !errors.Is(err, ErrCorruptArtifact) {
+	_, err := LoadArtifactMapped(path)
+	if !errors.Is(err, ErrCorruptArtifact) {
 		t.Fatalf("mapped load of a v1 file: err = %v, want ErrCorruptArtifact", err)
+	}
+	for _, want := range []string{"v1", "bstc artifact"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("v1 rejection %q does not mention %q", err, want)
+		}
 	}
 }
 
-// TestArtifactV2EveryTruncation mirrors the v1 sweep on the flat layout: a
-// chopped image must come back as ErrCorruptArtifact, never a panic.
+// TestArtifactV2EveryTruncation chops the image at every byte boundary: a
+// partial artifact must always come back as ErrCorruptArtifact, never a
+// panic and never a silently accepted half model.
 func TestArtifactV2EveryTruncation(t *testing.T) {
 	good := savedArtifactV2(t)
 	for n := 0; n < len(good); n++ {
@@ -187,7 +251,7 @@ func TestArtifactV2EveryTruncation(t *testing.T) {
 // words sections are checksummed, so any flip there must be rejected with
 // the typed error; a flip the decoder tolerates (alignment padding is
 // outside both checksums) must still yield a valid artifact. The mapped
-// loader must agree with the reader path on every mutation.
+// loader must agree with decoding the same bytes from the heap.
 func TestArtifactV2BitFlips(t *testing.T) {
 	good := savedArtifactV2(t)
 	dir := t.TempDir()
@@ -209,7 +273,7 @@ func TestArtifactV2BitFlips(t *testing.T) {
 		}
 		mapped, merr := LoadArtifactMapped(path)
 		if (merr == nil) != (err == nil) {
-			t.Fatalf("flip byte %d bit %d: reader err %v, mapped err %v", off, bit, err, merr)
+			t.Fatalf("flip byte %d bit %d: heap err %v, mapped err %v", off, bit, err, merr)
 		}
 		if merr != nil && !errors.Is(merr, ErrCorruptArtifact) {
 			t.Fatalf("flip byte %d bit %d: mapped error not wrapped in ErrCorruptArtifact: %v", off, bit, merr)
@@ -233,10 +297,18 @@ func TestArtifactV2BitFlips(t *testing.T) {
 // TestWriteArtifactFileAtomic injects faults at every write site and
 // asserts the destination is never torn: after a failed write the old file
 // (or its absence) is intact, and a retry with the fault cleared succeeds.
+// A format other than v2 is refused before anything is written.
 func TestWriteArtifactFileAtomic(t *testing.T) {
 	art, err := TrainArtifact(tinyContinuous(), nil, 1)
 	if err != nil {
 		t.Fatal(err)
+	}
+	refused := filepath.Join(t.TempDir(), "model.bstc")
+	if err := WriteArtifactFile(refused, art, "gob"); err == nil {
+		t.Error("WriteArtifactFile accepted the retired gob format")
+	}
+	if _, err := os.Stat(refused); !errors.Is(err, os.ErrNotExist) {
+		t.Errorf("refused write left %s behind", refused)
 	}
 	boom := errors.New("injected write fault")
 	for _, site := range []string{
@@ -244,56 +316,54 @@ func TestWriteArtifactFileAtomic(t *testing.T) {
 		"eval.artifact.write.sync",
 		"eval.artifact.write.rename",
 	} {
-		for _, format := range []string{FormatGob, FormatV2} {
-			t.Run(site+"/"+format, func(t *testing.T) {
-				dir := t.TempDir()
-				path := filepath.Join(dir, "model.bstc")
+		t.Run(site+"/"+FormatV2, func(t *testing.T) {
+			dir := t.TempDir()
+			path := filepath.Join(dir, "model.bstc")
 
-				// First fail with no prior file: nothing may appear.
-				in := fault.NewInjector(1)
-				in.Set(site, fault.Rule{Prob: 1, Err: boom})
-				fault.Enable(in)
-				err := WriteArtifactFile(path, art, format)
-				fault.Disable()
-				if !errors.Is(err, boom) {
-					t.Fatalf("fault at %s not surfaced: %v", site, err)
-				}
-				if _, serr := os.Stat(path); !errors.Is(serr, os.ErrNotExist) {
-					t.Fatalf("failed first write left %s behind", path)
-				}
-				leftovers, _ := filepath.Glob(filepath.Join(dir, ".*tmp*"))
-				if len(leftovers) != 0 {
-					t.Fatalf("failed write leaked temp files: %v", leftovers)
-				}
+			// First fail with no prior file: nothing may appear.
+			in := fault.NewInjector(1)
+			in.Set(site, fault.Rule{Prob: 1, Err: boom})
+			fault.Enable(in)
+			err := WriteArtifactFile(path, art, FormatV2)
+			fault.Disable()
+			if !errors.Is(err, boom) {
+				t.Fatalf("fault at %s not surfaced: %v", site, err)
+			}
+			if _, serr := os.Stat(path); !errors.Is(serr, os.ErrNotExist) {
+				t.Fatalf("failed first write left %s behind", path)
+			}
+			leftovers, _ := filepath.Glob(filepath.Join(dir, ".*tmp*"))
+			if len(leftovers) != 0 {
+				t.Fatalf("failed write leaked temp files: %v", leftovers)
+			}
 
-				// Now succeed, then fail an overwrite: the good file must
-				// survive byte-for-byte.
-				if err := WriteArtifactFile(path, art, format); err != nil {
-					t.Fatal(err)
-				}
-				before, err := os.ReadFile(path)
-				if err != nil {
-					t.Fatal(err)
-				}
-				in = fault.NewInjector(1)
-				in.Set(site, fault.Rule{Prob: 1, Err: boom})
-				fault.Enable(in)
-				err = WriteArtifactFile(path, art, format)
-				fault.Disable()
-				if !errors.Is(err, boom) {
-					t.Fatalf("fault at %s not surfaced on overwrite: %v", site, err)
-				}
-				after, err := os.ReadFile(path)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !bytes.Equal(before, after) {
-					t.Fatal("failed overwrite tore the existing artifact")
-				}
-				if _, err := LoadArtifact(bytes.NewReader(after)); err != nil {
-					t.Fatalf("artifact after failed overwrite no longer loads: %v", err)
-				}
-			})
-		}
+			// Now succeed, then fail an overwrite: the good file must
+			// survive byte-for-byte.
+			if err := WriteArtifactFile(path, art, FormatV2); err != nil {
+				t.Fatal(err)
+			}
+			before, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			in = fault.NewInjector(1)
+			in.Set(site, fault.Rule{Prob: 1, Err: boom})
+			fault.Enable(in)
+			err = WriteArtifactFile(path, art, FormatV2)
+			fault.Disable()
+			if !errors.Is(err, boom) {
+				t.Fatalf("fault at %s not surfaced on overwrite: %v", site, err)
+			}
+			after, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(before, after) {
+				t.Fatal("failed overwrite tore the existing artifact")
+			}
+			if _, err := decodeV2(after); err != nil {
+				t.Fatalf("artifact after failed overwrite no longer loads: %v", err)
+			}
+		})
 	}
 }

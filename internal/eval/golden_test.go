@@ -8,43 +8,36 @@ import (
 	"testing"
 )
 
-const goldenV1Path = "testdata/artifact_v1.golden"
+const goldenV2Path = "testdata/artifact_v2.golden"
 
-// TestGoldenV1BackCompat proves v1 gob artifacts written by earlier
-// releases still load: the committed golden file (trained on the
-// tinyContinuous fixture when the v1 framing was pinned) must load, match
-// a freshly trained artifact bit-exactly on every fixture sample, and
-// re-save byte-identically — so the v1 writer as well as the reader is
-// still wire-compatible.
+// TestGoldenV2BackCompat proves artifact files written by earlier releases
+// still serve: the committed golden file (trained on the tinyContinuous
+// fixture) must load through LoadArtifactMapped, match a freshly trained
+// artifact bit-exactly on every fixture sample, and re-save
+// byte-identically — so the writer as well as the loader is still
+// wire-compatible.
 //
 // Regenerate with UPDATE_GOLDEN=1 only alongside a deliberate,
 // documented format break.
-func TestGoldenV1BackCompat(t *testing.T) {
+func TestGoldenV2BackCompat(t *testing.T) {
 	c := tinyContinuous()
 	fresh, err := TrainArtifact(c, nil, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if os.Getenv("UPDATE_GOLDEN") != "" {
-		var buf bytes.Buffer
-		if err := fresh.Save(&buf); err != nil {
+		if err := os.MkdirAll(filepath.Dir(goldenV2Path), 0o755); err != nil {
 			t.Fatal(err)
 		}
-		if err := os.MkdirAll(filepath.Dir(goldenV1Path), 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(goldenV1Path, buf.Bytes(), 0o644); err != nil {
+		if err := WriteArtifactFile(goldenV2Path, fresh, FormatV2); err != nil {
 			t.Fatal(err)
 		}
 	}
-	golden, err := os.ReadFile(goldenV1Path)
+	loaded, err := LoadArtifactMapped(goldenV2Path)
 	if err != nil {
-		t.Fatalf("reading golden v1 artifact (regenerate with UPDATE_GOLDEN=1): %v", err)
+		t.Fatalf("golden v2 artifact no longer loads (regenerate with UPDATE_GOLDEN=1): %v", err)
 	}
-	loaded, err := LoadArtifact(bytes.NewReader(golden))
-	if err != nil {
-		t.Fatalf("golden v1 artifact no longer loads: %v", err)
-	}
+	defer loaded.Close()
 	for i, row := range c.Values {
 		wantClass, wantConf, err := fresh.ClassifyRow(row)
 		if err != nil {
@@ -60,10 +53,10 @@ func TestGoldenV1BackCompat(t *testing.T) {
 		}
 	}
 	var again bytes.Buffer
-	if err := loaded.Save(&again); err != nil {
+	if err := loaded.SaveV2(&again); err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(golden, again.Bytes()) {
-		t.Fatal("re-saving the golden v1 artifact changed its bytes: v1 writer drifted")
+	if !bytes.Equal(loaded.Bytes(), again.Bytes()) {
+		t.Fatal("re-saving the golden v2 artifact changed its bytes: v2 writer drifted")
 	}
 }

@@ -9,8 +9,7 @@ import (
 // first 16 hex characters of the SHA-256 over its canonical v2 encoding.
 // The v2 layout is byte-deterministic (pinned by the golden tests), so two
 // artifacts fingerprint equal iff they classify identically — regardless of
-// which format they were stored in or whether they were loaded copying or
-// mapped. The serving tier uses it to tell model versions apart and to
+// whether they were loaded from a mapping or a heap copy. The serving tier uses it to tell model versions apart and to
 // observe a hot swap through /v1/model.
 func (a *Artifact) Fingerprint() (string, error) {
 	h := sha256.New()

@@ -6,8 +6,8 @@ import (
 )
 
 // TestFingerprintStable pins the identity contract: the fingerprint is
-// deterministic, survives both save formats and both load paths, and
-// changes when the model changes.
+// deterministic, survives a save and load, and changes when the model
+// changes.
 func TestFingerprintStable(t *testing.T) {
 	art, err := TrainArtifact(tinyContinuous(), nil, 1)
 	if err != nil {
@@ -28,25 +28,12 @@ func TestFingerprintStable(t *testing.T) {
 		t.Fatalf("fingerprint not deterministic: %q then %q", fp, again)
 	}
 
-	// A gob round trip must preserve identity.
-	var gobBuf bytes.Buffer
-	if err := art.Save(&gobBuf); err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := LoadArtifact(bytes.NewReader(gobBuf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, err := loaded.Fingerprint(); err != nil || got != fp {
-		t.Fatalf("gob round trip fingerprint = %q (%v), want %q", got, err, fp)
-	}
-
-	// A v2 round trip must preserve identity too.
+	// A v2 round trip must preserve identity.
 	var v2Buf bytes.Buffer
 	if err := art.SaveV2(&v2Buf); err != nil {
 		t.Fatal(err)
 	}
-	loaded, err = LoadArtifact(bytes.NewReader(v2Buf.Bytes()))
+	loaded, err := decodeV2(v2Buf.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -15,5 +15,3 @@ func mapFile(path string) (data []byte, unmap func() error, err error) {
 	}
 	return data, func() error { return nil }, nil
 }
-
-const mmapSupported = false

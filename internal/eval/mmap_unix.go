@@ -38,5 +38,3 @@ func mapFile(path string) (data []byte, unmap func() error, err error) {
 	}
 	return data, func() error { return syscall.Munmap(data) }, nil
 }
-
-const mmapSupported = true

@@ -34,16 +34,12 @@ func TestFleetReplicaHelper(t *testing.T) {
 	if model == "" {
 		t.Skip("helper: run only as a subprocess")
 	}
-	f, err := os.Open(model)
+	// The mapping lives until the parent kills this process.
+	art, err := eval.LoadArtifactMapped(model)
 	if err != nil {
 		t.Fatal(err)
 	}
-	art, err := eval.LoadArtifact(f)
-	f.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := serve.New(art, serve.Config{BatchSize: 4, MaxWait: time.Millisecond})
+	srv := serve.New(art.Artifact, serve.Config{BatchSize: 4, MaxWait: time.Millisecond})
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -74,15 +70,7 @@ func chaosArtifact(t *testing.T) (string, *eval.Artifact, [][]float64) {
 		t.Fatal(err)
 	}
 	path := filepath.Join(t.TempDir(), "chaos-model.bstc")
-	f, err := os.Create(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := art.Save(f); err != nil {
-		f.Close()
-		t.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
+	if err := eval.WriteArtifactFile(path, art, eval.FormatV2); err != nil {
 		t.Fatal(err)
 	}
 	return path, art, c.Values

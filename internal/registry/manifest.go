@@ -1,6 +1,6 @@
 // Package registry is the multi-model substrate of the serving tier: a
 // directory of named, versioned artifact files described by a manifest,
-// loaded on demand through the zero-copy mmap path when possible, and
+// mapped zero-copy on demand (eval.LoadArtifactMapped), and
 // cached with reference counts so the routing layer can hold one version
 // while another drains — and a rolled-back canary is still warm.
 //

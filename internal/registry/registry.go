@@ -1,10 +1,10 @@
 package registry
 
 import (
-	"bytes"
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"time"
 
@@ -21,10 +21,6 @@ type Config struct {
 	// for instant rollback before the least recently used is evicted and
 	// unmapped (default 4; negative keeps none).
 	Cache int
-	// NoMmap forces the copying loader even for v2 artifacts. Mapped
-	// serving is the default because a fleet of replicas then shares one
-	// page-cache copy per version.
-	NoMmap bool
 }
 
 // Registry loads and caches the artifacts a registry directory describes.
@@ -46,7 +42,7 @@ type Registry struct {
 type entry struct {
 	key    string
 	handle Handle
-	mapped *eval.MappedArtifact // non-nil when served from a mapping
+	mapped *eval.MappedArtifact // nil once unmapped
 	refs   int
 }
 
@@ -56,8 +52,6 @@ type Handle struct {
 	Name         string
 	ModelVersion string
 	Artifact     *eval.Artifact
-	// Format is how the artifact was loaded: "gob", "v2", or "v2+mmap".
-	Format string
 	// Digest is the full SHA-256 of the file bytes.
 	Digest string
 	// LoadNanos is the measured cold-start load time.
@@ -100,9 +94,9 @@ func (r *Registry) Manifest() (*Manifest, error) {
 }
 
 // Acquire returns a handle on (name, version), loading the artifact if it
-// is neither referenced nor warm in the LRU. Loading prefers the zero-copy
-// mapped path for v2 files and verifies the manifest's digest pin when one
-// is set. Every Acquire must be balanced by exactly one Release.
+// is neither referenced nor warm in the LRU. Loading maps the file
+// zero-copy and verifies the manifest's digest pin when one is set. Every
+// Acquire must be balanced by exactly one Release.
 func (r *Registry) Acquire(m *Manifest, name, version string) (*Handle, error) {
 	key := name + "@" + version
 	r.mu.Lock()
@@ -160,52 +154,34 @@ func (r *Registry) Acquire(m *Manifest, name, version string) (*Handle, error) {
 	return &h, nil
 }
 
-// load reads one artifact file, verifying the digest pin.
+// load maps one artifact file and verifies the digest pin against the
+// mapped image itself, so the bytes checked are exactly the bytes served.
 func (r *Registry) load(ent ModelEntry) (*entry, error) {
 	if err := fault.Hit("registry.load"); err != nil {
 		return nil, fmt.Errorf("registry: load %s: %w", ent.Key(), err)
 	}
-	path := filepath.Join(r.cfg.Dir, ent.Path)
 	start := time.Now()
-	data, err := os.ReadFile(path)
+	mapped, err := eval.LoadArtifactMapped(filepath.Join(r.cfg.Dir, ent.Path))
 	if err != nil {
 		return nil, fmt.Errorf("registry: load %s: %w", ent.Key(), err)
 	}
-	digest := eval.FileDigest(data)
-	if ent.SHA256 != "" && digest != ent.SHA256 {
+	digest := eval.FileDigest(mapped.Bytes())
+	if ent.SHA256 != "" && !strings.EqualFold(digest, ent.SHA256) {
+		mapped.Close()
 		return nil, fmt.Errorf("registry: load %s: file digest %s does not match manifest pin %s",
 			ent.Key(), digest[:16], ent.SHA256[:16])
 	}
-
-	e := &entry{key: ent.Key()}
-	var art *eval.Artifact
-	format := "gob"
-	if bytes.HasPrefix(data, []byte("BSTCART2")) {
-		format = "v2"
-		if !r.cfg.NoMmap {
-			mapped, err := eval.LoadArtifactMapped(path)
-			if err != nil {
-				return nil, fmt.Errorf("registry: load %s: %w", ent.Key(), err)
-			}
-			e.mapped = mapped
-			art, format = mapped.Artifact, "v2+mmap"
-		}
-	}
-	if art == nil {
-		art, err = eval.LoadArtifact(bytes.NewReader(data))
-		if err != nil {
-			return nil, fmt.Errorf("registry: load %s: %w", ent.Key(), err)
-		}
-	}
-	e.handle = Handle{
-		Name:         ent.Name,
-		ModelVersion: ent.ModelVersion,
-		Artifact:     art,
-		Format:       format,
-		Digest:       digest,
-		LoadNanos:    time.Since(start).Nanoseconds(),
-	}
-	return e, nil
+	return &entry{
+		key:    ent.Key(),
+		mapped: mapped,
+		handle: Handle{
+			Name:         ent.Name,
+			ModelVersion: ent.ModelVersion,
+			Artifact:     mapped.Artifact,
+			Digest:       digest,
+			LoadNanos:    time.Since(start).Nanoseconds(),
+		},
+	}, nil
 }
 
 func (e *entry) closeMapping() {

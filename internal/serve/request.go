@@ -30,6 +30,13 @@ func decodeRequest(data []byte) (*Request, error) {
 	if err := req.validate(); err != nil {
 		return nil, err
 	}
+	// validate leaves exactly one field non-empty; drop the other's empty
+	// "[]" so a request decodes the same whether it was present or absent.
+	if len(req.Values) == 0 {
+		req.Values = nil
+	} else {
+		req.Items = nil
+	}
 	return &req, nil
 }
 

@@ -40,8 +40,6 @@ type Model struct {
 	// the registry's file digest); /v1/model reports it so a swap is
 	// observable even when version names are reused.
 	Fingerprint string
-	// Format is how the artifact was loaded ("gob", "v2", "v2+mmap").
-	Format string
 	// LoadNanos is the measured cold-start load time.
 	LoadNanos int64
 	// Release is invoked once the version is fully drained.
@@ -63,7 +61,6 @@ type Update struct {
 type model struct {
 	version     string
 	fingerprint string
-	format      string
 	loadNanos   int64
 	art         *eval.Artifact
 	itemIdx     map[string]int
@@ -193,7 +190,6 @@ func (s *Server) newModel(d *Model) *model {
 	m := &model{
 		version:     d.Version,
 		fingerprint: d.Fingerprint,
-		format:      d.Format,
 		loadNanos:   d.LoadNanos,
 		art:         d.Artifact,
 		itemIdx:     d.Artifact.Disc.ItemIndex(),

@@ -117,17 +117,6 @@ type Config struct {
 	// Version names the initial artifact build handed to New (default
 	// "v1"). Responses and per-version metrics carry it.
 	Version string
-	// Fingerprint is the initial artifact's content identity for
-	// /v1/model (eval.Fingerprint or a file digest). Empty omits it.
-	Fingerprint string
-	// ArtifactLoadNanos is the daemon's measured cold-start artifact load
-	// time. When positive it lands on the serve.artifact_load_ns gauge and
-	// /v1/model, so deploys can compare gob-decode vs mmap cold starts in
-	// the wild. 0 leaves both unset.
-	ArtifactLoadNanos int64
-	// ArtifactFormat names how the model was loaded ("gob", "v2", "v2+mmap")
-	// for /v1/model. Empty omits the field.
-	ArtifactFormat string
 }
 
 func (c Config) withDefaults() Config {
@@ -249,13 +238,7 @@ type Server struct {
 // server is ready to accept requests (and Apply can add versions later).
 func New(art *eval.Artifact, cfg Config) *Server {
 	cfg = cfg.withDefaults()
-	return NewFromModel(&Model{
-		Version:     cfg.Version,
-		Artifact:    art,
-		Fingerprint: cfg.Fingerprint,
-		Format:      cfg.ArtifactFormat,
-		LoadNanos:   cfg.ArtifactLoadNanos,
-	}, cfg)
+	return NewFromModel(&Model{Version: cfg.Version, Artifact: art}, cfg)
 }
 
 // NewFromModel is New for a fully described version — callers that load
@@ -688,9 +671,6 @@ func (s *Server) handleModel(w http.ResponseWriter, r *http.Request) {
 	if st.fingerprint != "" {
 		body["fingerprint"] = st.fingerprint
 	}
-	if st.format != "" {
-		body["artifact_format"] = st.format
-	}
 	if st.loadNanos > 0 {
 		body["artifact_load_ns"] = st.loadNanos
 	}
@@ -701,9 +681,6 @@ func (s *Server) handleModel(w http.ResponseWriter, r *http.Request) {
 		}
 		if sn.canary.fingerprint != "" {
 			canary["fingerprint"] = sn.canary.fingerprint
-		}
-		if sn.canary.format != "" {
-			canary["artifact_format"] = sn.canary.format
 		}
 		body["canary"] = canary
 	}
