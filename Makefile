@@ -2,7 +2,7 @@ GO ?= go
 
 # The hot-path benchmark set tracked in BENCH_hotpath.json (see
 # EXPERIMENTS.md, "Hot-path benchmarks").
-HOTPATH_BENCH = BenchmarkTopK|BenchmarkTopKParallel|BenchmarkTopKApprox|BenchmarkSketchOffer|BenchmarkEvaluate|BenchmarkClassify|BenchmarkClassifyBatchParallel|BenchmarkIntersect|BenchmarkKey|BenchmarkIntersectInto|BenchmarkAppendKey|BenchmarkRank|BenchmarkCountLoop|BenchmarkSelect|BenchmarkBuildIndex|BenchmarkArtifactColdStart|BenchmarkMappedClassifyRow
+HOTPATH_BENCH = BenchmarkTopK|BenchmarkTopKApprox|BenchmarkSketchOffer|BenchmarkEvaluate|BenchmarkClassify|BenchmarkClassifyBatchParallel|BenchmarkIntersect|BenchmarkKey|BenchmarkIntersectInto|BenchmarkAppendKey|BenchmarkRank|BenchmarkCountLoop|BenchmarkSelect|BenchmarkBuildIndex|BenchmarkArtifactColdStart|BenchmarkMappedClassifyRow
 HOTPATH_PKGS = ./internal/bitset/ ./internal/carminer/ ./internal/core/ ./internal/eval/ ./internal/sketch/
 
 # Every native fuzz target, as "package:Target" pairs for fuzz-smoke
@@ -32,12 +32,13 @@ CHAOS_SEED ?= 1
 
 # The tier-1 gate plus the race-sensitive packages: the obs counters are
 # hit concurrently by parallel batch classification, eval threads the
-# registry through every miner, the fold pool stripes discretization
-# and classification across workers, the Top-k miner shards row
-# enumeration, and the serving layer coalesces concurrent requests into
-# batches. bench-smoke keeps the benchmark/benchjson pipeline compiling
-# and parsing (one iteration per benchmark); fuzz-smoke gives every fuzz
-# target a short budget on top of the committed corpora. bench-module
+# registry through every miner (the fold pool runs one Top-k miner per
+# concurrent test), the fold pool stripes discretization and
+# classification across workers, and the serving layer coalesces
+# concurrent requests into batches. bench-smoke keeps the
+# benchmark/benchjson pipeline compiling and parsing (one iteration per
+# benchmark); fuzz-smoke gives every fuzz target a short budget on top
+# of the committed corpora. bench-module
 # vets and tests the repository benchmark (bench/, a module of its own that
 # ./... does not reach): its smoke tests and serving goldens pin the served
 # class and confidence bits.

@@ -104,11 +104,11 @@ func TestGateFailures(t *testing.T) {
 }
 
 func TestBenchLineParsing(t *testing.T) {
-	m := benchLine.FindStringSubmatch("BenchmarkTopKParallel/w4-8   6692   176568 ns/op   72376 B/op   943 allocs/op")
+	m := benchLine.FindStringSubmatch("BenchmarkSweep/w4-8   6692   176568 ns/op   72376 B/op   943 allocs/op")
 	if m == nil {
 		t.Fatal("sub-benchmark line did not parse")
 	}
-	if m[1] != "BenchmarkTopKParallel/w4" {
+	if m[1] != "BenchmarkSweep/w4" {
 		t.Errorf("name = %q, want GOMAXPROCS suffix stripped", m[1])
 	}
 }

@@ -26,13 +26,14 @@
 // test — the schema is documented in EXPERIMENTS.md ("Run telemetry").
 //
 // Cross-validation tests run concurrently on a -workers pool (default
-// GOMAXPROCS), and the same knob bounds the goroutines Top-k rule group
-// mining may use inside each test. Splits are pre-drawn from the study
-// seed and the parallel miner is deterministic, so accuracy artifacts are
-// byte-identical for any worker count; DNF cells report real elapsed time
-// against the cutoff and so can flip near the boundary under CPU
-// contention, as on any loaded machine. -workers 1 restores the exact
-// serial path with precise per-test counter attribution.
+// GOMAXPROCS); the same knob stripes discretization and batch
+// classification inside each test, while Top-k rule group mining stays
+// serial within its test. Splits are pre-drawn from the study seed, so
+// accuracy artifacts are byte-identical for any worker count; DNF cells
+// report real elapsed time against the cutoff and so can flip near the
+// boundary under CPU contention, as on any loaded machine. -workers 1
+// restores the exact serial path with precise per-test counter
+// attribution.
 package main
 
 import (
@@ -69,7 +70,7 @@ func run(args []string) (err error) {
 	testsFlag := fs.Int("tests", 0, "cross-validation tests per training size (0 = scale default)")
 	cutoffFlag := fs.Duration("cutoff", 0, "per-phase mining cutoff (0 = scale default)")
 	seedFlag := fs.Int64("seed", 0, "random seed (0 = default)")
-	workersFlag := fs.Int("workers", runtime.GOMAXPROCS(0), "concurrent cross-validation tests and per-test mining goroutines (1 = serial; accuracies are identical for any value)")
+	workersFlag := fs.Int("workers", runtime.GOMAXPROCS(0), "concurrent cross-validation tests, also striping discretization and batch classification (1 = serial; accuracies are identical for any value)")
 	approxFlag := fs.Float64("approx", 0, "approximate Top-k mining with this relative error ε in (0,1] (0 = exact); groups keep exact stats, see EXPERIMENTS.md")
 	approxWidthFlag := fs.Int("approx-width", 0, "space-saving sketch width for -approx (0 = derive ⌈1/ε⌉ from -approx)")
 	maxNodesFlag := fs.Int("max-nodes", 0, "deterministic per-class Top-k node budget; exceeding it DNFs the test like a cutoff (0 = unlimited)")

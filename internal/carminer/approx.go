@@ -83,11 +83,9 @@ func supportSlack(a ApproxConfig, nc int) int {
 	return s
 }
 
-// ApproxReport carries the error accounting of an approximate run. With
-// parallel workers each shard keeps a private sketch; Arrivals, Evictions,
-// SketchSkips and SlackPrunes are summed across shards and MaxOvercount is
-// the widest per-shard bound (each group's ArrivalEstimate/ArrivalError come
-// from the shard that discovered it).
+// ApproxReport carries the error accounting of an approximate run.
+// MaxOvercount is the sketch's ErrorBound at the end of the run: no group's
+// ArrivalEstimate overcounts its true arrivals by more.
 type ApproxReport struct {
 	Width        int
 	Epsilon      float64
@@ -99,23 +97,26 @@ type ApproxReport struct {
 	SlackPrunes  uint64
 }
 
-// annotateApprox stamps every retained group with its shard sketch's
-// arrival estimate and folds the shard's error accounting into rep.
-func (m *topkMiner) annotateApprox(rep *ApproxReport) {
-	if m.sk == nil || rep == nil {
-		return
+// approxReport stamps every retained group with the sketch's arrival
+// estimate and returns the run's error accounting; nil in exact mode.
+func (m *topkMiner) approxReport(a ApproxConfig) *ApproxReport {
+	if m.sk == nil {
+		return nil
 	}
 	for _, g := range m.groups {
 		est, maxErr, _ := m.sk.Estimate([]byte(g.key))
 		g.ArrivalEstimate, g.ArrivalError = est, maxErr
 	}
-	rep.Arrivals += m.sk.N()
-	rep.Evictions += m.sk.Evictions()
-	rep.SketchSkips += m.skSkips
-	rep.SlackPrunes += m.slackCuts
-	if b := m.sk.ErrorBound(); b > rep.MaxOvercount {
-		rep.MaxOvercount = b
-	}
 	met.sketchEvict.Add(int64(m.sk.Evictions()))
 	met.sketchBound.SetMax(int64(m.sk.ErrorBound()))
+	return &ApproxReport{
+		Width:        a.ResolveWidth(),
+		Epsilon:      a.ResolveEpsilon(),
+		SupportSlack: m.slack,
+		Arrivals:     m.sk.N(),
+		MaxOvercount: m.sk.ErrorBound(),
+		Evictions:    m.sk.Evictions(),
+		SketchSkips:  m.skSkips,
+		SlackPrunes:  m.slackCuts,
+	}
 }

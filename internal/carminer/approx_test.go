@@ -40,7 +40,7 @@ func denseBool(r *rand.Rand, samples, genes, classes int) *dataset.Bool {
 
 // TestDynamicFloorsMatchReference pins the exact-safety of the dynamic
 // floor machinery: with floors enabled (the default) the miner's output is
-// byte-identical to the reference pruning for every worker count.
+// byte-identical to the reference pruning.
 func TestDynamicFloorsMatchReference(t *testing.T) {
 	r := rand.New(rand.NewSource(71))
 	cfgs := []TopKConfig{
@@ -59,17 +59,13 @@ func TestDynamicFloorsMatchReference(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				for _, workers := range []int{0, 2, 5} {
-					cfg := base
-					cfg.Workers = workers
-					got, err := TopKCoveringRuleGroups(context.Background(), d, ci, cfg)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if !reflect.DeepEqual(want, got) {
-						t.Fatalf("trial %d ci=%d cfg=%+v workers=%d: floored miner differs from reference (%d vs %d groups)",
-							trial, ci, base, workers, len(got.Groups), len(want.Groups))
-					}
+				got, err := TopKCoveringRuleGroups(context.Background(), d, ci, base)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(want, got) {
+					t.Fatalf("trial %d ci=%d cfg=%+v: floored miner differs from reference (%d vs %d groups)",
+						trial, ci, base, len(got.Groups), len(want.Groups))
 				}
 			}
 		}
@@ -182,12 +178,12 @@ func TestApproxReportBounds(t *testing.T) {
 	}
 }
 
-// TestApproxParallelRepeatable: for a fixed worker count, approximate runs
-// are deterministic (per-shard sketches see the same arrival order).
+// TestApproxParallelRepeatable: approximate runs are deterministic (the
+// sketch sees the same arrival order every run).
 func TestApproxParallelRepeatable(t *testing.T) {
 	r := rand.New(rand.NewSource(89))
 	d := randomBool(r, 18, 26, 2)
-	cfg := TopKConfig{MinSupport: 0.2, K: 4, Workers: 3, Approx: ApproxConfig{Epsilon: 0.15}}
+	cfg := TopKConfig{MinSupport: 0.2, K: 4, Approx: ApproxConfig{Epsilon: 0.15}}
 	first, err := TopKCoveringRuleGroups(context.Background(), d, 0, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -198,7 +194,7 @@ func TestApproxParallelRepeatable(t *testing.T) {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(first, again) {
-			t.Fatalf("run %d: approximate parallel mining not repeatable", i)
+			t.Fatalf("run %d: approximate mining not repeatable", i)
 		}
 	}
 }

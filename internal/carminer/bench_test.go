@@ -3,8 +3,6 @@ package carminer
 import (
 	"context"
 	"math/rand"
-	"runtime"
-	"strconv"
 	"testing"
 
 	"bstc/internal/dataset"
@@ -29,35 +27,6 @@ func BenchmarkTopK(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-}
-
-// BenchmarkTopKParallel sweeps a fixed worker ladder (plus the machine's
-// GOMAXPROCS) so BENCH_hotpath.json tracks the sharding overhead curve with
-// machine-independent sub-benchmark names.
-func BenchmarkTopKParallel(b *testing.B) {
-	d := benchDataset()
-	for _, w := range []int{2, 4, 8} {
-		b.Run("w"+strconv.Itoa(w), func(b *testing.B) {
-			cfg := TopKConfig{MinSupport: 0.3, K: 5, Workers: w}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := TopKCoveringRuleGroups(context.Background(), d, 0, cfg); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-	b.Run("gomaxprocs", func(b *testing.B) {
-		cfg := TopKConfig{MinSupport: 0.3, K: 5, Workers: runtime.GOMAXPROCS(0)}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := TopKCoveringRuleGroups(context.Background(), d, 0, cfg); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
 }
 
 // BenchmarkTopKApprox measures the approximate mode's per-run cost on the

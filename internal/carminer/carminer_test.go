@@ -181,6 +181,32 @@ func TestTopKBudgetExpires(t *testing.T) {
 	}
 }
 
+// TestDFSSteadyStateAllocs pins the hot path: re-walking an already
+// enumerated node (scratch stacks warm, states populated) must not allocate.
+func TestDFSSteadyStateAllocs(t *testing.T) {
+	r := rand.New(rand.NewSource(29))
+	d := randomBool(r, 16, 24, 2)
+	var classRows []int
+	for i, cl := range d.Classes {
+		if cl == 0 {
+			classRows = append(classRows, i)
+		}
+	}
+	m := newTopkMiner(context.Background(), d, 0, classRows, 3, TopKConfig{K: 4})
+	if err := m.run(); err != nil {
+		t.Fatal(err)
+	}
+	// Every root is now a revisit: dfs recomputes the closure and key, hits
+	// the states map through the byte-slice fast path, and backs out.
+	if n := testing.AllocsPerRun(50, func() {
+		if err := m.dfs(m.root, 0, 0); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Errorf("steady-state dfs allocates %v times per node, want 0", n)
+	}
+}
+
 func TestMineLowerBoundsExact(t *testing.T) {
 	// Construct a dataset where the upper bound {a,b,c} has minimal
 	// generators {a} and {b,c}: gene a appears exactly in the target rows;

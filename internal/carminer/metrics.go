@@ -20,13 +20,12 @@ var met struct {
 	slackPrunes *obs.Counter // carminer.topk.slack_prunes — approx-only slack capacity cuts
 	sketchSkips *obs.Counter // carminer.topk.sketch_skips — approx-only hot-node revisit cuts
 	sketchEvict *obs.Counter // carminer.sketch.evictions — space-saving entries displaced
-	sketchBound *obs.Gauge   // carminer.sketch.bound — widest per-shard overcount bound seen
+	sketchBound *obs.Gauge   // carminer.sketch.bound — widest sketch overcount bound seen
 
 	// Budget/deadline accounting shared by every miner taking a Budget.
 	deadlinePolls   *obs.Counter // carminer.deadline.polls
 	deadlineExpired *obs.Counter // carminer.deadline.expired
 	ctxStops        *obs.Counter // carminer.ctx.stops — context deadline/cancel stops
-	shardPanics     *obs.Counter // carminer.shard.panics — panics contained in parallel shards
 
 	// Lower-bound BFS (the §6.2.3 blowup on PC upper bounds).
 	lbSteps        *obs.Counter // carminer.lb.steps — candidates examined
@@ -51,7 +50,6 @@ func SetMetrics(r *obs.Registry) {
 	met.deadlinePolls = r.Counter("carminer.deadline.polls")
 	met.deadlineExpired = r.Counter("carminer.deadline.expired")
 	met.ctxStops = r.Counter("carminer.ctx.stops")
-	met.shardPanics = r.Counter("carminer.shard.panics")
 	met.lbSteps = r.Counter("carminer.lb.steps")
 	met.lbBounds = r.Counter("carminer.lb.bounds")
 	met.lbFrontierPeak = r.Gauge("carminer.lb.frontier_peak")

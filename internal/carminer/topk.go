@@ -24,7 +24,6 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"sync"
 	"time"
 
 	"bstc/internal/bitset"
@@ -118,8 +117,8 @@ type RuleGroup struct {
 // coverLess is the canonical strict total order on rule groups: confidence
 // descending, support descending, class-support key ascending. Distinct
 // groups have distinct keys, so no two groups compare equal — which is what
-// makes top-k lists independent of discovery order and lets the parallel
-// miner merge shards into byte-identical output (see mineParallel).
+// makes top-k lists independent of discovery order and the sorted result
+// independent of map iteration order.
 func coverLess(a, b *RuleGroup) bool {
 	if a.Confidence != b.Confidence {
 		return a.Confidence > b.Confidence
@@ -137,17 +136,10 @@ type TopKConfig struct {
 	MinSupport float64
 	K          int
 	Budget     Budget
-	// Workers bounds the worker pool sharding the root-level row
-	// enumeration; 0 or 1 mines serially. Completed runs produce
-	// byte-identical results for every value; partial results under an
-	// expired Budget are timing-dependent, exactly like DNF cells in the
-	// evaluation harness. The budget is honored by each worker.
-	Workers int
-	// MaxNodes, when positive, bounds the enumeration nodes each miner
-	// (each shard, in parallel mode) may visit; exceeding it stops the run
-	// with ErrBudgetExceeded and partial results. Unlike the wall-clock
-	// Deadline this budget is deterministic: the same configuration always
-	// stops at the same node.
+	// MaxNodes, when positive, bounds the enumeration nodes the miner may
+	// visit; exceeding it stops the run with ErrBudgetExceeded and partial
+	// results. Unlike the wall-clock Deadline this budget is deterministic:
+	// the same configuration always stops at the same node.
 	MaxNodes int
 	// Approx opts into approximate mining (see ApproxConfig); the zero
 	// value keeps the miner exact.
@@ -205,138 +197,21 @@ func TopKCoveringRuleGroups(ctx context.Context, d *dataset.Bool, ci int, cfg To
 		minSup = 1
 	}
 
-	var (
-		groups map[string]*RuleGroup
-		covers [][]*RuleGroup
-		rep    *ApproxReport
-		err    error
-	)
-	if cfg.Approx.Enabled() {
-		rep = &ApproxReport{
-			Width:        cfg.Approx.ResolveWidth(),
-			Epsilon:      cfg.Approx.ResolveEpsilon(),
-			SupportSlack: supportSlack(cfg.Approx, len(classRows)),
-		}
-	}
-	if workers := cfg.Workers; workers > 1 && len(classRows) > 1 {
-		groups, covers, err = mineParallel(ctx, d, ci, classRows, minSup, cfg, workers, rep)
-	} else {
-		m := newTopkMiner(ctx, d, ci, classRows, minSup, cfg)
-		err = m.run()
-		m.annotateApprox(rep)
-		groups, covers = m.groups, m.covers
-	}
-
-	res := &TopKResult{Class: ci, Approx: rep, PerRow: make(map[int][]*RuleGroup, len(classRows))}
-	for pos, lst := range covers {
+	m := newTopkMiner(ctx, d, ci, classRows, minSup, cfg)
+	err := m.run()
+	res := &TopKResult{Class: ci, Approx: m.approxReport(cfg.Approx), PerRow: make(map[int][]*RuleGroup, len(classRows))}
+	for pos, lst := range m.covers {
 		if lst != nil {
 			res.PerRow[classRows[pos]] = lst
 		}
 	}
-	for _, g := range groups {
+	for _, g := range m.groups {
 		res.Groups = append(res.Groups, g)
 	}
 	sort.Slice(res.Groups, func(i, j int) bool {
 		return coverLess(res.Groups[i], res.Groups[j])
 	})
 	return res, err
-}
-
-// mineParallel shards the root-level row enumeration over a bounded worker
-// pool: worker w mines the roots with index ≡ w (mod workers), each on a
-// fully private miner (own states, covers, groups, scratch), honoring the
-// shared budget. The shards are then merged into one deterministic result.
-//
-// Why the merge is byte-identical to the serial miner: a shard discovers
-// exactly the closed groups reachable from its roots, minus groups dropped
-// by the two prunes. The capacity prune only drops sub-minsup itemsets,
-// which no run keeps. The confidence prune fires when every class row's
-// top-k is full of groups at least as good as the subtree's confidence
-// ceiling, and those witnesses always rank strictly above every dropped
-// group in coverLess order (the ceiling-equality case collapses, via the
-// closed-itemset/class-set bijection, to a group already present) — so a
-// dropped group can never appear in any row's final top-k no matter which
-// run dropped it. Every run therefore discovers a superset of the groups in
-// the canonical full-enumeration top-k, and re-offering the merged union
-// through the strict total order reproduces exactly that top-k.
-func mineParallel(ctx context.Context, d *dataset.Bool, ci int, classRows []int, minSup int, cfg TopKConfig, workers int, rep *ApproxReport) (map[string]*RuleGroup, [][]*RuleGroup, error) {
-	if workers > len(classRows) {
-		workers = len(classRows)
-	}
-	miners := make([]*topkMiner, workers)
-	errs := make([]error, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		m := newTopkMiner(ctx, d, ci, classRows, minSup, cfg)
-		miners[w] = m
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			// A panicking shard must not take down the process: recover it
-			// into a typed error the harness can record as a failed fold.
-			// The shard's partial state is still merged below — its groups
-			// are valid closed itemsets found before the panic.
-			defer func() {
-				if r := recover(); r != nil {
-					met.shardPanics.Inc()
-					m.retainCovering()
-					errs[w] = fault.Recovered("carminer.shard", r)
-				}
-			}()
-			errs[w] = m.runRoots(w, workers)
-		}(w)
-	}
-	wg.Wait()
-	for _, m := range miners {
-		m.annotateApprox(rep)
-	}
-
-	// A contained panic outranks orderly stops (budget/ctx): the caller
-	// must see the real failure, not a DNF that happens to accompany it.
-	var err error
-	for _, e := range errs {
-		if _, ok := fault.AsPanic(e); ok {
-			err = e
-			break
-		}
-	}
-	if err == nil {
-		for _, e := range errs {
-			if e != nil {
-				err = e
-				break
-			}
-		}
-	}
-
-	// Union the shards' retained groups; equal keys imply identical groups,
-	// so the first shard to contribute a key wins and shard order is
-	// irrelevant.
-	merged := &topkMiner{
-		d: d, ci: ci, classRows: classRows, minSup: minSup, k: cfg.K,
-		groups: map[string]*RuleGroup{},
-		covers: make([][]*RuleGroup, len(classRows)),
-		rowPos: miners[0].rowPos,
-	}
-	for _, m := range miners {
-		for key, g := range m.groups {
-			if _, ok := merged.groups[key]; !ok {
-				merged.groups[key] = g
-			}
-		}
-	}
-	// Rebuild the per-row top-k lists by offering every merged group to
-	// every class row it covers. Offers insert into coverLess order, a
-	// strict total order, so the resulting lists are independent of the map
-	// iteration order here.
-	for _, g := range merged.groups {
-		g.ClassRows.ForEach(func(r int) bool {
-			merged.offer(int(merged.rowPos[r]), g)
-			return true
-		})
-	}
-	merged.retainCovering()
-	return merged.groups, merged.covers, err
 }
 
 type topkMiner struct {
@@ -388,7 +263,7 @@ type topkMiner struct {
 	// Approximate mode (nil sk = exact): sk counts node arrivals by class
 	// support key, slack is the ⌈ε·|C_i|⌉ capacity slack, maxNodes the
 	// deterministic node budget (0 = unlimited; also honored in exact
-	// mode), and skSkips/slackCuts the per-miner error accounting.
+	// mode), and skSkips/slackCuts the run's error accounting.
 	sk        *sketch.Sketch
 	slack     int
 	maxNodes  int
@@ -448,18 +323,15 @@ func newTopkMiner(ctx context.Context, d *dataset.Bool, ci int, classRows []int,
 	return m
 }
 
-func (m *topkMiner) run() error { return m.runRoots(0, 1) }
-
-// runRoots enumerates the roots with index ≡ offset (mod stride), in index
-// order (row enumeration). The serial miner runs (0, 1); parallel shard w of
-// W runs (w, W).
-func (m *topkMiner) runRoots(offset, stride int) error {
-	for idx := offset; idx < len(m.classRows); idx += stride {
+// run enumerates every root in index order (row enumeration). A stopped
+// run keeps the covering groups found so far as its partial result.
+func (m *topkMiner) run() error {
+	defer m.retainCovering()
+	for idx := range m.classRows {
 		if err := m.dfs(m.root, idx, 0); err != nil {
 			return err
 		}
 	}
-	m.retainCovering()
 	return nil
 }
 
@@ -475,15 +347,12 @@ func (m *topkMiner) dfs(itemset *bitset.Set, idx, level int) error {
 	// stride, and budget expiry / fault injection must still be observed.
 	if m.nodes&63 == 1 {
 		if m.maxNodes > 0 && m.nodes > m.maxNodes {
-			m.retainCovering()
 			return ErrBudgetExceeded
 		}
 		if err := m.budget.Check(m.ctx); err != nil {
-			m.retainCovering()
 			return err
 		}
 		if err := fault.Hit("carminer.dfs"); err != nil {
-			m.retainCovering()
 			return err
 		}
 	}

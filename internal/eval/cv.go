@@ -195,13 +195,6 @@ func RunCV(ctx context.Context, cfg CVConfig) ([]SizeResult, error) {
 		return nil, fmt.Errorf("eval: no training sizes")
 	}
 	workers := cfg.effectiveWorkers()
-	// The same knob parallelizes Top-k mining inside each test unless the
-	// caller pinned rcbt.Config.Workers explicitly. Completed mining results
-	// are identical for every worker count (see carminer.TopKConfig.Workers),
-	// so rendered artifacts stay byte-identical.
-	if cfg.RunRCBT && cfg.RCBT.Workers == 0 {
-		cfg.RCBT.Workers = workers
-	}
 
 	total := len(cfg.Sizes) * cfg.Tests
 	results := make([]*cvResult, total)
@@ -299,9 +292,9 @@ func RunCV(ctx context.Context, cfg CVConfig) ([]SizeResult, error) {
 			}
 		}()
 		// fail degrades the test to a failed record. A panic recovered in a
-		// lower-layer worker pool (discretize stripe, miner shard) arrives
-		// here as a wrapped PanicError; it is contained exactly like a panic
-		// on this worker — stack on the record, study continues.
+		// lower-layer worker pool (a discretize stripe) arrives here as a
+		// wrapped PanicError; it is contained exactly like a panic on this
+		// worker — stack on the record, study continues.
 		fail := func(err error) *cvResult {
 			rec.Error = err.Error()
 			tspan.SetError(err)

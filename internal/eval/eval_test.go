@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"bstc/internal/carminer"
 	"bstc/internal/cba"
 	"bstc/internal/dataset"
 	"bstc/internal/forest"
@@ -269,6 +270,71 @@ func TestRunCVWorkersDeterministic(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestRunCVMiningIndependentOfWorkers pins that Top-k mining inside a test
+// does not depend on the fold pool size: node and group counts, node-budget
+// DNFs and approximate-mode accuracies match the serial study exactly. One
+// test per study keeps each record's counter window exact on the pool too.
+func TestRunCVMiningIndependentOfWorkers(t *testing.T) {
+	d := toyData(t, 12)
+	exact := rcbt.Config{MinSupport: 0.5, K: 2, NL: 3}
+	budget, approx := exact, exact
+	budget.MaxNodes = 400 // below the serial miner's need on this split
+	approx.Approx = carminer.ApproxConfig{Epsilon: 0.2}
+	for _, tc := range []struct {
+		name    string
+		cfg     rcbt.Config
+		wantDNF bool
+	}{
+		{"exact", exact, false},
+		{"max-nodes", budget, true},
+		{"approx", approx, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			run := func(workers int) (obs.RunRecord, SizeResult) {
+				t.Helper()
+				SetMetrics(obs.NewRegistry())
+				defer SetMetrics(nil)
+				var buf bytes.Buffer
+				results, err := RunCV(context.Background(), CVConfig{
+					Data:       d,
+					Sizes:      []TrainSize{{Label: "80%", Frac: 0.8}},
+					Tests:      1,
+					Seed:       3,
+					RunRCBT:    true,
+					RCBT:       tc.cfg,
+					Cutoff:     time.Minute,
+					NLFallback: 2,
+					Workers:    workers,
+					RunLog:     obs.NewRunLog(&buf),
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				recs := runlogLines(t, &buf)
+				if len(recs) != 1 || len(results) != 1 {
+					t.Fatalf("workers=%d: %d records, %d size results; want 1, 1", workers, len(recs), len(results))
+				}
+				return recs[0], results[0]
+			}
+			serial, serialRes := run(1)
+			pool, poolRes := run(4)
+			for _, c := range []string{"carminer.topk.nodes", "carminer.topk.groups"} {
+				if serial.Counters[c] == 0 || pool.Counters[c] != serial.Counters[c] {
+					t.Errorf("%s: workers=4 %d, workers=1 %d", c, pool.Counters[c], serial.Counters[c])
+				}
+			}
+			if serial.TopkDNF != tc.wantDNF || pool.TopkDNF != serial.TopkDNF {
+				t.Errorf("topk_dnf: workers=4 %v, workers=1 %v, want %v", pool.TopkDNF, serial.TopkDNF, tc.wantDNF)
+			}
+			s, p := serialRes.RCBT[0].Accuracy, poolRes.RCBT[0].Accuracy
+			if p != s || poolRes.BSTC[0].Accuracy != serialRes.BSTC[0].Accuracy {
+				t.Errorf("accuracies: workers=4 RCBT %v BSTC %v, workers=1 RCBT %v BSTC %v",
+					p, poolRes.BSTC[0].Accuracy, s, serialRes.BSTC[0].Accuracy)
+			}
+		})
 	}
 }
 

@@ -62,10 +62,10 @@ func IsCancellation(err error) bool {
 // PanicError is a panic recovered at a worker-pool boundary: the panic
 // value plus the goroutine stack captured at recovery, tagged with the site
 // that contained it. Pools return it as an ordinary error so one poisoned
-// fold, shard or batch degrades to a failed record instead of killing the
+// fold, stripe or batch degrades to a failed record instead of killing the
 // process.
 type PanicError struct {
-	// Site names the recovery boundary ("eval.fold", "carminer.shard",
+	// Site names the recovery boundary ("eval.cv", "discretize.fit",
 	// "serve.batch", ...).
 	Site string
 	// Value is the value passed to panic.

@@ -171,7 +171,6 @@ func TestFleetChaosKillRestart(t *testing.T) {
 	defer c.Close()
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	c.Start(ctx)
 
 	// Reference answers straight from the artifact — the ground truth every
 	// replica must reproduce exactly.
@@ -198,10 +197,10 @@ func TestFleetChaosKillRestart(t *testing.T) {
 		failures   []string
 		mismatches []string
 	)
-	classifyOne := func(i int) {
+	classifyOne := func(i int, key []byte) {
 		row := i % len(rows)
 		body, _ := json.Marshal(map[string][]float64{"values": rows[row]})
-		res, err := c.Classify(context.Background(), []byte(fmt.Sprintf("chaos-%d", i)), body)
+		res, err := c.Classify(context.Background(), key, body)
 		mu.Lock()
 		defer mu.Unlock()
 		if err != nil {
@@ -237,9 +236,16 @@ func TestFleetChaosKillRestart(t *testing.T) {
 		}
 	}
 
+	// The prober starts only after the first request following the kill,
+	// and that request is keyed to the victim: it reaches the dead replica
+	// (unprobed replicas are presumed ready) and must be retried elsewhere,
+	// and only then can a probe eject the victim. A prober running from the
+	// start could eject it before any request reached it.
 	for i := 0; i < total; i++ {
+		key := []byte(fmt.Sprintf("chaos-%d", i))
 		if i == killAt {
 			replicas[victim].kill(t)
+			key = keyWithPrimary(t, c, urls[victim])
 		}
 		if i == restartAt {
 			// The swap removes the dead member and adds the fresh one (a new
@@ -262,7 +268,10 @@ func TestFleetChaosKillRestart(t *testing.T) {
 			}
 			replicas[victim] = fresh
 		}
-		classifyOne(i)
+		classifyOne(i, key)
+		if i == killAt {
+			c.Start(ctx)
+		}
 	}
 
 	if len(failures) != 0 {

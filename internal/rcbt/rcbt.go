@@ -42,13 +42,9 @@ type Config struct {
 	K          int
 	NL         int
 	Budget     carminer.Budget
-	// Workers bounds the goroutines the Top-k miner may use per class
-	// (≤ 1 mines serially). Completed results are identical for every
-	// value; see carminer.TopKConfig.Workers.
-	Workers int
 	// MaxNodes, when positive, is a deterministic per-class node budget for
-	// the Top-k miner (per shard with Workers > 1); exceeding it surfaces
-	// carminer.ErrBudgetExceeded exactly like a deadline.
+	// the Top-k miner; exceeding it surfaces carminer.ErrBudgetExceeded
+	// exactly like a deadline.
 	MaxNodes int
 	// Approx opts the Top-k miner into approximate mining (see
 	// carminer.ApproxConfig). Lower-bound mining and classifier assembly
@@ -96,7 +92,6 @@ func Mine(ctx context.Context, d *dataset.Bool, cfg Config) ([]*carminer.TopKRes
 			MinSupport: cfg.MinSupport,
 			K:          cfg.K,
 			Budget:     cfg.Budget,
-			Workers:    cfg.Workers,
 			MaxNodes:   cfg.MaxNodes,
 			Approx:     cfg.Approx,
 		})

@@ -255,76 +255,3 @@ func TestRCBTAgreesWithLabelsOnNoisySeparableData(t *testing.T) {
 		t.Errorf("only %d/20 marker queries classified correctly", correct)
 	}
 }
-
-// randomBool builds a random dataset with no empty or duplicate rows, the
-// worst case for assembly-order bugs: many distinct groups per class.
-func randomBool(t *testing.T, r *rand.Rand, samples, genes, classes int) *dataset.Bool {
-	t.Helper()
-	d := &dataset.Bool{}
-	for g := 0; g < genes; g++ {
-		d.GeneNames = append(d.GeneNames, "g"+string(rune('A'+g%26))+string(rune('0'+g/26)))
-	}
-	for c := 0; c < classes; c++ {
-		d.ClassNames = append(d.ClassNames, string(rune('A'+c)))
-	}
-	seen := map[string]bool{}
-	for s := 0; s < samples; s++ {
-		for {
-			row := bitset.New(genes)
-			for g := 0; g < genes; g++ {
-				if r.Intn(3) == 0 {
-					row.Add(g)
-				}
-			}
-			if key := row.Key(); !row.IsEmpty() && !seen[key] {
-				seen[key] = true
-				d.Rows = append(d.Rows, row)
-				break
-			}
-		}
-		d.Classes = append(d.Classes, s%classes)
-	}
-	return d
-}
-
-// TestTrainWorkersDeterministic pins the full Mine+Build pipeline: any
-// Workers value must yield exactly the serial ensemble — same rules in the
-// same order in every sub-classifier — so downstream artifacts cannot
-// depend on the worker count or on map iteration order.
-func TestTrainWorkersDeterministic(t *testing.T) {
-	r := rand.New(rand.NewSource(29))
-	for trial := 0; trial < 4; trial++ {
-		d := randomBool(t, r, 10+r.Intn(6), 12+r.Intn(8), 2)
-		cfg := Config{MinSupport: 0.4, K: 3, NL: 4}
-		serial, err := Train(context.Background(), d, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, workers := range []int{2, 3, 8} {
-			pcfg := cfg
-			pcfg.Workers = workers
-			par, err := Train(context.Background(), d, pcfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(par.Sub) != len(serial.Sub) {
-				t.Fatalf("trial %d workers %d: %d sub-classifiers, want %d",
-					trial, workers, len(par.Sub), len(serial.Sub))
-			}
-			for j := range serial.Sub {
-				if len(par.Sub[j]) != len(serial.Sub[j]) {
-					t.Fatalf("trial %d workers %d sub %d: %d rules, want %d",
-						trial, workers, j, len(par.Sub[j]), len(serial.Sub[j]))
-				}
-				for i, want := range serial.Sub[j] {
-					got := par.Sub[j][i]
-					if got.Class != want.Class || got.Support != want.Support ||
-						got.Confidence != want.Confidence || got.Genes.Key() != want.Genes.Key() {
-						t.Fatalf("trial %d workers %d sub %d rule %d differs: %+v vs %+v",
-							trial, workers, j, i, got, want)
-					}
-				}
-			}
-		}
-	}
-}

@@ -24,22 +24,11 @@
 // sketch fills, and an evicted key's count never exceeded it), so Estimate
 // reports (min, min) for absent keys and the invariants above still hold.
 //
-// Merge preserves the sandwich invariant (estimate − maxError ≤ true ≤
-// estimate) for the concatenated streams via an explicit floor: the merged
-// sketch remembers the largest count an absent key could have accumulated
-// across both inputs, and newcomers inherit it. A merged sketch's worst-case
-// overcount is ErrorBound(), which can exceed Epsilon()·N() when the inputs'
-// widths differ; the εN form is guaranteed only for offer-only sketches.
-//
 // All operations are deterministic: ties in the eviction heap break on the
 // key bytes, so identical offer sequences produce identical sketches.
 package sketch
 
-import (
-	"fmt"
-	"math"
-	"sort"
-)
+import "sort"
 
 // Entry is one tracked key with its count estimate and overcount bound:
 // Count − MaxError ≤ true count ≤ Count.
@@ -50,7 +39,7 @@ type Entry struct {
 }
 
 // Sketch is a space-saving summary. The zero value is unusable; construct
-// with New or NewEpsilon. Not safe for concurrent use.
+// with New. Not safe for concurrent use.
 type Sketch struct {
 	width int
 	// entries is a binary min-heap on (count, key): entries[0] is the
@@ -59,12 +48,6 @@ type Sketch struct {
 	index     map[string]int
 	n         uint64
 	evictions uint64
-	// floor upper-bounds the true count of any untracked key while the
-	// sketch is below width. Always 0 for offer-only sketches (an untracked
-	// key of a non-full sketch was never offered); Merge raises it to cover
-	// keys the inputs may have evicted or the merge truncated. Every tracked
-	// count is ≥ floor, so once the sketch fills the heap minimum dominates.
-	floor uint64
 }
 
 // New returns a sketch tracking at most width keys; width < 1 is clamped to
@@ -76,21 +59,8 @@ func New(width int) *Sketch {
 	return &Sketch{width: width, index: make(map[string]int, width)}
 }
 
-// NewEpsilon returns a sketch whose overcounts are bounded by eps·N, i.e.
-// one of width ⌈1/eps⌉. eps outside (0, 1] is an error.
-func NewEpsilon(eps float64) (*Sketch, error) {
-	if !(eps > 0 && eps <= 1) {
-		return nil, fmt.Errorf("sketch: epsilon %v outside (0, 1]", eps)
-	}
-	return New(int(math.Ceil(1 / eps))), nil
-}
-
 // Width returns the maximum number of tracked keys.
 func (s *Sketch) Width() int { return s.width }
-
-// Epsilon returns the relative error guarantee 1/width: every estimate's
-// overcount is at most Epsilon()·N().
-func (s *Sketch) Epsilon() float64 { return 1 / float64(s.width) }
 
 // Len returns the number of currently tracked keys.
 func (s *Sketch) Len() int { return len(s.entries) }
@@ -102,18 +72,18 @@ func (s *Sketch) N() uint64 { return s.n }
 func (s *Sketch) Evictions() uint64 { return s.evictions }
 
 // MinCount returns the smallest tracked count when the sketch is full, and
-// the merge floor (0 for offer-only sketches) otherwise. It upper-bounds the
-// true count of every untracked key and every overcount, and is
-// non-decreasing once the sketch fills.
+// 0 otherwise (an untracked key of a sketch below width was never offered).
+// It upper-bounds the true count of every untracked key and every
+// overcount, and is non-decreasing once the sketch fills.
 func (s *Sketch) MinCount() uint64 {
 	if len(s.entries) < s.width {
-		return s.floor
+		return 0
 	}
 	return s.entries[0].Count
 }
 
 // ErrorBound returns the current worst-case overcount of any estimate:
-// MinCount, which never exceeds ⌈Epsilon()·N()⌉.
+// MinCount, which never exceeds N()/Width().
 func (s *Sketch) ErrorBound() uint64 { return s.MinCount() }
 
 // Offer adds weight to key's counter, evicting the minimum entry when the
@@ -127,9 +97,7 @@ func (s *Sketch) Offer(key []byte, weight uint64) {
 		return
 	}
 	if len(s.entries) < s.width {
-		// Newcomers inherit the floor: below it, an untracked key's prior
-		// weight cannot be ruled out (only relevant after a Merge).
-		s.entries = append(s.entries, Entry{Key: string(key), Count: s.floor + weight, MaxError: s.floor})
+		s.entries = append(s.entries, Entry{Key: string(key), Count: weight})
 		s.index[s.entries[len(s.entries)-1].Key] = len(s.entries) - 1
 		s.siftUp(len(s.entries) - 1)
 		return
@@ -185,85 +153,6 @@ func entryLess(a, b Entry) bool {
 		return a.MaxError < b.MaxError
 	}
 	return a.Key < b.Key
-}
-
-// GuaranteedTopK returns the entries provably among the k heaviest keys of
-// the whole stream: ranked entries whose guaranteed count (Count − MaxError)
-// is at least the best possible true count of every key outside the first k
-// ranks — the (k+1)-th entry's Count, or MinCount when fewer than k+1 keys
-// are tracked (no untracked key can exceed it).
-func (s *Sketch) GuaranteedTopK(k int) []Entry {
-	if k <= 0 {
-		return nil
-	}
-	ranked := s.Entries()
-	bound := s.MinCount()
-	if k < len(ranked) {
-		bound = ranked[k].Count
-		ranked = ranked[:k]
-	}
-	out := ranked[:0:len(ranked)]
-	for _, e := range ranked {
-		if e.Count-e.MaxError >= bound {
-			out = append(out, e)
-		}
-	}
-	return out
-}
-
-// Merge combines two summaries into a new sketch of width max(s, o.width)
-// covering both streams. A key absent from one input contributes that
-// input's MinCount to its combined count and error — the tightest upper
-// bound the absent side can certify — and the combined ranking is truncated
-// to the new width, evicting the smallest counts. Estimates are monotone:
-// merged estimates never fall below either input's, and the per-key
-// invariant estimate − maxError ≤ true ≤ estimate carries over to the
-// combined stream.
-func (s *Sketch) Merge(o *Sketch) *Sketch {
-	width := s.width
-	if o.width > width {
-		width = o.width
-	}
-	m := New(width)
-	m.n = s.n + o.n
-	m.evictions = s.evictions + o.evictions
-	combined := make([]Entry, 0, len(s.entries)+len(o.entries))
-	sMin, oMin := s.MinCount(), o.MinCount()
-	for _, e := range s.entries {
-		c, err := e.Count, e.MaxError
-		if j, ok := o.index[e.Key]; ok {
-			c += o.entries[j].Count
-			err += o.entries[j].MaxError
-		} else {
-			c += oMin
-			err += oMin
-		}
-		combined = append(combined, Entry{Key: e.Key, Count: c, MaxError: err})
-	}
-	for _, e := range o.entries {
-		if _, ok := s.index[e.Key]; ok {
-			continue // already combined above
-		}
-		combined = append(combined, Entry{Key: e.Key, Count: e.Count + sMin, MaxError: e.MaxError + sMin})
-	}
-	sort.Slice(combined, func(i, j int) bool { return entryLess(combined[i], combined[j]) })
-	// Keys absent from the merged sketch could have accumulated up to the
-	// sum of the inputs' untracked-key bounds, or the largest truncated
-	// count, whichever is higher — that becomes the merged floor.
-	m.floor = sMin + oMin
-	if len(combined) > width {
-		m.evictions += uint64(len(combined) - width)
-		if c := combined[width].Count; c > m.floor {
-			m.floor = c
-		}
-		combined = combined[:width]
-	}
-	for _, e := range combined {
-		m.entries = append(m.entries, e)
-		m.index[e.Key] = len(m.entries) - 1
-		m.siftUp(len(m.entries) - 1)
-	}
-	return m
 }
 
 // heapLess orders the eviction heap: smaller count first, ties broken on

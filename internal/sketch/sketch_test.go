@@ -37,6 +37,9 @@ func randomStream(r *rand.Rand, n, keyspace int) ([]string, []uint64) {
 // estimates never undercount, the claimed per-entry error bound holds, and
 // every overcount stays within εN = N/width.
 func TestSketchInvariants(t *testing.T) {
+	if w := New(0).Width(); w != 1 {
+		t.Errorf("New(0) width = %d, want 1", w)
+	}
 	r := rand.New(rand.NewSource(11))
 	for trial := 0; trial < 50; trial++ {
 		width := 1 + r.Intn(24)
@@ -123,84 +126,6 @@ func TestSeenAtLeast(t *testing.T) {
 	}
 }
 
-// TestGuaranteedTopK: every guaranteed entry's true count is beaten by
-// fewer than k other keys — it genuinely belongs to a true top-k.
-func TestGuaranteedTopK(t *testing.T) {
-	r := rand.New(rand.NewSource(19))
-	for trial := 0; trial < 30; trial++ {
-		width := 2 + r.Intn(20)
-		k := 1 + r.Intn(8)
-		s := New(width)
-		stream, weights := randomStream(r, 300, 24)
-		exact := exactCounts(stream, weights)
-		for i, key := range stream {
-			s.Offer([]byte(key), weights[i])
-		}
-		got := s.GuaranteedTopK(k)
-		if len(got) > k {
-			t.Fatalf("trial %d: %d guaranteed entries for k=%d", trial, len(got), k)
-		}
-		for _, e := range got {
-			truth := exact[e.Key]
-			better := 0
-			for _, c := range exact {
-				if c > truth {
-					better++
-				}
-			}
-			if better >= k {
-				t.Fatalf("trial %d: %q guaranteed top-%d but %d keys are strictly heavier",
-					trial, e.Key, k, better)
-			}
-		}
-	}
-}
-
-// TestMergeMonotoneAndSound: merged estimates never fall below either
-// input's, and the error invariants hold against the concatenated stream.
-func TestMergeMonotoneAndSound(t *testing.T) {
-	r := rand.New(rand.NewSource(23))
-	for trial := 0; trial < 30; trial++ {
-		a, b := New(2+r.Intn(12)), New(2+r.Intn(12))
-		sa, wa := randomStream(r, 150, 32)
-		sb, wb := randomStream(r, 150, 32)
-		for i, k := range sa {
-			a.Offer([]byte(k), wa[i])
-		}
-		for i, k := range sb {
-			b.Offer([]byte(k), wb[i])
-		}
-		m := a.Merge(b)
-		if m.N() != a.N()+b.N() {
-			t.Fatalf("trial %d: merged N=%d, want %d", trial, m.N(), a.N()+b.N())
-		}
-		if m.Len() > m.Width() {
-			t.Fatalf("trial %d: merged has %d entries for width %d", trial, m.Len(), m.Width())
-		}
-		exact := exactCounts(append(append([]string{}, sa...), sb...), append(append([]uint64{}, wa...), wb...))
-		seen := map[string]bool{}
-		for _, k := range append(append([]string{}, sa...), sb...) {
-			if seen[k] {
-				continue
-			}
-			seen[k] = true
-			me, merr, _ := m.Estimate([]byte(k))
-			ae, _, _ := a.Estimate([]byte(k))
-			be, _, _ := b.Estimate([]byte(k))
-			if me < ae || me < be {
-				t.Fatalf("trial %d key %s: merged estimate %d below inputs (%d, %d)", trial, k, me, ae, be)
-			}
-			truth := exact[k]
-			if me < truth {
-				t.Fatalf("trial %d key %s: merged estimate %d < exact %d", trial, k, me, truth)
-			}
-			if me-truth > merr {
-				t.Fatalf("trial %d key %s: merged overcount %d exceeds bound %d", trial, k, me-truth, merr)
-			}
-		}
-	}
-}
-
 // TestSketchDeterministic: identical offer sequences yield identical
 // sketches, entry rankings included.
 func TestSketchDeterministic(t *testing.T) {
@@ -237,25 +162,6 @@ func TestSketchOfferAllocs(t *testing.T) {
 		}
 	}); n != 0 {
 		t.Errorf("tracked-key Offer/Estimate allocates %v per run, want 0", n)
-	}
-}
-
-// TestNewEpsilon checks the ε→width derivation and its validation.
-func TestNewEpsilon(t *testing.T) {
-	s, err := NewEpsilon(0.1)
-	if err != nil || s.Width() != 10 {
-		t.Fatalf("NewEpsilon(0.1) = width %d, err %v; want 10, nil", s.Width(), err)
-	}
-	if s.Epsilon() != 0.1 {
-		t.Fatalf("Epsilon() = %v, want 0.1", s.Epsilon())
-	}
-	for _, eps := range []float64{0, -0.5, 1.5} {
-		if _, err := NewEpsilon(eps); err == nil {
-			t.Errorf("NewEpsilon(%v) should error", eps)
-		}
-	}
-	if w := New(0).Width(); w != 1 {
-		t.Errorf("New(0) width = %d, want 1", w)
 	}
 }
 
