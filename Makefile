@@ -24,7 +24,7 @@ FUZZTIME ?= 10s
 # CHAOS_SEED picks the deterministic fault schedule for the seeded sweep
 # (TestChaosSweep); CI runs a small seed matrix, and a failing seed
 # reproduces locally with the same value.
-CHAOS_TESTS = Chaos|Fault|Panic|Watchdog|Checkpoint|Deadline|Cancel|RetryAfter|Truncation|BitFlips|Corrupt|Resilience|Swap|Breaker|Hedge|Eject|Probe|Close|Racing
+CHAOS_TESTS = Chaos|Fault|Panic|Watchdog|Checkpoint|Deadline|Cancel|RetryAfter|Truncation|BitFlips|Corrupt|Resilience|Swap|Breaker|Hedge|Eject|Probe|Close|Racing|NaturalBatching
 CHAOS_PKGS = ./internal/fault/ ./internal/dataset/ ./internal/eval/ ./internal/serve/ ./internal/registry/ ./internal/fleet/
 CHAOS_SEED ?= 1
 

@@ -4,7 +4,7 @@
 //
 //	bstcd -model model.bstc [-model-version v1] [-addr :8080]
 //	bstcd -registry DIR [-registry-poll 5s] [-addr :8080]
-//	      [-batch 32] [-max-wait 2ms] [-max-inflight 128] [-workers N]
+//	      [-batch 32] [-max-inflight 128] [-workers N]
 //	      [-timeout 5s] [-runlog batches.jsonl] [-trace spans.jsonl]
 //	      [-trace-sample 0.1] [-slo-latency 100ms] [-slo-target 0.999]
 //
@@ -83,8 +83,7 @@ func run(ctx context.Context, args []string, stdout io.Writer, ready func(net.Ad
 	registryDir := fs.String("registry", "", "serve a model registry directory (manifest.json routing; hot-reload on SIGHUP)")
 	registryPoll := fs.Duration("registry-poll", 0, "also watch the registry manifest and swap when it changes (0 disables)")
 	addr := fs.String("addr", ":8080", "listen address")
-	batch := fs.Int("batch", 0, "micro-batch flush threshold (default 32)")
-	maxWait := fs.Duration("max-wait", 0, "max time a non-full batch waits (default 2ms)")
+	batch := fs.Int("batch", 0, "cap on the queued requests one batch takes; a batch never waits to fill (default 32)")
 	maxInflight := fs.Int("max-inflight", 0, "admitted-request bound before 429 (default 4x batch)")
 	workers := fs.Int("workers", runtime.GOMAXPROCS(0), "goroutines per batch classify")
 	timeout := fs.Duration("timeout", 0, "per-request deadline (default 5s)")
@@ -105,7 +104,6 @@ func run(ctx context.Context, args []string, stdout io.Writer, ready func(net.Ad
 
 	cfg := serve.Config{
 		BatchSize:      *batch,
-		MaxWait:        *maxWait,
 		MaxInFlight:    *maxInflight,
 		Workers:        *workers,
 		RequestTimeout: *timeout,

@@ -70,7 +70,7 @@ func TestServeAndDrain(t *testing.T) {
 	var out bytes.Buffer
 	go func() {
 		done <- run(ctx,
-			[]string{"-model", model, "-addr", "127.0.0.1:0", "-batch", "4", "-max-wait", "1ms"},
+			[]string{"-model", model, "-addr", "127.0.0.1:0", "-batch", "4"},
 			&out, func(a net.Addr) { addrCh <- a })
 	}()
 
@@ -197,7 +197,7 @@ func TestServeMmap(t *testing.T) {
 	var out bytes.Buffer
 	go func() {
 		done <- run(ctx,
-			[]string{"-model", model, "-addr", "127.0.0.1:0", "-batch", "4", "-max-wait", "1ms"},
+			[]string{"-model", model, "-addr", "127.0.0.1:0", "-batch", "4"},
 			&out, func(a net.Addr) { addrCh <- a })
 	}()
 	var base string

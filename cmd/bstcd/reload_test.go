@@ -212,7 +212,7 @@ func TestServeRegistryPollSwap(t *testing.T) {
 	var out syncWriter
 	base, done := bootDaemon(t, ctx, &out,
 		"-registry", dir, "-registry-poll", "15ms", "-addr", "127.0.0.1:0",
-		"-batch", "4", "-max-wait", "1ms")
+		"-batch", "4")
 
 	m := modelMeta(t, base)
 	if m["version"] != "v1" {
@@ -291,7 +291,7 @@ func TestSighupSingleModelReload(t *testing.T) {
 	var out syncWriter
 	base, done := bootDaemon(t, ctx, &out,
 		"-model", path, "-model-version", "prostate",
-		"-addr", "127.0.0.1:0", "-batch", "4", "-max-wait", "1ms")
+		"-addr", "127.0.0.1:0", "-batch", "4")
 
 	wantV1, _, err := v1.ClassifyRow(rows[3])
 	if err != nil {
@@ -355,7 +355,7 @@ func TestBstcdDaemonHelper(t *testing.T) {
 	ctx, cancel := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer cancel()
 	if err := run(ctx,
-		[]string{"-registry", dir, "-addr", "127.0.0.1:0", "-batch", "4", "-max-wait", "1ms"},
+		[]string{"-registry", dir, "-addr", "127.0.0.1:0", "-batch", "4"},
 		os.Stdout, nil); err != nil {
 		t.Fatal(err)
 	}

@@ -37,7 +37,7 @@ func trainReplicas(t *testing.T, n int) ([]string, *eval.Artifact, [][]float64) 
 	}
 	urls := make([]string, n)
 	for i := range urls {
-		srv := serve.New(art, serve.Config{BatchSize: 4, MaxWait: time.Millisecond})
+		srv := serve.New(art, serve.Config{BatchSize: 4})
 		hs := httptest.NewServer(srv.Handler())
 		t.Cleanup(func() { hs.Close(); srv.Close() })
 		urls[i] = hs.URL

@@ -39,7 +39,7 @@ func TestFleetReplicaHelper(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := serve.New(art.Artifact, serve.Config{BatchSize: 4, MaxWait: time.Millisecond})
+	srv := serve.New(art.Artifact, serve.Config{BatchSize: 4})
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)

@@ -17,70 +17,24 @@ import (
 // timeouts; handlers map it to 504.
 var errWatchdog = errors.New("serve: batch watchdog expired")
 
-// runBatcher is one version's coalescing loop: it accumulates requests
-// routed to this version into a batch and dispatches when the batch fills,
-// when the oldest request has waited MaxWait, or immediately once the
-// version (or the whole server) is draining. Dispatch runs on its own
-// goroutine so the next batch forms while the previous one classifies.
-// Batches never mix versions — each model has its own queue and loop.
+// runBatcher is a version's one batch worker. It blocks until a request is
+// queued, takes whatever else is already queued (up to BatchSize),
+// classifies that batch itself, and only then looks at the queue again. There is no timer: at low load a request waits only for
+// compute, and under load the queue fills while the worker is busy, so
+// batches grow on their own and each version has at most one batch in
+// flight. Batches never mix versions — each model has its own queue and
+// worker. The worker exits once retire closes the queue and it has
+// classified every row still in it.
 func (m *model) runBatcher() {
 	defer m.batcher.Done()
-	cfg := &m.s.cfg
-	timer := time.NewTimer(time.Hour)
-	if !timer.Stop() {
-		<-timer.C
-	}
-	timerLive := false
-	stopTimer := func() {
-		if timerLive && !timer.Stop() {
-			<-timer.C
+	for p := range m.queue {
+		batch := []*pending{p}
+		// The worker is the queue's only receiver, so every row len
+		// reports is there to take without blocking.
+		for len(batch) < m.s.cfg.BatchSize && len(m.queue) > 0 {
+			batch = append(batch, <-m.queue)
 		}
-		timerLive = false
-	}
-	var batch []*pending
-	flush := func() {
-		stopTimer()
-		if len(batch) > 0 {
-			m.dispatch(batch)
-			batch = nil
-		}
-	}
-	for {
-		if len(batch) == 0 {
-			select {
-			case p, ok := <-m.queue:
-				if !ok {
-					return
-				}
-				batch = append(batch, p)
-				if len(batch) >= cfg.BatchSize || m.draining() {
-					flush()
-					continue
-				}
-				timer.Reset(cfg.MaxWait)
-				timerLive = true
-			case <-m.kick:
-				// Draining with nothing buffered: loop around; the next
-				// queue receive (or close) resolves promptly.
-			}
-			continue
-		}
-		select {
-		case p, ok := <-m.queue:
-			if !ok {
-				flush()
-				return
-			}
-			batch = append(batch, p)
-			if len(batch) >= cfg.BatchSize || m.draining() {
-				flush()
-			}
-		case <-timer.C:
-			timerLive = false
-			flush()
-		case <-m.kick:
-			flush()
-		}
+		m.flushBatch(batch)
 	}
 }
 
@@ -106,80 +60,78 @@ func failBatch(batch []*pending, err error) {
 	}
 }
 
-// dispatch classifies one micro-batch on a worker goroutine. The rows go
+// flushBatch classifies one batch on the worker goroutine. The rows go
 // through the parallel single-pass kernel (core.DecideBatchParallel), which
 // evaluates every table once per request for both the class and the
 // confidence. Delivery into the buffered done channels never blocks, so a
 // request that already gave up on its deadline cannot stall the batch.
 //
-// The worker is fenced two ways: a panic is contained into 500s with the
+// The flush is fenced two ways: a panic is contained into 500s with the
 // stack in the run log, and a watchdog fails the batch with 504s — plus an
 // all-goroutine stack dump — if the flush outlives WatchdogFactor request
-// timeouts. Either way the server keeps taking requests.
-func (m *model) dispatch(batch []*pending) {
+// timeouts. Either way the worker moves on to the next batch once the
+// flush returns. Requests queued behind a wedged flush wait for it and get
+// a 504 at their own deadline.
+func (m *model) flushBatch(batch []*pending) {
 	s := m.s
-	m.inflightBatches.Add(1)
-	go func() {
-		defer m.inflightBatches.Done()
-		if s.cfg.WatchdogFactor > 0 {
-			limit := time.Duration(s.cfg.WatchdogFactor) * s.cfg.RequestTimeout
-			wd := time.AfterFunc(limit, func() { m.watchdogFire(batch, limit) })
-			defer wd.Stop()
+	if s.cfg.WatchdogFactor > 0 {
+		limit := time.Duration(s.cfg.WatchdogFactor) * s.cfg.RequestTimeout
+		wd := time.AfterFunc(limit, func() { m.watchdogFire(batch, limit) })
+		defer wd.Stop()
+	}
+	defer func() {
+		if r := recover(); r != nil {
+			perr := fault.Recovered("serve.batch", r)
+			s.met.batchPanics.Inc()
+			s.emitFailure("serve.batch", perr.Error(), perr.Stack)
+			failBatch(batch, perr)
 		}
-		defer func() {
-			if r := recover(); r != nil {
-				perr := fault.Recovered("serve.batch", r)
-				s.met.batchPanics.Inc()
-				s.emitFailure("serve.batch", perr.Error(), perr.Stack)
-				failBatch(batch, perr)
-			}
-		}()
-		if err := fault.Hit("serve.batch"); err != nil {
-			s.emitFailure("serve.batch", err.Error(), nil)
-			failBatch(batch, err)
-			return
-		}
-		enq := obs.Now()
-		// End every request's batch_wait span, collect the batch's trace
-		// IDs, and hang the flush span off the first traced request (the
-		// one that has waited longest).
-		var flush *trace.Span
-		var traceIDs []string
-		rows := make([]*bitset.Set, len(batch))
-		for i, p := range batch {
-			rows[i] = p.q
-			s.met.queueWait.Record(int64(enq.Sub(p.enqueued)))
-			if p.wait != nil {
-				p.wait.End()
-				traceIDs = append(traceIDs, p.wait.TraceIDString())
-				if flush == nil {
-					flush = p.wait.StartChild("serve/batch_flush")
-					flush.SetAttr("batch_size", len(batch))
-					flush.SetAttr("workers", s.cfg.Workers)
-					flush.SetAttr("model_version", m.version)
-				}
-			}
-		}
-
-		ph := obs.NewPhasesIn(s.cfg.Registry)
-		span := ph.Start("serve/classify")
-		classify := flush.StartChild("serve/classify")
-		preds, confs := m.art.Classifier.DecideBatchParallel(rows, s.cfg.Workers)
-		for i, p := range batch {
-			deliver(p, result{class: preds[i], confidence: confs[i]})
-		}
-		classify.End()
-		classifyNS := span.End()
-		flush.End()
-
-		s.met.batches.Inc()
-		s.met.batchSamples.Add(int64(len(batch)))
-		s.met.batchSize.Record(int64(len(batch)))
-		m.met.batches.Inc()
-		m.met.batchSamples.Add(int64(len(batch)))
-		m.met.batchSize.Record(int64(len(batch)))
-		m.recordBatch(len(batch), preds, classifyNS, flush, traceIDs)
 	}()
+	if err := fault.Hit("serve.batch"); err != nil {
+		s.emitFailure("serve.batch", err.Error(), nil)
+		failBatch(batch, err)
+		return
+	}
+	enq := obs.Now()
+	// End every request's batch_wait span, collect the batch's trace
+	// IDs, and hang the flush span off the first traced request (the
+	// one that has waited longest).
+	var flush *trace.Span
+	var traceIDs []string
+	rows := make([]*bitset.Set, len(batch))
+	for i, p := range batch {
+		rows[i] = p.q
+		s.met.queueWait.Record(int64(enq.Sub(p.enqueued)))
+		if p.wait != nil {
+			p.wait.End()
+			traceIDs = append(traceIDs, p.wait.TraceIDString())
+			if flush == nil {
+				flush = p.wait.StartChild("serve/batch_flush")
+				flush.SetAttr("batch_size", len(batch))
+				flush.SetAttr("workers", s.cfg.Workers)
+				flush.SetAttr("model_version", m.version)
+			}
+		}
+	}
+
+	ph := obs.NewPhasesIn(s.cfg.Registry)
+	span := ph.Start("serve/classify")
+	classify := flush.StartChild("serve/classify")
+	preds, confs := m.art.Classifier.DecideBatchParallel(rows, s.cfg.Workers)
+	for i, p := range batch {
+		deliver(p, result{class: preds[i], confidence: confs[i]})
+	}
+	classify.End()
+	classifyNS := span.End()
+	flush.End()
+
+	s.met.batches.Inc()
+	s.met.batchSamples.Add(int64(len(batch)))
+	s.met.batchSize.Record(int64(len(batch)))
+	m.met.batches.Inc()
+	m.met.batchSamples.Add(int64(len(batch)))
+	m.met.batchSize.Record(int64(len(batch)))
+	m.recordBatch(len(batch), preds, classifyNS, flush, traceIDs)
 }
 
 // watchdogFire is the batch watchdog's timer body: count it, dump every

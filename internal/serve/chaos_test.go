@@ -137,7 +137,9 @@ func TestHandlerPanicContained(t *testing.T) {
 // TestWatchdogFailsWedgedBatch wedges the batch worker (injected latency far
 // past the request timeout) and checks the watchdog fires: the request is
 // failed with 504 instead of hanging, the counter moves, and the run log
-// gets an all-goroutine stack dump.
+// gets an all-goroutine stack dump. A request queued behind the wedged
+// batch waits for the same worker, so it gets a 504 at its own deadline,
+// and Close still returns once the wedge clears.
 func TestWatchdogFailsWedgedBatch(t *testing.T) {
 	in := fault.NewInjector(12)
 	in.Set("serve.batch", fault.Rule{Prob: 1, MaxFires: 1, Latency: 400 * time.Millisecond})
@@ -160,6 +162,16 @@ func TestWatchdogFailsWedgedBatch(t *testing.T) {
 	if status != http.StatusGatewayTimeout {
 		t.Fatalf("wedged batch: status %d, want 504", status)
 	}
+	// The worker is still wedged (the 504 came at 50ms of a 400ms wedge),
+	// so this request queues behind it and times out on its own deadline.
+	sent := time.Now()
+	status, body := postClassify(t, ts.URL, valuesBody(t, testSamples()[1]))
+	if status != http.StatusGatewayTimeout || !strings.Contains(string(body), "deadline exceeded") {
+		t.Fatalf("request queued behind the wedged batch: status %d (%s), want a deadline 504", status, body)
+	}
+	if waited := time.Since(sent); waited >= 400*time.Millisecond {
+		t.Errorf("queued request answered after %v, not at its 50ms deadline", waited)
+	}
 	deadline := time.Now().Add(5 * time.Second)
 	for counterValue(reg, "serve.watchdog_fires") == 0 && time.Now().Before(deadline) {
 		time.Sleep(10 * time.Millisecond)
@@ -167,9 +179,19 @@ func TestWatchdogFailsWedgedBatch(t *testing.T) {
 	if got := counterValue(reg, "serve.watchdog_fires"); got == 0 {
 		t.Fatal("watchdog never fired")
 	}
+	if got := counterValue(reg, "serve.deadline_exceeded"); got < 1 {
+		t.Errorf("serve.deadline_exceeded = %d, want >= 1", got)
+	}
 	// Close drains the wedged worker, so the log is complete and quiescent.
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
+	closed := make(chan error, 1)
+	go func() { closed <- s.Close() }()
+	select {
+	case err := <-closed:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("Close did not return after the wedge cleared")
 	}
 	recs := failureRecords(t, logBuf.String(), "serve.watchdog")
 	if len(recs) != 1 {
@@ -184,10 +206,9 @@ func TestWatchdogFailsWedgedBatch(t *testing.T) {
 // draining, checking both rejections carry Retry-After and both counters are
 // visible through /metrics.
 func TestRetryAfterAndOverloadCounters(t *testing.T) {
+	holdWorker(t, 300*time.Millisecond)
 	reg := obs.NewRegistry()
 	s := New(testArtifact(t), Config{
-		BatchSize:   64, // never fills: requests wait out MaxWait
-		MaxWait:     300 * time.Millisecond,
 		MaxInFlight: 1,
 		RetryAfter:  3 * time.Second,
 		Registry:    reg,
@@ -195,7 +216,8 @@ func TestRetryAfterAndOverloadCounters(t *testing.T) {
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
-	// Request A occupies the single in-flight slot while its batch waits.
+	// Request A occupies the single in-flight slot while the worker holds
+	// its batch.
 	done := make(chan int, 1)
 	go func() {
 		status, _ := postClassify(t, ts.URL, valuesBody(t, testSamples()[0]))

@@ -21,8 +21,9 @@ import (
 // The swap protocol (Apply) is drain-old/warm-new: the new snapshot is
 // published first, so new requests route to the new version immediately;
 // versions that fell out of the table then retire in the background —
-// requests already routed to them finish on them, their batcher flushes,
-// and only when their last response is delivered is the artifact released.
+// requests already routed to them finish on them, their batch worker
+// classifies what is queued, and only when their last response is
+// delivered is the artifact released.
 // No request is ever dropped or answered by a version other than the one
 // it was routed to.
 
@@ -56,8 +57,8 @@ type Update struct {
 	Seed          uint64
 }
 
-// model is one live serving version: the artifact plus its own micro-batch
-// pipeline and per-version telemetry.
+// model is one live serving version: the artifact plus its own queue and
+// batch worker and per-version telemetry.
 type model struct {
 	version     string
 	fingerprint string
@@ -66,17 +67,13 @@ type model struct {
 	itemIdx     map[string]int
 	release     func()
 
-	queue chan *pending
-	kick  chan struct{} // nudges the batcher to flush early while draining
+	queue   chan *pending
+	batcher sync.WaitGroup // the batch worker goroutine
 
-	batcher         sync.WaitGroup // the batcher goroutine
-	inflightBatches sync.WaitGroup // dispatched batch workers
-
-	mu      sync.Mutex
-	cond    *sync.Cond
-	active  int  // requests routed here and not yet answered
-	retired bool // batches flush immediately; version is draining
-	closed  bool // queue closed; acquire fails, callers re-route
+	mu     sync.Mutex
+	cond   *sync.Cond
+	active int  // requests routed here and not yet answered
+	closed bool // queue closed; acquire fails, callers re-route
 
 	retireOnce sync.Once
 
@@ -183,7 +180,7 @@ func (sn *snapshot) pick(key []byte, met *metrics) (m *model, canary bool) {
 	return sn.stable, false
 }
 
-// newModel builds a live version and starts its batcher.
+// newModel builds a live version and starts its batch worker.
 func (s *Server) newModel(d *Model) *model {
 	reg := s.cfg.Registry
 	ver := obs.Label{Key: "version", Value: d.Version}
@@ -195,7 +192,6 @@ func (s *Server) newModel(d *Model) *model {
 		itemIdx:     d.Artifact.Disc.ItemIndex(),
 		release:     d.Release,
 		queue:       make(chan *pending, s.cfg.MaxInFlight),
-		kick:        make(chan struct{}, 1),
 		met: vmetrics{
 			requests:     reg.CounterWith("serve.requests", ver),
 			ok:           reg.CounterWith("serve.ok", ver),
@@ -249,31 +245,14 @@ func (m *model) done() {
 	m.mu.Unlock()
 }
 
-// draining reports whether this version's batcher should flush immediately
-// rather than waiting out MaxWait: the version is retiring, or the whole
-// server is.
-func (m *model) draining() bool {
-	m.mu.Lock()
-	r := m.retired
-	m.mu.Unlock()
-	return r || m.s.Draining()
-}
-
-// retire drains the version: already-routed requests finish here (flushed
-// immediately instead of waiting out MaxWait), then the queue closes, the
-// batcher and its workers stop, the version's SLOs leave the set, and the
-// artifact is released. Requests that raced the swap and lost (acquire
-// after teardown) re-route to the live snapshot; nothing is dropped.
-// Idempotent; concurrent callers block until the first drain completes.
+// retire drains the version: already-routed requests finish here, then
+// the queue closes, the batch worker stops, the version's SLOs leave the
+// set, and the artifact is released. Requests that raced the swap and lost
+// (acquire after teardown) re-route to the live snapshot; nothing is
+// dropped. Idempotent; concurrent callers block until the first drain
+// completes.
 func (m *model) retire() {
 	m.retireOnce.Do(func() {
-		m.mu.Lock()
-		m.retired = true
-		m.mu.Unlock()
-		select {
-		case m.kick <- struct{}{}:
-		default:
-		}
 		m.mu.Lock()
 		for m.active > 0 {
 			m.cond.Wait()
@@ -282,10 +261,9 @@ func (m *model) retire() {
 		m.mu.Unlock()
 		// Every routed request is answered and acquire now fails, so no
 		// goroutine can still send on the queue; closing it stops the
-		// batcher after it flushes rows abandoned to deadlines.
+		// worker after it classifies rows abandoned to deadlines.
 		close(m.queue)
 		m.batcher.Wait()
-		m.inflightBatches.Wait()
 		m.s.slos.Remove(m.sloAvail.Name())
 		m.s.slos.Remove(m.sloLatency.Name())
 		if m.release != nil {

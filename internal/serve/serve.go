@@ -11,12 +11,13 @@
 // pipeline, labeled serve.* metrics, and SLO trackers. Apply hot-swaps the
 // routing table with drain-old/warm-new semantics — see router.go.
 //
-// The request path is: decode → route (stable/canary) → discretize (per
-// request, spanned, by the routed version) → enqueue → micro-batch flush on
-// size or max-wait → core.ClassifyBatchParallel (per batch, spanned) →
-// per-request response. Predictions are exactly what core.Classify returns
-// for the same row under the same version; batching and routing change
-// latency and placement, never results.
+// The request path is: read body → admit (shed 429 / drain 503) → decode →
+// route (stable/canary) → discretize (per request, spanned, by the routed
+// version) → enqueue → the version's batch worker takes every queued row
+// (up to BatchSize) whenever it is free → core.DecideBatchParallel (per
+// batch, spanned) → per-request response. Predictions are exactly what
+// core.Classify returns for the same row under the same version; batching
+// and routing change latency and placement, never results.
 //
 // Endpoints:
 //
@@ -67,11 +68,10 @@ import (
 // Config tunes the server. The zero value of every field selects a sane
 // default, so Config{} is a working development configuration.
 type Config struct {
-	// BatchSize is the micro-batch flush threshold (default 32).
+	// BatchSize caps how many queued requests the batch worker takes at
+	// once (default 32). It is a cap, not a flush threshold: the worker
+	// never waits for a batch to fill.
 	BatchSize int
-	// MaxWait is how long a non-full batch waits for company before it is
-	// flushed anyway (default 2ms). Smaller trades throughput for latency.
-	MaxWait time.Duration
 	// MaxInFlight bounds admitted-but-unanswered requests across all
 	// versions; excess load is shed with 429 (default 4×BatchSize).
 	MaxInFlight int
@@ -122,9 +122,6 @@ type Config struct {
 func (c Config) withDefaults() Config {
 	if c.BatchSize <= 0 {
 		c.BatchSize = 32
-	}
-	if c.MaxWait <= 0 {
-		c.MaxWait = 2 * time.Millisecond
 	}
 	if c.MaxInFlight <= 0 {
 		c.MaxInFlight = 4 * c.BatchSize
@@ -340,22 +337,13 @@ func (s *Server) release() {
 }
 
 // Shutdown drains the server: new requests are rejected with 503, every
-// admitted request is answered (pending micro-batches flush immediately
-// rather than waiting out MaxWait), every version retires, and its
-// artifact handles are released. It returns ctx.Err if the context expires
-// first; the server keeps draining in the background in that case.
+// admitted request is answered, every version retires, and its artifact
+// handles are released. It returns ctx.Err if the context expires first;
+// the server keeps draining in the background in that case.
 func (s *Server) Shutdown(ctx context.Context) error {
 	s.mu.Lock()
-	if !s.draining {
-		s.draining = true
-	}
+	s.draining = true
 	s.mu.Unlock()
-	for _, m := range s.route.Load().models() {
-		select {
-		case m.kick <- struct{}{}:
-		default:
-		}
-	}
 
 	done := make(chan struct{})
 	go func() {
@@ -527,6 +515,22 @@ func (s *Server) handleClassify(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusRequestEntityTooLarge, "body exceeds %d bytes", maxRequestBody)
 		return
 	}
+
+	// Shed before decoding: a paper-scale body costs milliseconds to parse,
+	// which an overloaded server should not spend on a request it rejects.
+	// The body read stays outside admission, so a slow sender never holds
+	// an in-flight slot.
+	if status := s.admit(); status != 0 {
+		span.AddEvent("rejected")
+		if status == http.StatusTooManyRequests {
+			s.rejectBusy(w, status, "overloaded: %d requests in flight", s.cfg.MaxInFlight)
+		} else {
+			s.rejectBusy(w, status, "server is draining")
+		}
+		return
+	}
+	defer s.release()
+
 	req, err := decodeRequest(body)
 	if err != nil {
 		s.met.badRequest.Inc()
@@ -540,17 +544,6 @@ func (s *Server) handleClassify(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusInternalServerError, "%v", err)
 		return
 	}
-
-	if status := s.admit(); status != 0 {
-		span.AddEvent("rejected")
-		if status == http.StatusTooManyRequests {
-			s.rejectBusy(w, status, "overloaded: %d requests in flight", s.cfg.MaxInFlight)
-		} else {
-			s.rejectBusy(w, status, "server is draining")
-		}
-		return
-	}
-	defer s.release()
 
 	// Route to a version and pin it for the request's lifetime. acquire
 	// fails only against a version that finished retiring after we read the

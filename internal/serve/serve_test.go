@@ -15,6 +15,7 @@ import (
 
 	"bstc/internal/dataset"
 	"bstc/internal/eval"
+	"bstc/internal/fault"
 	"bstc/internal/obs"
 )
 
@@ -91,9 +92,47 @@ func valuesBody(t testing.TB, row []float64) string {
 	return string(b)
 }
 
-// TestBatchingDeterminism is the core serving guarantee: across batch sizes
-// and flush timings, under concurrency, every response body is byte-identical
-// to what the direct core classify path produces for that sample.
+// holdWorker arms a latency-only serve.batch fault: the first batch a
+// worker takes sleeps for d before it classifies, which holds that
+// version's worker, and every request queued behind it, for d. The
+// injector is process-wide, so tests using it must not run in parallel.
+func holdWorker(t *testing.T, d time.Duration) *fault.Injector {
+	t.Helper()
+	in := fault.NewInjector(1)
+	in.Set("serve.batch", fault.Rule{Prob: 1, MaxFires: 1, Latency: d})
+	fault.Enable(in)
+	t.Cleanup(fault.Disable)
+	return in
+}
+
+// waitHeld blocks until a batch worker has taken a request and begun the
+// hold armed by holdWorker.
+func waitHeld(t *testing.T, in *fault.Injector) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for in.Counts()["serve.batch"].Fires == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("no batch worker took a request")
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// waitQueued blocks until n requests wait in m's queue.
+func waitQueued(t *testing.T, m *model, n int) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for len(m.queue) < n {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d requests queued, want %d", len(m.queue), n)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestBatchingDeterminism is the core serving guarantee: across batch size
+// caps, under concurrency, every response body is byte-identical to what
+// the direct core classify path produces for that sample.
 func TestBatchingDeterminism(t *testing.T) {
 	art := testArtifact(t)
 	samples := testSamples()
@@ -103,14 +142,14 @@ func TestBatchingDeterminism(t *testing.T) {
 	}
 
 	configs := []Config{
-		{BatchSize: 1, MaxWait: time.Millisecond, MaxInFlight: 64},
-		{BatchSize: 3, MaxWait: 5 * time.Millisecond, MaxInFlight: 64},
-		{BatchSize: 8, MaxWait: 50 * time.Millisecond, MaxInFlight: 64},
-		{BatchSize: 64, MaxWait: time.Millisecond, MaxInFlight: 64},
+		{BatchSize: 1, MaxInFlight: 64},
+		{BatchSize: 3, MaxInFlight: 64},
+		{BatchSize: 8, MaxInFlight: 64},
+		{BatchSize: 64, MaxInFlight: 64},
 	}
 	for _, cfg := range configs {
 		cfg := cfg
-		t.Run(fmt.Sprintf("batch=%d_wait=%s", cfg.BatchSize, cfg.MaxWait), func(t *testing.T) {
+		t.Run(fmt.Sprintf("batch=%d", cfg.BatchSize), func(t *testing.T) {
 			s := New(art, cfg)
 			ts := httptest.NewServer(s.Handler())
 			defer ts.Close()
@@ -142,6 +181,97 @@ func TestBatchingDeterminism(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestNaturalBatching pins the batch worker's policy: it takes whatever is
+// queued when it is free, up to BatchSize, and never waits for a batch to
+// fill. Under load the queue fills while the worker is busy and batches
+// grow on their own; at low load a request waits only for compute.
+func TestNaturalBatching(t *testing.T) {
+	art := testArtifact(t)
+	samples := testSamples()
+
+	t.Run("queue_fills_while_busy", func(t *testing.T) {
+		in := holdWorker(t, time.Second)
+		s := New(art, Config{BatchSize: 4})
+		ts := httptest.NewServer(s.Handler())
+		defer ts.Close()
+		defer s.Close()
+
+		type reply struct {
+			sample, status int
+			body           []byte
+		}
+		replies := make(chan reply, 6)
+		post := func(i int) {
+			status, body := postClassify(t, ts.URL, valuesBody(t, samples[i]))
+			replies <- reply{i, status, body}
+		}
+		go post(0)
+		waitHeld(t, in)
+		for i := 1; i <= 5; i++ {
+			go post(i)
+		}
+		// All five queue behind the held batch: no second batch may be
+		// dispatched while the worker is busy.
+		waitQueued(t, s.route.Load().stable, 5)
+		if n := len(s.ring.records()); n != 0 {
+			t.Fatalf("%d batches dispatched during the hold, want 0", n)
+		}
+
+		for range 6 {
+			r := <-replies
+			if r.status != http.StatusOK {
+				t.Fatalf("sample %d: status %d: %s", r.sample, r.status, r.body)
+			}
+			if want := expectedBody(t, art, samples[r.sample]); !bytes.Equal(r.body, want) {
+				t.Errorf("sample %d: body %q, want %q", r.sample, r.body, want)
+			}
+		}
+		resp, err := http.Get(ts.URL + "/runlogz")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var recs []BatchRecord
+		if err := json.NewDecoder(resp.Body).Decode(&recs); err != nil {
+			t.Fatal(err)
+		}
+		var sizes []int
+		for _, r := range recs {
+			sizes = append(sizes, r.Size)
+		}
+		if fmt.Sprint(sizes) != "[1 4 1]" {
+			t.Errorf("/runlogz batch sizes %v, want [1 4 1]", sizes)
+		}
+	})
+
+	t.Run("low_load_waits_only_for_compute", func(t *testing.T) {
+		reg := obs.NewRegistry()
+		s := New(art, Config{BatchSize: 32, Registry: reg})
+		ts := httptest.NewServer(s.Handler())
+		defer ts.Close()
+		defer s.Close()
+
+		const n = 20
+		for i := range n {
+			row := samples[i%len(samples)]
+			status, body := postClassify(t, ts.URL, valuesBody(t, row))
+			if status != http.StatusOK {
+				t.Fatalf("request %d: status %d: %s", i, status, body)
+			}
+			if want := expectedBody(t, art, row); !bytes.Equal(body, want) {
+				t.Errorf("request %d: body %q, want %q", i, body, want)
+			}
+		}
+		wait := reg.Snapshot().Hists["serve.queue_wait_ns"]
+		if wait.Count != n {
+			t.Fatalf("serve.queue_wait_ns holds %d observations, want %d", wait.Count, n)
+		}
+		if wait.P50 >= int64(time.Millisecond) {
+			t.Errorf("sequential requests: queue wait p50 %v, want under 1ms", time.Duration(wait.P50))
+		}
+	})
 }
 
 // TestItemsRequestMatchesValues checks the pre-discretized request form: the
@@ -177,16 +307,18 @@ func TestItemsRequestMatchesValues(t *testing.T) {
 	}
 }
 
-// TestDeadlineExceeded504 pins the deadline path: a batch that can never
-// fill before the request deadline must answer 504, and the server must
-// still shut down cleanly afterwards (the abandoned row flushes on drain).
+// TestDeadlineExceeded504 pins the deadline path: a request the batch
+// worker cannot answer before the request deadline must get a 504, and the
+// server must still shut down cleanly afterwards (the worker classifies the
+// abandoned row once the hold ends). The watchdog is off, so the request's
+// own deadline is the only thing that can fail it.
 func TestDeadlineExceeded504(t *testing.T) {
+	holdWorker(t, 300*time.Millisecond)
 	reg := obs.NewRegistry()
 	art := testArtifact(t)
 	s := New(art, Config{
-		BatchSize:      100,
-		MaxWait:        10 * time.Second,
 		RequestTimeout: 50 * time.Millisecond,
+		WatchdogFactor: -1,
 		Registry:       reg,
 	})
 	ts := httptest.NewServer(s.Handler())
@@ -213,15 +345,15 @@ func TestDeadlineExceeded504(t *testing.T) {
 }
 
 // TestSheddingAndDrain exercises admission control end to end: with
-// MaxInFlight=2 occupied, a third request is shed with 429; Shutdown then
-// flushes the two waiting requests immediately (not after MaxWait) with
-// correct bodies, and post-drain traffic gets 503.
+// MaxInFlight=2 occupied by requests a held batch worker has not answered,
+// a third request is shed with 429; Shutdown then answers the two admitted
+// requests with correct bodies as soon as the worker is free, and
+// post-drain traffic gets 503.
 func TestSheddingAndDrain(t *testing.T) {
+	holdWorker(t, 500*time.Millisecond)
 	reg := obs.NewRegistry()
 	art := testArtifact(t)
 	s := New(art, Config{
-		BatchSize:      100,
-		MaxWait:        30 * time.Second,
 		MaxInFlight:    2,
 		RequestTimeout: 30 * time.Second,
 		Registry:       reg,
@@ -261,7 +393,7 @@ func TestSheddingAndDrain(t *testing.T) {
 		t.Fatalf("Shutdown: %v", err)
 	}
 	if elapsed := time.Since(start); elapsed > 5*time.Second {
-		t.Fatalf("drain took %s; should flush pending batch immediately, not wait out MaxWait", elapsed)
+		t.Fatalf("drain took %s; should answer the admitted requests once the worker is free", elapsed)
 	}
 	wantBodies := map[string]bool{
 		string(expectedBody(t, art, samples[0])): true,
@@ -298,6 +430,36 @@ func TestSheddingAndDrain(t *testing.T) {
 	}
 }
 
+// TestShedBeforeDecode pins the admission order: an overloaded server sheds
+// a request before it spends a decode on it, so with the only in-flight
+// slot taken even a malformed body gets a 429, not a 400.
+func TestShedBeforeDecode(t *testing.T) {
+	in := holdWorker(t, 300*time.Millisecond)
+	reg := obs.NewRegistry()
+	s := New(testArtifact(t), Config{MaxInFlight: 1, Registry: reg})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	defer s.Close()
+
+	held := make(chan int, 1)
+	go func() {
+		status, _ := postClassify(t, ts.URL, valuesBody(t, testSamples()[0]))
+		held <- status
+	}()
+	waitHeld(t, in)
+
+	if status, body := postClassify(t, ts.URL, "{nope"); status != http.StatusTooManyRequests {
+		t.Fatalf("malformed body with the only slot held: status %d (%s), want 429", status, body)
+	}
+	if status := <-held; status != http.StatusOK {
+		t.Fatalf("held request: status %d, want 200", status)
+	}
+	snap := reg.Snapshot()
+	if shed, bad := snap.Counters["serve.shed"], snap.Counters["serve.bad_request"]; shed != 1 || bad != 0 {
+		t.Errorf("serve.shed = %d, serve.bad_request = %d; want 1 and 0", shed, bad)
+	}
+}
+
 // TestEndpointsAndMetrics covers the observability surface: /v1/model,
 // /healthz, /metrics (counters and phase histograms present), /runlogz
 // (batch records whose sizes sum to the answered requests).
@@ -306,7 +468,7 @@ func TestEndpointsAndMetrics(t *testing.T) {
 	var logBuf bytes.Buffer
 	rl := obs.NewRunLog(&logBuf)
 	art := testArtifact(t)
-	s := New(art, Config{BatchSize: 4, MaxWait: 2 * time.Millisecond, Registry: reg, RunLog: rl})
+	s := New(art, Config{BatchSize: 4, Registry: reg, RunLog: rl})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 

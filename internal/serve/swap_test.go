@@ -112,7 +112,7 @@ func TestSwapAtomicUnderLoad(t *testing.T) {
 	}
 
 	reg := obs.NewRegistry()
-	s := New(art1, Config{BatchSize: 4, MaxWait: time.Millisecond, MaxInFlight: 256, Registry: reg})
+	s := New(art1, Config{BatchSize: 4, MaxInFlight: 256, Registry: reg})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 	defer s.Close()
@@ -341,37 +341,38 @@ func TestCanaryDeterminism(t *testing.T) {
 	}
 }
 
-// TestSwapDrainsInFlight pins drain-old semantics: a request already routed
-// to v1 and waiting in its batch queue when the swap lands must still be
-// answered by v1 — byte-identical to v1's classification — while new
-// requests go to v2; and once v2 itself is swapped away, its Release hook
-// fires exactly once after the drain.
+// TestSwapDrainsInFlight pins drain-old semantics: requests already routed
+// to v1 when the swap lands — one in the batch v1's worker is holding and
+// one waiting in v1's queue behind it — must still be answered by v1,
+// byte-identical to v1's classification, while new requests go to v2; and
+// once v2 itself is swapped away, its Release hook fires exactly once after
+// the drain.
 func TestSwapDrainsInFlight(t *testing.T) {
+	in := holdWorker(t, 100*time.Millisecond)
 	art1, art2 := testArtifact(t), testArtifactFlipped(t)
 	row := testSamples()[0]
-	s := New(art1, Config{BatchSize: 64, MaxWait: 400 * time.Millisecond, MaxInFlight: 8})
+	s := New(art1, Config{MaxInFlight: 8})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 	defer s.Close()
 
-	// Park a request in v1's batch queue (BatchSize is never reached, so it
-	// would wait out MaxWait).
+	// Hold v1's worker on one request and park a second in v1's queue.
 	type answer struct {
 		status int
 		body   []byte
 	}
-	parked := make(chan answer, 1)
+	parked := make(chan answer, 2)
 	start := time.Now()
-	go func() {
+	post := func() {
 		status, body := postClassify(t, ts.URL, valuesBody(t, row))
 		parked <- answer{status, body}
-	}()
-	deadline := time.Now().Add(2 * time.Second)
-	for s.InFlight() == 0 && time.Now().Before(deadline) {
-		time.Sleep(2 * time.Millisecond)
 	}
-	if s.InFlight() == 0 {
-		t.Fatal("request never went in flight")
+	go post()
+	waitHeld(t, in)
+	go post()
+	waitQueued(t, s.route.Load().stable, 1)
+	if s.InFlight() != 2 {
+		t.Fatalf("%d requests in flight, want 2", s.InFlight())
 	}
 
 	released := make(chan struct{})
@@ -383,17 +384,19 @@ func TestSwapDrainsInFlight(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// The parked request drains on v1 — and retirement flushes it
-	// immediately instead of letting it wait out MaxWait.
-	got := <-parked
+	// Both requests drain on v1, as soon as the 100ms hold ends:
+	// retirement adds no wait of its own.
+	for range 2 {
+		got := <-parked
+		if got.status != http.StatusOK {
+			t.Fatalf("parked request: status %d: %s", got.status, got.body)
+		}
+		if want := expectedBodyVersion(t, art1, row, "v1"); !bytes.Equal(got.body, want) {
+			t.Errorf("parked request not answered by v1:\ngot  %swant %s", got.body, want)
+		}
+	}
 	if waited := time.Since(start); waited >= 400*time.Millisecond {
-		t.Errorf("drained request still waited the full MaxWait (%v)", waited)
-	}
-	if got.status != http.StatusOK {
-		t.Fatalf("parked request: status %d: %s", got.status, got.body)
-	}
-	if want := expectedBodyVersion(t, art1, row, "v1"); !bytes.Equal(got.body, want) {
-		t.Errorf("parked request not answered by v1:\ngot  %swant %s", got.body, want)
+		t.Errorf("drained requests waited %v, well past the 100ms hold", waited)
 	}
 	if !s.waitRetired(5 * time.Second) {
 		t.Fatal("v1 never finished retiring")
@@ -613,7 +616,7 @@ func TestSwapChaosSweep(t *testing.T) {
 	art1, art2 := testArtifact(t), testArtifactFlipped(t)
 	rows := testSamples()
 	reg := obs.NewRegistry()
-	s := New(art1, Config{BatchSize: 4, MaxWait: time.Millisecond, MaxInFlight: 256, Registry: reg})
+	s := New(art1, Config{BatchSize: 4, MaxInFlight: 256, Registry: reg})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 	defer s.Close()

@@ -8,7 +8,6 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
-	"time"
 
 	"bstc/internal/obs"
 	"bstc/internal/obs/trace"
@@ -25,7 +24,6 @@ func TestClassifyTracePropagation(t *testing.T) {
 	rl := obs.NewRunLog(&logged)
 	s := New(art, Config{
 		BatchSize:   1,
-		MaxWait:     time.Millisecond,
 		MaxInFlight: 16,
 		Tracer:      trace.New(trace.Config{SampleRate: 1, Recorder: rec, Exporter: trace.NewExporter(&exported)}),
 		RunLog:      rl,
@@ -154,7 +152,6 @@ func TestClassifyUnsampledEchoesParent(t *testing.T) {
 	rec := trace.NewRecorder(0)
 	s := New(art, Config{
 		BatchSize:   1,
-		MaxWait:     time.Millisecond,
 		MaxInFlight: 16,
 		Tracer:      trace.New(trace.Config{SampleRate: 0, Recorder: rec}),
 	})
@@ -195,7 +192,6 @@ func TestSLOEndpointAndPromExposition(t *testing.T) {
 	art := testArtifact(t)
 	s := New(art, Config{
 		BatchSize:   1,
-		MaxWait:     time.Millisecond,
 		MaxInFlight: 16,
 		Registry:    obs.NewRegistry(),
 	})
