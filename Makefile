@@ -2,7 +2,7 @@ GO ?= go
 
 # The hot-path benchmark set tracked in BENCH_hotpath.json (see
 # EXPERIMENTS.md, "Hot-path benchmarks").
-HOTPATH_BENCH = BenchmarkTopK|BenchmarkTopKApprox|BenchmarkSketchOffer|BenchmarkEvaluate|BenchmarkClassify|BenchmarkClassifyBatchParallel|BenchmarkIntersect|BenchmarkKey|BenchmarkIntersectInto|BenchmarkAppendKey|BenchmarkRank|BenchmarkCountLoop|BenchmarkSelect|BenchmarkBuildIndex|BenchmarkArtifactColdStart|BenchmarkMappedClassifyRow
+HOTPATH_BENCH = BenchmarkTopK|BenchmarkTopKApprox|BenchmarkMineLowerBounds|BenchmarkSketchOffer|BenchmarkEvaluate|BenchmarkClassify|BenchmarkClassifyBatchParallel|BenchmarkIntersect|BenchmarkKey|BenchmarkIntersectInto|BenchmarkAppendKey|BenchmarkRank|BenchmarkCountLoop|BenchmarkSelect|BenchmarkBuildIndex|BenchmarkArtifactColdStart|BenchmarkMappedClassifyRow
 HOTPATH_PKGS = ./internal/bitset/ ./internal/carminer/ ./internal/core/ ./internal/eval/ ./internal/sketch/
 
 # Every native fuzz target, as "package:Target" pairs for fuzz-smoke
@@ -28,7 +28,7 @@ CHAOS_TESTS = Chaos|Fault|Panic|Watchdog|Checkpoint|Deadline|Cancel|RetryAfter|T
 CHAOS_PKGS = ./internal/fault/ ./internal/dataset/ ./internal/eval/ ./internal/serve/ ./internal/registry/ ./internal/fleet/
 CHAOS_SEED ?= 1
 
-.PHONY: check vet lint build test bench-module race bench bench-json bench-smoke bench-gate fuzz-smoke chaos load-smoke load-report fleet-smoke
+.PHONY: check fmt vet lint build test bench-module race bench bench-json bench-smoke bench-gate fuzz-smoke chaos load-smoke load-report fleet-smoke
 
 # The tier-1 gate plus the race-sensitive packages: the obs counters are
 # hit concurrently by parallel batch classification, eval threads the
@@ -42,7 +42,13 @@ CHAOS_SEED ?= 1
 # vets and tests the repository benchmark (bench/, a module of its own that
 # ./... does not reach): its smoke tests and serving goldens pin the served
 # class and confidence bits.
-check: vet lint build race test bench-module bench-smoke fuzz-smoke fleet-smoke
+check: fmt vet lint build race test bench-module bench-smoke fuzz-smoke fleet-smoke
+
+# fmt fails when gofmt would change any Go file in the tree, bench/ included.
+fmt:
+	@files=$$(gofmt -l .); if [ -n "$$files" ]; then \
+		echo "gofmt needed (run gofmt -w on these):"; echo "$$files"; exit 1; \
+	fi
 
 vet:
 	$(GO) vet ./...

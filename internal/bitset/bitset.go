@@ -264,21 +264,11 @@ func (s *Set) Extract(t *Set, fn func(i int)) int {
 
 // Transpose returns the transpose of the bit matrix whose rows are sets,
 // each over [0, n): out[j] is a set over [0, len(sets)) holding i exactly
-// when sets[i] contains j. The n result sets share one word slab, so the
-// whole transpose costs three allocations regardless of n.
+// when sets[i] contains j. The n result sets share one word slab (see
+// NewBlock), so the whole transpose costs three allocations regardless of n.
 func Transpose(sets []*Set, n int) []*Set {
-	if n < 0 {
-		panic("bitset: negative universe size")
-	}
-	m := len(sets)
-	nw := (m + wordBits - 1) / wordBits
-	slab := make([]uint64, n*nw)
-	rows := make([]Set, n)
-	out := make([]*Set, n)
-	for j := range out {
-		rows[j] = Set{words: slab[j*nw : (j+1)*nw : (j+1)*nw], n: m}
-		out[j] = &rows[j]
-	}
+	out, slab := newBlock(len(sets), n)
+	nw := (len(sets) + wordBits - 1) / wordBits
 	for i, s := range sets {
 		if s.n != n {
 			panic(fmt.Sprintf("bitset: universe mismatch %d vs %d", s.n, n))
@@ -290,6 +280,31 @@ func Transpose(sets []*Set, n int) []*Set {
 		})
 	}
 	return out
+}
+
+// NewBlock returns count empty sets over [0, n) carved out of one word
+// slab: three allocations however many sets there are. Each set's words
+// are capacity-limited to its own stripe, so the sets stay independent.
+func NewBlock(n, count int) []*Set {
+	out, _ := newBlock(n, count)
+	return out
+}
+
+// newBlock is NewBlock, also returning the slab: set i's words are
+// slab[i·w : (i+1)·w] for w = ⌈n/64⌉.
+func newBlock(n, count int) ([]*Set, []uint64) {
+	if n < 0 || count < 0 {
+		panic("bitset: negative universe size")
+	}
+	nw := (n + wordBits - 1) / wordBits
+	slab := make([]uint64, count*nw)
+	sets := make([]Set, count)
+	out := make([]*Set, count)
+	for i := range out {
+		sets[i] = Set{words: slab[i*nw : (i+1)*nw : (i+1)*nw], n: n}
+		out[i] = &sets[i]
+	}
+	return out, slab
 }
 
 // Intersect returns a new set holding s ∩ t.

@@ -43,3 +43,24 @@ func BenchmarkTopKApprox(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkMineLowerBounds measures the lower-bound BFS on one PC-shaped
+// group: the widest upper bound of the tumor class on a synth PC small
+// training split, searched for RCBT's default nl = 20 bounds (64,815
+// candidates, 12 bounds). allocs/op is the bounds' block and nothing per
+// candidate.
+func BenchmarkMineLowerBounds(b *testing.B) {
+	d, groups := pcTraining(b)
+	g := widestGroup(groups[0])
+	mine := func() {
+		if _, err := MineLowerBounds(context.Background(), d, g, 20, Budget{}); err != nil {
+			b.Fatal(err)
+		}
+	}
+	mine() // warm the pooled slabs
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		mine()
+	}
+}

@@ -1,9 +1,8 @@
 package core
 
 import (
-	"sort"
-
 	"bstc/internal/bitset"
+	"bstc/internal/carminer"
 )
 
 // MineIBRGLowerBounds finds up to nl lower bounds of the interesting
@@ -13,7 +12,8 @@ import (
 // bound is the (MC)²BAR mined by Algorithm 3 (its CAR portion is every
 // gene whose row support contains the set); lower bounds are the other end
 // of the group — the shortest rules with the same support, the form RCBT
-// prefers for matching test samples.
+// prefers for matching test samples. The search is RCBT's lower-bound BFS
+// (carminer.LowerBounds) over the CAR genes' row supports.
 //
 // For the paper's running example the group with support {s2} has upper
 // bound g1 AND g3 AND g6 and exactly two lower bounds, g1 AND g6 and
@@ -22,85 +22,10 @@ func (t *BST) MineIBRGLowerBounds(support *bitset.Set, nl int) []*bitset.Set {
 	if nl <= 0 || support.IsEmpty() {
 		return nil
 	}
-	carGenes := t.carGenes(support)
-	genes := carGenes.Indices()
-
-	type cand struct {
-		genes []int
-		rows  *bitset.Set // intersection of the genes' row supports
+	genes := t.carGenes(support).Indices()
+	cols := make([]*bitset.Set, len(genes))
+	for i, g := range genes {
+		cols[i] = t.RowSupport(g)
 	}
-	var found []*bitset.Set
-	hasFoundSubset := func(gs []int) bool {
-		for _, f := range found {
-			sup := true
-			f.ForEach(func(fg int) bool {
-				sup = containsSorted(gs, fg)
-				return sup
-			})
-			if sup {
-				return true
-			}
-		}
-		return false
-	}
-
-	var frontier []cand
-	for _, g := range genes {
-		rows := t.RowSupport(g)
-		if rows.Equal(support) {
-			found = append(found, bitset.FromIndices(t.numGenes, g))
-			if len(found) >= nl {
-				return found
-			}
-			continue
-		}
-		frontier = append(frontier, cand{genes: []int{g}, rows: rows})
-	}
-	for len(frontier) > 0 && len(found) < nl {
-		var next []cand
-		for i := 0; i < len(frontier); i++ {
-			for j := i + 1; j < len(frontier); j++ {
-				a, b := frontier[i], frontier[j]
-				if !samePrefix(a.genes, b.genes) {
-					break
-				}
-				gs := make([]int, len(a.genes)+1)
-				copy(gs, a.genes)
-				gs[len(gs)-1] = b.genes[len(b.genes)-1]
-				if hasFoundSubset(gs) {
-					continue
-				}
-				rows := bitset.Intersect(a.rows, b.rows)
-				if rows.Equal(support) {
-					found = append(found, bitset.FromIndices(t.numGenes, gs...))
-					if len(found) >= nl {
-						return found
-					}
-					continue
-				}
-				next = append(next, cand{genes: gs, rows: rows})
-			}
-		}
-		frontier = next
-	}
-	return found
-}
-
-func containsSorted(a []int, x int) bool {
-	i := sort.SearchInts(a, x)
-	return i < len(a) && a[i] == x
-}
-
-// samePrefix reports whether two equal-length sorted gene lists agree on
-// all but the last element (the apriori join condition).
-func samePrefix(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := 0; i < len(a)-1; i++ {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
+	return carminer.LowerBounds(t.numGenes, genes, cols, support, nl)
 }

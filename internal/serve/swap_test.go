@@ -549,9 +549,9 @@ func TestApplyValidation(t *testing.T) {
 	s := New(art, Config{BatchSize: 1})
 	bad := []Update{
 		{},
-		{Stable: &Model{Version: "v2"}},                                             // no artifact
-		{Stable: &Model{Artifact: art}},                                             // no version
-		{Stable: &Model{Version: "v2", Artifact: art}, Canary: &Model{}},            // bad canary
+		{Stable: &Model{Version: "v2"}}, // no artifact
+		{Stable: &Model{Artifact: art}}, // no version
+		{Stable: &Model{Version: "v2", Artifact: art}, Canary: &Model{}},                             // bad canary
 		{Stable: &Model{Version: "v2", Artifact: art}, Canary: &Model{Version: "v2", Artifact: art}}, // same version
 		{Stable: &Model{Version: "v2", Artifact: art}, CanaryPercent: 101},
 		{Stable: &Model{Version: "v2", Artifact: art}, CanaryPercent: -1},
