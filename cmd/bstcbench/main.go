@@ -21,9 +21,10 @@
 //
 // Every experiment finishes with a one-line summary carrying its wall time
 // and instrumentation highlights (miner nodes and prunes, clause-cache hit
-// rate); -quiet suppresses the rendered artifacts and keeps only those
-// lines. -runlog additionally writes one JSON object per cross-validation
-// test — the schema is documented in EXPERIMENTS.md ("Run telemetry").
+// rate, and each study phase's busy time with its share of all six);
+// -quiet suppresses the rendered artifacts and keeps only those lines.
+// -runlog additionally writes one JSON object per cross-validation test —
+// the schema is documented in EXPERIMENTS.md ("Run telemetry").
 //
 // Cross-validation tests run concurrently on a -workers pool (default
 // GOMAXPROCS); the same knob stripes discretization and batch
@@ -361,8 +362,8 @@ func sloLine(w io.Writer, s *obs.SLO) {
 }
 
 // summaryLine prints one experiment's wall time with counter highlights:
-// the Top-k search volume and prune counts, lower-bound mining effort, and
-// DNF-relevant deadline expiries.
+// the Top-k search volume and prune counts, lower-bound mining effort,
+// DNF-relevant deadline expiries, and the study phases' busy time.
 // Counters absent from the delta (experiment didn't exercise them, or
 // instrumentation is off) are simply omitted.
 func summaryLine(w io.Writer, label string, elapsed time.Duration, delta obs.Snapshot) {
@@ -388,7 +389,31 @@ func summaryLine(w io.Writer, label string, elapsed time.Duration, delta obs.Sna
 	if n := c["carminer.deadline.expired"]; n > 0 {
 		fmt.Fprintf(w, " deadline-expired=%d", n)
 	}
+	phaseBusy(w, delta)
 	fmt.Fprintln(w)
+}
+
+// studyPhases are the cross-validation phases whose busy time summary
+// lines break down, in pipeline order.
+var studyPhases = []string{"discretize", "bstc/train", "bstc/classify", "rcbt/topk", "rcbt/build", "rcbt/classify"}
+
+// phaseBusy appends each study phase's busy time, summed over every test
+// and worker from its phase.<name> histogram, with its share of the six
+// phases' summed time. Silent when no phase ran or instrumentation is off.
+func phaseBusy(w io.Writer, delta obs.Snapshot) {
+	var total int64
+	for _, p := range studyPhases {
+		total += delta.Hists["phase."+p].Sum
+	}
+	if total <= 0 {
+		return
+	}
+	fmt.Fprint(w, " busy:")
+	for _, p := range studyPhases {
+		if h, ok := delta.Hists["phase."+p]; ok {
+			fmt.Fprintf(w, " %s=%.3fs(%.1f%%)", p, time.Duration(h.Sum).Seconds(), 100*float64(h.Sum)/float64(total))
+		}
+	}
 }
 
 func knownExperiment(e string) bool {

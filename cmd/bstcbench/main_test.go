@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+	"time"
 
 	"bstc/internal/obs"
 )
@@ -139,5 +140,42 @@ func TestKnownExperiment(t *testing.T) {
 	}
 	if knownExperiment("fig9") || knownExperiment("all") {
 		t.Error("fig9/all should not be known directly")
+	}
+}
+
+// TestSummaryLinePhaseBusy pins the summary line format: counter
+// highlights, then each study phase's busy seconds and share of the summed
+// phase time, in pipeline order, skipping phases that did not run and
+// histograms that are not study phases. Without instrumentation the delta
+// is empty and the line is the wall time alone.
+func TestSummaryLinePhaseBusy(t *testing.T) {
+	ms := func(n int64) obs.HistSummary { return obs.HistSummary{Count: 1, Sum: n * int64(time.Millisecond)} }
+	delta := obs.Snapshot{
+		Counters: map[string]int64{
+			"carminer.topk.nodes": 1200, "carminer.topk.pruned_support": 30,
+			"carminer.topk.groups": 7, "carminer.lb.steps": 512, "carminer.lb.bounds": 4,
+		},
+		Hists: map[string]obs.HistSummary{
+			"phase.discretize":    ms(100),
+			"phase.bstc":          ms(150), // bstc/train + bstc/classify, not a study phase of its own
+			"phase.bstc/train":    ms(50),
+			"phase.bstc/classify": ms(100),
+			"phase.rcbt/topk":     ms(1500),
+			"phase.rcbt/build":    ms(250),
+		},
+	}
+	var b bytes.Buffer
+	summaryLine(&b, "OC study", 1234*time.Millisecond, delta)
+	want := "[OC study] 1.234s topk-nodes=1200 pruned=30 groups=7 lb-steps=512 bounds=4" +
+		" busy: discretize=0.100s(5.0%) bstc/train=0.050s(2.5%) bstc/classify=0.100s(5.0%)" +
+		" rcbt/topk=1.500s(75.0%) rcbt/build=0.250s(12.5%)\n"
+	if got := b.String(); got != want {
+		t.Errorf("summary line\n got %q\nwant %q", got, want)
+	}
+
+	b.Reset()
+	summaryLine(&b, "OC study", 1234*time.Millisecond, obs.Snapshot{})
+	if got, want := b.String(), "[OC study] 1.234s\n"; got != want {
+		t.Errorf("uninstrumented summary line %q, want %q", got, want)
 	}
 }

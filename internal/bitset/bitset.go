@@ -262,6 +262,35 @@ func (s *Set) Extract(t *Set, fn func(i int)) int {
 	return n
 }
 
+// IntersectColumns sets s to the intersection of cols[j] over every j in
+// sel and returns s; an empty sel leaves s the whole universe. With cols a
+// bit matrix's columns (see Transpose), that is the matrix rows holding
+// every column sel selects. Every column must share s's universe, and sel's
+// universe must be len(cols). It is one word-AND per selected column and
+// word, without allocating: the Top-k miner's closure (internal/carminer).
+func (s *Set) IntersectColumns(sel *Set, cols []*Set) *Set {
+	s.guardWrite()
+	if sel.n != len(cols) {
+		panic(fmt.Sprintf("bitset: selector universe %d vs %d columns", sel.n, len(cols)))
+	}
+	dst := s.words
+	for i := range dst {
+		dst[i] = ^uint64(0)
+	}
+	for wi, w := range sel.words {
+		for ; w != 0; w &= w - 1 {
+			c := cols[wi*wordBits+bits.TrailingZeros64(w)]
+			s.sameUniverse(c)
+			cw := c.words[:len(dst)] // one bounds check, not one per word
+			for i := range dst {
+				dst[i] &= cw[i]
+			}
+		}
+	}
+	s.trim()
+	return s
+}
+
 // Transpose returns the transpose of the bit matrix whose rows are sets,
 // each over [0, n): out[j] is a set over [0, len(sets)) holding i exactly
 // when sets[i] contains j. The n result sets share one word slab (see

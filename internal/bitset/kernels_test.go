@@ -58,6 +58,10 @@ func TestKernelsUniverseMismatchPanics(t *testing.T) {
 		"OrInto":        func() { s.OrInto(New(20), u) },
 		"AndNotInto":    func() { New(20).AndNotInto(s, New(20)) },
 		"CopyFrom":      func() { s.CopyFrom(u) },
+		// The selector's universe must be the column count, and every
+		// selected column must share the destination's universe.
+		"IntersectColumns selector": func() { New(10).IntersectColumns(New(3), []*Set{s, s}) },
+		"IntersectColumns column":   func() { New(10).IntersectColumns(FromIndices(2, 1), []*Set{s, u}) },
 	} {
 		func() {
 			defer func() {
@@ -123,6 +127,45 @@ func TestExtract(t *testing.T) {
 		}
 		if !s.Equal(rest) {
 			t.Fatalf("after Extract s = %v, want %v", s, rest)
+		}
+	}
+}
+
+// TestIntersectColumns checks IntersectColumns against Fill plus one And per
+// selected column, on matrices around the word boundaries, and pins the
+// empty selector to the whole universe with the bits past it clear.
+func TestIntersectColumns(t *testing.T) {
+	r := rand.New(rand.NewSource(19))
+	sizes := []int{1, 63, 64, 65, 130}
+	for _, m := range sizes {
+		for _, n := range sizes {
+			cols := make([]*Set, n)
+			for j := range cols {
+				cols[j] = randomSet(r, m)
+			}
+			// Fill leaves the bits past the universe clear, and Equal
+			// compares whole words, so this checks the tail too.
+			full := New(m)
+			full.Fill()
+			dst := New(m)
+			if got := dst.IntersectColumns(New(n), cols); !got.Equal(full) {
+				t.Fatalf("%d×%d: empty selector gave %v, want the whole universe", m, n, got)
+			}
+			for trial := 0; trial < 10; trial++ {
+				sel := New(n)
+				for k := r.Intn(4); k >= 0; k-- {
+					sel.Add(r.Intn(n))
+				}
+				want := New(m)
+				want.Fill()
+				sel.ForEach(func(j int) bool {
+					want.And(cols[j])
+					return true
+				})
+				if got := dst.IntersectColumns(sel, cols); !got.Equal(want) {
+					t.Fatalf("%d×%d sel %v: IntersectColumns = %v, want %v", m, n, sel, got, want)
+				}
+			}
 		}
 	}
 }

@@ -116,7 +116,7 @@ func (m *topkMiner) approxReport(a ApproxConfig) *ApproxReport {
 		Arrivals:     m.sk.N(),
 		MaxOvercount: m.sk.ErrorBound(),
 		Evictions:    m.sk.Evictions(),
-		SketchSkips:  m.skSkips,
-		SlackPrunes:  m.slackCuts,
+		SketchSkips:  uint64(m.count.sketchSkips),
+		SlackPrunes:  uint64(m.count.slackPrunes),
 	}
 }

@@ -64,3 +64,17 @@ func BenchmarkMineLowerBounds(b *testing.B) {
 		mine()
 	}
 }
+
+// BenchmarkTopKOC mines class 0 of the OC small 40% training split (101
+// samples, 40 items) with RCBT's defaults: the search most of a study-oc
+// run is made of, with sample sets two words wide (249,854 nodes).
+func BenchmarkTopKOC(b *testing.B) {
+	d := ocTraining(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := TopKCoveringRuleGroups(context.Background(), d, 0, rcbtTopK); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

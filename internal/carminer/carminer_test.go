@@ -58,35 +58,53 @@ func TestTopKOnPaperTable1(t *testing.T) {
 func TestTopKClosedAndComplete(t *testing.T) {
 	// Against brute force: every closed itemset with class support ≥ minsup
 	// appears when k is large, with correct support/confidence; and every
-	// mined group is genuinely closed.
+	// mined group is genuinely closed. The 7×7 matrices fit in one word;
+	// the 72-sample, 70-gene ones cross the word boundary on both axes,
+	// with 12 class-0 rows so brute force stays at 2^12 subsets.
 	r := rand.New(rand.NewSource(41))
 	for trial := 0; trial < 15; trial++ {
-		d := randomBool(r, 7, 7, 2)
-		res, err := TopKCoveringRuleGroups(context.Background(), d, 0, TopKConfig{MinSupport: 0.3, K: 1000})
-		if err != nil {
-			t.Fatal(err)
-		}
-		got := map[string]*RuleGroup{}
-		for _, g := range res.Groups {
-			got[g.UpperBound.Key()] = g
-		}
-		want := bruteForceClosed(d, 0, 0.3)
-		for key, bg := range want {
-			mg, ok := got[key]
-			if !ok {
-				t.Fatalf("trial %d: closed itemset %v missing (have %d, want %d)",
-					trial, bg.UpperBound.Indices(), len(got), len(want))
-			}
-			if mg.Support != bg.Support || mg.TotalRows != bg.TotalRows {
-				t.Fatalf("trial %d: itemset %v support %d/%d, want %d/%d",
-					trial, bg.UpperBound.Indices(), mg.Support, mg.TotalRows, bg.Support, bg.TotalRows)
+		checkClosedAndComplete(t, trial, randomBool(r, 7, 7, 2), 1000)
+	}
+	for trial := 0; trial < 3; trial++ {
+		d := randomBool(r, 72, 70, 2)
+		for i, pos := range r.Perm(len(d.Classes)) {
+			d.Classes[pos] = 1
+			if i < 12 {
+				d.Classes[pos] = 0
 			}
 		}
-		for key := range got {
-			if _, ok := want[key]; !ok {
-				t.Fatalf("trial %d: miner produced non-closed or sub-support itemset %v",
-					trial, got[key].UpperBound.Indices())
-			}
+		checkClosedAndComplete(t, trial, d, 1<<12)
+	}
+}
+
+// checkClosedAndComplete mines class 0 of d at minsup 0.3 with a k large
+// enough to keep every group and compares the result with brute force.
+func checkClosedAndComplete(t *testing.T, trial int, d *dataset.Bool, k int) {
+	t.Helper()
+	res, err := TopKCoveringRuleGroups(context.Background(), d, 0, TopKConfig{MinSupport: 0.3, K: k})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := map[string]*RuleGroup{}
+	for _, g := range res.Groups {
+		got[g.UpperBound.Key()] = g
+	}
+	want := bruteForceClosed(d, 0, 0.3)
+	for key, bg := range want {
+		mg, ok := got[key]
+		if !ok {
+			t.Fatalf("%d×%d trial %d: closed itemset %v missing (have %d, want %d)",
+				d.NumSamples(), d.NumGenes(), trial, bg.UpperBound.Indices(), len(got), len(want))
+		}
+		if mg.Support != bg.Support || mg.TotalRows != bg.TotalRows {
+			t.Fatalf("%d×%d trial %d: itemset %v support %d/%d, want %d/%d",
+				d.NumSamples(), d.NumGenes(), trial, bg.UpperBound.Indices(), mg.Support, mg.TotalRows, bg.Support, bg.TotalRows)
+		}
+	}
+	for key := range got {
+		if _, ok := want[key]; !ok {
+			t.Fatalf("%d×%d trial %d: miner produced non-closed or sub-support itemset %v",
+				d.NumSamples(), d.NumGenes(), trial, got[key].UpperBound.Indices())
 		}
 	}
 }

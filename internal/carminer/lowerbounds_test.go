@@ -10,10 +10,8 @@ import (
 
 	"bstc/internal/bitset"
 	"bstc/internal/dataset"
-	"bstc/internal/discretize"
 	"bstc/internal/fault"
 	"bstc/internal/obs"
-	"bstc/internal/synth"
 )
 
 var (
@@ -30,28 +28,7 @@ var (
 func pcTraining(tb testing.TB) (*dataset.Bool, [][]*RuleGroup) {
 	tb.Helper()
 	pcOnce.Do(func() {
-		p, err := synth.ProfileByName("PC", synth.Small)
-		if err != nil {
-			pcErr = err
-			return
-		}
-		c, err := p.Generate()
-		if err != nil {
-			pcErr = err
-			return
-		}
-		sp, err := dataset.RandomFractionSplit(rand.New(rand.NewSource(1)), c.NumSamples(), 0.6)
-		if err != nil {
-			pcErr = err
-			return
-		}
-		train := c.Subset(sp.Train)
-		m, err := discretize.Fit(train)
-		if err != nil {
-			pcErr = err
-			return
-		}
-		if pcData, pcErr = m.Transform(train); pcErr != nil {
+		if pcData, pcErr = smallTraining("PC", 0.6); pcErr != nil {
 			return
 		}
 		for ci := 0; ci < pcData.NumClasses(); ci++ {

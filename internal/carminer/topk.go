@@ -17,6 +17,14 @@
 // deduplication keys are appended into a reused buffer and looked up through
 // Go's map[string([]byte)] fast path. Allocations happen only when a new
 // distinct node or a retained rule group is materialized.
+//
+// A node's closure, the training rows containing its itemset, is the AND of
+// its genes' row columns: the miner transposes the training rows into
+// per-gene row sets once, so each node costs a few word-ANDs per gene
+// instead of a subset test against every training row. The search counters
+// are counted in the miner and added to the shared registry at the stop
+// poll and when the run returns, so concurrent miners do not contend on its
+// atomics at every node.
 package carminer
 
 import (
@@ -222,7 +230,18 @@ type topkMiner struct {
 	k         int
 	budget    Budget
 	ctx       context.Context
-	nodes     int
+
+	// count is the run's search counters and flushed the part of them
+	// already added to the registry (see flushCounts).
+	count, flushed topkCounts
+
+	// cols[g] is the set of training rows holding gene g (one slab, from
+	// bitset.Transpose) and classMask the rows of class ci; rows is the
+	// closure's scratch, read before dfs recurses, so one per miner is
+	// enough.
+	cols      []*bitset.Set
+	classMask *bitset.Set
+	rows      *bitset.Set
 
 	// states dedupes enumeration nodes by their class-support-set key (a
 	// closed itemset is determined by its class support set) while keeping
@@ -261,14 +280,13 @@ type topkMiner struct {
 	noFloors   bool
 
 	// Approximate mode (nil sk = exact): sk counts node arrivals by class
-	// support key, slack is the ⌈ε·|C_i|⌉ capacity slack, maxNodes the
+	// support key, slack is the ⌈ε·|C_i|⌉ capacity slack, and maxNodes the
 	// deterministic node budget (0 = unlimited; also honored in exact
-	// mode), and skSkips/slackCuts the run's error accounting.
-	sk        *sketch.Sketch
-	slack     int
-	maxNodes  int
-	skSkips   uint64
-	slackCuts uint64
+	// mode). The run's error accounting is count.sketchSkips and
+	// count.slackPrunes.
+	sk       *sketch.Sketch
+	slack    int
+	maxNodes int
 
 	// root is the synthetic root itemset (the full gene set); depth[l]
 	// holds level l's running intersection and class support set, reused
@@ -283,6 +301,11 @@ type levelScratch struct {
 	classSet *bitset.Set // its class support set (sample universe)
 }
 
+// topkCounts are a run's carminer.topk.* counters.
+type topkCounts struct {
+	nodes, revisitSkips, prunedSup, prunedConf, floorPrunes, floorSkips, groups, slackPrunes, sketchSkips int64
+}
+
 func newTopkMiner(ctx context.Context, d *dataset.Bool, ci int, classRows []int, minSup int, cfg TopKConfig) *topkMiner {
 	m := &topkMiner{
 		d:         d,
@@ -292,6 +315,9 @@ func newTopkMiner(ctx context.Context, d *dataset.Bool, ci int, classRows []int,
 		k:         cfg.K,
 		budget:    cfg.Budget,
 		ctx:       ctx,
+		cols:      bitset.Transpose(d.Rows, d.NumGenes()),
+		classMask: bitset.New(d.NumSamples()),
+		rows:      bitset.New(d.NumSamples()),
 		states:    map[string]int32{},
 		groups:    map[string]*RuleGroup{},
 		covers:    make([][]*RuleGroup, len(classRows)),
@@ -312,6 +338,7 @@ func newTopkMiner(ctx context.Context, d *dataset.Bool, ci int, classRows []int,
 	}
 	for pos, r := range classRows {
 		m.rowPos[r] = int32(pos)
+		m.classMask.Add(r)
 	}
 	m.root.Fill()
 	for l := range m.depth {
@@ -324,8 +351,10 @@ func newTopkMiner(ctx context.Context, d *dataset.Bool, ci int, classRows []int,
 }
 
 // run enumerates every root in index order (row enumeration). A stopped
-// run keeps the covering groups found so far as its partial result.
+// run keeps the covering groups found so far as its partial result, and
+// every run, stopped or not, flushes its counters.
 func (m *topkMiner) run() error {
+	defer m.flushCounts()
 	defer m.retainCovering()
 	for idx := range m.classRows {
 		if err := m.dfs(m.root, idx, 0); err != nil {
@@ -335,18 +364,43 @@ func (m *topkMiner) run() error {
 	return nil
 }
 
+// flushCounts adds the counts gathered since the last flush to the shared
+// registry.
+func (m *topkMiner) flushCounts() {
+	c, f := &m.count, &m.flushed
+	met.nodes.Add(c.nodes - f.nodes)
+	met.revisitSkips.Add(c.revisitSkips - f.revisitSkips)
+	met.prunedSup.Add(c.prunedSup - f.prunedSup)
+	met.prunedConf.Add(c.prunedConf - f.prunedConf)
+	met.floorPrunes.Add(c.floorPrunes - f.floorPrunes)
+	met.floorSkips.Add(c.floorSkips - f.floorSkips)
+	met.groups.Add(c.groups - f.groups)
+	met.slackPrunes.Add(c.slackPrunes - f.slackPrunes)
+	met.sketchSkips.Add(c.sketchSkips - f.sketchSkips)
+	*f = *c
+}
+
+// closure sets classSet to the class rows containing itemset and returns
+// how many training rows of any class contain it: the rows holding every
+// gene of itemset are the AND of those genes' row columns.
+func (m *topkMiner) closure(itemset, classSet *bitset.Set) int {
+	rows := m.rows.IntersectColumns(itemset, m.cols)
+	rows.IntersectInto(classSet, m.classMask)
+	return rows.Count()
+}
+
 // dfs extends the current intersection with class row classRows[idx] and
 // recurses over later rows. itemset is the running intersection (the full
 // gene set at the synthetic root); level is the recursion depth, bounded by
 // the class-row count since idx strictly increases.
 func (m *topkMiner) dfs(itemset *bitset.Set, idx, level int) error {
-	m.nodes++
-	met.nodes.Inc()
+	m.count.nodes++
 	// Amortized stop poll, aligned to fire on the miner's very first node:
 	// with the dynamic floors whole runs can finish under one 64-node
 	// stride, and budget expiry / fault injection must still be observed.
-	if m.nodes&63 == 1 {
-		if m.maxNodes > 0 && m.nodes > m.maxNodes {
+	if m.count.nodes&63 == 1 {
+		m.flushCounts()
+		if m.maxNodes > 0 && m.count.nodes > int64(m.maxNodes) {
 			return ErrBudgetExceeded
 		}
 		if err := m.budget.Check(m.ctx); err != nil {
@@ -364,16 +418,7 @@ func (m *topkMiner) dfs(itemset *bitset.Set, idx, level int) error {
 	// Closure: every class row containing the itemset, plus the total row
 	// count for confidence.
 	classSet := sc.classSet
-	classSet.Clear()
-	total := 0
-	for i, row := range m.d.Rows {
-		if next.SubsetOf(row) {
-			total++
-			if m.d.Classes[i] == m.ci {
-				classSet.Add(i)
-			}
-		}
-	}
+	total := m.closure(next, classSet)
 	m.keyBuf = classSet.AppendKey(m.keyBuf[:0])
 	if m.sk != nil {
 		m.sk.Offer(m.keyBuf, 1)
@@ -382,7 +427,7 @@ func (m *topkMiner) dfs(itemset *bitset.Set, idx, level int) error {
 	si, revisit := m.states[string(m.keyBuf)] // map-from-bytes: no alloc on hit
 	if revisit {
 		if idx >= int(m.explored[si]) {
-			met.revisitSkips.Inc()
+			m.count.revisitSkips++
 			return nil // subtree already covered from an earlier index
 		}
 		// Approximate mode: a node the sketch certifies as hot has been
@@ -391,8 +436,7 @@ func (m *topkMiner) dfs(itemset *bitset.Set, idx, level int) error {
 		// (the gap may hold a group reachable only through it), traded for
 		// cutting the revisit tail that dominates dense profiles.
 		if m.sk != nil && m.sk.SeenAtLeast(m.keyBuf, approxHotVisits) {
-			m.skSkips++
-			met.sketchSkips.Inc()
+			m.count.sketchSkips++
 			return nil
 		}
 	} else {
@@ -420,19 +464,18 @@ func (m *topkMiner) dfs(itemset *bitset.Set, idx, level int) error {
 		capacity := support + remaining
 		switch {
 		case capacity < m.minSup:
-			met.prunedSup.Inc()
+			m.count.prunedSup++
 			return nil
 		case capacity < m.effMinSup:
-			met.floorPrunes.Inc()
+			m.count.floorPrunes++
 			return nil
 		case m.slack > 0 && capacity < m.effMinSup+m.slack:
-			m.slackCuts++
-			met.slackPrunes.Inc()
+			m.count.slackPrunes++
 			return nil
 		}
 	}
 	if m.prunable(total - support) {
-		met.prunedConf.Inc()
+		m.count.prunedConf++
 		// No descendant can improve any row's top-k. Leave exploredFrom
 		// untouched: covers only improve over time, so this prune stays
 		// valid for revisits.
@@ -462,10 +505,10 @@ func (m *topkMiner) dfs(itemset *bitset.Set, idx, level int) error {
 func (m *topkMiner) record(itemset, classSet *bitset.Set, key string, support, total int) {
 	conf := float64(support) / float64(total)
 	if !m.admissible(classSet, conf, support, key) {
-		met.floorSkips.Inc()
+		m.count.floorSkips++
 		return
 	}
-	met.groups.Inc()
+	m.count.groups++
 	g := &RuleGroup{
 		Class:      m.ci,
 		Support:    support,
