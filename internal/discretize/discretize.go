@@ -44,6 +44,8 @@ type Model struct {
 
 	// itemBase[k] is the first item index of Selected[k]'s intervals.
 	itemBase []int
+	// position[g] is gene g's index in Selected, or -1 when g was dropped.
+	position []int32
 	numGenes int
 }
 
@@ -151,17 +153,31 @@ func FitWithWorkers(ctx context.Context, train *dataset.Continuous, cut Cutter, 
 			return nil, firstErr
 		}
 	}
-	for g := 0; g < numGenes; g++ {
-		cuts := m.GeneCuts[g]
-		if len(cuts) > 0 {
-			m.itemBase = append(m.itemBase, len(m.ItemNames))
-			m.Selected = append(m.Selected, g)
-			for b := 0; b <= len(cuts); b++ {
-				m.ItemNames = append(m.ItemNames, fmt.Sprintf("%s[%d]", train.GeneNames[g], b))
-			}
+	m.ItemNames = make([]string, 0, m.index())
+	for _, g := range m.Selected {
+		for b := 0; b <= len(m.GeneCuts[g]); b++ {
+			m.ItemNames = append(m.ItemNames, fmt.Sprintf("%s[%d]", train.GeneNames[g], b))
 		}
 	}
 	return m, nil
+}
+
+// index derives Selected, itemBase and position from GeneCuts, the one
+// derivation FitWithWorkers and NewModel share, and returns how many items
+// the selected genes' intervals add up to.
+func (m *Model) index() int {
+	m.position = make([]int32, len(m.GeneCuts))
+	items := 0
+	for g, cuts := range m.GeneCuts {
+		m.position[g] = -1
+		if len(cuts) > 0 {
+			m.position[g] = int32(len(m.Selected))
+			m.itemBase = append(m.itemBase, items)
+			m.Selected = append(m.Selected, g)
+			items += len(cuts) + 1
+		}
+	}
+	return items
 }
 
 // cutGene gathers gene g's column into col and runs the Cutter on it.
@@ -185,6 +201,17 @@ func bin(cuts []float64, v float64) int {
 	return sort.Search(len(cuts), func(i int) bool { return v <= cuts[i] })
 }
 
+// Position returns original gene g's index in Selected, or -1 when
+// discretization dropped it.
+func (m *Model) Position(g int) int { return int(m.position[g]) }
+
+// Item returns the item that value v of the k-th selected gene expresses.
+// It is the one binning rule behind Transform, TransformRow and the serving
+// layer's request scanner, so no two paths can bin a value differently.
+func (m *Model) Item(k int, v float64) int {
+	return m.itemBase[k] + bin(m.GeneCuts[m.Selected[k]], v)
+}
+
 // Transform maps a continuous dataset (sharing the training gene order)
 // into the boolean item representation: each sample expresses exactly one
 // item per selected gene.
@@ -205,7 +232,7 @@ func (m *Model) Transform(c *dataset.Continuous) (*dataset.Bool, error) {
 	for i, row := range c.Values {
 		r := bitset.New(len(m.ItemNames))
 		for k, g := range m.Selected {
-			r.Add(m.itemBase[k] + bin(m.GeneCuts[g], row[g]))
+			r.Add(m.Item(k, row[g]))
 		}
 		d.Rows[i] = r
 	}

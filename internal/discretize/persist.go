@@ -11,8 +11,8 @@ import (
 // cut points, item and class vocabularies — as internal/eval's artifact
 // loader decodes them. The parts are validated structurally (cut ordering
 // and finiteness, item-name arity) and the derived index fields (Selected,
-// itemBase) are rebuilt, so a model accepted here transforms data exactly as
-// the fitted one it was saved from.
+// itemBase, position) are rebuilt, so a model accepted here transforms data
+// exactly as the fitted one it was saved from.
 func NewModel(numGenes int, geneCuts [][]float64, itemNames, classNames []string) (*Model, error) {
 	if numGenes != len(geneCuts) {
 		return nil, fmt.Errorf("discretize: model has cuts for %d genes, claims %d", len(geneCuts), numGenes)
@@ -23,7 +23,6 @@ func NewModel(numGenes int, geneCuts [][]float64, itemNames, classNames []string
 		ClassNames: classNames,
 		numGenes:   numGenes,
 	}
-	items := 0
 	for g, cuts := range m.GeneCuts {
 		for i, c := range cuts {
 			if math.IsNaN(c) || math.IsInf(c, 0) {
@@ -33,13 +32,8 @@ func NewModel(numGenes int, geneCuts [][]float64, itemNames, classNames []string
 				return nil, fmt.Errorf("discretize: gene %d cuts not strictly ascending", g)
 			}
 		}
-		if len(cuts) > 0 {
-			m.itemBase = append(m.itemBase, items)
-			m.Selected = append(m.Selected, g)
-			items += len(cuts) + 1
-		}
 	}
-	if items != len(m.ItemNames) {
+	if items := m.index(); items != len(m.ItemNames) {
 		return nil, fmt.Errorf("discretize: model has %d item names for %d intervals", len(m.ItemNames), items)
 	}
 	return m, nil
@@ -63,7 +57,7 @@ func (m *Model) TransformRow(values []float64) (*bitset.Set, error) {
 	}
 	r := bitset.New(len(m.ItemNames))
 	for k, g := range m.Selected {
-		r.Add(m.itemBase[k] + bin(m.GeneCuts[g], values[g]))
+		r.Add(m.Item(k, values[g]))
 	}
 	return r, nil
 }

@@ -1,6 +1,7 @@
 package discretize
 
 import (
+	"context"
 	"math"
 	"reflect"
 	"testing"
@@ -140,5 +141,48 @@ func TestNewModelRebuildsDerivedFields(t *testing.T) {
 	}
 	if !reflect.DeepEqual(m.itemBase, loaded.itemBase) {
 		t.Errorf("itemBase = %v, want %v", loaded.itemBase, m.itemBase)
+	}
+	if !reflect.DeepEqual(m.position, loaded.position) {
+		t.Errorf("position = %v, want %v", loaded.position, m.position)
+	}
+}
+
+// TestTransformRowMatchesTransform checks the single-row and batch
+// transforms row for row, on a fitted model and on the same model after a
+// NewModel round trip, and that Position inverts Selected on both.
+func TestTransformRowMatchesTransform(t *testing.T) {
+	fitted, err := FitWithWorkers(context.Background(), randomTrain(60, 120, 3), EntropyMDL, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fitted.NumSelectedGenes() == 0 || fitted.NumSelectedGenes() == fitted.NumGenes() {
+		t.Fatalf("%d of %d genes selected; the check needs some of each", fitted.NumSelectedGenes(), fitted.NumGenes())
+	}
+	heldOut := randomTrain(60, 40, 4)
+	for name, m := range map[string]*Model{"fitted": fitted, "rebuilt": rebuild(t, fitted)} {
+		want, err := m.Transform(heldOut)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, row := range heldOut.Values {
+			got, err := m.TransformRow(row)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !got.Equal(want.Rows[i]) {
+				t.Fatalf("%s: row %d: TransformRow %v, Transform %v", name, i, got.Indices(), want.Rows[i].Indices())
+			}
+		}
+		k := 0
+		for g := 0; g < m.NumGenes(); g++ {
+			want := -1
+			if k < len(m.Selected) && m.Selected[k] == g {
+				want = k
+				k++
+			}
+			if got := m.Position(g); got != want {
+				t.Fatalf("%s: Position(%d) = %d, want %d", name, g, got, want)
+			}
+		}
 	}
 }

@@ -3,7 +3,6 @@ package fleet
 import (
 	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
 
 	"bstc/internal/obs"
@@ -70,7 +69,7 @@ func (g *Gateway) handleClassify(w http.ResponseWriter, r *http.Request) {
 		gatewayError(w, http.StatusMethodNotAllowed, "POST only")
 		return
 	}
-	body, err := io.ReadAll(io.LimitReader(r.Body, gatewayMaxBody+1))
+	body, err := serve.ReadBody(r, gatewayMaxBody)
 	if err != nil {
 		gatewayError(w, http.StatusBadRequest, "read body: %v", err)
 		return

@@ -272,6 +272,24 @@ func (m *model) retire() {
 	})
 }
 
+// queryRow turns a classify body into a query row over this version's item
+// universe: a canonical values body in one fused scan, anything else
+// through decodeRequest and rowOf. decoded is false when the body is not a
+// valid request (err says why); a decoded request can still fail to fit
+// this version (err with decoded true), which the handler reports only
+// after counting the request against the version.
+func (m *model) queryRow(body []byte) (q *bitset.Set, decoded bool, err error) {
+	if q := scanValues(m.art.Disc, body); q != nil {
+		return q, true, nil
+	}
+	req, err := decodeRequest(body)
+	if err != nil {
+		return nil, false, err
+	}
+	q, err = m.rowOf(req)
+	return q, true, err
+}
+
 // rowOf turns a validated request into a query row over this version's
 // item universe. Versions may disagree on vocabularies; a request is
 // always discretized by the version that will classify it.

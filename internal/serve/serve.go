@@ -11,13 +11,16 @@
 // pipeline, labeled serve.* metrics, and SLO trackers. Apply hot-swaps the
 // routing table with drain-old/warm-new semantics — see router.go.
 //
-// The request path is: read body → admit (shed 429 / drain 503) → decode →
-// route (stable/canary) → discretize (per request, spanned, by the routed
-// version) → enqueue → the version's batch worker takes every queued row
-// (up to BatchSize) whenever it is free → core.DecideBatchParallel (per
-// batch, spanned) → per-request response. Predictions are exactly what
-// core.Classify returns for the same row under the same version; batching
-// and routing change latency and placement, never results.
+// The request path is: read body → admit (shed 429 / drain 503) → route
+// (stable/canary, keyed by X-Routing-Key or the raw body) → body → query row
+// by the routed version's discretizer (per request, spanned as
+// serve/discretize: one fused scan of a canonical {"values":[…]} body, or
+// decodeRequest then the transform for any other) → enqueue → the
+// version's batch worker takes every queued row (up to BatchSize) whenever
+// it is free → core.DecideBatchParallel (per batch, spanned) → per-request
+// response. Predictions are exactly what core.Classify returns for the same
+// row under the same version; batching and routing change latency and
+// placement, never results.
 //
 // Endpoints:
 //
@@ -48,7 +51,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"math"
 	"net/http"
 	"runtime"
@@ -476,7 +478,7 @@ func writeError(w http.ResponseWriter, status int, format string, args ...any) {
 const RoutingKeyHeader = "X-Routing-Key"
 
 // ModelVersionHeader names the version that answered, on every classify
-// response that reached routing.
+// response whose body decoded.
 const ModelVersionHeader = "X-Model-Version"
 
 func (s *Server) handleClassify(w http.ResponseWriter, r *http.Request) {
@@ -502,7 +504,7 @@ func (s *Server) handleClassify(w http.ResponseWriter, r *http.Request) {
 		trace.Inject(w.Header(), parent)
 	}
 
-	body, err := io.ReadAll(io.LimitReader(r.Body, maxRequestBody+1))
+	body, err := ReadBody(r, maxRequestBody)
 	if err != nil {
 		s.met.badRequest.Inc()
 		span.SetError(err)
@@ -531,22 +533,10 @@ func (s *Server) handleClassify(w http.ResponseWriter, r *http.Request) {
 	}
 	defer s.release()
 
-	req, err := decodeRequest(body)
-	if err != nil {
-		s.met.badRequest.Inc()
-		span.SetError(err)
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-
-	if err := fault.Hit("serve.request"); err != nil {
-		span.SetError(err)
-		writeError(w, http.StatusInternalServerError, "%v", err)
-		return
-	}
-
-	// Route to a version and pin it for the request's lifetime. acquire
-	// fails only against a version that finished retiring after we read the
+	// Route before decoding, since the routed version's discretizer reads
+	// the body, and pin the version for the request's lifetime. The key
+	// exists before decode: the caller's pin or the raw body. acquire fails
+	// only against a version that finished retiring after we read the
 	// snapshot — re-reading then observes the post-swap table, so the loop
 	// terminates in two iterations in practice.
 	key := []byte(r.Header.Get(RoutingKeyHeader))
@@ -563,21 +553,33 @@ func (s *Server) handleClassify(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	defer m.done()
+
+	// Body → query row on the request goroutine (spanned per request), so
+	// the batcher only ever sees rows in its version's item universe.
+	ph := obs.NewPhasesIn(s.cfg.Registry)
+	phSpan := ph.Start("serve/discretize")
+	disc := span.StartChild("serve/discretize")
+	q, decoded, err := m.queryRow(body)
+	disc.End()
+	phSpan.End()
+	if !decoded {
+		s.met.badRequest.Inc()
+		span.SetError(err)
+		writeError(w, http.StatusBadRequest, "%v", err)
+		return
+	}
+
+	if err := fault.Hit("serve.request"); err != nil {
+		span.SetError(err)
+		writeError(w, http.StatusInternalServerError, "%v", err)
+		return
+	}
 	m.met.requests.Inc()
 	if isCanary {
 		s.met.canaryRequests.Inc()
 	}
 	w.Header().Set(ModelVersionHeader, m.version)
 	span.SetAttr("model_version", m.version)
-
-	// Discretize on the request goroutine (spanned per request), so the
-	// batcher only ever sees rows in its version's item universe.
-	ph := obs.NewPhasesIn(s.cfg.Registry)
-	phSpan := ph.Start("serve/discretize")
-	disc := span.StartChild("serve/discretize")
-	q, err := m.rowOf(req)
-	disc.End()
-	phSpan.End()
 	if err != nil {
 		s.met.badRequest.Inc()
 		span.SetError(err)

@@ -552,31 +552,106 @@ func TestEndpointsAndMetrics(t *testing.T) {
 	}
 }
 
-// TestBadRequests pins the 4xx surface.
-func TestBadRequests(t *testing.T) {
+// TestRequestClasses pins what each class of classify request gets back
+// and what it counts, with a 50% canary live: the status, the exact
+// response body, the X-Model-Version header, and the deltas of the global
+// and per-version request counters, serve.bad_request, serve.ok and
+// serve.canary_requests. The expectations were recorded with the handler
+// that decoded before routing; routing ahead of decode must not move any.
+func TestRequestClasses(t *testing.T) {
 	art := testArtifact(t)
-	s := New(art, Config{BatchSize: 1})
+	reg := obs.NewRegistry()
+	s := New(art, Config{BatchSize: 1, Registry: reg})
+	if err := s.Apply(Update{
+		Stable:        &Model{Version: "v1", Artifact: art},
+		Canary:        &Model{Version: "v2", Artifact: art},
+		CanaryPercent: 50,
+		Seed:          7,
+	}); err != nil {
+		t.Fatal(err)
+	}
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 	defer s.Close()
 
+	// counts is one reading of the pinned counters.
+	type counts struct{ requests, v1, v2, bad, ok, canary int64 }
+	read := func() counts {
+		c := reg.Snapshot().Counters
+		return counts{
+			c["serve.requests"], c[`serve.requests{version="v1"}`], c[`serve.requests{version="v2"}`],
+			c["serve.bad_request"], c["serve.ok"], c["serve.canary_requests"],
+		}
+	}
 	cases := []struct {
-		name string
-		body string
-		want int
+		name    string
+		body    string
+		status  int
+		resp    string // exact response body
+		version string // X-Model-Version ("" = not set)
+		delta   counts
 	}{
-		{"invalid JSON", "{nope", http.StatusBadRequest},
-		{"neither field", "{}", http.StatusBadRequest},
-		{"both fields", `{"values":[1,2,3],"items":["sep[1]"]}`, http.StatusBadRequest},
-		{"wrong length", `{"values":[1,2]}`, http.StatusBadRequest},
-		{"unknown item", `{"items":["nope[9]"]}`, http.StatusBadRequest},
-		{"empty item", `{"items":[""]}`, http.StatusBadRequest},
-		{"oversized body", `{"values":[` + strings.Repeat("1,", maxRequestBody/2) + `1]}`,
-			http.StatusRequestEntityTooLarge},
+		{name: "canonical values", body: `{"values":[1,7,0.1]}`,
+			status: http.StatusOK, resp: `{"class":"A","class_index":0,"confidence":1,"model_version":"v2"}` + "\n", version: "v2", delta: counts{1, 0, 1, 0, 1, 1}},
+		{name: "canonical values, stable side", body: `{"values":[12,7,2]}`,
+			status: http.StatusOK, resp: `{"class":"B","class_index":1,"confidence":1,"model_version":"v1"}` + "\n", version: "v1", delta: counts{1, 1, 0, 0, 1, 0}},
+		{name: "canonical values, edge numbers", body: `{"values":[-0,1E5,1e-400]}`,
+			status: http.StatusOK, resp: `{"class":"A","class_index":0,"confidence":1,"model_version":"v2"}` + "\n", version: "v2", delta: counts{1, 0, 1, 0, 1, 1}},
+		{name: "canonical values, near overflow", body: `{"values":[1.3,0.1e309,0.95]}`,
+			status: http.StatusOK, resp: `{"class":"A","class_index":0,"confidence":0,"model_version":"v2"}` + "\n", version: "v2", delta: counts{1, 0, 1, 0, 1, 1}},
+		{name: "non-canonical values", body: `{"values":[1.0, 7, 0.1]}`,
+			status: http.StatusOK, resp: `{"class":"A","class_index":0,"confidence":1,"model_version":"v1"}` + "\n", version: "v1", delta: counts{1, 1, 0, 0, 1, 0}},
+		{name: "non-canonical values, trailing newline", body: "{\"values\":[1,7,0.1]}\n",
+			status: http.StatusOK, resp: `{"class":"A","class_index":0,"confidence":1,"model_version":"v1"}` + "\n", version: "v1", delta: counts{1, 1, 0, 0, 1, 0}},
+		{name: "non-canonical values, key case", body: `{"Values":[1,7,0.1]}`,
+			status: http.StatusOK, resp: `{"class":"A","class_index":0,"confidence":1,"model_version":"v2"}` + "\n", version: "v2", delta: counts{1, 0, 1, 0, 1, 1}},
+		{name: "items", body: `{"items":["sep[1]","wide[0]"]}`,
+			status: http.StatusOK, resp: `{"class":"A","class_index":0,"confidence":0,"model_version":"v2"}` + "\n", version: "v2", delta: counts{1, 0, 1, 0, 1, 1}},
+		{name: "invalid JSON", body: "{nope",
+			status: http.StatusBadRequest, resp: `{"error":"invalid JSON: invalid character 'n' looking for beginning of object key string"}` + "\n", version: "", delta: counts{1, 0, 0, 1, 0, 0}},
+		{name: "neither field", body: "{}",
+			status: http.StatusBadRequest, resp: `{"error":"request needs exactly one of \"values\" or \"items\""}` + "\n", version: "", delta: counts{1, 0, 0, 1, 0, 0}},
+		{name: "null values", body: `{"values":null}`,
+			status: http.StatusBadRequest, resp: `{"error":"request needs exactly one of \"values\" or \"items\""}` + "\n", version: "", delta: counts{1, 0, 0, 1, 0, 0}},
+		{name: "both fields", body: `{"values":[1,2,3],"items":["sep[1]"]}`,
+			status: http.StatusBadRequest, resp: `{"error":"request needs exactly one of \"values\" or \"items\""}` + "\n", version: "", delta: counts{1, 0, 0, 1, 0, 0}},
+		{name: "one value short", body: `{"values":[1,2]}`,
+			status: http.StatusBadRequest, resp: `{"error":"discretize: sample has 2 values, model fitted on 3 genes"}` + "\n", version: "v2", delta: counts{1, 0, 1, 1, 0, 1}},
+		{name: "one value long", body: `{"values":[1,2,3,4]}`,
+			status: http.StatusBadRequest, resp: `{"error":"discretize: sample has 4 values, model fitted on 3 genes"}` + "\n", version: "v1", delta: counts{1, 1, 0, 1, 0, 0}},
+		{name: "overflow", body: `{"values":[1,1e999,2]}`,
+			status: http.StatusBadRequest, resp: `{"error":"invalid JSON: json: cannot unmarshal number 1e999 into Go struct field Request.values of type float64"}` + "\n", version: "", delta: counts{1, 0, 0, 1, 0, 0}},
+		{name: "leading zero", body: `{"values":[01,7,0.1]}`,
+			status: http.StatusBadRequest, resp: `{"error":"invalid JSON: invalid character '1' after array element"}` + "\n", version: "", delta: counts{1, 0, 0, 1, 0, 0}},
+		{name: "bare fraction", body: `{"values":[1,.5,2]}`,
+			status: http.StatusBadRequest, resp: `{"error":"invalid JSON: invalid character '.' looking for beginning of value"}` + "\n", version: "", delta: counts{1, 0, 0, 1, 0, 0}},
+		{name: "unknown item", body: `{"items":["nope[9]"]}`,
+			status: http.StatusBadRequest, resp: `{"error":"unknown item \"nope[9]\""}` + "\n", version: "v2", delta: counts{1, 0, 1, 1, 0, 1}},
+		{name: "empty item", body: `{"items":[""]}`,
+			status: http.StatusBadRequest, resp: `{"error":"items[0] is empty"}` + "\n", version: "", delta: counts{1, 0, 0, 1, 0, 0}},
+		{name: "oversized body", body: `{"values":[` + strings.Repeat("1,", maxRequestBody/2) + `1]}`,
+			status: http.StatusRequestEntityTooLarge, resp: `{"error":"body exceeds 4194304 bytes"}` + "\n", version: "", delta: counts{1, 0, 0, 1, 0, 0}},
 	}
 	for _, tc := range cases {
-		if status, body := postClassify(t, ts.URL, tc.body); status != tc.want {
-			t.Errorf("%s: status %d (%s), want %d", tc.name, status, body, tc.want)
+		before := read()
+		resp, err := http.Post(ts.URL+"/v1/classify", "application/json", strings.NewReader(tc.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		after := read()
+		got := counts{
+			after.requests - before.requests, after.v1 - before.v1, after.v2 - before.v2,
+			after.bad - before.bad, after.ok - before.ok, after.canary - before.canary,
+		}
+		version := resp.Header.Get(ModelVersionHeader)
+		if resp.StatusCode != tc.status || string(body) != tc.resp || version != tc.version || got != tc.delta {
+			t.Errorf("%s: got status %d, body %q, version %q, deltas %+v\nwant status %d, body %q, version %q, deltas %+v",
+				tc.name, resp.StatusCode, body, version, got, tc.status, tc.resp, tc.version, tc.delta)
 		}
 	}
 
