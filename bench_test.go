@@ -313,10 +313,12 @@ func BenchmarkMineMCMCBAR(b *testing.B) {
 }
 
 // BenchmarkAblationNaiveCellMaterialization quantifies Algorithm 1's
-// pointer-sharing design: the shared representation stores one exclusion
-// list per (class sample, outside sample) pair, while a naive table
-// materializes a list copy in every cell. The -benchmem numbers of this
-// benchmark against BenchmarkBSTConstruction show the memory gap.
+// pointer-sharing design taken to its end: a table stores only its training
+// rows and derives each (class sample, outside sample) exclusion list from
+// them, while a naive table materializes a list copy in every cell. This
+// benchmark builds every cell's lists (Cell derives them from the rows on
+// demand); its -benchmem numbers against BenchmarkBSTConstruction show the
+// memory gap.
 func BenchmarkAblationNaiveCellMaterialization(b *testing.B) {
 	d := pcSplit(b)
 	bst, err := bstc.NewBST(d, 0)

@@ -83,8 +83,9 @@ const (
 )
 
 // Train builds a BSTC classifier from discretized training data in
-// O(|S|²·|G|) time and space (§5.3.1). A nil opts uses the paper's
-// defaults. BSTC is parameter-free and handles any number of classes.
+// O(|S|²·|G|) time (§5.3.1); the tables keep O(|S|·|G| + |S|²) state. A nil
+// opts uses the paper's defaults. BSTC is parameter-free and handles any
+// number of classes.
 func Train(d *Dataset, opts *EvalOptions) (*Classifier, error) {
 	return core.Train(d, opts)
 }

@@ -17,10 +17,12 @@ import (
 //
 //	bstc artifact -in expr.tsv -out model.bstc [-workers N]
 //
-// The file is the flat v2 layout bstcd maps and serves zero-copy. It is
+// The file is the flat layout bstcd maps and serves zero-copy. It is
 // written atomically (temp + fsync + rename), so a crash mid-write never
 // leaves a torn artifact where a daemon would pick it up. Rerunning this
-// command is also how a file in the retired v1 gob format is replaced.
+// command is also how a file in a retired format — the v1 gob stream, or
+// version 2 of the flat layout, which stored every exclusion list — is
+// replaced.
 func cmdArtifact(args []string) error {
 	fs := flag.NewFlagSet("artifact", flag.ContinueOnError)
 	in := fs.String("in", "", "continuous TSV or ARFF input (required)")

@@ -269,23 +269,30 @@ func TestServeMmap(t *testing.T) {
 	}
 }
 
-// TestServeRejectsV1Artifact: a file in the retired v1 gob format must stop
-// the daemon at boot (main exits 1 on a run error) with a message naming
-// the format and the command that rewrites the file.
+// TestServeRejectsV1Artifact: a file in a retired format — v1 gob, or
+// version 2 of the mapped layout, which also stored every exclusion list —
+// must stop the daemon at boot (main exits 1 on a run error) with a message
+// naming the format and the command that rewrites the file.
 func TestServeRejectsV1Artifact(t *testing.T) {
-	old := filepath.Join(t.TempDir(), "old-v1.bstc")
+	dir := t.TempDir()
+	old := filepath.Join(dir, "old-v1.bstc")
 	v1 := "BSTC-ARTIFACT\n=\xff\x99\x03\x01\x01\vartifactDTO\x01\xff\x9a\x00"
 	if err := os.WriteFile(old, []byte(v1), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	var out bytes.Buffer
-	err := run(context.Background(), []string{"-model", old, "-addr", "127.0.0.1:0"}, &out, nil)
-	if err == nil {
-		t.Fatal("a v1 gob artifact booted")
-	}
-	for _, want := range []string{"v1", "bstc artifact"} {
-		if !strings.Contains(err.Error(), want) {
-			t.Errorf("boot error %q does not mention %q", err, want)
+	for _, tc := range []struct{ path, retired string }{
+		{old, "v1"},
+		{filepath.Join("..", "..", "internal", "eval", "testdata", "artifact_v2.golden"), "version 2"},
+	} {
+		var out bytes.Buffer
+		err := run(context.Background(), []string{"-model", tc.path, "-addr", "127.0.0.1:0"}, &out, nil)
+		if err == nil {
+			t.Fatalf("a %s artifact booted", tc.retired)
+		}
+		for _, want := range []string{tc.retired, "bstc artifact"} {
+			if !strings.Contains(err.Error(), want) {
+				t.Errorf("boot error %q does not mention %q", err, want)
+			}
 		}
 	}
 }

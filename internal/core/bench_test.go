@@ -30,6 +30,20 @@ func benchClassifier(b *testing.B) (*Classifier, *dataset.Bool) {
 	return cl, test
 }
 
+// BenchmarkNewBST times Algorithm 1 for class 0 of benchClassifier's
+// training set. A table keeps its rows and derives one shape per pair, so a
+// per-pair set coming back shows in allocs/op.
+func BenchmarkNewBST(b *testing.B) {
+	d := randomBoolDataset(rand.New(rand.NewSource(11)), 40, 60, 2)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := NewBST(d, 0); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 func BenchmarkEvaluate(b *testing.B) {
 	cl, test := benchClassifier(b)
 	t := cl.Tables[0]

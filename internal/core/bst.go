@@ -20,10 +20,12 @@ import (
 // otherwise a set of exclusion lists — one per outside sample h that also
 // expresses g.
 //
-// Algorithm 1's pointer-sharing trick means the table stores only one list
-// per (c, h) pair; cells reference the pair lists of the outside samples
-// expressing their gene. We keep exactly that representation: pairList[c][h]
-// plus the per-gene outside-expresser index, and derive cells on demand.
+// Algorithm 1's pointer-sharing trick means the table needs only one list
+// per (c, h) pair, and that list — h\c, or c\h when h ⊆ c — is a function of
+// the two training rows. So a BST stores only its training rows: the column
+// gene sets and the per-gene outside-expresser index (with its transpose).
+// derive computes the rest from them, BSTCE values every pair from counts
+// against the rows (pairValue), and cells and clauses are built on demand.
 type BST struct {
 	// Class is the class index C_i this table was built for.
 	Class int
@@ -36,23 +38,21 @@ type BST struct {
 
 	// colGenes[c] is the gene set of column sample c (shared with dataset).
 	colGenes []*bitset.Set
-	// exclusive[g] reports the black dot condition: g is expressed by some
-	// class sample and by no outside sample.
-	exclusive []bool
 	// geneOutside[g] is the set of outside positions h expressing gene g
 	// (universe = len(OutsideSamples)).
 	geneOutside []*bitset.Set
 	// outsideGenes[h] is geneOutside transposed: the genes outside sample h
-	// expresses. BSTCE's column sweep resolves whole words of genes per
-	// outside sample with it.
+	// expresses. Pair values count against it, and BSTCE's column sweep
+	// resolves whole words of genes per outside sample with it.
 	outsideGenes []*bitset.Set
-	// exclusiveGenes is exclusive as a gene set: the black dots the column
-	// sweep masks out before resolving.
+
+	// exclusiveGenes holds the black dots: the genes some column expresses
+	// and no outside sample does. Derived.
 	exclusiveGenes *bitset.Set
-	// pairList[c][h] is the shared exclusion list for column c and outside
-	// sample h: the paper's (h: -g_l1 … -g_lm) with genes h\c, or, when
-	// h ⊆ c, the positive list (h: g_l1 … g_lm) with genes c\h.
-	pairList [][]rules.Clause
+	// pairs[c*len(OutsideSamples)+h] is the shape of the (c, h) exclusion
+	// list. Derived, never persisted: it saves every pair value a second
+	// popcount.
+	pairs []pairShape
 	// cullOnce guards the lazy culling state below: it is only needed when
 	// a query evaluates with CullListsTo > 0, so it is built on the first
 	// such query (concurrency-safe) instead of at construction or load —
@@ -66,15 +66,13 @@ type BST struct {
 	// Rank/Select stay available for covering diagnostics. Built once per
 	// table, never after a mutation.
 	outsideIdx []*bitset.Index
-	// pairSize[c][h] caches |pairList[c][h].Genes|, so each pair-value cache
-	// miss pays one intersection count instead of two full word scans (see
-	// rules.Clause.SatisfactionFractionSized).
-	pairSize [][]int32
-	// pairExpr lazily caches pairList[c][h].Expr() for the rule-mining
-	// paths, which revisit the same pair clauses across many rules. Mining
-	// methods are not safe for concurrent use because of this cache;
-	// classification never touches it and stays concurrency-safe.
-	pairExpr [][]rules.Expr
+	// pairExpr lazily caches each pair clause's Expr for the rule-mining
+	// paths, which revisit the same pair clauses across many rules;
+	// pairGenes is their scratch for one list's genes. Mining methods are
+	// not safe for concurrent use because of this state; classification
+	// never touches it and stays concurrency-safe.
+	pairExpr  [][]rules.Expr
+	pairGenes *bitset.Set
 
 	// scratch pools evalScratch values sized for this table (see
 	// scratch.go), keeping steady-state evaluation allocation-free while
@@ -84,9 +82,15 @@ type BST struct {
 	scratch sync.Pool
 }
 
+// pairShape is the size and polarity of one (c, h) exclusion list.
+type pairShape struct {
+	n   int32 // literals in the list
+	neg bool  // the negated list h\c; false for the positive list c\h
+}
+
 // NewBST runs Algorithm 1 (Create-BST) for class ci over d. It requires at
 // least one sample of the class. Construction is O((|S|-|C_i|)·|G|·|C_i|)
-// time and space, as in §3.1.1.
+// time, as in §3.1.1; the table keeps O(|S|·|G| + |S|²) state.
 func NewBST(d *dataset.Bool, ci int) (*BST, error) {
 	if ci < 0 || ci >= d.NumClasses() {
 		return nil, fmt.Errorf("core: class index %d outside [0,%d)", ci, d.NumClasses())
@@ -95,94 +99,67 @@ func NewBST(d *dataset.Bool, ci int) (*BST, error) {
 	for i, cl := range d.Classes {
 		if cl == ci {
 			t.ClassSamples = append(t.ClassSamples, i)
+			t.colGenes = append(t.colGenes, d.Rows[i])
 		} else {
 			t.OutsideSamples = append(t.OutsideSamples, i)
+			t.outsideGenes = append(t.outsideGenes, d.Rows[i])
 		}
 	}
 	if len(t.ClassSamples) == 0 {
 		return nil, fmt.Errorf("core: class %d has no samples", ci)
 	}
-
-	t.colGenes = make([]*bitset.Set, len(t.ClassSamples))
-	for c, si := range t.ClassSamples {
-		t.colGenes[c] = d.Rows[si]
-	}
-
-	// Genes expressed anywhere outside the class, and the per-gene outside
-	// expresser index.
-	t.geneOutside = make([]*bitset.Set, t.numGenes)
-	for g := range t.geneOutside {
-		t.geneOutside[g] = bitset.New(len(t.OutsideSamples))
-	}
-	t.outsideGenes = make([]*bitset.Set, len(t.OutsideSamples))
-	for h, si := range t.OutsideSamples {
-		t.outsideGenes[h] = d.Rows[si]
-		d.Rows[si].ForEach(func(g int) bool {
-			t.geneOutside[g].Add(h)
-			return true
-		})
-	}
-	t.exclusive = make([]bool, t.numGenes)
-	expressedInClass := bitset.New(t.numGenes)
-	for _, cg := range t.colGenes {
-		expressedInClass.Or(cg)
-	}
-	for g := 0; g < t.numGenes; g++ {
-		t.exclusive[g] = expressedInClass.Contains(g) && t.geneOutside[g].IsEmpty()
-	}
-	t.exclusiveGenes = geneSet(t.exclusive)
-
-	// One shared exclusion list per (c, h) pair (Algorithm 1 lines 13-18).
-	t.pairList = make([][]rules.Clause, len(t.ClassSamples))
-	for c := range t.ClassSamples {
-		t.pairList[c] = make([]rules.Clause, len(t.OutsideSamples))
-		cg := t.colGenes[c]
-		for h, si := range t.OutsideSamples {
-			hg := d.Rows[si]
-			l := bitset.Difference(hg, cg) // genes in h but not c
-			if !l.IsEmpty() {
-				t.pairList[c][h] = rules.Clause{Genes: l, Neg: true}
-				continue
-			}
-			// h ⊆ c: fall back to the positive list c \ h. If that is also
-			// empty, the two samples are identical (excluded by Theorem 2's
-			// hypothesis); the clause stays empty and is unsatisfiable.
-			t.pairList[c][h] = rules.Clause{Genes: bitset.Difference(cg, hg)}
-		}
-	}
-	t.buildDerived()
+	t.geneOutside = bitset.Transpose(t.outsideGenes, t.numGenes)
+	t.derive()
 
 	met.bstBuilds.Inc()
 	if met.bstCells != nil {
 		// Non-blank cells: each column sample contributes one cell per
-		// expressed gene. The exclusion-list size accounting walks every
-		// shared pair list once, so it only runs when instrumented.
+		// expressed gene. The exclusion-list accounting sums the derived
+		// pair sizes, so it only runs when instrumented.
 		cells := int64(0)
 		for _, cg := range t.colGenes {
 			cells += int64(cg.Count())
 		}
 		met.bstCells.Add(cells)
-		met.pairClauses.Add(int64(len(t.ClassSamples)) * int64(len(t.OutsideSamples)))
+		met.pairClauses.Add(int64(len(t.pairs)))
 		genes := int64(0)
-		for c := range t.pairList {
-			for h := range t.pairList[c] {
-				genes += int64(t.pairList[c][h].Genes.Count())
-			}
+		for _, p := range t.pairs {
+			genes += int64(p.n)
 		}
 		met.exclGenes.Add(genes)
 	}
 	return t, nil
 }
 
-// geneSet returns the genes flagged in mask as a set over len(mask) genes.
-func geneSet(mask []bool) *bitset.Set {
-	s := bitset.New(len(mask))
-	for g, in := range mask {
-		if in {
-			s.Add(g)
+// derive computes everything the table holds besides its training rows: the
+// black dots, and the shape of every shared (c, h) exclusion list
+// (Algorithm 1 lines 13-18). The list is the negated h\c, of size
+// |h| − |h∩c|, unless h ⊆ c; then it is the positive c\h, of size
+// |c| − |h|, which is empty for identical samples (excluded by Theorem 2's
+// hypothesis). NewBST and buildTable both end here, so a loaded table holds
+// exactly what the trained one did.
+func (t *BST) derive() {
+	t.exclusiveGenes = bitset.New(t.numGenes)
+	for _, cg := range t.colGenes {
+		t.exclusiveGenes.Or(cg)
+	}
+	nh := len(t.outsideGenes)
+	sizes := make([]int, nh)
+	for h, hg := range t.outsideGenes {
+		t.exclusiveGenes.AndNot(hg)
+		sizes[h] = hg.Count()
+	}
+	t.pairs = make([]pairShape, len(t.colGenes)*nh)
+	for c, cg := range t.colGenes {
+		cn, row := cg.Count(), t.pairs[c*nh:(c+1)*nh]
+		for h, hg := range t.outsideGenes {
+			if both := cg.IntersectionCount(hg); sizes[h] > both {
+				row[h] = pairShape{n: int32(sizes[h] - both), neg: true}
+			} else {
+				row[h] = pairShape{n: int32(cn - sizes[h])}
+			}
 		}
 	}
-	return s
 }
 
 // NumGenes returns |G|.
@@ -208,17 +185,17 @@ const (
 )
 
 // Cell returns the kind of cell (g, c) and, for CellLists cells, the pairs
-// (outside position, clause) in outside order.
+// (outside position, clause) in outside order, built from the rows.
 func (t *BST) Cell(g, c int) (CellKind, []CellClause) {
 	if !t.colGenes[c].Contains(g) {
 		return CellBlank, nil
 	}
-	if t.exclusive[g] {
+	if t.exclusiveGenes.Contains(g) {
 		return CellDot, nil
 	}
 	var out []CellClause
 	t.geneOutside[g].ForEach(func(h int) bool {
-		out = append(out, CellClause{Outside: h, Clause: t.pairList[c][h]})
+		out = append(out, CellClause{Outside: h, Clause: t.PairClause(c, h)})
 		return true
 	})
 	return CellLists, out
@@ -231,12 +208,30 @@ type CellClause struct {
 	Clause  rules.Clause
 }
 
-// PairClause returns the shared exclusion list of column c and outside
-// position h, regardless of any particular gene row.
-func (t *BST) PairClause(c, h int) rules.Clause { return t.pairList[c][h] }
+// PairClause builds the shared exclusion list of column c and outside
+// position h, regardless of any particular gene row: the negated list h\c,
+// or, when h ⊆ c, the positive list c\h.
+func (t *BST) PairClause(c, h int) rules.Clause {
+	genes := bitset.New(t.numGenes)
+	neg := t.pairListInto(genes, c, h)
+	return rules.Clause{Genes: genes, Neg: neg}
+}
 
-// pairClauseExpr returns the cached expression form of a pair clause.
-func (t *BST) pairClauseExpr(c, h int) rules.Expr {
+// pairListInto writes the genes of the (c, h) exclusion list into dst and
+// reports whether the list is negated.
+func (t *BST) pairListInto(dst *bitset.Set, c, h int) (neg bool) {
+	cg, hg := t.colGenes[c], t.outsideGenes[h]
+	if t.pairs[c*len(t.OutsideSamples)+h].neg {
+		hg.AndNotInto(dst, cg)
+		return true
+	}
+	cg.AndNotInto(dst, hg)
+	return false
+}
+
+// pairClauseExpr returns the cached expression form of cl, the (c, h) pair
+// clause, converting it on the first request.
+func (t *BST) pairClauseExpr(c, h int, cl rules.Clause) rules.Expr {
 	if t.pairExpr == nil {
 		t.pairExpr = make([][]rules.Expr, len(t.ClassSamples))
 	}
@@ -245,7 +240,7 @@ func (t *BST) pairClauseExpr(c, h int) rules.Expr {
 	}
 	if t.pairExpr[c][h] == nil {
 		met.clauseExprMisses.Inc()
-		t.pairExpr[c][h] = t.pairList[c][h].Expr()
+		t.pairExpr[c][h] = cl.Expr()
 	} else {
 		met.clauseExprHits.Inc()
 	}

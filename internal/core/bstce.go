@@ -92,7 +92,7 @@ func (t *BST) evaluate(q *bitset.Set, opts EvalOptions, s *evalScratch) float64 
 		panic("core: query gene universe does not match BST")
 	}
 	met.evals.Inc()
-	s.reset()
+	t.startQuery(q, s)
 	sweep := opts.Arithmetization == MinCombine && opts.CullListsTo <= 0
 
 	var colSum float64
@@ -101,27 +101,23 @@ func (t *BST) evaluate(q *bitset.Set, opts EvalOptions, s *evalScratch) float64 
 	for c := range t.ClassSamples {
 		// Genes considered in this column: expressed by both q and the
 		// column sample (Algorithm 5 line 6; Figure 3 keeps only Q's genes).
-		q.IntersectInto(qAndCol, t.colGenes[c])
-		if qAndCol.IsEmpty() {
+		if t.startColumn(q, s, c) == 0 {
 			continue
 		}
 		var sum float64
-		n := 0
 		if sweep {
-			t.sweepColumn(q, s, c)
+			t.sweepColumn(s, c)
 			qAndCol.ForEach(func(g int) bool {
 				sum += s.cells[g]
-				n++
 				return true
 			})
 		} else {
 			qAndCol.ForEach(func(g int) bool {
-				sum += t.cellValue(q, s, g, c, opts)
-				n++
+				sum += t.cellValue(s, g, c, opts)
 				return true
 			})
 		}
-		v := sum / float64(n)
+		v := sum / float64(s.qc)
 		s.colVals[c] = v
 		colSum += v
 		nonBlank++
@@ -140,7 +136,7 @@ func (t *BST) evaluate(q *bitset.Set, opts EvalOptions, s *evalScratch) float64 
 // take pv[c][h] and are cleared, a whole word of genes at a time. The sweep
 // stops once every gene is resolved or pv reaches 1 (the cap). Black dots
 // and genes no visited sample expresses keep 1.
-func (t *BST) sweepColumn(q *bitset.Set, s *evalScratch, c int) {
+func (t *BST) sweepColumn(s *evalScratch, c int) {
 	cells := s.cells
 	s.qAndCol.ForEach(func(g int) bool {
 		cells[g] = 1
@@ -154,7 +150,7 @@ func (t *BST) sweepColumn(q *bitset.Set, s *evalScratch, c int) {
 	ranks := rankHeap(s.ranks)
 	for h := range ranks {
 		ranks[h] = pairRank{
-			v: t.pairList[c][h].SatisfactionFractionSized(q, int(t.pairSize[c][h])),
+			v: t.pairValue(s, c, h),
 			h: int32(h),
 		}
 	}
@@ -224,11 +220,12 @@ func (r rankHeap) down(i int) {
 	r[i] = x
 }
 
-// cellValue computes Algorithm 5 lines 7-11 for cell (g, c): 1 for black
-// dots, otherwise the combination of the cell's exclusion-list satisfaction
-// fractions. The pair-value cache lives in s.
-func (t *BST) cellValue(q *bitset.Set, s *evalScratch, g, c int, opts EvalOptions) float64 {
-	if t.exclusive[g] {
+// cellValue computes Algorithm 5 lines 7-11 for cell (g, c) of the column
+// startColumn made current: 1 for black dots, otherwise the combination of
+// the cell's exclusion-list satisfaction fractions. The pair-value cache
+// lives in s.
+func (t *BST) cellValue(s *evalScratch, g, c int, opts EvalOptions) float64 {
+	if t.exclusiveGenes.Contains(g) {
 		return 1
 	}
 	pv := s.column(c, len(t.OutsideSamples))
@@ -248,7 +245,7 @@ func (t *BST) cellValue(q *bitset.Set, s *evalScratch, g, c int, opts EvalOption
 			if !outs.Contains(h) {
 				continue
 			}
-			f := t.pairValue(q, pv, c, h)
+			f := t.cachedPairValue(s, pv, c, h)
 			if opts.Arithmetization == ProductCombine {
 				v *= f
 			} else if f < v {
@@ -266,14 +263,14 @@ func (t *BST) cellValue(q *bitset.Set, s *evalScratch, g, c int, opts EvalOption
 	case ProductCombine:
 		v := 1.0
 		outs.ForEach(func(h int) bool {
-			v *= t.pairValue(q, pv, c, h)
+			v *= t.cachedPairValue(s, pv, c, h)
 			return v > 0
 		})
 		return v
 	default: // MinCombine
 		v := 1.0
 		outs.ForEach(func(h int) bool {
-			if f := t.pairValue(q, pv, c, h); f < v {
+			if f := t.cachedPairValue(s, pv, c, h); f < v {
 				v = f
 			}
 			return v > 0
@@ -282,11 +279,32 @@ func (t *BST) cellValue(q *bitset.Set, s *evalScratch, g, c int, opts EvalOption
 	}
 }
 
-func (t *BST) pairValue(q *bitset.Set, pv []float64, c, h int) float64 {
+func (t *BST) cachedPairValue(s *evalScratch, pv []float64, c, h int) float64 {
 	if math.IsNaN(pv[h]) {
-		pv[h] = t.pairList[c][h].SatisfactionFractionSized(q, int(t.pairSize[c][h]))
+		pv[h] = t.pairValue(s, c, h)
 	}
 	return pv[h]
+}
+
+// pairValue is the satisfaction fraction of the (c, h) exclusion list for
+// the query s holds, with column c current: BSTCE's V_e (Algorithm 5 line
+// 4, rules.Clause.SatisfactionFraction), computed from counts against the
+// rows instead of from the list. With x = |q∩c∩h|, the negated list h\c
+// has n − (|q∩h| − x) satisfied literals and the positive list c\h has
+// |q∩c| − x. Every count is an integer, so the division is
+// SatisfactionFraction's, bit for bit; an empty list is worth 0. The cost
+// is one AND-popcount against outside row h.
+func (t *BST) pairValue(s *evalScratch, c, h int) float64 {
+	p := t.pairs[c*len(t.OutsideSamples)+h]
+	if p.n == 0 {
+		return 0
+	}
+	x := s.qAndCol.IntersectionCount(t.outsideGenes[h])
+	sat := s.qc - x
+	if p.neg {
+		sat = int(p.n) - (s.qOut[h] - x)
+	}
+	return float64(sat) / float64(p.n)
 }
 
 // cullOrder returns column c's outside positions ordered by ascending
@@ -303,27 +321,10 @@ func (t *BST) cullIdx() []*bitset.Index {
 	return t.outsideIdx
 }
 
-// buildDerived computes the evaluation state every query path touches: the
-// pair-clause size cache feeding SatisfactionFractionSized. It runs once at
-// construction and once on every load path (the gob classifier stream, the
-// mapped artifact). The culling-only state (cull orders, rank directories)
-// is built lazily by cullIdx instead, so loads and non-culling queries never
-// pay for it.
-func (t *BST) buildDerived() {
-	t.pairSize = make([][]int32, len(t.pairList))
-	for c := range t.pairList {
-		sizes := make([]int32, len(t.pairList[c]))
-		for h := range t.pairList[c] {
-			sizes[h] = int32(t.pairList[c][h].Genes.Count())
-		}
-		t.pairSize[c] = sizes
-	}
-}
-
 // buildCullState materializes §8's culling accelerators: per-gene rank
 // directories over the outside-expresser sets (O(1) covering checks) and
 // per-column outside positions sorted by exclusion-list length. The sort
-// compares the cached pairSize values, not live popcounts, so building the
+// compares the derived pair sizes, not live popcounts, so building the
 // orders is O(columns · outside log outside) regardless of the gene
 // universe width.
 func (t *BST) buildCullState() {
@@ -333,13 +334,14 @@ func (t *BST) buildCullState() {
 	}
 	t.cullOrders = make([][]int, len(t.ClassSamples))
 	for c := range t.ClassSamples {
-		sizes := t.pairSize[c]
-		order := make([]int, len(t.OutsideSamples))
+		nh := len(t.OutsideSamples)
+		row := t.pairs[c*nh : (c+1)*nh]
+		order := make([]int, nh)
 		for h := range order {
 			order[h] = h
 		}
 		sort.SliceStable(order, func(a, b int) bool {
-			return sizes[order[a]] < sizes[order[b]]
+			return row[order[a]].n < row[order[b]].n
 		})
 		t.cullOrders[c] = order
 	}
@@ -353,8 +355,9 @@ func (t *BST) CellSatisfaction(q *bitset.Set, g, c int, opts EvalOptions) float6
 		return math.NaN()
 	}
 	s := t.getScratch()
-	s.reset()
-	v := t.cellValue(q, s, g, c, opts)
+	t.startQuery(q, s)
+	t.startColumn(q, s, c)
+	v := t.cellValue(s, g, c, opts)
 	t.putScratch(s)
 	return v
 }

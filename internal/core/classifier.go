@@ -22,8 +22,9 @@ type Classifier struct {
 }
 
 // Train builds a BSTC classifier from discretized training data. Training is
-// O(|S|²·|G|) time and space (§5.3.1). A nil opts uses the paper's defaults
-// (min arithmetization, no exclusion-list culling).
+// O(|S|²·|G|) time (§5.3.1), and the tables keep O(|S|·|G| + |S|²) state. A
+// nil opts uses the paper's defaults (min arithmetization, no
+// exclusion-list culling).
 func Train(d *dataset.Bool, opts *EvalOptions) (*Classifier, error) {
 	if err := d.Validate(); err != nil {
 		return nil, err
@@ -152,12 +153,11 @@ func (cl *Classifier) Explain(q *bitset.Set, ci int, minSat float64) []Explanati
 	var out []Explanation
 	s := t.getScratch()
 	defer t.putScratch(s)
-	s.reset()
-	qAndCol := s.qAndCol
+	t.startQuery(q, s)
 	for c := range t.ClassSamples {
-		q.IntersectInto(qAndCol, t.colGenes[c])
-		qAndCol.ForEach(func(g int) bool {
-			v := t.cellValue(q, s, g, c, cl.Opts)
+		t.startColumn(q, s, c)
+		s.qAndCol.ForEach(func(g int) bool {
+			v := t.cellValue(s, g, c, cl.Opts)
 			if v >= minSat {
 				out = append(out, Explanation{
 					Gene:         g,

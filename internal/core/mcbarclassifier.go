@@ -68,11 +68,20 @@ func (t *BST) RuleSatisfaction(q *bitset.Set, m MCBAR, opts EvalOptions) float64
 	if m.Excluded.IsEmpty() {
 		return carFrac
 	}
+	// Pair values count q against the rows: |q∩h| for the excluded outside
+	// samples once per rule, then |q∩c| once per supporting column.
+	s := t.getScratch()
+	defer t.putScratch(s)
+	m.Excluded.ForEach(func(h int) bool {
+		s.qOut[h] = q.IntersectionCount(t.outsideGenes[h])
+		return true
+	})
 	best := 0.0
 	m.Support.ForEach(func(c int) bool {
+		t.startColumn(q, s, c)
 		v := 1.0
 		m.Excluded.ForEach(func(h int) bool {
-			f := t.pairList[c][h].SatisfactionFractionSized(q, int(t.pairSize[c][h]))
+			f := t.pairValue(s, c, h)
 			if opts.Arithmetization == ProductCombine {
 				v *= f
 			} else if f < v {

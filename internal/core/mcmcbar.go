@@ -222,18 +222,23 @@ func (t *BST) buildMCBAR(s *bitset.Set) MCBAR {
 		// Dedupe both levels with cheap clause keys and assemble the
 		// And/Or nodes directly: the deduping constructors would re-key
 		// whole subtrees at every level, which dominates mining time on
-		// wide tables.
+		// wide tables. Each clause key is built from the list's genes,
+		// derived into the table's mining scratch set, so no clause is
+		// allocated per (c, h).
 		var disj rules.Or
 		seenCols := map[string]bool{}
 		var clauseBuf []byte
+		if t.pairGenes == nil {
+			t.pairGenes = bitset.New(t.numGenes)
+		}
 		s.ForEach(func(c int) bool {
 			var colKey []byte
 			var conj rules.And
 			seenClauses := map[string]bool{}
 			excluded.ForEach(func(h int) bool {
-				cl := t.pairList[c][h]
-				clauseBuf = cl.Genes.AppendKey(clauseBuf[:0])
-				if cl.Neg {
+				neg := t.pairListInto(t.pairGenes, c, h)
+				clauseBuf = t.pairGenes.AppendKey(clauseBuf[:0])
+				if neg {
 					clauseBuf = append(clauseBuf, '-')
 				}
 				// The byte-slice map lookup compiles to an alloc-free probe,
@@ -241,7 +246,7 @@ func (t *BST) buildMCBAR(s *bitset.Set) MCBAR {
 				if !seenClauses[string(clauseBuf)] {
 					seenClauses[string(clauseBuf)] = true
 					colKey = append(colKey, clauseBuf...)
-					conj = append(conj, t.pairClauseExpr(c, h))
+					conj = append(conj, t.pairClauseExpr(c, h, rules.Clause{Genes: t.pairGenes, Neg: neg}))
 				}
 				return true
 			})

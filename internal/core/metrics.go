@@ -11,8 +11,8 @@ var met struct {
 	// BST construction (Algorithm 1).
 	bstBuilds   *obs.Counter // core.bst.builds — tables constructed
 	bstCells    *obs.Counter // core.bst.cells — non-blank cells across built tables
-	pairClauses *obs.Counter // core.bst.pair_clauses — shared (c,h) exclusion lists materialized
-	exclGenes   *obs.Counter // core.bst.excl_genes — total genes across exclusion lists
+	pairClauses *obs.Counter // core.bst.pair_clauses — shared (c,h) exclusion lists (derived, none materialized)
+	exclGenes   *obs.Counter // core.bst.excl_genes — sum of the derived exclusion-list sizes
 
 	// BSTCE evaluation (Algorithm 5).
 	evals            *obs.Counter // core.bstce.evals — table evaluations

@@ -6,7 +6,6 @@ import (
 	"io"
 
 	"bstc/internal/bitset"
-	"bstc/internal/rules"
 )
 
 // Model persistence: a trained Classifier serializes to a self-contained
@@ -25,8 +24,8 @@ const persistFormatVersion = 1
 
 // The gob DTO types below ARE the wire format of the classifier stream
 // `bstc train` writes (gob encodes their names and field sets); do not
-// rename or reorder them. They mirror TableData / ClassifierData, which new
-// encodings should use instead.
+// rename or reorder them. bstDTO has exactly TableData's fields, so the two
+// convert directly; new encodings should use TableData / ClassifierData.
 
 type classifierDTO struct {
 	Version    int
@@ -42,31 +41,19 @@ type bstDTO struct {
 	OutsideSamples []int
 	NumGenes       int
 	ColGenes       []*bitset.Set
-	Exclusive      []bool
 	GeneOutside    []*bitset.Set
-	// Pair lists flattened row-major: PairGenes[c*len(OutsideSamples)+h].
-	PairGenes []*bitset.Set
-	PairNeg   []bool
 }
 
-// TableData is the serializable content of one BST: every field a save
-// format must persist, with the pair lists flattened row-major
-// (PairGenes[c*len(OutsideSamples)+h]). Derived evaluation state (cull
-// orders, rank directories) is intentionally absent — it is rebuilt by
-// BuildClassifier. The one exception is PairSizes, the |PairGenes[i]|
-// cache: formats may persist it so loading skips a popcount pass over
-// every pair list (the mapped cold-start path does); nil means recompute.
+// TableData is the serializable content of one BST: its training rows, the
+// only state a save format persists. Everything else — black dots, pair
+// shapes, cull orders, rank directories — is derived by BuildClassifier.
 type TableData struct {
 	Class          int
 	ClassSamples   []int
 	OutsideSamples []int
 	NumGenes       int
 	ColGenes       []*bitset.Set
-	Exclusive      []bool
 	GeneOutside    []*bitset.Set
-	PairGenes      []*bitset.Set
-	PairNeg        []bool
-	PairSizes      []int32
 }
 
 // ClassifierData is the serializable content of a whole Classifier.
@@ -87,35 +74,24 @@ func (cl *Classifier) Export() ClassifierData {
 		Opts:       cl.Opts,
 	}
 	for _, t := range cl.Tables {
-		td := TableData{
+		d.Tables = append(d.Tables, TableData{
 			Class:          t.Class,
 			ClassSamples:   t.ClassSamples,
 			OutsideSamples: t.OutsideSamples,
 			NumGenes:       t.numGenes,
 			ColGenes:       t.colGenes,
-			Exclusive:      t.exclusive,
 			GeneOutside:    t.geneOutside,
-		}
-		for _, row := range t.pairList {
-			for _, clause := range row {
-				td.PairGenes = append(td.PairGenes, clause.Genes)
-				td.PairNeg = append(td.PairNeg, clause.Neg)
-			}
-		}
-		for _, sizes := range t.pairSize {
-			td.PairSizes = append(td.PairSizes, sizes...)
-		}
-		d.Tables = append(d.Tables, td)
+		})
 	}
 	return d
 }
 
 // BuildClassifier validates flattened classifier data — which may come
 // from an untrusted stream or a mapped file — and assembles a ready
-// classifier around it, rebuilding all derived evaluation state. The
-// bitsets are adopted, not copied, so a caller holding zero-copy views
-// onto a mapping pays nothing for the heavy part; they may be frozen
-// (classification never mutates table sets).
+// classifier around it, deriving all other table state. The bitsets are
+// adopted, not copied, so a caller holding zero-copy views onto a mapping
+// pays nothing for the heavy part; they may be frozen (classification
+// never mutates table sets).
 func BuildClassifier(d ClassifierData) (*Classifier, error) {
 	if len(d.ClassNames) == 0 || len(d.Tables) != len(d.ClassNames) {
 		return nil, fmt.Errorf("core: classifier has %d tables for %d classes", len(d.Tables), len(d.ClassNames))
@@ -147,15 +123,8 @@ func buildTable(b TableData, numGenes int) (*BST, error) {
 		return nil, fmt.Errorf("core: model table %d has no class samples", b.Class)
 	case len(b.ColGenes) != nc:
 		return nil, fmt.Errorf("core: model table %d has %d column sets for %d columns", b.Class, len(b.ColGenes), nc)
-	case len(b.Exclusive) != b.NumGenes:
-		return nil, fmt.Errorf("core: model table %d has %d exclusive flags for %d genes", b.Class, len(b.Exclusive), b.NumGenes)
 	case len(b.GeneOutside) != b.NumGenes:
 		return nil, fmt.Errorf("core: model table %d has %d outside sets for %d genes", b.Class, len(b.GeneOutside), b.NumGenes)
-	case len(b.PairGenes) != nc*nh || len(b.PairNeg) != len(b.PairGenes):
-		return nil, fmt.Errorf("core: model table %d has inconsistent pair lists", b.Class)
-	case b.PairSizes != nil && len(b.PairSizes) != len(b.PairGenes):
-		return nil, fmt.Errorf("core: model table %d has %d pair sizes for %d pair lists",
-			b.Class, len(b.PairSizes), len(b.PairGenes))
 	}
 	for c, s := range b.ColGenes {
 		if s == nil || s.Len() != b.NumGenes {
@@ -169,52 +138,18 @@ func buildTable(b TableData, numGenes int) (*BST, error) {
 				b.Class, g, setLen(s), nh)
 		}
 	}
-	for i, s := range b.PairGenes {
-		if s == nil || s.Len() != b.NumGenes {
-			return nil, fmt.Errorf("core: model table %d pair %d gene set has universe %s, want %d",
-				b.Class, i, setLen(s), b.NumGenes)
-		}
-	}
 	t := &BST{
 		Class:          b.Class,
 		ClassSamples:   b.ClassSamples,
 		OutsideSamples: b.OutsideSamples,
 		numGenes:       b.NumGenes,
 		colGenes:       b.ColGenes,
-		exclusive:      b.Exclusive,
 		geneOutside:    b.GeneOutside,
-		// The sweep's view of the outside sets is derived, not persisted:
-		// transposing the validated GeneOutside makes it agree with
-		// cellValue's per-gene walk by construction.
-		outsideGenes:   bitset.Transpose(b.GeneOutside, nh),
-		exclusiveGenes: geneSet(b.Exclusive),
+		// The outside rows are the validated GeneOutside transposed, so they
+		// agree with cellValue's per-gene walk by construction.
+		outsideGenes: bitset.Transpose(b.GeneOutside, nh),
 	}
-	t.pairList = make([][]rules.Clause, nc)
-	for c := range t.pairList {
-		t.pairList[c] = make([]rules.Clause, nh)
-		for h := 0; h < nh; h++ {
-			idx := c*nh + h
-			t.pairList[c][h] = rules.Clause{Genes: b.PairGenes[idx], Neg: b.PairNeg[idx]}
-		}
-	}
-	if b.PairSizes != nil {
-		// Adopt the persisted size cache: rows alias the flat slice, and the
-		// values are range-checked so an inconsistent file cannot smuggle a
-		// size outside what any clause over this universe can have.
-		t.pairSize = make([][]int32, nc)
-		for c := range t.pairSize {
-			row := b.PairSizes[c*nh : (c+1)*nh : (c+1)*nh]
-			for h, sz := range row {
-				if sz < 0 || int(sz) > b.NumGenes {
-					return nil, fmt.Errorf("core: model table %d pair (%d,%d) claims %d genes of %d",
-						b.Class, c, h, sz, b.NumGenes)
-				}
-			}
-			t.pairSize[c] = row
-		}
-	} else {
-		t.buildDerived()
-	}
+	t.derive()
 	return t, nil
 }
 
@@ -234,26 +169,15 @@ func (cl *Classifier) Save(w io.Writer) error {
 		GeneNames:  d.GeneNames,
 		Opts:       d.Opts,
 	}
-	// Explicit field copy, not a struct conversion: TableData carries the
-	// optional PairSizes cache that the v1 wire format must never learn
-	// about (gob would encode the new field and change the byte stream).
 	for _, t := range d.Tables {
-		dto.Tables = append(dto.Tables, bstDTO{
-			Class:          t.Class,
-			ClassSamples:   t.ClassSamples,
-			OutsideSamples: t.OutsideSamples,
-			NumGenes:       t.NumGenes,
-			ColGenes:       t.ColGenes,
-			Exclusive:      t.Exclusive,
-			GeneOutside:    t.GeneOutside,
-			PairGenes:      t.PairGenes,
-			PairNeg:        t.PairNeg,
-		})
+		dto.Tables = append(dto.Tables, bstDTO(t))
 	}
 	return gob.NewEncoder(w).Encode(dto)
 }
 
-// LoadClassifier reads a classifier previously written by Save.
+// LoadClassifier reads a classifier previously written by Save. Streams
+// from releases that also stored pair lists and black-dot flags load too:
+// gob skips the fields bstDTO no longer has, and both are derived again.
 func LoadClassifier(r io.Reader) (*Classifier, error) {
 	var dto classifierDTO
 	if err := gob.NewDecoder(r).Decode(&dto); err != nil {
@@ -268,17 +192,7 @@ func LoadClassifier(r io.Reader) (*Classifier, error) {
 		Opts:       dto.Opts,
 	}
 	for _, b := range dto.Tables {
-		d.Tables = append(d.Tables, TableData{
-			Class:          b.Class,
-			ClassSamples:   b.ClassSamples,
-			OutsideSamples: b.OutsideSamples,
-			NumGenes:       b.NumGenes,
-			ColGenes:       b.ColGenes,
-			Exclusive:      b.Exclusive,
-			GeneOutside:    b.GeneOutside,
-			PairGenes:      b.PairGenes,
-			PairNeg:        b.PairNeg,
-		})
+		d.Tables = append(d.Tables, TableData(b))
 	}
 	cl, err := BuildClassifier(d)
 	if err != nil {

@@ -4,18 +4,45 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"bstc/internal/bitset"
+	"bstc/internal/dataset"
+	"bstc/internal/discretize"
+	"bstc/internal/rules"
+	"bstc/internal/synth"
 )
 
+// pairListsReference materializes every shared exclusion list the way
+// Algorithm 1 lines 13-18 read, straight from the table's rows: the negated
+// list h\c when it is non-empty, else the positive list c\h (empty for
+// identical samples). It is the oracle the derived pair shapes and values
+// answer to.
+func pairListsReference(t *BST) [][]rules.Clause {
+	lists := make([][]rules.Clause, len(t.colGenes))
+	for c, cg := range t.colGenes {
+		lists[c] = make([]rules.Clause, len(t.outsideGenes))
+		for h, hg := range t.outsideGenes {
+			if l := bitset.Difference(hg, cg); !l.IsEmpty() {
+				lists[c][h] = rules.Clause{Genes: l, Neg: true}
+				continue
+			}
+			lists[c][h] = rules.Clause{Genes: bitset.Difference(cg, hg)}
+		}
+	}
+	return lists
+}
+
 // referenceEvaluate is a naive, cell-by-cell transliteration of Algorithm 5
-// built on the public Cell accessor: it materializes every cell, computes
-// each exclusion list's satisfaction fraction independently, combines with
-// min (or product), averages down columns and across non-blank columns.
-// The optimized Evaluate (shared pair values, lazy computation, culling
-// fast paths) must agree with it exactly.
+// over the materialized lists of pairListsReference: every non-blank cell
+// takes each of its exclusion lists' satisfaction fractions independently,
+// combines them with min (or product) — a black dot, with no outside
+// expresser, keeps 1 — and the values average down columns and across
+// non-blank columns. The optimized Evaluate (derived pair values, lazy
+// computation, culling fast paths) must agree with it exactly.
 func referenceEvaluate(t *BST, q *bitset.Set, arith Arithmetization) Evaluation {
+	lists := pairListsReference(t)
 	colVals := make([]float64, t.NumColumns())
 	for c := range colVals {
 		colVals[c] = math.NaN()
@@ -26,27 +53,20 @@ func referenceEvaluate(t *BST, q *bitset.Set, arith Arithmetization) Evaluation 
 		var sum float64
 		n := 0
 		for g := 0; g < t.NumGenes(); g++ {
-			if !q.Contains(g) {
+			if !q.Contains(g) || !t.colGenes[c].Contains(g) {
 				continue
 			}
-			kind, cls := t.Cell(g, c)
-			switch kind {
-			case CellBlank:
-				continue
-			case CellDot:
-				sum++
-			case CellLists:
-				v := 1.0
-				for _, cc := range cls {
-					f := cc.Clause.SatisfactionFraction(q)
-					if arith == ProductCombine {
-						v *= f
-					} else if f < v {
-						v = f
-					}
+			v := 1.0
+			t.geneOutside[g].ForEach(func(h int) bool {
+				f := lists[c][h].SatisfactionFraction(q)
+				if arith == ProductCombine {
+					v *= f
+				} else if f < v {
+					v = f
 				}
-				sum += v
-			}
+				return true
+			})
+			sum += v
 			n++
 		}
 		if n == 0 {
@@ -108,8 +128,8 @@ func matchesReference(bst *BST, q *bitset.Set, arith Arithmetization) error {
 	return nil
 }
 
-// TestCellAccessorsConsistent cross-checks the derived Cell view against
-// the pair-list storage: every list a cell reports must be the shared
+// TestCellAccessorsConsistent cross-checks the Cell view against the
+// materialized pair lists: every list a cell reports must be the shared
 // (c, h) pair list, and cells must report exactly the outside expressers
 // of their gene.
 func TestCellAccessorsConsistent(t *testing.T) {
@@ -120,6 +140,7 @@ func TestCellAccessorsConsistent(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		lists := pairListsReference(bst)
 		for c := 0; c < bst.NumColumns(); c++ {
 			for g := 0; g < bst.NumGenes(); g++ {
 				kind, cls := bst.Cell(g, c)
@@ -135,7 +156,7 @@ func TestCellAccessorsConsistent(t *testing.T) {
 					if !hRow.Contains(g) {
 						t.Fatalf("cell (g%d, col%d) lists non-expresser h=%d", g+1, c, cc.Outside)
 					}
-					pair := bst.PairClause(c, cc.Outside)
+					pair := lists[c][cc.Outside]
 					if pair.Neg != cc.Clause.Neg || !pair.Genes.Equal(cc.Clause.Genes) {
 						t.Fatalf("cell (g%d, col%d) clause differs from shared pair list", g+1, c)
 					}
@@ -170,4 +191,125 @@ func TestPairClauseSemantics(t *testing.T) {
 			}
 		}
 	}
+}
+
+// checkPairsAgainstReference checks every derived (c, h) pair of bst
+// against the materialized lists: PairClause must build the reference
+// list, the derived shape must be its size and polarity, and for every
+// query the derived pair value must equal the list's SatisfactionFraction
+// bit for bit.
+func checkPairsAgainstReference(t *testing.T, bst *BST, queries []*bitset.Set) {
+	t.Helper()
+	lists := pairListsReference(bst)
+	for c := range lists {
+		for h, want := range lists[c] {
+			if got := bst.PairClause(c, h); got.Neg != want.Neg || !got.Genes.Equal(want.Genes) {
+				t.Fatalf("class %d pair (%d,%d): PairClause %v, reference %v", bst.Class, c, h, got, want)
+			}
+			if p := bst.pairs[c*bst.NumOutside()+h]; int(p.n) != want.Genes.Count() || p.neg != want.Neg {
+				t.Fatalf("class %d pair (%d,%d): derived shape %+v, reference list %v", bst.Class, c, h, p, want)
+			}
+		}
+	}
+	s := bst.getScratch()
+	defer bst.putScratch(s)
+	for _, q := range queries {
+		bst.startQuery(q, s)
+		for c := range lists {
+			bst.startColumn(q, s, c)
+			for h, want := range lists[c] {
+				got, ref := bst.pairValue(s, c, h), want.SatisfactionFraction(q)
+				if math.Float64bits(got) != math.Float64bits(ref) {
+					t.Fatalf("class %d pair (%d,%d) query %v: derived value %v, reference %v", bst.Class, c, h, q, got, ref)
+				}
+			}
+		}
+	}
+}
+
+// TestPairDerivationMatchesReference pins the derived pair shapes and
+// values against the materialized lists on random tables, on the small
+// paper profiles, and on a hand-built table with the cases random data
+// rarely draws: an outside sample that is a proper subset of a column (the
+// positive list), an identical one (the empty list, n = 0), and an empty
+// one (the whole column as a positive list). The hand-built table is also
+// evaluated under every query against referenceEvaluate.
+func TestPairDerivationMatchesReference(t *testing.T) {
+	r := rand.New(rand.NewSource(83))
+	for trial := 0; trial < 30; trial++ {
+		d := randomBoolDataset(r, 3+r.Intn(10), 3+r.Intn(70), 2+r.Intn(2))
+		var queries []*bitset.Set
+		for qn := 0; qn < 4; qn++ {
+			queries = append(queries, randomRow(r, d.NumGenes()))
+		}
+		for ci := range d.ClassNames {
+			bst, err := NewBST(d, ci)
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkPairsAgainstReference(t, bst, queries)
+		}
+	}
+
+	for _, p := range synth.PaperProfiles(synth.Small) {
+		c, err := p.Generate()
+		if err != nil {
+			t.Fatal(err)
+		}
+		m, err := discretize.Fit(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		d, err := m.Transform(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for ci := range d.ClassNames {
+			bst, err := NewBST(d, ci)
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkPairsAgainstReference(t, bst, d.Rows[:6])
+		}
+	}
+
+	// Columns {g1,g2,g3} and {g4}; outside samples {g1,g2} ⊂ the first
+	// column, {g1,g2,g3} identical to it, {g4,g5}, and the empty row.
+	d := &dataset.Bool{
+		GeneNames:  []string{"g1", "g2", "g3", "g4", "g5"},
+		ClassNames: []string{"A", "B"},
+		Classes:    []int{0, 0, 1, 1, 1, 1},
+		Rows: []*bitset.Set{
+			bitset.FromIndices(5, 0, 1, 2), bitset.FromIndices(5, 3),
+			bitset.FromIndices(5, 0, 1), bitset.FromIndices(5, 0, 1, 2),
+			bitset.FromIndices(5, 3, 4), bitset.New(5),
+		},
+	}
+	bst, err := NewBST(d, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []pairShape{
+		{n: 1}, {n: 0}, {n: 2, neg: true}, {n: 3},
+		{n: 2, neg: true}, {n: 3, neg: true}, {n: 1, neg: true}, {n: 1},
+	}
+	if !reflect.DeepEqual(bst.pairs, want) {
+		t.Fatalf("derived pair shapes %+v, want %+v", bst.pairs, want)
+	}
+	var queries []*bitset.Set
+	for mask := 0; mask < 1<<5; mask++ {
+		q := bitset.New(5)
+		for g := 0; g < 5; g++ {
+			if mask>>g&1 == 1 {
+				q.Add(g)
+			}
+		}
+		queries = append(queries, q)
+		for _, arith := range []Arithmetization{MinCombine, ProductCombine} {
+			if err := matchesReference(bst, q, arith); err != nil {
+				t.Fatalf("query %v: %v", q, err)
+			}
+		}
+	}
+	checkPairsAgainstReference(t, bst, queries)
 }

@@ -10,26 +10,33 @@ import (
 // steady-state evaluation allocates nothing. The pair-value cache pairV is
 // backed by one flat slab (one |outside|-sized stripe per column),
 // materialized lazily per column exactly like the old per-call allocation;
-// touched remembers which stripes were handed out so reset stays
+// touched remembers which stripes were handed out so startQuery stays
 // proportional to the work actually done, not the table size.
+//
+// qOut, qAndCol and qc are the counts every pair value reads (see
+// pairValue): |q∩h| per outside sample h, set once per query by
+// startQuery, and the current column's q∩c and |q∩c|, set by startColumn.
 //
 // cells, unresolved and ranks are the column sweep's state (see
 // sweepColumn): per-gene cell values, the genes not yet resolved, and the
 // column's outside samples keyed by pair value. Each sweep overwrites the
-// entries it reads, so reset leaves them alone.
+// entries it reads, so startQuery leaves them alone.
 type evalScratch struct {
 	pairV      [][]float64
 	slab       []float64
 	touched    []int
 	colVals    []float64
+	qOut       []int
 	qAndCol    *bitset.Set
+	qc         int
 	cells      []float64
 	unresolved *bitset.Set
 	ranks      []pairRank
 }
 
-// reset prepares the scratch for a fresh query.
-func (s *evalScratch) reset() {
+// startQuery prepares s for a fresh query q: it clears the pair-value
+// cache and the column means, and counts q against every outside row.
+func (t *BST) startQuery(q *bitset.Set, s *evalScratch) {
 	for _, c := range s.touched {
 		s.pairV[c] = nil
 	}
@@ -37,6 +44,17 @@ func (s *evalScratch) reset() {
 	for c := range s.colVals {
 		s.colVals[c] = math.NaN()
 	}
+	for h, hg := range t.outsideGenes {
+		s.qOut[h] = q.IntersectionCount(hg)
+	}
+}
+
+// startColumn makes column c current in s: s.qAndCol = q∩c and s.qc its
+// size, which it returns.
+func (t *BST) startColumn(q *bitset.Set, s *evalScratch, c int) int {
+	q.IntersectInto(s.qAndCol, t.colGenes[c])
+	s.qc = s.qAndCol.Count()
+	return s.qc
 }
 
 // column returns the pair-value cache stripe of column c, materializing it
@@ -67,6 +85,7 @@ func (t *BST) getScratch() *evalScratch {
 		slab:       make([]float64, cols*outs),
 		touched:    make([]int, 0, cols),
 		colVals:    make([]float64, cols),
+		qOut:       make([]int, outs),
 		qAndCol:    bitset.New(t.numGenes),
 		cells:      make([]float64, t.numGenes),
 		unresolved: bitset.New(t.numGenes),

@@ -13,7 +13,7 @@ import (
 	"bstc/internal/fault"
 )
 
-// Artifact format v2: a flat, versioned, offset-indexed binary layout built
+// The artifact format: a flat, versioned, offset-indexed binary layout built
 // for memory mapping, and the only artifact format. It separates the
 // artifact into a small metadata section (names, cut points, table shapes,
 // bitset references) and one 8-aligned little-endian words section holding
@@ -24,7 +24,7 @@ import (
 //
 //	offset 0   magic "BSTCART2"                  (8 bytes)
 //	offset 8   header                            (48 bytes)
-//	             u32 version (=2), u32 reserved
+//	             u32 version (=3), u32 reserved
 //	             u64 metaOff, u64 metaLen
 //	             u64 wordsOff, u64 wordsLen
 //	             u32 metaCRC, u32 wordsCRC       (CRC-32C, Castagnoli)
@@ -32,25 +32,28 @@ import (
 //	...        zero padding to 8-byte alignment
 //	wordsOff   words section                     (wordsLen bytes, 8-aligned)
 //
-// All integers are little-endian. Bitsets always appear in slices whose
-// members share one universe (column gene sets, outside-expresser sets,
-// pair-list gene sets), so the metadata references each slice as one block
-// (count, n, wordOff): count sets over [0, n), stored back to back at
-// words[wordOff:], ⌈n/64⌉ words each. The loader bounds-checks the block
-// once and carves read-only views out of it in a single pass
-// (bitset.ViewBlock), which is what keeps mapped cold start proportional
-// to the metadata — per set it costs a padding-bit test and two pointer
-// stores, never a decode. The metadata also persists each table's
-// pair-size cache (core.TableData.PairSizes), so loading never makes a full
-// pass over the pair lists' words.
+// All integers are little-endian. A table persists only its training rows
+// (core.TableData): per table, its class, column and outside sample
+// indices, gene count, and two bitset blocks — the column gene sets and the
+// per-gene outside-expresser sets. Each slice's members share one
+// universe, so the metadata references it as one block (count, n,
+// wordOff): count sets over [0, n), stored back to back at words[wordOff:],
+// ⌈n/64⌉ words each. The loader bounds-checks the block once and carves
+// read-only views out of it in a single pass (bitset.ViewBlock), which is
+// what keeps mapped cold start proportional to the metadata — per set it
+// costs a padding-bit test and two pointer stores, never a decode. The
+// exclusion lists, their sizes and the black dots are derived at load.
 //
-// The retired v1 format was a gob stream led by artifactMagicV1; the decoder
-// recognizes that magic only to reject such files with a pointer to the fix.
+// Two retired formats are recognized only to be rejected with a pointer to
+// the fix: v1, a gob stream led by artifactMagicV1, and version 2 of this
+// layout, which also stored every exclusion list, a pair-size cache and
+// black-dot flags.
 const (
-	artifactMagicV1   = "BSTC-ARTIFACT\n"
-	artifactMagicV2   = "BSTCART2"
-	artifactVersionV2 = 2
-	v2HeaderLen       = 8 + 4 + 4 + 4*8 + 4 + 4 // magic through wordsCRC
+	artifactMagicV1        = "BSTC-ARTIFACT\n"
+	artifactMagicV2        = "BSTCART2"
+	artifactVersion        = 3
+	artifactVersionRetired = 2
+	v2HeaderLen            = 8 + 4 + 4 + 4*8 + 4 + 4 // magic through wordsCRC
 )
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
@@ -83,24 +86,6 @@ func (e *metaEnc) ints(vs []int) {
 	e.u64(uint64(len(vs)))
 	for _, v := range vs {
 		e.u64(uint64(v))
-	}
-}
-
-func (e *metaEnc) bools(vs []bool) {
-	e.u64(uint64(len(vs)))
-	for _, v := range vs {
-		if v {
-			e.b = append(e.b, 1)
-		} else {
-			e.b = append(e.b, 0)
-		}
-	}
-}
-
-func (e *metaEnc) i32s(vs []int32) {
-	e.u64(uint64(len(vs)))
-	for _, v := range vs {
-		e.u64(uint64(uint32(v)))
 	}
 }
 
@@ -199,43 +184,6 @@ func (d *metaDec) ints() []int {
 	out := make([]int, n)
 	for i := range out {
 		out[i] = d.intv()
-	}
-	return out
-}
-
-func (d *metaDec) bools() []bool {
-	n := d.count(1)
-	if d.err != nil || n == 0 {
-		return nil
-	}
-	out := make([]bool, n)
-	for i := range out {
-		switch d.b[d.off+i] {
-		case 0:
-		case 1:
-			out[i] = true
-		default:
-			d.fail("metadata bool %d is %d", i, d.b[d.off+i])
-			return nil
-		}
-	}
-	d.off += n
-	return out
-}
-
-func (d *metaDec) i32s() []int32 {
-	n := d.count(8)
-	if d.err != nil || n == 0 {
-		return nil
-	}
-	out := make([]int32, n)
-	for i := range out {
-		v := d.u64()
-		if v > math.MaxInt32 {
-			d.fail("metadata value %d overflows int32", v)
-			return nil
-		}
-		out[i] = int32(v)
 	}
 	return out
 }
@@ -354,11 +302,7 @@ func appendV2(dst []byte, a *Artifact) ([]byte, error) {
 		meta.ints(t.OutsideSamples)
 		meta.u64(uint64(t.NumGenes))
 		sets.refs(&meta, t.ColGenes)
-		meta.bools(t.Exclusive)
 		sets.refs(&meta, t.GeneOutside)
-		sets.refs(&meta, t.PairGenes)
-		meta.bools(t.PairNeg)
-		meta.i32s(t.PairSizes)
 	}
 	if sets.err != nil {
 		return nil, sets.err
@@ -369,7 +313,7 @@ func appendV2(dst []byte, a *Artifact) ([]byte, error) {
 
 	var hdr metaEnc
 	hdr.b = append(dst, artifactMagicV2...)
-	hdr.u64(uint64(artifactVersionV2)) // u32 version + u32 reserved, both LE
+	hdr.u64(uint64(artifactVersion)) // u32 version + u32 reserved, both LE
 	hdr.u64(metaOff)
 	hdr.u64(uint64(len(meta.b)))
 	hdr.u64(wordsOff)
@@ -427,8 +371,12 @@ func decodeV2(data []byte) (*Artifact, error) {
 	if h.err != nil {
 		return corrupt("header: %v", h.err)
 	}
-	if ver := uint32(verWord); ver != artifactVersionV2 {
-		return corrupt("format version %d, want %d", ver, artifactVersionV2)
+	switch ver := uint32(verWord); ver {
+	case artifactVersion:
+	case artifactVersionRetired:
+		return corrupt("format version 2: the version 2 layout, which stored every exclusion list, is retired; rewrite the file with `bstc artifact`")
+	default:
+		return corrupt("format version %d, want %d", ver, artifactVersion)
 	}
 	n := uint64(len(data))
 	switch {
@@ -480,11 +428,7 @@ func decodeV2(data []byte) (*Artifact, error) {
 			OutsideSamples: d.ints(),
 			NumGenes:       d.intv(),
 			ColGenes:       sets.refs(),
-			Exclusive:      d.bools(),
 			GeneOutside:    sets.refs(),
-			PairGenes:      sets.refs(),
-			PairNeg:        d.bools(),
-			PairSizes:      d.i32s(),
 		})
 	}
 	if d.err != nil {

@@ -2,6 +2,7 @@ package eval
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"math"
 	"os"
@@ -213,21 +214,37 @@ func TestMappedArtifactSetsAreFrozen(t *testing.T) {
 // the start of the gob frame, as the last v1 writer produced them.
 const v1Prefix = "BSTC-ARTIFACT\n=\xff\x99\x03\x01\x01\vartifactDTO\x01\xff\x9a\x00\x01\x03\x01\aVersion\x01\x04\x00"
 
-// TestLoadArtifactMappedRejectsV1 pins that a v1 gob file fails loudly,
-// naming the retired format and the command that rewrites it.
+// TestLoadArtifactMappedRejectsV1 pins that a file in a retired format
+// fails loudly, naming the retired format and the command that rewrites
+// it: a v1 gob file, and a version 2 image (the committed golden of that
+// version, which also stored every exclusion list).
 func TestLoadArtifactMappedRejectsV1(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "model.bstc")
-	if err := os.WriteFile(path, []byte(v1Prefix), 0o644); err != nil {
+	v2, err := os.ReadFile(retiredV2Path)
+	if err != nil {
 		t.Fatal(err)
 	}
-	_, err := LoadArtifactMapped(path)
-	if !errors.Is(err, ErrCorruptArtifact) {
-		t.Fatalf("mapped load of a v1 file: err = %v, want ErrCorruptArtifact", err)
-	}
-	for _, want := range []string{"v1", "bstc artifact"} {
-		if !strings.Contains(err.Error(), want) {
-			t.Errorf("v1 rejection %q does not mention %q", err, want)
-		}
+	for _, tc := range []struct {
+		name, retired string
+		data          []byte
+	}{
+		{"v1", "v1", []byte(v1Prefix)},
+		{"v2", "version 2", v2},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "model.bstc")
+			if err := os.WriteFile(path, tc.data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			_, err := LoadArtifactMapped(path)
+			if !errors.Is(err, ErrCorruptArtifact) {
+				t.Fatalf("mapped load of a %s file: err = %v, want ErrCorruptArtifact", tc.name, err)
+			}
+			for _, want := range []string{tc.retired, "bstc artifact"} {
+				if !strings.Contains(err.Error(), want) {
+					t.Errorf("%s rejection %q does not mention %q", tc.name, err, want)
+				}
+			}
+		})
 	}
 }
 
@@ -365,5 +382,39 @@ func TestWriteArtifactFileAtomic(t *testing.T) {
 				t.Fatalf("artifact after failed overwrite no longer loads: %v", err)
 			}
 		})
+	}
+}
+
+// TestArtifactWordsAreTrainingRows pins what an image persists: its words
+// section is exactly each table's column gene sets and per-gene
+// outside-expresser sets, the training rows. Exclusion lists, their sizes
+// and the black dots are derived at load, so no word of them is stored.
+func TestArtifactWordsAreTrainingRows(t *testing.T) {
+	words := func(n int) int { return (n + 63) / 64 }
+	for _, p := range synth.PaperProfiles(synth.Small) {
+		c, err := p.Generate()
+		if err != nil {
+			t.Fatal(err)
+		}
+		art, err := TrainArtifact(c, nil, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := art.SaveV2(&buf); err != nil {
+			t.Fatal(err)
+		}
+		img := buf.Bytes()
+		wordsOff := binary.LittleEndian.Uint64(img[32:])
+		wordsLen := binary.LittleEndian.Uint64(img[40:])
+		want := 0
+		for _, tb := range art.Classifier.Tables {
+			g := tb.NumGenes()
+			want += 8 * (tb.NumColumns()*words(g) + g*words(tb.NumOutside()))
+		}
+		if wordsLen != uint64(want) || uint64(len(img)) != wordsOff+wordsLen {
+			t.Errorf("%s: words section holds %d bytes (file %d, section at %d); the training rows take %d",
+				p.Name, wordsLen, len(img), wordsOff, want)
+		}
 	}
 }

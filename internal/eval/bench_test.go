@@ -10,8 +10,8 @@ import (
 )
 
 // benchState holds the shared cold-start fixture: training the paper-scale
-// artifact and writing it costs ~a second and ~60MB of temp space, so every
-// benchmark reuses one copy. TestMain removes the directory after the run
+// artifact and writing it costs about a second, so every benchmark reuses
+// one copy. TestMain removes the directory after the run
 // (b.TempDir would tear it down between benchmarks).
 var benchState struct {
 	once sync.Once
@@ -31,10 +31,11 @@ func TestMain(m *testing.M) {
 
 // benchArtifact trains one artifact on the largest paper profile at full
 // paper scale (OC: 15,154 genes × 253 samples, Table 2's biggest dataset).
-// That is the largest artifact the suite produces — ~30k shared pair lists
-// over a 15k-gene universe, a words section in the tens of megabytes — and
-// the shape where cold start matters: the mapped path aliases their words
-// untouched instead of decoding every bitset onto the heap.
+// That is the largest artifact the suite produces — 253 training rows over
+// 1,925 items and two tables whose ~30k pair lists are derived at load, in
+// a file of about 0.33 MB — and the shape where cold start matters: the
+// mapped path aliases the rows' words untouched instead of decoding every
+// bitset onto the heap.
 func benchArtifact(b *testing.B) string {
 	b.Helper()
 	s := &benchState
@@ -64,9 +65,10 @@ func benchArtifact(b *testing.B) string {
 	return s.path
 }
 
-// BenchmarkArtifactColdStartMapped measures the v2 zero-copy cold start:
-// mmap, validate, parse the metadata section, alias every bitset in place.
-// The words — the bulk of the file — are never deserialized.
+// BenchmarkArtifactColdStartMapped measures the zero-copy cold start: mmap,
+// validate, parse the metadata section, alias every bitset in place, and
+// derive each table's pair shapes from its rows. The words — the bulk of
+// the file — are never deserialized.
 func BenchmarkArtifactColdStartMapped(b *testing.B) {
 	path := benchArtifact(b)
 	b.ReportAllocs()

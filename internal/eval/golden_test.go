@@ -8,12 +8,18 @@ import (
 	"testing"
 )
 
-const goldenV2Path = "testdata/artifact_v2.golden"
+// goldenPath is an artifact in the current format, version 3 of the
+// BSTCART2 layout. retiredV2Path is the same fixture in the retired
+// version 2, which the loader must refuse.
+const (
+	goldenPath    = "testdata/artifact_v3.golden"
+	retiredV2Path = "testdata/artifact_v2.golden"
+)
 
 // TestGoldenV2BackCompat proves artifact files written by earlier releases
-// still serve: the committed golden file (trained on the tinyContinuous
-// fixture) must load through LoadArtifactMapped, match a freshly trained
-// artifact bit-exactly on every fixture sample, and re-save
+// of the current format still serve: the committed golden file (trained on
+// the tinyContinuous fixture) must load through LoadArtifactMapped, match a
+// freshly trained artifact bit-exactly on every fixture sample, and re-save
 // byte-identically — so the writer as well as the loader is still
 // wire-compatible.
 //
@@ -26,16 +32,16 @@ func TestGoldenV2BackCompat(t *testing.T) {
 		t.Fatal(err)
 	}
 	if os.Getenv("UPDATE_GOLDEN") != "" {
-		if err := os.MkdirAll(filepath.Dir(goldenV2Path), 0o755); err != nil {
+		if err := os.MkdirAll(filepath.Dir(goldenPath), 0o755); err != nil {
 			t.Fatal(err)
 		}
-		if err := WriteArtifactFile(goldenV2Path, fresh, FormatV2); err != nil {
+		if err := WriteArtifactFile(goldenPath, fresh, FormatV2); err != nil {
 			t.Fatal(err)
 		}
 	}
-	loaded, err := LoadArtifactMapped(goldenV2Path)
+	loaded, err := LoadArtifactMapped(goldenPath)
 	if err != nil {
-		t.Fatalf("golden v2 artifact no longer loads (regenerate with UPDATE_GOLDEN=1): %v", err)
+		t.Fatalf("golden artifact no longer loads (regenerate with UPDATE_GOLDEN=1): %v", err)
 	}
 	defer loaded.Close()
 	for i, row := range c.Values {
@@ -57,6 +63,6 @@ func TestGoldenV2BackCompat(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(loaded.Bytes(), again.Bytes()) {
-		t.Fatal("re-saving the golden v2 artifact changed its bytes: v2 writer drifted")
+		t.Fatal("re-saving the golden artifact changed its bytes: the writer drifted")
 	}
 }

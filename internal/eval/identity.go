@@ -7,10 +7,12 @@ import (
 
 // Fingerprint returns a stable content identity for the artifact: the
 // first 16 hex characters of the SHA-256 over its canonical v2 encoding.
-// The v2 layout is byte-deterministic (pinned by the golden tests), so two
-// artifacts fingerprint equal iff they classify identically — regardless of
-// whether they were loaded from a mapping or a heap copy. The serving tier uses it to tell model versions apart and to
-// observe a hot swap through /v1/model.
+// The layout is byte-deterministic (pinned by the golden tests), so two
+// artifacts that fingerprint equal classify identically — regardless of
+// whether they were loaded from a mapping or a heap copy. The converse does
+// not hold: different training rows can classify every query alike. The
+// serving tier uses it to tell model versions apart and to observe a hot
+// swap through /v1/model.
 func (a *Artifact) Fingerprint() (string, error) {
 	h := sha256.New()
 	if err := a.SaveV2(h); err != nil {

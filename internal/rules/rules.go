@@ -252,16 +252,7 @@ func (c Clause) Satisfied(row *bitset.Set) bool {
 // classes, excluded by Theorem 2's hypothesis — get 0: they can never
 // distinguish the pair.
 func (c Clause) SatisfactionFraction(row *bitset.Set) float64 {
-	return c.SatisfactionFractionSized(row, c.Genes.Count())
-}
-
-// SatisfactionFractionSized is SatisfactionFraction with the clause size
-// |Genes| precomputed — BSTCE evaluates the same clauses for every query,
-// so the tables cache the sizes (via the bitset rank directory at build
-// time) and skip one full O(words) popcount scan per cache miss, leaving
-// only the intersection count. n must equal Genes.Count(); callers own
-// that contract.
-func (c Clause) SatisfactionFractionSized(row *bitset.Set, n int) float64 {
+	n := c.Genes.Count()
 	if n == 0 {
 		return 0
 	}
