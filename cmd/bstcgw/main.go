@@ -1,15 +1,16 @@
 // Command bstcgw fronts a fleet of bstcd replicas with one /v1/classify
 // endpoint: a reverse-proxy gateway that routes each request to a replica by
-// consistent hash of its routing key, checks replica health actively
-// (/readyz probes) and passively (per-replica circuit breakers), retries
-// idempotent classify calls with capped exponential backoff and full jitter
-// under a client-wide retry budget, honors server Retry-After hints, and
-// hedges tail-latency requests to the key's backup replica.
+// consistent hash of its routing key, keeps one health state per replica fed
+// by both request outcomes and /readyz probes (-eject-threshold failures in
+// a row take a replica out of rotation; a 503 probe marks it draining; any
+// success brings it back), retries idempotent classify calls with capped
+// exponential backoff and full jitter under a client-wide retry budget,
+// honors server Retry-After hints, and hedges tail-latency requests to the
+// key's backup replica.
 //
 //	bstcgw -replicas http://h1:8080,http://h2:8080[,...] [-addr :8090]
 //	       [-seed 1] [-max-attempts 3] [-attempt-timeout 2s]
-//	       [-breaker-threshold 3] [-breaker-cooldown 500ms]
-//	       [-probe-interval 1s] [-eject-threshold 2]
+//	       [-eject-threshold 3] [-probe-interval 1s]
 //	       [-hedge-delay 30ms] [-retry-budget 10]
 //	       [-trace spans.jsonl] [-trace-sample 0.1]
 //
@@ -23,7 +24,7 @@
 //
 // Endpoints (see internal/fleet): POST /v1/classify, GET /v1/model,
 // /healthz (gateway liveness), /readyz (503 until ≥1 replica is routable),
-// /fleetz (per-replica ring/breaker/probe state), /metrics (fleet.*
+// /fleetz (each replica's name, state and routability), /metrics (fleet.*
 // counters; JSON, or Prometheus text with ?format=prom), /slo. On
 // SIGINT/SIGTERM the gateway drains in-flight proxied requests and stops
 // probing.
@@ -64,18 +65,14 @@ func run(ctx context.Context, args []string, stdout io.Writer, ready func(net.Ad
 	replicas := fs.String("replicas", "", "comma-separated replica base URLs (required)")
 	addr := fs.String("addr", ":8090", "listen address")
 	seed := fs.Uint64("seed", 1, "consistent-hash seed; gateways sharing seed and replica list route identically")
-	vnodes := fs.Int("vnodes", 0, "virtual nodes per replica on the hash ring (default 128)")
-	attemptTimeout := fs.Duration("attempt-timeout", 0, "deadline for one attempt against one replica (default 2s)")
+	attemptTimeout := fs.Duration("attempt-timeout", 0, "deadline for one attempt or /readyz probe against one replica (default 2s)")
 	maxAttempts := fs.Int("max-attempts", 0, "total tries per request including the first (default 3)")
 	baseBackoff := fs.Duration("base-backoff", 0, "retry backoff base; full jitter on an exponential ceiling (default 10ms)")
 	maxBackoff := fs.Duration("max-backoff", 0, "retry backoff cap, also caps server Retry-After hints (default 1s)")
 	retryBudget := fs.Float64("retry-budget", 0, "client-wide retry token bucket size (default 10)")
 	retryBudgetRatio := fs.Float64("retry-budget-ratio", 0, "retry tokens earned per request; sustained retries throttle to this fraction of traffic (default 0.1)")
-	breakerThreshold := fs.Int("breaker-threshold", 0, "consecutive request failures that eject a replica (default 3)")
-	breakerCooldown := fs.Duration("breaker-cooldown", 0, "ejected replica's first half-open retrial delay, doubling per failed trial (default 500ms)")
-	probeInterval := fs.Duration("probe-interval", 0, "active /readyz probe cadence per replica (default 1s)")
-	probeTimeout := fs.Duration("probe-timeout", 0, "deadline for one probe (default 1s)")
-	ejectThreshold := fs.Int("eject-threshold", 0, "consecutive failed probes that eject a replica (default 2)")
+	ejectThreshold := fs.Int("eject-threshold", 0, "failures in a row, from requests and probes alike, that take a replica out of rotation (default 3)")
+	probeInterval := fs.Duration("probe-interval", 0, "/readyz probe cadence, and an ejected replica's first re-check delay, doubling per failed re-check up to 32x (default 1s)")
 	hedgeDelay := fs.Duration("hedge-delay", 0, "tail-latency hedge trigger until p99 data exists; negative disables hedging (default 30ms)")
 	hedgeMaxDelay := fs.Duration("hedge-max-delay", 0, "cap on the p99-derived hedge trigger (default attempt-timeout/2)")
 	tracePath := fs.String("trace", "", "write sampled spans as JSONL to this file")
@@ -106,16 +103,12 @@ func run(ctx context.Context, args []string, stdout io.Writer, ready func(net.Ad
 	client, err := fleet.New(fleet.Config{
 		Replicas:         members,
 		Seed:             *seed,
-		VNodes:           *vnodes,
 		AttemptTimeout:   *attemptTimeout,
 		Retry:            fleet.RetryPolicy{MaxAttempts: *maxAttempts, BaseBackoff: *baseBackoff, MaxBackoff: *maxBackoff},
 		RetryBudgetMax:   *retryBudget,
 		RetryBudgetRatio: *retryBudgetRatio,
-		BreakerThreshold: *breakerThreshold,
-		BreakerCooldown:  *breakerCooldown,
-		ProbeInterval:    *probeInterval,
-		ProbeTimeout:     *probeTimeout,
 		EjectThreshold:   *ejectThreshold,
+		ProbeInterval:    *probeInterval,
 		HedgeDelay:       *hedgeDelay,
 		HedgeMaxDelay:    *hedgeMaxDelay,
 		Registry:         reg,

@@ -153,12 +153,10 @@ func TestFleetChaosKillRestart(t *testing.T) {
 		Replicas: urls,
 		Seed:     7,
 		Registry: reg,
-		// Tight probe/breaker settings so ejection and recovery both happen
-		// inside the test's load window.
+		// Tight health settings so ejection and recovery both happen inside
+		// the test's load window.
 		ProbeInterval:    100 * time.Millisecond,
-		BreakerThreshold: 2,
-		BreakerCooldown:  200 * time.Millisecond,
-		EjectThreshold:   1,
+		EjectThreshold:   2,
 		AttemptTimeout:   5 * time.Second,
 		HedgeDelay:       -1, // retries cover the kill; hedging has its own suites
 		Retry:            RetryPolicy{MaxAttempts: 4, BaseBackoff: 5 * time.Millisecond, MaxBackoff: 100 * time.Millisecond},

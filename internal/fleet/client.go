@@ -26,13 +26,12 @@ type Config struct {
 	// Seed fixes the consistent-hash placement. The same (Seed, members)
 	// pair produces the identical key→replica assignment in every process.
 	Seed uint64
-	// VNodes is the ring's virtual nodes per member (default DefaultVNodes).
-	VNodes int
 	// HTTPClient issues the requests (default: a dedicated client with
 	// per-replica connection pooling; per-attempt deadlines come from
 	// AttemptTimeout, not a client timeout).
 	HTTPClient *http.Client
-	// AttemptTimeout bounds one attempt against one replica (default 2s).
+	// AttemptTimeout bounds one attempt against one replica, and one
+	// /readyz probe (default 2s).
 	AttemptTimeout time.Duration
 	// Retry shapes the backoff schedule and attempt cap.
 	Retry RetryPolicy
@@ -42,29 +41,14 @@ type Config struct {
 	// 10% of traffic).
 	RetryBudgetRatio float64
 	RetryBudgetMax   float64
-	// BreakerThreshold is how many consecutive request failures eject a
-	// replica (default 3).
-	BreakerThreshold int
-	// BreakerCooldown is the ejected replica's first half-open re-trial
-	// delay; it doubles on every failed trial up to BreakerMaxCooldown
-	// (defaults 500ms and 10s).
-	BreakerCooldown    time.Duration
-	BreakerMaxCooldown time.Duration
-	// ProbeInterval is the active health check cadence per replica
-	// (default 1s); ProbeTimeout bounds one probe (default 1s).
-	ProbeInterval time.Duration
-	ProbeTimeout  time.Duration
-	// ProbeMaxBackoff caps the exponential re-probe backoff for dead
-	// replicas (default 30s).
-	ProbeMaxBackoff time.Duration
-	// ProbePath is the health endpoint (default "/readyz": a 503 there
-	// means starting/draining — alive, re-probed at the normal cadence —
-	// while an unreachable replica is treated as dead and re-probed with
-	// backoff).
-	ProbePath string
-	// EjectThreshold is how many consecutive failed probes eject a replica
-	// (default 2).
+	// EjectThreshold is how many failures in a row — 5xx answers, transport
+	// errors, attempt timeouts and dead probes alike — take a replica out of
+	// rotation (default 3).
 	EjectThreshold int
+	// ProbeInterval is the /readyz probe cadence (default 1s). It is also a
+	// down replica's first re-check delay, which doubles on every failed
+	// re-check up to 32 × ProbeInterval.
+	ProbeInterval time.Duration
 	// HedgeDelay is the tail-latency hedge trigger before enough latency
 	// samples exist to derive it: once latencyMinSamples successes are
 	// recorded, the delay is the rolling p99 clamped to
@@ -72,9 +56,6 @@ type Config struct {
 	// to 30ms. HedgeMaxDelay defaults to AttemptTimeout/2.
 	HedgeDelay    time.Duration
 	HedgeMaxDelay time.Duration
-	// RetrySeed seeds the backoff jitter stream (default 1); the same seed
-	// and failure sequence draw the same backoffs.
-	RetrySeed int64
 	// Registry receives the fleet.* counters/gauges/histograms; nil runs
 	// uninstrumented.
 	Registry *obs.Registry
@@ -88,45 +69,21 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
-	if c.VNodes <= 0 {
-		c.VNodes = DefaultVNodes
-	}
 	if c.AttemptTimeout <= 0 {
 		c.AttemptTimeout = 2 * time.Second
 	}
 	c.Retry = c.Retry.withDefaults()
-	if c.BreakerThreshold <= 0 {
-		c.BreakerThreshold = 3
-	}
-	if c.BreakerCooldown <= 0 {
-		c.BreakerCooldown = 500 * time.Millisecond
-	}
-	if c.BreakerMaxCooldown <= 0 {
-		c.BreakerMaxCooldown = 10 * time.Second
+	if c.EjectThreshold <= 0 {
+		c.EjectThreshold = 3
 	}
 	if c.ProbeInterval <= 0 {
 		c.ProbeInterval = time.Second
-	}
-	if c.ProbeTimeout <= 0 {
-		c.ProbeTimeout = time.Second
-	}
-	if c.ProbeMaxBackoff <= 0 {
-		c.ProbeMaxBackoff = 30 * time.Second
-	}
-	if c.ProbePath == "" {
-		c.ProbePath = "/readyz"
-	}
-	if c.EjectThreshold <= 0 {
-		c.EjectThreshold = 2
 	}
 	if c.HedgeDelay == 0 {
 		c.HedgeDelay = 30 * time.Millisecond
 	}
 	if c.HedgeMaxDelay <= 0 {
 		c.HedgeMaxDelay = c.AttemptTimeout / 2
-	}
-	if c.RetrySeed == 0 {
-		c.RetrySeed = 1
 	}
 	if c.SLOTarget <= 0 || c.SLOTarget >= 1 {
 		c.SLOTarget = 0.999
@@ -175,7 +132,7 @@ type fleetMetrics struct {
 }
 
 // Client fronts a replica set: requests route by consistent hash, around
-// ejected or broken replicas, with budgeted retries and tail hedging.
+// replicas out of rotation, with budgeted retries and tail hedging.
 // Create with New, start active probing with Start, stop with Close.
 type Client struct {
 	cfg Config
@@ -185,7 +142,9 @@ type Client struct {
 
 	mu       sync.Mutex
 	replicas map[string]*replica
-	rng      *rand.Rand
+	// rng draws the backoff jitter from a fixed seed, so the same failure
+	// sequence draws the same backoffs in every run.
+	rng *rand.Rand
 
 	budget *retryBudget
 	lat    *latencyTracker
@@ -202,7 +161,8 @@ type Client struct {
 
 // New builds a client over cfg.Replicas. The ring and per-replica state are
 // live immediately; call Start to begin active health probing (requests
-// route fine without it — passive ejection still works).
+// route fine without it: request outcomes alone still eject a replica, and
+// trial requests bring it back).
 func New(cfg Config) (*Client, error) {
 	cfg = cfg.withDefaults()
 	if len(cfg.Replicas) == 0 {
@@ -221,7 +181,7 @@ func New(cfg Config) (*Client, error) {
 		cfg:      cfg,
 		clk:      realClock{},
 		replicas: make(map[string]*replica, len(cfg.Replicas)),
-		rng:      rand.New(rand.NewSource(cfg.RetrySeed)),
+		rng:      rand.New(rand.NewSource(1)),
 		budget:   newRetryBudget(cfg.RetryBudgetRatio, cfg.RetryBudgetMax),
 		lat:      newLatencyTracker(),
 		met: fleetMetrics{
@@ -258,14 +218,14 @@ func New(cfg Config) (*Client, error) {
 // setMembers installs the member list: a fresh ring plus replica states for
 // new members; states for departed members are dropped.
 func (c *Client) setMembers(members []string) {
-	ring := NewRing(c.cfg.Seed, c.cfg.VNodes, members)
+	ring := NewRing(c.cfg.Seed, DefaultVNodes, members)
 	c.mu.Lock()
 	next := make(map[string]*replica, len(ring.members))
 	for _, m := range ring.members {
 		if r, ok := c.replicas[m]; ok {
 			next[m] = r
 		} else {
-			next[m] = newReplica(m, &c.cfg)
+			next[m] = newReplica(m, &c.cfg, &c.met)
 		}
 	}
 	c.replicas = next
@@ -292,12 +252,11 @@ func (c *Client) replicaFor(name string) *replica {
 // Statuses reports every replica's live state, sorted by the ring's member
 // order.
 func (c *Client) Statuses() []Status {
-	now := c.clk.Now()
 	ring := c.ring.Load()
 	out := make([]Status, 0, len(ring.members))
 	for _, m := range ring.members {
 		if r := c.replicaFor(m); r != nil {
-			out = append(out, r.status(now))
+			out = append(out, r.status())
 		}
 	}
 	return out
@@ -306,9 +265,9 @@ func (c *Client) Statuses() []Status {
 // SLOs returns the fleet-level SLO set (availability, latency).
 func (c *Client) SLOs() *obs.SLOSet { return c.slos }
 
-// Start launches the active health prober: each replica's ProbePath is
-// checked every ProbeInterval (dead replicas back off exponentially up to
-// ProbeMaxBackoff). Stops when ctx ends or Close is called.
+// Start launches the active health prober: every ProbeInterval each up or
+// draining replica's /readyz is checked, and each down replica whose
+// re-check is due. Stops when ctx ends or Close is called.
 func (c *Client) Start(ctx context.Context) {
 	ctx, cancel := context.WithCancel(ctx)
 	c.probeCancel = cancel
@@ -335,68 +294,57 @@ func (c *Client) Close() {
 	})
 }
 
-// ProbeOnce checks every replica whose probe is due and folds the verdicts
-// into the routing state. Exported so tests and the gateway's startup can
-// run a deterministic probe cycle without the background loop.
+// ProbeOnce checks every replica that is due and folds the verdicts into
+// its health: 200 is a success, 503 makes the replica draining, and
+// anything else — other statuses, timeouts, refused connections — is a
+// failure. Exported so tests and the gateway's startup can run a
+// deterministic probe cycle without the background loop.
 func (c *Client) ProbeOnce(ctx context.Context) {
-	now := c.clk.Now()
 	var routable int64
 	for _, name := range c.ring.Load().members {
 		r := c.replicaFor(name)
 		if r == nil {
 			continue
 		}
-		if r.probeDue(now) {
+		if r.due(c.clk.Now()) {
 			c.met.probes.Inc()
-			v := c.probe(ctx, name)
-			switch v {
-			case probeNotReady:
+			switch c.probe(ctx, name) {
+			case http.StatusOK:
+				r.succeed()
+			case http.StatusServiceUnavailable:
 				c.met.probeNotReady.Inc()
-			case probeDead:
+				r.drain()
+			default:
 				c.met.probeFailures.Inc()
-			}
-			ejected, restored := r.onProbe(v, c.clk.Now())
-			if ejected {
-				c.met.ejections.Inc()
-			}
-			if restored {
-				c.met.restores.Inc()
+				r.fail(c.clk.Now(), true)
 			}
 		}
-		if r.routable(c.clk.Now()) {
+		if r.routable() {
 			routable++
 		}
 	}
 	c.met.routable.Set(routable)
 }
 
-// probe runs one active check. 200 (or a 404 from a replica predating
-// /readyz) is ready; 503 is alive-but-not-ready; anything else — other
-// statuses, timeouts, refused connections — is dead.
-func (c *Client) probe(ctx context.Context, name string) probeVerdict {
+// probe runs one /readyz check bounded by AttemptTimeout and returns its
+// status, or 0 when no answer came.
+func (c *Client) probe(ctx context.Context, name string) int {
 	if err := fault.Hit("fleet.probe"); err != nil {
-		return probeDead
+		return 0
 	}
-	pctx, cancel := context.WithTimeout(ctx, c.cfg.ProbeTimeout)
+	pctx, cancel := context.WithTimeout(ctx, c.cfg.AttemptTimeout)
 	defer cancel()
-	req, err := http.NewRequestWithContext(pctx, http.MethodGet, name+c.cfg.ProbePath, nil)
+	req, err := http.NewRequestWithContext(pctx, http.MethodGet, name+"/readyz", nil)
 	if err != nil {
-		return probeDead
+		return 0
 	}
 	resp, err := c.cfg.HTTPClient.Do(req)
 	if err != nil {
-		return probeDead
+		return 0
 	}
 	io.Copy(io.Discard, resp.Body) //nolint:errcheck // drain for connection reuse
 	resp.Body.Close()
-	switch {
-	case resp.StatusCode == http.StatusOK, resp.StatusCode == http.StatusNotFound:
-		return probeReady
-	case resp.StatusCode == http.StatusServiceUnavailable:
-		return probeNotReady
-	default:
-		return probeDead
-	}
+	return resp.StatusCode
 }
 
 // Classify routes one classify body by key across the fleet, with retries
@@ -421,11 +369,6 @@ const maxFleetResponse = 8 << 20
 func retryableStatus(status int) bool {
 	return status >= 500 || status == http.StatusTooManyRequests
 }
-
-// breakerFailure reports whether a status counts against the replica's
-// breaker. Shedding (429) is the replica protecting itself while healthy;
-// ejecting it for that would turn load spikes into mass ejections.
-func breakerFailure(status int) bool { return status >= 500 }
 
 func (c *Client) do(ctx context.Context, method, path string, key, body []byte) (*Result, error) {
 	c.met.requests.Inc()
@@ -452,7 +395,7 @@ func (c *Client) do(ctx context.Context, method, path string, key, body []byte) 
 		reroutes int
 	)
 	for {
-		primary, backup := c.pickPair(seq, &cursor)
+		primary, backup, trial := c.pickPair(seq, &cursor)
 		if primary == nil {
 			// The member set changed wholesale mid-request; route on the
 			// fresh ring (bounded — churn this hot means give up).
@@ -466,13 +409,13 @@ func (c *Client) do(ctx context.Context, method, path string, key, body []byte) 
 			cursor = 0
 			continue
 		}
-		outcome, from, usedHedge, n := c.attemptHedged(ctx, primary, backup, method, path, key, body, span)
+		outcome, from, usedHedge, n := c.attemptHedged(ctx, primary, backup, trial, method, path, key, body, span)
 		attempts += n
 		if usedHedge {
 			hedged = true
 		}
 		res, lastErr = outcome.res, outcome.err
-		c.grade(from, outcome)
+		c.grade(ctx, from, outcome, trial && from == primary)
 		if lastErr == nil && !retryableStatus(res.Status) {
 			break // success, or a caller error that retrying cannot fix
 		}
@@ -526,12 +469,14 @@ func (c *Client) do(ctx context.Context, method, path string, key, body []byte) 
 	return res, nil
 }
 
-// pickPair selects the next attempt's replica and its hedge backup: the
-// first two admitted replicas scanning the key's preference sequence from
-// the cursor. With every replica ejected the fleet fails open — the probes
-// or breakers might be wrong, and sending the request costs less than
-// manufacturing an outage — counting fleet.fail_open.
-func (c *Client) pickPair(seq []string, cursor *int) (primary, backup *replica) {
+// pickPair selects the next attempt's replica and its hedge backup,
+// scanning the key's preference sequence from the cursor: the primary is
+// the first replica that admits the request (trial reports that the attempt
+// is a down replica's re-check), the backup the next up replica. With
+// every replica out of rotation the fleet fails open — the health verdicts
+// might be wrong, and sending the request costs less than manufacturing an
+// outage — counting fleet.fail_open.
+func (c *Client) pickPair(seq []string, cursor *int) (primary, backup *replica, trial bool) {
 	now := c.clk.Now()
 	n := len(seq)
 	base := *cursor
@@ -542,13 +487,13 @@ func (c *Client) pickPair(seq []string, cursor *int) (primary, backup *replica) 
 			continue
 		}
 		if primary == nil {
-			if r.admit(now) {
-				primary = r
+			if ok, t := r.admit(now); ok {
+				primary, trial = r, t
 				*cursor = (idx + 1) % n
 			}
 			continue
 		}
-		if r.routable(now) {
+		if r.routable() {
 			backup = r
 			break
 		}
@@ -564,7 +509,7 @@ func (c *Client) pickPair(seq []string, cursor *int) (primary, backup *replica) 
 			*cursor = (base + 1) % n
 		}
 	}
-	return primary, backup
+	return primary, backup, trial
 }
 
 // outcome is one attempt round's result: an HTTP response or a transport
@@ -574,20 +519,22 @@ type outcome struct {
 	err error
 }
 
-// grade feeds an outcome into its replica's breaker and the ejection
-// counters.
-func (c *Client) grade(from *replica, o outcome) {
-	if from == nil {
-		return
-	}
-	if o.err != nil || breakerFailure(o.res.Status) {
-		if from.onFailure(c.clk.Now()) {
-			c.met.ejections.Inc()
+// grade feeds one attempt's outcome into its replica's health; check marks
+// the attempt that held a down replica's re-check. An attempt whose caller
+// gave up says nothing about the replica and only releases its check; an
+// AttemptTimeout expiry leaves the caller's context live and counts. A 429
+// is a healthy replica shedding load, so it counts as a success: failing
+// it would turn load spikes into mass ejections.
+func (c *Client) grade(ctx context.Context, from *replica, o outcome, check bool) {
+	switch {
+	case ctx.Err() != nil:
+		if check {
+			from.release()
 		}
-		return
-	}
-	if from.onSuccess() {
-		c.met.restores.Inc()
+	case o.err != nil || o.res.Status >= 500:
+		from.fail(c.clk.Now(), check)
+	default:
+		from.succeed()
 	}
 }
 
@@ -597,7 +544,9 @@ func (c *Client) grade(from *replica, o outcome) {
 // loser's context is canceled. A non-definitive first arrival (transport
 // error or 5xx while the other request is still in flight) waits for the
 // other, so a hedge can rescue a failed primary without burning a retry.
-func (c *Client) attemptHedged(ctx context.Context, primary, backup *replica, method, path string, key, body []byte, span *trace.Span) (o outcome, from *replica, hedged bool, attempts int) {
+// trial marks the primary as a down replica's re-check, which a hedge win
+// releases unjudged.
+func (c *Client) attemptHedged(ctx context.Context, primary, backup *replica, trial bool, method, path string, key, body []byte, span *trace.Span) (o outcome, from *replica, hedged bool, attempts int) {
 	type arrival struct {
 		o   outcome
 		rep *replica
@@ -644,12 +593,14 @@ func (c *Client) attemptHedged(ctx context.Context, primary, backup *replica, me
 					span.AddEvent("hedge_won")
 				}
 				if firstLoss != nil {
-					c.grade(firstLoss.rep, firstLoss.o)
+					c.grade(ctx, firstLoss.rep, firstLoss.o, trial && firstLoss.rep == primary)
+				} else if trial && a.rep != primary {
+					primary.release()
 				}
 				return a.o, a.rep, hedged, attempts
 			}
 			// A failure with the other request still in flight: remember it
-			// for breaker accounting and wait for the survivor.
+			// for grading and wait for the survivor.
 			firstLoss = &a
 		case <-hedgeC:
 			hedgeC = nil

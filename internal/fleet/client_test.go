@@ -130,7 +130,7 @@ func TestClientRoutesByKey(t *testing.T) {
 }
 
 // TestClientRetriesFailoverAndEject: a replica answering 5xx is retried
-// around (next replica in the key's ring sequence) and, at the breaker
+// around (next replica in the key's ring sequence) and, at the eject
 // threshold, ejected — after which requests skip it without burning a retry.
 func TestClientRetriesFailoverAndEject(t *testing.T) {
 	bad := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -140,16 +140,16 @@ func TestClientRetriesFailoverAndEject(t *testing.T) {
 	t.Cleanup(bad.Close)
 	t.Cleanup(good.Close)
 
-	// The driven clock jumps an hour per backoff; a huge cooldown keeps the
-	// ejected replica inside its cooldown for the post-ejection assertion
-	// (the half-open trial itself is covered by TestBreakerHalfOpenTrial).
+	// The driven clock jumps an hour per backoff; a huge probe interval
+	// keeps the ejected replica's re-check from coming due before the
+	// post-ejection assertion (the trial itself is covered by
+	// TestEjectRecheckOneTrial).
 	c, clk, reg := newFleetClient(t, Config{
-		Seed:               1,
-		HedgeDelay:         -1,
-		BreakerThreshold:   3,
-		BreakerCooldown:    1000 * time.Hour,
-		BreakerMaxCooldown: 2000 * time.Hour,
-		Retry:              RetryPolicy{MaxAttempts: 2},
+		Seed:           1,
+		HedgeDelay:     -1,
+		EjectThreshold: 3,
+		ProbeInterval:  1000 * time.Hour,
+		Retry:          RetryPolicy{MaxAttempts: 2},
 	}, bad.URL, good.URL)
 	key := keyWithPrimary(t, c, bad.URL)
 
@@ -170,8 +170,8 @@ func TestClientRetriesFailoverAndEject(t *testing.T) {
 	}
 	sts := c.Statuses()
 	for _, s := range sts {
-		if s.Name == bad.URL && s.Breaker != "open" {
-			t.Fatalf("failing replica breaker = %s, want open", s.Breaker)
+		if s.Name == bad.URL && s.State != "down" {
+			t.Fatalf("failing replica state = %s, want down", s.State)
 		}
 	}
 
@@ -218,7 +218,7 @@ func TestClientHonorsRetryAfter(t *testing.T) {
 	if len(sleeps) != 1 || sleeps[0] != 2*time.Second {
 		t.Fatalf("recorded sleeps = %v, want exactly [2s] from the Retry-After hint", sleeps)
 	}
-	// 429 is shedding, not failure: the breaker must not charge it.
+	// 429 is shedding, not failure: it must not count toward ejection.
 	if got := reg.Counter("fleet.ejections").Value(); got != 0 {
 		t.Fatalf("fleet.ejections = %d after a 429, want 0", got)
 	}
@@ -486,8 +486,14 @@ func TestClientProbeDeadBackoff(t *testing.T) {
 		t.Fatalf("fleet.ejections = %d, want 1", got)
 	}
 
-	// Backed off: one interval later the dead replica is NOT due (its
-	// backoff doubled to 2·interval); only the live replica is probed.
+	// The first re-check comes one interval after the ejection; it fails,
+	// so the next one backs off to 2·interval: one interval later the dead
+	// replica is NOT due, and only the live replica is probed.
+	clk.Advance(time.Second)
+	c.ProbeOnce(ctx)
+	if got := reg.Counter("fleet.probe_failures").Value(); got != 3 {
+		t.Fatalf("fleet.probe_failures = %d after the first re-check, want 3", got)
+	}
 	probesBefore := reg.Counter("fleet.probes").Value()
 	clk.Advance(time.Second)
 	c.ProbeOnce(ctx)
@@ -496,8 +502,8 @@ func TestClientProbeDeadBackoff(t *testing.T) {
 	}
 	clk.Advance(time.Second)
 	c.ProbeOnce(ctx)
-	if got := reg.Counter("fleet.probe_failures").Value(); got != 3 {
-		t.Fatalf("fleet.probe_failures = %d after the backed-off re-probe, want 3", got)
+	if got := reg.Counter("fleet.probe_failures").Value(); got != 4 {
+		t.Fatalf("fleet.probe_failures = %d after the backed-off re-probe, want 4", got)
 	}
 
 	// Requests still flow to the live replica.

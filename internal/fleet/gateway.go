@@ -13,8 +13,9 @@ import (
 
 // Gateway wraps a Client in the replica's own HTTP API: callers POST
 // /v1/classify at the gateway exactly as they would at one bstcd, and the
-// fleet machinery (consistent-hash routing, health-checked retries,
-// hedging, circuit breaking) happens behind the unchanged contract.
+// fleet machinery (consistent-hash routing, one health state per replica
+// fed by request outcomes and probes, retries, hedging) happens behind the
+// unchanged contract.
 //
 // Endpoints:
 //
@@ -24,7 +25,7 @@ import (
 //	GET  /v1/model     proxied to a routable replica
 //	GET  /healthz      gateway liveness (200 while the process runs)
 //	GET  /readyz       gateway readiness: 200 while ≥1 replica is routable
-//	GET  /fleetz       per-replica ring/breaker/health state
+//	GET  /fleetz       ring members, and each replica as {name, state, routable}
 //	GET  /metrics      fleet.* registry (JSON; Prometheus with ?format=prom)
 //	GET  /slo          fleet availability/latency SLO windows
 type Gateway struct {

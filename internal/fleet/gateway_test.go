@@ -167,8 +167,8 @@ func TestGatewayEndpoints(t *testing.T) {
 		if ct := resp.Header.Get("Content-Type"); ct != "application/json" {
 			t.Fatalf("%s: content-type %s", path, ct)
 		}
-		if path == "/fleetz" && !strings.Contains(body, urls[0]) {
-			t.Fatalf("/fleetz does not list members: %s", body)
+		if path == "/fleetz" && !strings.Contains(body, `{"name":"`+urls[0]+`","state":"up","routable":true}`) {
+			t.Fatalf("/fleetz does not list members as {name, state, routable}: %s", body)
 		}
 	}
 

@@ -5,226 +5,149 @@ import (
 	"time"
 )
 
-// breakerState is the per-replica circuit breaker's state machine.
-type breakerState int32
+// health is a replica's one state; only an up replica is routable.
+type health int32
 
 const (
-	breakerClosed   breakerState = iota // requests flow
-	breakerOpen                         // ejected; waiting out the cooldown
-	breakerHalfOpen                     // one trial request is probing the replica
+	up       health = iota // requests flow
+	down                   // ejected; one re-check (a probe or a trial request) when due
+	draining               // answered 503 on /readyz: alive, probed every cycle, sent nothing
 )
 
-func (s breakerState) String() string {
-	switch s {
-	case breakerClosed:
-		return "closed"
-	case breakerOpen:
-		return "open"
-	default:
-		return "half-open"
-	}
-}
+func (h health) String() string { return [...]string{"up", "down", "draining"}[h] }
 
-// replica is one member's live state: the passive circuit breaker fed by
-// request outcomes, and the active health verdict fed by the prober. A
-// replica is routable when the breaker admits requests and the last probe
-// (if any has run) found it ready. All methods take the current time
-// explicitly, so tests drive the state machine on a fake clock.
+// maxRecheckShift caps a down replica's re-check delay at
+// ProbeInterval << maxRecheckShift (32 × ProbeInterval).
+const maxRecheckShift = 5
+
+// replica is one member's health: a single state fed alike by request
+// outcomes and probe verdicts. EjectThreshold failures in a row (a 5xx, a
+// transport error, an attempt timeout or a dead probe) take it down, a 503
+// probe makes it draining, and any success brings it back up. A down replica
+// is re-checked ProbeInterval after it went down, by the prober or by one
+// trial request, whichever claims the check first; every failed check
+// doubles the delay up to 32 × ProbeInterval. Methods take the current time
+// explicitly, so tests drive the state machine on a manual clock.
 type replica struct {
 	name string
+	cfg  *Config
+	met  *fleetMetrics
 
-	mu sync.Mutex
-
-	// Passive outlier ejection: consecutive request failures open the
-	// breaker, which then re-admits one trial per cooldown, with the
-	// cooldown doubling (capped) on every failed trial.
-	state       breakerState
-	consecFails int
-	openedAt    time.Time
-	cooldown    time.Duration
-
-	// Active health: the prober's last verdict. notReady distinguishes a
-	// replica answering 503 on /readyz (starting, draining, mid-swap —
-	// alive, re-probed at the normal cadence) from one that is unreachable
-	// (dead — re-probed with exponential backoff).
-	probed       bool
-	ready        bool
-	notReady     bool
-	probeFails   int
-	nextProbe    time.Time
-	probeBackoff time.Duration
-
-	cfg *Config
+	mu    sync.Mutex
+	state health
+	fails int       // consecutive failures; past EjectThreshold, the failed checks
+	next  time.Time // when a down replica's re-check is due
+	trial bool      // a down replica's re-check is in flight
 }
 
-func newReplica(name string, cfg *Config) *replica {
-	return &replica{name: name, cooldown: cfg.BreakerCooldown, cfg: cfg}
+func newReplica(name string, cfg *Config, met *fleetMetrics) *replica {
+	return &replica{name: name, cfg: cfg, met: met}
 }
 
-// routable reports whether the routing layer may send this replica a
-// request right now: the breaker is closed (or due for its half-open
-// trial), and the prober has not ejected it. An unprobed replica is
-// presumed ready so a freshly configured fleet serves before the first
-// probe cycle completes.
-func (r *replica) routable(now time.Time) bool {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.probed && !r.ready {
-		return false
-	}
-	return r.state == breakerClosed ||
-		(r.state == breakerOpen && now.Sub(r.openedAt) >= r.cooldown)
-}
-
-// admit claims the right to send one request. In the open state it converts
-// an elapsed cooldown into the half-open trial — exactly one caller wins;
-// everyone else routes around the replica until the trial resolves.
-func (r *replica) admit(now time.Time) bool {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.probed && !r.ready {
-		return false
-	}
-	switch r.state {
-	case breakerClosed:
-		return true
-	case breakerOpen:
-		if now.Sub(r.openedAt) >= r.cooldown {
-			r.state = breakerHalfOpen
-			return true
-		}
-		return false
-	default: // half-open: trial already in flight
-		return false
-	}
-}
-
-// onSuccess records a request success: the breaker closes (a half-open
-// trial passed), failure counting and the cooldown reset.
-func (r *replica) onSuccess() (restored bool) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	restored = r.state != breakerClosed
-	r.state = breakerClosed
-	r.consecFails = 0
-	r.cooldown = r.cfg.BreakerCooldown
-	return restored
-}
-
-// onFailure records a request failure (5xx, timeout, connection error).
-// Reaching BreakerThreshold consecutive failures opens the breaker — that
-// is the passive ejection. A failed half-open trial re-opens it with the
-// cooldown doubled, up to BreakerMaxCooldown.
-func (r *replica) onFailure(now time.Time) (ejected bool) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	switch r.state {
-	case breakerHalfOpen:
-		r.cooldown *= 2
-		if r.cooldown > r.cfg.BreakerMaxCooldown {
-			r.cooldown = r.cfg.BreakerMaxCooldown
-		}
-		r.state = breakerOpen
-		r.openedAt = now
-		return false
-	case breakerOpen:
-		return false
-	default:
-		r.consecFails++
-		if r.consecFails >= r.cfg.BreakerThreshold {
-			r.state = breakerOpen
-			r.openedAt = now
-			return true
-		}
-		return false
-	}
-}
-
-// probeVerdict is one active health check's outcome.
-type probeVerdict int
-
-const (
-	probeReady    probeVerdict = iota // 200: routable
-	probeNotReady                     // 503: alive but not routable (draining/starting)
-	probeDead                         // unreachable or 5xx: presumed down
-)
-
-// onProbe folds one active check into the health state. A ready verdict
-// restores routability, closes the breaker (the replica demonstrably
-// answers), and resets the probe cadence. A not-ready verdict ejects but
-// keeps the normal cadence — the process is alive and will flip back when
-// its drain or warm-up ends. A dead verdict ejects after EjectThreshold
-// consecutive misses and backs the re-probe cadence off exponentially, so a
-// corpse is not hammered. Returns transitions for the ejection/restore
-// counters.
-func (r *replica) onProbe(v probeVerdict, now time.Time) (ejected, restored bool) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	wasRoutable := !r.probed || r.ready
-	switch v {
-	case probeReady:
-		r.probed, r.ready, r.notReady = true, true, false
-		r.probeFails = 0
-		r.probeBackoff = 0
-		r.nextProbe = now.Add(r.cfg.ProbeInterval)
-		r.state = breakerClosed
-		r.consecFails = 0
-		r.cooldown = r.cfg.BreakerCooldown
-		return false, !wasRoutable
-	case probeNotReady:
-		r.probed, r.ready, r.notReady = true, false, true
-		r.probeFails = 0
-		r.probeBackoff = 0
-		r.nextProbe = now.Add(r.cfg.ProbeInterval)
-		return wasRoutable, false
-	default:
-		r.probeFails++
-		if r.probeBackoff == 0 {
-			r.probeBackoff = r.cfg.ProbeInterval
+// set moves r to s, counting a move out of rotation as an ejection and a
+// move back into it as a restore.
+func (r *replica) set(s health) {
+	if (r.state == up) != (s == up) {
+		if s == up {
+			r.met.restores.Inc()
 		} else {
-			r.probeBackoff *= 2
-			if r.probeBackoff > r.cfg.ProbeMaxBackoff {
-				r.probeBackoff = r.cfg.ProbeMaxBackoff
-			}
+			r.met.ejections.Inc()
 		}
-		r.nextProbe = now.Add(r.probeBackoff)
-		if r.probeFails >= r.cfg.EjectThreshold {
-			r.probed = true
-			r.ready, r.notReady = false, false
-			return wasRoutable, false
-		}
-		return false, false
 	}
+	r.state = s
 }
 
-// probeDue reports whether the prober should check this replica now.
-func (r *replica) probeDue(now time.Time) bool {
+// claim takes a down replica's re-check once it is due. Exactly one caller
+// wins it, and no one else can until a verdict or release ends it.
+func (r *replica) claim(now time.Time) bool {
+	if r.state != down || r.trial || now.Before(r.next) {
+		return false
+	}
+	r.trial = true
+	return true
+}
+
+// admit claims the right to send one request: always to an up replica, and
+// to a down one only as its due re-check, which trial reports.
+func (r *replica) admit(now time.Time) (ok, trial bool) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return !now.Before(r.nextProbe)
+	if r.state == up {
+		return true, false
+	}
+	ok = r.claim(now)
+	return ok, ok
 }
 
-// Status is one replica's externally visible state, for /fleetz and the
-// load report.
+// due reports whether the prober checks r now: every cycle while it is up
+// or draining, and while it is down only as its claimed re-check.
+func (r *replica) due(now time.Time) bool {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.state != down || r.claim(now)
+}
+
+// succeed records a success from a request or a probe.
+func (r *replica) succeed() {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.fails, r.trial = 0, false
+	r.set(up)
+}
+
+// drain records a 503 probe: the replica is alive but takes no traffic.
+func (r *replica) drain() {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.fails, r.trial = 0, false
+	r.set(draining)
+}
+
+// fail records a failure; check marks the outcome of a down replica's
+// re-check. The EjectThreshold-th failure in a row takes the replica down
+// with its re-check ProbeInterval away, and each failed check after that
+// doubles the delay. While down, other failures (requests sent before the
+// ejection, or by the fail-open path) say nothing new and are ignored.
+func (r *replica) fail(now time.Time, check bool) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if r.state == down && !(check && r.trial) {
+		return
+	}
+	r.fails++
+	if r.fails < r.cfg.EjectThreshold {
+		return
+	}
+	r.trial = false
+	r.next = now.Add(r.cfg.ProbeInterval << min(r.fails-r.cfg.EjectThreshold, maxRecheckShift))
+	r.set(down)
+}
+
+// release gives back a re-check that ended without a verdict (its caller
+// gave up, or a hedge answered first), so the next caller can claim it.
+func (r *replica) release() {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.trial = false
+}
+
+// routable reports whether the replica is up: what /readyz, the
+// fleet.routable gauge and hedge-backup selection read.
+func (r *replica) routable() bool {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.state == up
+}
+
+// Status is one replica's externally visible state, for /fleetz.
 type Status struct {
 	Name     string `json:"name"`
-	Breaker  string `json:"breaker"`
+	State    string `json:"state"`
 	Routable bool   `json:"routable"`
-	Probed   bool   `json:"probed"`
-	Ready    bool   `json:"ready"`
-	NotReady bool   `json:"not_ready,omitempty"`
 }
 
-func (r *replica) status(now time.Time) Status {
-	routable := r.routable(now)
+func (r *replica) status() Status {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return Status{
-		Name:     r.name,
-		Breaker:  r.state.String(),
-		Routable: routable,
-		Probed:   r.probed,
-		Ready:    !r.probed || r.ready,
-		NotReady: r.notReady,
-	}
+	return Status{Name: r.name, State: r.state.String(), Routable: r.state == up}
 }

@@ -1,9 +1,9 @@
 // Package fleet is the replica-set front tier over N bstcd replicas: a
-// consistent-hash router with active health checking, passive outlier
-// ejection, health-checked retries with capped exponential backoff and full
-// jitter, tail-latency hedging, and a half-open circuit breaker per
-// replica — the layer that makes a fleet of independently failing replicas
-// behave like one fault-tolerant classification service.
+// consistent-hash router with one health state per replica, fed by both
+// /readyz probes and request outcomes, health-checked retries with capped
+// exponential backoff and full jitter, and tail-latency hedging — the layer
+// that makes a fleet of independently failing replicas behave like one
+// fault-tolerant classification service.
 //
 // The package exposes the fleet two ways. Client is the library client: it
 // owns the ring, the per-replica health state, and the retry/hedge machinery,
@@ -24,7 +24,7 @@ import (
 )
 
 // Ring is an immutable consistent-hash ring over a member set. Each member
-// contributes VNodes points hashed from (seed, member, vnode index); a key
+// contributes vnodes points hashed from (seed, member, vnode index); a key
 // routes to the member owning the first point clockwise from the key's
 // hash. Removing a member moves only the keys it owned (≤ roughly
 // keys/members for a balanced ring); every other key keeps its replica.

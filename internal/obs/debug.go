@@ -7,7 +7,6 @@ import (
 	"net"
 	"net/http"
 	"net/http/pprof"
-	"runtime/metrics"
 	"sync"
 )
 
@@ -34,36 +33,6 @@ func PublishExpvar(name string, r *Registry) {
 		}))
 	}
 	published.regs[name] = r
-}
-
-// RuntimeStats is a small digest of runtime/metrics, cheap enough to
-// sample per experiment.
-type RuntimeStats struct {
-	HeapBytes  uint64 `json:"heap_bytes"`
-	GCCycles   uint64 `json:"gc_cycles"`
-	Goroutines uint64 `json:"goroutines"`
-}
-
-// ReadRuntimeStats samples the runtime/metrics the debug endpoints and
-// experiment summaries report.
-func ReadRuntimeStats() RuntimeStats {
-	samples := []metrics.Sample{
-		{Name: "/memory/classes/heap/objects:bytes"},
-		{Name: "/gc/cycles/total:gc-cycles"},
-		{Name: "/sched/goroutines:goroutines"},
-	}
-	metrics.Read(samples)
-	var rs RuntimeStats
-	if samples[0].Value.Kind() == metrics.KindUint64 {
-		rs.HeapBytes = samples[0].Value.Uint64()
-	}
-	if samples[1].Value.Kind() == metrics.KindUint64 {
-		rs.GCCycles = samples[1].Value.Uint64()
-	}
-	if samples[2].Value.Kind() == metrics.KindUint64 {
-		rs.Goroutines = samples[2].Value.Uint64()
-	}
-	return rs
 }
 
 // Route is one extra handler mounted on the debug server, alongside the
