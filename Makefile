@@ -2,7 +2,7 @@ GO ?= go
 
 # The hot-path benchmark set tracked in BENCH_hotpath.json (see
 # EXPERIMENTS.md, "Hot-path benchmarks").
-HOTPATH_BENCH = BenchmarkTopK|BenchmarkTopKApprox|BenchmarkTopKOC|BenchmarkMineLowerBounds|BenchmarkSketchOffer|BenchmarkNewBST|BenchmarkEvaluate|BenchmarkClassify|BenchmarkClassifyBatchParallel|BenchmarkIntersect|BenchmarkKey|BenchmarkIntersectInto|BenchmarkAppendKey|BenchmarkRank|BenchmarkCountLoop|BenchmarkSelect|BenchmarkBuildIndex|BenchmarkArtifactColdStart|BenchmarkMappedClassifyRow|BenchmarkDecodeRowOC
+HOTPATH_BENCH = BenchmarkTopK|BenchmarkTopKOC|BenchmarkMineLowerBounds|BenchmarkSketchOffer|BenchmarkNewBST|BenchmarkEvaluate|BenchmarkClassify|BenchmarkClassifyBatchParallel|BenchmarkIntersect|BenchmarkKey|BenchmarkIntersectInto|BenchmarkAppendKey|BenchmarkRank|BenchmarkCountLoop|BenchmarkSelect|BenchmarkBuildIndex|BenchmarkArtifactColdStart|BenchmarkMappedClassifyRow|BenchmarkDecodeRowOC
 HOTPATH_PKGS = ./internal/bitset/ ./internal/carminer/ ./internal/core/ ./internal/eval/ ./internal/sketch/ ./internal/serve/
 
 # Every native fuzz target, as "package:Target" pairs for fuzz-smoke

@@ -49,7 +49,6 @@ import (
 	"syscall"
 	"time"
 
-	"bstc/internal/carminer"
 	"bstc/internal/eval"
 	"bstc/internal/experiments"
 	"bstc/internal/obs"
@@ -72,9 +71,7 @@ func run(args []string) (err error) {
 	cutoffFlag := fs.Duration("cutoff", 0, "per-phase mining cutoff (0 = scale default)")
 	seedFlag := fs.Int64("seed", 0, "random seed (0 = default)")
 	workersFlag := fs.Int("workers", runtime.GOMAXPROCS(0), "concurrent cross-validation tests, also striping discretization and batch classification (1 = serial; accuracies are identical for any value)")
-	approxFlag := fs.Float64("approx", 0, "approximate Top-k mining with this relative error ε in (0,1] (0 = exact); groups keep exact stats, see EXPERIMENTS.md")
-	approxWidthFlag := fs.Int("approx-width", 0, "space-saving sketch width for -approx (0 = derive ⌈1/ε⌉ from -approx)")
-	maxNodesFlag := fs.Int("max-nodes", 0, "deterministic per-class Top-k node budget; exceeding it DNFs the test like a cutoff (0 = unlimited)")
+	maxNodesFlag := fs.Int("max-nodes", 0, "deterministic per-class Top-k node budget, checked every 64 nodes (a run can visit up to 63 past it); exceeding it DNFs the test like a cutoff (0 = unlimited)")
 	runlogFlag := fs.String("runlog", "", "write one JSONL record per cross-validation test to this file")
 	timeoutFlag := fs.Duration("timeout", 0, "overall wall-clock deadline; expired cross-validation tests become DNF records instead of aborting (0 = none)")
 	checkpointFlag := fs.String("checkpoint", "", "directory for cross-validation checkpoint journals; an interrupted study resumes from them with identical artifacts")
@@ -113,12 +110,7 @@ func run(args []string) (err error) {
 	}
 	cfg.Workers = *workersFlag
 	cfg.Checkpoint = *checkpointFlag
-	cfg.RCBT.Approx = carminer.ApproxConfig{Width: *approxWidthFlag, Epsilon: *approxFlag}
 	cfg.RCBT.MaxNodes = *maxNodesFlag
-	if *approxWidthFlag > 0 || *approxFlag > 0 {
-		fmt.Fprintf(os.Stderr, "bstcbench: approximate Top-k mining on (width=%d epsilon=%.4f)\n",
-			cfg.RCBT.Approx.ResolveWidth(), cfg.RCBT.Approx.ResolveEpsilon())
-	}
 
 	// SIGINT/SIGTERM cancel the run context: in-flight studies wind down into
 	// DNF records (checkpoints keep the finished prefix) instead of dying
@@ -374,14 +366,11 @@ func summaryLine(w io.Writer, label string, elapsed time.Duration, delta obs.Sna
 	}
 	if n := c["carminer.topk.nodes"]; n > 0 {
 		pruned := c["carminer.topk.pruned_support"] + c["carminer.topk.pruned_confidence"] +
-			c["carminer.topk.floor_prunes"] + c["carminer.topk.slack_prunes"]
+			c["carminer.topk.floor_prunes"]
 		fmt.Fprintf(w, " topk-nodes=%d pruned=%d groups=%d", n, pruned, c["carminer.topk.groups"])
 		if skips := c["carminer.topk.floor_skips"]; skips > 0 {
 			fmt.Fprintf(w, " floor-skips=%d", skips)
 		}
-	}
-	if n := c["carminer.topk.sketch_skips"] + c["carminer.topk.slack_prunes"]; n > 0 {
-		fmt.Fprintf(w, " approx-cuts=%d sketch-evict=%d", n, c["carminer.sketch.evictions"])
 	}
 	if n := c["carminer.lb.steps"]; n > 0 {
 		fmt.Fprintf(w, " lb-steps=%d bounds=%d", n, c["carminer.lb.bounds"])

@@ -441,6 +441,19 @@ func (s *Set) Min() int {
 	return -1
 }
 
+// MinDifference returns the smallest element of s \ t, or -1 if s ⊆ t. It
+// reads words only up to the first one holding such an element.
+func (s *Set) MinDifference(t *Set) int {
+	s.sameUniverse(t)
+	tw := t.words[:len(s.words)]
+	for wi, w := range s.words {
+		if d := w &^ tw[wi]; d != 0 {
+			return wi*wordBits + bits.TrailingZeros64(d)
+		}
+	}
+	return -1
+}
+
 // Max returns the largest element, or -1 if the set is empty.
 func (s *Set) Max() int {
 	for wi := len(s.words) - 1; wi >= 0; wi-- {

@@ -195,6 +195,25 @@ func TestMinMaxNextAfter(t *testing.T) {
 	if got := s.NextAfter(190); got != -1 {
 		t.Errorf("NextAfter(190) = %d, want -1", got)
 	}
+	if got := s.MinDifference(FromIndices(200, 5, 7)); got != 64 {
+		t.Errorf("MinDifference = %d, want 64", got)
+	}
+	if got := s.MinDifference(FromIndices(200, 5, 64, 190)); got != -1 {
+		t.Errorf("MinDifference of a subset = %d, want -1", got)
+	}
+}
+
+func TestQuickMinDifference(t *testing.T) {
+	f := func(seed int64) bool {
+		r := rand.New(rand.NewSource(seed))
+		n := 1 + r.Intn(300)
+		a, b := randomSet(r, n), randomSet(r, n)
+		return a.MinDifference(b) == Difference(a, b).Min() &&
+			a.MinDifference(Union(a, b)) == -1
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Error(err)
+	}
 }
 
 func TestForEachEarlyStop(t *testing.T) {

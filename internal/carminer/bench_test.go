@@ -29,21 +29,6 @@ func BenchmarkTopK(b *testing.B) {
 	}
 }
 
-// BenchmarkTopKApprox measures the approximate mode's per-run cost on the
-// exact benchmark's workload (sketch maintenance included), for comparison
-// against BenchmarkTopK.
-func BenchmarkTopKApprox(b *testing.B) {
-	d := benchDataset()
-	cfg := TopKConfig{MinSupport: 0.3, K: 5, Approx: ApproxConfig{Epsilon: 0.1}}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := TopKCoveringRuleGroups(context.Background(), d, 0, cfg); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkMineLowerBounds measures the lower-bound BFS on one PC-shaped
 // group: the widest upper bound of the tumor class on a synth PC small
 // training split, searched for RCBT's default nl = 20 bounds (64,815

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math/rand"
 	"reflect"
+	"sort"
 	"testing"
 	"time"
 
@@ -109,6 +110,60 @@ func checkClosedAndComplete(t *testing.T, trial int, d *dataset.Bool, k int) {
 	}
 }
 
+// TestTopKSmallKMatchesBruteForce checks the covering prune where it fires:
+// at k = 1–5 every class row's top-k list, and the groups they hold, must
+// equal a brute-force selection, each row's k best by coverLess among every
+// closed group with support ≥ minsup.
+func TestTopKSmallKMatchesBruteForce(t *testing.T) {
+	r := rand.New(rand.NewSource(53))
+	for trial := 0; trial < 24; trial++ {
+		d := randomBool(r, 8+r.Intn(17), 6+r.Intn(70), 2)
+		for _, minSup := range []float64{0, 0.3, 0.5} {
+			closed := bruteForceClosed(d, 0, minSup)
+			for k := 1; k <= 5; k++ {
+				res, err := TopKCoveringRuleGroups(context.Background(), d, 0, TopKConfig{MinSupport: minSup, K: k})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got, want := resultDigest(res), resultDigest(bruteForceTopK(d, 0, k, closed)); got != want {
+					t.Fatalf("%d×%d trial %d minsup %v k %d: digest %s, brute force %s",
+						d.NumSamples(), d.NumGenes(), trial, minSup, k, got, want)
+				}
+			}
+		}
+	}
+}
+
+// bruteForceTopK keeps each class-ci row's k best closed groups by
+// coverLess, and the groups some row keeps, best first.
+func bruteForceTopK(d *dataset.Bool, ci, k int, closed map[string]*RuleGroup) *TopKResult {
+	all := make([]*RuleGroup, 0, len(closed))
+	for _, g := range closed {
+		g.key = g.ClassRows.Key()
+		all = append(all, g)
+	}
+	sort.Slice(all, func(i, j int) bool { return coverLess(all[i], all[j]) })
+	res := &TopKResult{Class: ci, PerRow: map[int][]*RuleGroup{}}
+	kept := map[*RuleGroup]bool{}
+	for row, cl := range d.Classes {
+		if cl != ci {
+			continue
+		}
+		for _, g := range all {
+			if len(res.PerRow[row]) < k && g.ClassRows.Contains(row) {
+				res.PerRow[row] = append(res.PerRow[row], g)
+				kept[g] = true
+			}
+		}
+	}
+	for _, g := range all {
+		if kept[g] {
+			res.Groups = append(res.Groups, g)
+		}
+	}
+	return res
+}
+
 // bruteForceClosed enumerates every subset of class rows, intersects genes,
 // and keeps the distinct closed itemsets with class support ≥ frac·|C|.
 func bruteForceClosed(d *dataset.Bool, ci int, frac float64) map[string]*RuleGroup {
@@ -199,29 +254,114 @@ func TestTopKBudgetExpires(t *testing.T) {
 	}
 }
 
-// TestDFSSteadyStateAllocs pins the hot path: re-walking an already
-// enumerated node (scratch stacks warm, states populated) must not allocate.
+// TestDynamicFloorsMatchReference pins the exact-safety of the dynamic
+// floor machinery: with floors enabled (the default) the miner's output is
+// byte-identical to the reference pruning.
+func TestDynamicFloorsMatchReference(t *testing.T) {
+	r := rand.New(rand.NewSource(71))
+	cfgs := []TopKConfig{
+		{MinSupport: 0.3, K: 2},
+		{MinSupport: 0.5, K: 1},
+		{MinSupport: 0.2, K: 5},
+		{MinSupport: 0.7, K: 3},
+	}
+	for trial := 0; trial < 8; trial++ {
+		d := randomBool(r, 8+r.Intn(12), 10+r.Intn(20), 2)
+		for ci := 0; ci < 2; ci++ {
+			for _, base := range cfgs {
+				ref := base
+				ref.disableFloors = true
+				want, err := TopKCoveringRuleGroups(context.Background(), d, ci, ref)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := TopKCoveringRuleGroups(context.Background(), d, ci, base)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(want, got) {
+					t.Fatalf("trial %d ci=%d cfg=%+v: floored miner differs from reference (%d vs %d groups)",
+						trial, ci, base, len(got.Groups), len(want.Groups))
+				}
+			}
+		}
+	}
+}
+
+// TestTopKMaxNodes pins the deterministic node budget: a tight MaxNodes
+// stops the run with ErrBudgetExceeded and partial results, repeatably; a
+// generous one completes.
+func TestTopKMaxNodes(t *testing.T) {
+	r := rand.New(rand.NewSource(73))
+	d := randomBool(r, 24, 40, 2)
+	tight := TopKConfig{MinSupport: 0.2, K: 5, MaxNodes: 128}
+	res, err := TopKCoveringRuleGroups(context.Background(), d, 0, tight)
+	if !errors.Is(err, ErrBudgetExceeded) {
+		t.Fatalf("MaxNodes=128: err = %v, want ErrBudgetExceeded", err)
+	}
+	if res == nil {
+		t.Fatal("MaxNodes stop must still return partial results")
+	}
+	again, err2 := TopKCoveringRuleGroups(context.Background(), d, 0, tight)
+	if !errors.Is(err2, ErrBudgetExceeded) || !reflect.DeepEqual(res, again) {
+		t.Fatal("MaxNodes stop is not deterministic")
+	}
+	loose := tight
+	loose.MaxNodes = 1 << 30
+	if _, err := TopKCoveringRuleGroups(context.Background(), d, 0, loose); err != nil {
+		t.Fatalf("generous MaxNodes: %v", err)
+	}
+}
+
+// TestDFSSteadyStateAllocs pins the hot path: with the scratch stack warm,
+// neither an arrival the canonical-parent test rejects nor a canonical node
+// whose group no row admits allocates.
 func TestDFSSteadyStateAllocs(t *testing.T) {
 	r := rand.New(rand.NewSource(29))
 	d := randomBool(r, 16, 24, 2)
+	// A copy of class row 0 as the last class row: row 0's closure already
+	// holds it, so its root arrival is not canonical.
+	d.Rows = append(d.Rows, d.Rows[0].Clone())
+	d.Classes = append(d.Classes, 0)
 	var classRows []int
 	for i, cl := range d.Classes {
 		if cl == 0 {
 			classRows = append(classRows, i)
 		}
 	}
-	m := newTopkMiner(context.Background(), d, 0, classRows, 3, TopKConfig{K: 4})
+	m := newTopkMiner(context.Background(), d, 0, classRows, 1, TopKConfig{K: 4})
 	if err := m.run(); err != nil {
 		t.Fatal(err)
 	}
-	// Every root is now a revisit: dfs recomputes the closure and key, hits
-	// the states map through the byte-slice fast path, and backs out.
-	if n := testing.AllocsPerRun(50, func() {
-		if err := m.dfs(m.root, 0, 0); err != nil {
-			t.Fatal(err)
+	dfs := func(idx int) func() {
+		return func() {
+			if err := m.dfs(m.root, m.rootRows, idx, 0); err != nil {
+				t.Fatal(err)
+			}
 		}
-	}); n != 0 {
-		t.Errorf("steady-state dfs allocates %v times per node, want 0", n)
+	}
+	skips := m.count.revisitSkips
+	if n := testing.AllocsPerRun(50, dfs(len(classRows)-1)); n != 0 {
+		t.Errorf("non-canonical arrival allocates %v times, want 0", n)
+	}
+	if m.count.revisitSkips == skips {
+		t.Fatal("the copied row's root arrival passed the canonical test")
+	}
+	// Fill every row's list with a group nothing beats (full confidence,
+	// every class row, a key below any set's): root 0 is canonical, its
+	// group is weighed and refused, and the confidence prune stops it.
+	wall := &RuleGroup{Confidence: 1, Support: len(classRows)}
+	for pos := range m.covers {
+		m.covers[pos] = []*RuleGroup{wall, wall, wall, wall}
+	}
+	m.fullRows, m.floorDirty = len(m.covers), true
+	refused, groups := m.count.floorSkips, m.count.groups
+	if n := testing.AllocsPerRun(50, dfs(0)); n != 0 {
+		t.Errorf("canonical node with a refused group allocates %v times, want 0", n)
+	}
+	if m.count.floorSkips == refused || m.count.groups != groups {
+		t.Fatalf("root 0: floor skips %d → %d, groups %d → %d; want the group refused",
+			refused, m.count.floorSkips, groups, m.count.groups)
 	}
 }
 

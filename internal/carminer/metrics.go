@@ -10,17 +10,13 @@ var met struct {
 	nodes        *obs.Counter // carminer.topk.nodes — enumeration nodes visited
 	prunedSup    *obs.Counter // carminer.topk.pruned_support — minsup capacity prunes
 	prunedConf   *obs.Counter // carminer.topk.pruned_confidence — covering-top-k prunes
-	revisitSkips *obs.Counter // carminer.topk.revisit_skips — closed nodes reached again
+	revisitSkips *obs.Counter // carminer.topk.revisit_skips — arrivals the canonical-parent test rejects
 	groups       *obs.Counter // carminer.topk.groups — closed rule groups recorded
 
 	// Dynamic-floor machinery (exact-safe pruning added on top of the
-	// SIGMOD'05 prunes) and the opt-in approximate mode.
+	// SIGMOD'05 prunes).
 	floorSkips  *obs.Counter // carminer.topk.floor_skips — groups rejected before allocation
 	floorPrunes *obs.Counter // carminer.topk.floor_prunes — subtrees cut by the raised minsup
-	slackPrunes *obs.Counter // carminer.topk.slack_prunes — approx-only slack capacity cuts
-	sketchSkips *obs.Counter // carminer.topk.sketch_skips — approx-only hot-node revisit cuts
-	sketchEvict *obs.Counter // carminer.sketch.evictions — space-saving entries displaced
-	sketchBound *obs.Gauge   // carminer.sketch.bound — widest sketch overcount bound seen
 
 	// Budget/deadline accounting shared by every miner taking a Budget.
 	deadlinePolls   *obs.Counter // carminer.deadline.polls
@@ -43,10 +39,6 @@ func SetMetrics(r *obs.Registry) {
 	met.groups = r.Counter("carminer.topk.groups")
 	met.floorSkips = r.Counter("carminer.topk.floor_skips")
 	met.floorPrunes = r.Counter("carminer.topk.floor_prunes")
-	met.slackPrunes = r.Counter("carminer.topk.slack_prunes")
-	met.sketchSkips = r.Counter("carminer.topk.sketch_skips")
-	met.sketchEvict = r.Counter("carminer.sketch.evictions")
-	met.sketchBound = r.Gauge("carminer.sketch.bound")
 	met.deadlinePolls = r.Counter("carminer.deadline.polls")
 	met.deadlineExpired = r.Counter("carminer.deadline.expired")
 	met.ctxStops = r.Counter("carminer.ctx.stops")

@@ -11,12 +11,19 @@
 // so every entry point accepts a Budget that turns long runs into explicit
 // DNF results instead of unbounded stalls.
 //
-// The enumeration hot path is allocation-free in steady state: each miner
-// carries a per-depth scratch stack for the running intersection and its
-// class support set (depth is bounded by the class-row count), and node
-// deduplication keys are appended into a reused buffer and looked up through
-// Go's map[string([]byte)] fast path. Allocations happen only when a new
-// distinct node or a retained rule group is materialized.
+// A closed node can be reached through several generating row sequences,
+// and the miner keeps no map of the nodes it has seen: it expands a node
+// only from its canonical parent, the one whose extension row is the lowest
+// class row the node's closure gains over the parent's. This is LCM's
+// prefix-preserving closure extension (Uno, Kiyomi, Arimura, FIMI'04)
+// applied to rows, as CARPENTER (Pan et al., KDD'03) enumerates them. Every
+// closed node has exactly one canonical parent, and the depth-first order
+// reaches it there first, so the search visits the same nodes in the same
+// order as one that remembers every node it has expanded. Memory is
+// O(depth): a per-depth scratch stack for the running intersection and its
+// class support set (depth is bounded by the class-row count), plus the
+// groups some row's top-k keeps. The hot path allocates only when it
+// materializes such a group.
 //
 // A node's closure, the training rows containing its itemset, is the AND of
 // its genes' row columns: the miner transposes the training rows into
@@ -38,7 +45,6 @@ import (
 	"bstc/internal/dataset"
 	"bstc/internal/fault"
 	"bstc/internal/obs"
-	"bstc/internal/sketch"
 )
 
 // ErrBudgetExceeded reports that mining hit its deadline; partial results
@@ -108,13 +114,6 @@ type RuleGroup struct {
 	// them at most); nil until MineLowerBounds runs.
 	LowerBounds []*bitset.Set
 
-	// ArrivalEstimate and ArrivalError are filled only by approximate runs:
-	// the sketch's estimate of how often the enumeration arrived at this
-	// closed node, with ArrivalEstimate − ArrivalError a guaranteed lower
-	// bound. Support and Confidence stay exact in every mode.
-	ArrivalEstimate uint64
-	ArrivalError    uint64
-
 	// key is the ClassRows bitset key. A closed itemset is exactly the
 	// intersection of the class rows containing it, so key identifies the
 	// group: equal keys imply equal groups. It doubles as the canonical
@@ -125,8 +124,7 @@ type RuleGroup struct {
 // coverLess is the canonical strict total order on rule groups: confidence
 // descending, support descending, class-support key ascending. Distinct
 // groups have distinct keys, so no two groups compare equal — which is what
-// makes top-k lists independent of discovery order and the sorted result
-// independent of map iteration order.
+// makes top-k lists and the sorted result independent of discovery order.
 func coverLess(a, b *RuleGroup) bool {
 	if a.Confidence != b.Confidence {
 		return a.Confidence > b.Confidence
@@ -146,12 +144,12 @@ type TopKConfig struct {
 	Budget     Budget
 	// MaxNodes, when positive, bounds the enumeration nodes the miner may
 	// visit; exceeding it stops the run with ErrBudgetExceeded and partial
-	// results. Unlike the wall-clock Deadline this budget is deterministic:
-	// the same configuration always stops at the same node.
+	// results. It is checked at the stop poll, every 64 nodes, so a run can
+	// visit up to 63 nodes past it before the poll stops it (a 100,000-node
+	// budget on the OC small 40% split stops at 100,033). Unlike the
+	// wall-clock Deadline this budget is deterministic: the same
+	// configuration always stops at the same node.
 	MaxNodes int
-	// Approx opts into approximate mining (see ApproxConfig); the zero
-	// value keeps the miner exact.
-	Approx ApproxConfig
 
 	// disableFloors turns off the dynamic-floor machinery so package tests
 	// can diff its output against the reference pruning. Not exported: the
@@ -169,9 +167,6 @@ type TopKResult struct {
 	// PerRow maps each class row index to its top-k covering groups,
 	// pointers into Groups.
 	PerRow map[int][]*RuleGroup
-	// Approx carries the error accounting of an approximate run; nil in
-	// exact mode.
-	Approx *ApproxReport
 }
 
 // TopKCoveringRuleGroups mines, for every class-ci training row, the k most
@@ -182,14 +177,22 @@ type TopKResult struct {
 // in the enumeration hot loop, so the miner returns within one check
 // interval of the deadline. A nil ctx is treated as context.Background().
 func TopKCoveringRuleGroups(ctx context.Context, d *dataset.Bool, ci int, cfg TopKConfig) (*TopKResult, error) {
+	m, err := minerFor(ctx, d, ci, cfg)
+	if err != nil {
+		return nil, err
+	}
+	err = m.run()
+	return m.result(), err
+}
+
+// minerFor validates cfg and builds the miner of class ci, with the
+// minimum support rounded up to whole class rows.
+func minerFor(ctx context.Context, d *dataset.Bool, ci int, cfg TopKConfig) (*topkMiner, error) {
 	if cfg.K <= 0 {
 		return nil, fmt.Errorf("carminer: k must be positive, got %d", cfg.K)
 	}
 	if cfg.MinSupport < 0 || cfg.MinSupport > 1 {
 		return nil, fmt.Errorf("carminer: minimum support %v outside [0,1]", cfg.MinSupport)
-	}
-	if err := cfg.Approx.validate(); err != nil {
-		return nil, err
 	}
 	var classRows []int
 	for i, cl := range d.Classes {
@@ -204,22 +207,7 @@ func TopKCoveringRuleGroups(ctx context.Context, d *dataset.Bool, ci int, cfg To
 	if minSup < 1 {
 		minSup = 1
 	}
-
-	m := newTopkMiner(ctx, d, ci, classRows, minSup, cfg)
-	err := m.run()
-	res := &TopKResult{Class: ci, Approx: m.approxReport(cfg.Approx), PerRow: make(map[int][]*RuleGroup, len(classRows))}
-	for pos, lst := range m.covers {
-		if lst != nil {
-			res.PerRow[classRows[pos]] = lst
-		}
-	}
-	for _, g := range m.groups {
-		res.Groups = append(res.Groups, g)
-	}
-	sort.Slice(res.Groups, func(i, j int) bool {
-		return coverLess(res.Groups[i], res.Groups[j])
-	})
-	return res, err
+	return newTopkMiner(ctx, d, ci, classRows, minSup, cfg), nil
 }
 
 type topkMiner struct {
@@ -229,6 +217,7 @@ type topkMiner struct {
 	minSup    int
 	k         int
 	budget    Budget
+	maxNodes  int
 	ctx       context.Context
 
 	// count is the run's search counters and flushed the part of them
@@ -243,19 +232,6 @@ type topkMiner struct {
 	classMask *bitset.Set
 	rows      *bitset.Set
 
-	// states dedupes enumeration nodes by their class-support-set key (a
-	// closed itemset is determined by its class support set) while keeping
-	// the search exhaustive: a closed node can be reached through several
-	// generating row sequences whose last indices differ, so each node
-	// remembers the smallest index it has been expanded from and re-expands
-	// only the uncovered gap when revisited from an earlier index. The map
-	// holds indices into explored so revisit updates rewrite the slice, not
-	// the map, and lookups go through the byte-slice fast path on keyBuf.
-	states   map[string]int32
-	explored []int32
-	// groups holds the rule groups currently covering some row's top-k,
-	// keyed by class support set.
-	groups map[string]*RuleGroup
 	// covers[pos] is the current best-k groups of class row classRows[pos],
 	// best first. Indexing by class-row position keeps the per-node prune
 	// loop and every offer off map lookups.
@@ -279,21 +255,15 @@ type topkMiner struct {
 	floorSup   int
 	noFloors   bool
 
-	// Approximate mode (nil sk = exact): sk counts node arrivals by class
-	// support key, slack is the ⌈ε·|C_i|⌉ capacity slack, and maxNodes the
-	// deterministic node budget (0 = unlimited; also honored in exact
-	// mode). The run's error accounting is count.sketchSkips and
-	// count.slackPrunes.
-	sk       *sketch.Sketch
-	slack    int
-	maxNodes int
-
-	// root is the synthetic root itemset (the full gene set); depth[l]
-	// holds level l's running intersection and class support set, reused
-	// across the whole enumeration so dfs itself never allocates bitsets.
-	root   *bitset.Set
-	depth  []levelScratch
-	keyBuf []byte
+	// root is the synthetic root itemset (the full gene set) and rootRows
+	// its class support set, taken as empty; depth[l] holds level l's
+	// running intersection and class support set, reused across the whole
+	// enumeration so dfs itself never allocates bitsets. keyBuf holds the
+	// class-support key of the group record is weighing.
+	root     *bitset.Set
+	rootRows *bitset.Set
+	depth    []levelScratch
+	keyBuf   []byte
 }
 
 type levelScratch struct {
@@ -303,7 +273,7 @@ type levelScratch struct {
 
 // topkCounts are a run's carminer.topk.* counters.
 type topkCounts struct {
-	nodes, revisitSkips, prunedSup, prunedConf, floorPrunes, floorSkips, groups, slackPrunes, sketchSkips int64
+	nodes, revisitSkips, prunedSup, prunedConf, floorPrunes, floorSkips, groups int64
 }
 
 func newTopkMiner(ctx context.Context, d *dataset.Bool, ci int, classRows []int, minSup int, cfg TopKConfig) *topkMiner {
@@ -314,24 +284,19 @@ func newTopkMiner(ctx context.Context, d *dataset.Bool, ci int, classRows []int,
 		minSup:    minSup,
 		k:         cfg.K,
 		budget:    cfg.Budget,
+		maxNodes:  cfg.MaxNodes,
 		ctx:       ctx,
 		cols:      bitset.Transpose(d.Rows, d.NumGenes()),
 		classMask: bitset.New(d.NumSamples()),
 		rows:      bitset.New(d.NumSamples()),
-		states:    map[string]int32{},
-		groups:    map[string]*RuleGroup{},
 		covers:    make([][]*RuleGroup, len(classRows)),
 		rowPos:    make([]int32, d.NumSamples()),
+		effMinSup: minSup,
+		noFloors:  cfg.disableFloors,
 		root:      bitset.New(d.NumGenes()),
+		rootRows:  bitset.New(d.NumSamples()),
 		depth:     make([]levelScratch, len(classRows)),
 		keyBuf:    make([]byte, 0, (d.NumSamples()+7)/8+8),
-	}
-	m.effMinSup = minSup
-	m.maxNodes = cfg.MaxNodes
-	m.noFloors = cfg.disableFloors
-	if cfg.Approx.Enabled() {
-		m.sk = sketch.New(cfg.Approx.ResolveWidth())
-		m.slack = supportSlack(cfg.Approx, len(classRows))
 	}
 	for i := range m.rowPos {
 		m.rowPos[i] = -1
@@ -355,13 +320,34 @@ func newTopkMiner(ctx context.Context, d *dataset.Bool, ci int, classRows []int,
 // every run, stopped or not, flushes its counters.
 func (m *topkMiner) run() error {
 	defer m.flushCounts()
-	defer m.retainCovering()
 	for idx := range m.classRows {
-		if err := m.dfs(m.root, idx, 0); err != nil {
+		if err := m.dfs(m.root, m.rootRows, idx, 0); err != nil {
 			return err
 		}
 	}
 	return nil
+}
+
+// result is the run's output: the groups present in some row's top-k list
+// (the covering property of Top-k output), best first, and the lists.
+func (m *topkMiner) result() *TopKResult {
+	res := &TopKResult{Class: m.ci, PerRow: make(map[int][]*RuleGroup, len(m.classRows))}
+	seen := map[*RuleGroup]bool{}
+	for pos, lst := range m.covers {
+		if lst != nil {
+			res.PerRow[m.classRows[pos]] = lst
+		}
+		for _, g := range lst {
+			if !seen[g] {
+				seen[g] = true
+				res.Groups = append(res.Groups, g)
+			}
+		}
+	}
+	sort.Slice(res.Groups, func(i, j int) bool {
+		return coverLess(res.Groups[i], res.Groups[j])
+	})
+	return res
 }
 
 // flushCounts adds the counts gathered since the last flush to the shared
@@ -375,8 +361,6 @@ func (m *topkMiner) flushCounts() {
 	met.floorPrunes.Add(c.floorPrunes - f.floorPrunes)
 	met.floorSkips.Add(c.floorSkips - f.floorSkips)
 	met.groups.Add(c.groups - f.groups)
-	met.slackPrunes.Add(c.slackPrunes - f.slackPrunes)
-	met.sketchSkips.Add(c.sketchSkips - f.sketchSkips)
 	*f = *c
 }
 
@@ -391,9 +375,10 @@ func (m *topkMiner) closure(itemset, classSet *bitset.Set) int {
 
 // dfs extends the current intersection with class row classRows[idx] and
 // recurses over later rows. itemset is the running intersection (the full
-// gene set at the synthetic root); level is the recursion depth, bounded by
-// the class-row count since idx strictly increases.
-func (m *topkMiner) dfs(itemset *bitset.Set, idx, level int) error {
+// gene set at the synthetic root) and parent its class support set; level
+// is the recursion depth, bounded by the class-row count since idx strictly
+// increases.
+func (m *topkMiner) dfs(itemset, parent *bitset.Set, idx, level int) error {
 	m.count.nodes++
 	// Amortized stop poll, aligned to fire on the miner's very first node:
 	// with the dynamic floors whole runs can finish under one 64-node
@@ -419,42 +404,42 @@ func (m *topkMiner) dfs(itemset *bitset.Set, idx, level int) error {
 	// count for confidence.
 	classSet := sc.classSet
 	total := m.closure(next, classSet)
-	m.keyBuf = classSet.AppendKey(m.keyBuf[:0])
-	if m.sk != nil {
-		m.sk.Offer(m.keyBuf, 1)
+	// Canonical-parent test: the node goes on only if row idx is the lowest
+	// class row its closure gains over the parent's. Every closed node has
+	// exactly one such parent, and depth-first order arrives from it first;
+	// whatever a later arrival could expand, that first one expanded, or a
+	// prune on the way to it cut.
+	if classSet.MinDifference(parent) != m.classRows[idx] {
+		m.count.revisitSkips++
+		return nil
 	}
 	support := classSet.Count()
-	si, revisit := m.states[string(m.keyBuf)] // map-from-bytes: no alloc on hit
-	if revisit {
-		if idx >= int(m.explored[si]) {
-			m.count.revisitSkips++
-			return nil // subtree already covered from an earlier index
+	if support >= m.minSup {
+		m.record(next, classSet, support, total)
+	}
+	if m.pruned(classSet, idx, support, total) {
+		return nil
+	}
+	for j := idx + 1; j < len(m.classRows); j++ {
+		if classSet.Contains(m.classRows[j]) {
+			continue // already in the closure; extension is a no-op
 		}
-		// Approximate mode: a node the sketch certifies as hot has been
-		// arrived at from enough directions already; skip re-expanding the
-		// uncovered gap. This is the one prune that can drop exact results
-		// (the gap may hold a group reachable only through it), traded for
-		// cutting the revisit tail that dominates dense profiles.
-		if m.sk != nil && m.sk.SeenAtLeast(m.keyBuf, approxHotVisits) {
-			m.count.sketchSkips++
-			return nil
-		}
-	} else {
-		key := string(m.keyBuf)
-		si = int32(len(m.explored))
-		m.explored = append(m.explored, int32(len(m.classRows)))
-		m.states[key] = si
-		if support >= m.minSup {
-			m.record(next, classSet, key, support, total)
+		if err := m.dfs(next, classSet, j, level+1); err != nil {
+			return err
 		}
 	}
-	// Support grows going down (descendants intersect more rows, shrinking
-	// the itemset and enlarging its closure), so the minsup prune is a
-	// capacity bound: even absorbing every remaining candidate row cannot
-	// lift a descendant's support above support + remaining. effMinSup is
-	// the floor-raised minimum (== minSup until every row's top-k is full
-	// of full-confidence groups), and approximate mode adds a slack on top.
-	if support < m.effMinSup+m.slack {
+	return nil
+}
+
+// pruned reports, and counts, a node no descendant of which can enter any
+// row's top-k. Support grows going down (descendants intersect more rows,
+// shrinking the itemset and enlarging its closure), so the minsup prune is
+// a capacity bound: even absorbing every remaining candidate row cannot
+// lift a descendant's support above support + remaining. effMinSup is the
+// floor-raised minimum (== minSup until every row's top-k is full of
+// full-confidence groups). The confidence prune is prunable's.
+func (m *topkMiner) pruned(classSet *bitset.Set, idx, support, total int) bool {
+	if support < m.effMinSup {
 		remaining := 0
 		for j := idx + 1; j < len(m.classRows); j++ {
 			if !classSet.Contains(m.classRows[j]) {
@@ -465,76 +450,53 @@ func (m *topkMiner) dfs(itemset *bitset.Set, idx, level int) error {
 		switch {
 		case capacity < m.minSup:
 			m.count.prunedSup++
-			return nil
+			return true
 		case capacity < m.effMinSup:
 			m.count.floorPrunes++
-			return nil
-		case m.slack > 0 && capacity < m.effMinSup+m.slack:
-			m.count.slackPrunes++
-			return nil
+			return true
 		}
 	}
 	if m.prunable(total - support) {
 		m.count.prunedConf++
-		// No descendant can improve any row's top-k. Leave exploredFrom
-		// untouched: covers only improve over time, so this prune stays
-		// valid for revisits.
-		return nil
+		return true
 	}
-	// Expand only the gap (idx, previous exploredFrom]; children beyond it
-	// were reached from an earlier visit.
-	hi := int(m.explored[si])
-	m.explored[si] = int32(idx)
-	for j := idx + 1; j <= hi && j < len(m.classRows); j++ {
-		if classSet.Contains(m.classRows[j]) {
-			continue // already in the closure; extension is a no-op
-		}
-		if err := m.dfs(next, j, level+1); err != nil {
-			return err
-		}
-	}
-	return nil
+	return false
 }
 
 // record builds the group and offers it to the top-k list of every covered
 // row. The admissibility probe runs first: when no covered row's top-k
-// would keep the group, record returns before allocating the RuleGroup at
-// all — on dense profiles the vast majority of closed nodes die here.
-// itemset and classSet live in the dfs scratch stack, so they are cloned
-// only when some row actually keeps the group.
-func (m *topkMiner) record(itemset, classSet *bitset.Set, key string, support, total int) {
+// would keep the group, record returns before allocating anything — on
+// dense profiles the vast majority of closed nodes die here. itemset and
+// classSet live in the dfs scratch stack, so they are cloned, and the key
+// string built, only for a group some row keeps.
+func (m *topkMiner) record(itemset, classSet *bitset.Set, support, total int) {
 	conf := float64(support) / float64(total)
-	if !m.admissible(classSet, conf, support, key) {
+	m.keyBuf = classSet.AppendKey(m.keyBuf[:0])
+	if !m.admissible(classSet, conf, support, m.keyBuf) {
 		m.count.floorSkips++
 		return
 	}
 	m.count.groups++
 	g := &RuleGroup{
 		Class:      m.ci,
+		UpperBound: itemset.Clone(),
+		ClassRows:  classSet.Clone(),
 		Support:    support,
 		TotalRows:  total,
 		Confidence: conf,
-		key:        key,
+		key:        string(m.keyBuf),
 	}
-	kept := false
 	classSet.ForEach(func(r int) bool {
-		if m.offer(int(m.rowPos[r]), g) {
-			kept = true
-		}
+		m.offer(int(m.rowPos[r]), g)
 		return true
 	})
-	if kept {
-		g.UpperBound = itemset.Clone()
-		g.ClassRows = classSet.Clone()
-		m.groups[key] = g
-	}
 }
 
 // admissible reports whether some covered row's top-k would keep a group
 // with the given stats: a non-full list always would; a full list iff the
 // group beats its current worst entry in coverLess order. The comparison
 // mirrors coverLess exactly, so offer keeps a group iff admissible said so.
-func (m *topkMiner) admissible(classSet *bitset.Set, conf float64, support int, key string) bool {
+func (m *topkMiner) admissible(classSet *bitset.Set, conf float64, support int, key []byte) bool {
 	adm := false
 	classSet.ForEach(func(r int) bool {
 		lst := m.covers[m.rowPos[r]]
@@ -545,7 +507,7 @@ func (m *topkMiner) admissible(classSet *bitset.Set, conf float64, support int, 
 		worst := lst[len(lst)-1]
 		if conf > worst.Confidence ||
 			(conf == worst.Confidence && (support > worst.Support ||
-				(support == worst.Support && key < worst.key))) {
+				(support == worst.Support && string(key) < worst.key))) {
 			adm = true
 			return false
 		}
@@ -555,10 +517,10 @@ func (m *topkMiner) admissible(classSet *bitset.Set, conf float64, support int, 
 }
 
 // offer inserts g into the top-k of the class row at position pos in
-// coverLess order, reporting whether the list kept it. A kept offer that
-// fills the list or changes its k-th entry moves that row's floor, so the
-// cached global floor is marked stale.
-func (m *topkMiner) offer(pos int, g *RuleGroup) bool {
+// coverLess order, if the list keeps it. A kept offer that fills the list
+// or changes its k-th entry moves that row's floor, so the cached global
+// floor is marked stale.
+func (m *topkMiner) offer(pos int, g *RuleGroup) {
 	lst := m.covers[pos]
 	at := len(lst)
 	for i, h := range lst {
@@ -568,7 +530,7 @@ func (m *topkMiner) offer(pos int, g *RuleGroup) bool {
 		}
 	}
 	if at >= m.k {
-		return false
+		return
 	}
 	wasFull := len(lst) >= m.k
 	lst = append(lst, nil)
@@ -584,7 +546,6 @@ func (m *topkMiner) offer(pos int, g *RuleGroup) bool {
 		}
 		m.floorDirty = true
 	}
-	return true
 }
 
 // prunable implements the covering-top-k confidence prune. A descendant's
@@ -654,21 +615,5 @@ func (m *topkMiner) refreshFloor() {
 	}
 	if m.floorConf == 1 && m.floorSup > m.effMinSup {
 		m.effMinSup = m.floorSup
-	}
-}
-
-// retainCovering keeps only the groups present in some row's final top-k
-// (the covering property of Top-k output).
-func (m *topkMiner) retainCovering() {
-	keep := map[*RuleGroup]bool{}
-	for _, lst := range m.covers {
-		for _, g := range lst {
-			keep[g] = true
-		}
-	}
-	for key, g := range m.groups {
-		if !keep[g] {
-			delete(m.groups, key)
-		}
 	}
 }

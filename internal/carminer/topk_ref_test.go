@@ -116,8 +116,6 @@ func runTopK(d *dataset.Bool, ci int, cfg TopKConfig, skip int) topkRun {
 			floorPrunes:  c("floor_prunes"),
 			floorSkips:   c("floor_skips"),
 			groups:       c("groups"),
-			slackPrunes:  c("slack_prunes"),
-			sketchSkips:  c("sketch_skips"),
 		},
 		digest: resultDigest(res),
 	}
@@ -220,16 +218,162 @@ func checkGroupsRowScan(t *testing.T, name string, d *dataset.Bool, groups []*Ru
 	}
 }
 
+// refMiner is the Top-k search as the miner ran it before the
+// canonical-parent test, kept as the oracle. A states map remembers every
+// closed node reached, keyed by class support set, with the lowest index
+// it has been expanded from; a revisit from an earlier index re-expands
+// only the children that expansion skipped, and any other revisit backs
+// out. It shares the miner's closure, record, prunes and result assembly,
+// and polls only the node budget.
+type refMiner struct {
+	*topkMiner
+	states map[string]int
+}
+
+// topKReference mines class ci of d with the reference search.
+func topKReference(d *dataset.Bool, ci int, cfg TopKConfig) topkRun {
+	m, err := minerFor(context.Background(), d, ci, cfg)
+	if err != nil {
+		return topkRun{err: err}
+	}
+	ref := &refMiner{topkMiner: m, states: map[string]int{}}
+	for idx := range m.classRows {
+		if err = ref.dfs(m.root, idx, 0); err != nil {
+			break
+		}
+	}
+	return topkRun{err: err, count: m.count, digest: resultDigest(m.result())}
+}
+
+func (m *refMiner) dfs(itemset *bitset.Set, idx, level int) error {
+	m.count.nodes++
+	if m.count.nodes&63 == 1 && m.maxNodes > 0 && m.count.nodes > int64(m.maxNodes) {
+		return ErrBudgetExceeded
+	}
+	sc := &m.depth[level]
+	next := itemset.IntersectInto(sc.next, m.d.Rows[m.classRows[idx]])
+	if next.IsEmpty() {
+		return nil
+	}
+	classSet := sc.classSet
+	total := m.closure(next, classSet)
+	support := classSet.Count()
+	key := classSet.Key()
+	explored, revisit := m.states[key]
+	if revisit {
+		if idx >= explored {
+			m.count.revisitSkips++
+			return nil // subtree already covered from an earlier index
+		}
+	} else {
+		explored = len(m.classRows)
+		m.states[key] = explored
+		if support >= m.minSup {
+			m.record(next, classSet, support, total)
+		}
+	}
+	if m.pruned(classSet, idx, support, total) {
+		return nil // covers only improve, so the prune holds for revisits
+	}
+	m.states[key] = idx
+	for j := idx + 1; j <= explored && j < len(m.classRows); j++ {
+		if classSet.Contains(m.classRows[j]) {
+			continue
+		}
+		if err := m.dfs(next, j, level+1); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// TestTopKMatchesReference diffs the canonical-parent search against the
+// states map search it replaced: the same groups and per-row lists, the
+// same nodes and groups counters, and the same stop. The arrivals the map
+// search pruned again are revisit skips now, so revisit_skips +
+// pruned_support + pruned_confidence + floor_prunes must agree too, and
+// the canonical search may only weigh fewer groups (floor_skips). Shapes:
+// random matrices on either side of the 64-bit word boundary, one with a
+// class row holding every gene, one with duplicated class rows, minsup
+// 0–0.7 and k 1–10, and the OC and PC small 40% and 60% splits.
+func TestTopKMatchesReference(t *testing.T) {
+	r := rand.New(rand.NewSource(97))
+	type shape struct {
+		name string
+		d    *dataset.Bool
+	}
+	var shapes []shape
+	for i := 0; i < 12; i++ {
+		d := randomBool(r, 7+r.Intn(59), 7+r.Intn(59), 2)
+		shapes = append(shapes, shape{fmt.Sprintf("random %d×%d", d.NumSamples(), d.NumGenes()), d})
+	}
+	full := randomBool(r, 30, 40, 2)
+	full.Rows[2].Fill()
+	shapes = append(shapes, shape{"full class row", full})
+	dup := randomBool(r, 40, 50, 2)
+	for _, i := range []int{0, 2, 4} {
+		dup.Rows = append(dup.Rows, dup.Rows[i].Clone())
+		dup.Classes = append(dup.Classes, dup.Classes[i])
+	}
+	shapes = append(shapes, shape{"duplicated class rows", dup})
+	cfgs := []TopKConfig{
+		{MinSupport: 0, K: 1}, {MinSupport: 0.1, K: 10}, {MinSupport: 0.2, K: 3},
+		{MinSupport: 0.3, K: 5}, {MinSupport: 0.5, K: 2}, {MinSupport: 0.7, K: 10},
+	}
+	for _, sh := range shapes {
+		for ci := 0; ci < 2; ci++ {
+			for _, cfg := range cfgs {
+				checkMatchesReference(t, fmt.Sprintf("%s class %d %+v", sh.name, ci, cfg), sh.d, ci, cfg)
+			}
+		}
+	}
+	budget := rcbtTopK
+	budget.MaxNodes = 5_000
+	for _, name := range []string{"OC", "PC"} {
+		for _, frac := range []float64{0.4, 0.6} {
+			d, err := smallTraining(name, frac)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for ci := 0; ci < d.NumClasses(); ci++ {
+				for _, cfg := range []TopKConfig{rcbtTopK, budget} {
+					checkMatchesReference(t, fmt.Sprintf("%s %.0f%% class %d MaxNodes %d", name, 100*frac, ci, cfg.MaxNodes), d, ci, cfg)
+				}
+			}
+		}
+	}
+}
+
+func checkMatchesReference(t *testing.T, name string, d *dataset.Bool, ci int, cfg TopKConfig) {
+	t.Helper()
+	want := topKReference(d, ci, cfg)
+	got := runTopK(d, ci, cfg, -1)
+	cut := func(c topkCounts) int64 { return c.revisitSkips + c.prunedSup + c.prunedConf + c.floorPrunes }
+	switch {
+	case got.err != want.err:
+		t.Errorf("%s: err %v, reference %v", name, got.err, want.err)
+	case got.digest != want.digest:
+		t.Errorf("%s: result digest %s, reference %s", name, got.digest, want.digest)
+	case got.count.nodes != want.count.nodes || got.count.groups != want.count.groups:
+		t.Errorf("%s: nodes %d groups %d, reference %d and %d",
+			name, got.count.nodes, got.count.groups, want.count.nodes, want.count.groups)
+	case cut(got.count) != cut(want.count) || got.count.floorSkips > want.count.floorSkips:
+		t.Errorf("%s: counters %+v, reference %+v", name, got.count, want.count)
+	}
+}
+
 // TestTopKSearchPinned pins the search itself on the OC small 40% split:
 // every carminer.topk.* counter and a digest of the groups and per-row
-// lists, for both classes, exact and approximate, at the values the miner
-// read before the column closure. Stops by the carminer.dfs fault site and
-// by MaxNodes must leave the same counters too, so the counts are added to
-// the registry on every return.
+// lists, for both classes. Nodes, groups and digests are the values the
+// miner read before the column closure and before the canonical-parent
+// test. That test counts as revisit skips the arrivals the states map
+// search pruned again (revisit_skips + pruned_support + pruned_confidence
+// is unchanged), and it drops the floor skips of groups that search
+// weighed at a first arrival that was not canonical. Stops by the
+// carminer.dfs fault site and by MaxNodes must leave the same counters
+// too, so the counts are added to the registry on every return.
 func TestTopKSearchPinned(t *testing.T) {
 	d := ocTraining(t)
-	approx := rcbtTopK
-	approx.Approx = ApproxConfig{Epsilon: 0.1}
 	budget := rcbtTopK
 	budget.MaxNodes = 100_000
 	cases := []struct {
@@ -242,17 +386,11 @@ func TestTopKSearchPinned(t *testing.T) {
 		dig  string
 	}{
 		{"class 0", 0, rcbtTopK, -1, nil,
-			topkCounts{nodes: 249854, revisitSkips: 181657, prunedSup: 61253, prunedConf: 170, floorSkips: 3, groups: 80},
+			topkCounts{nodes: 249854, revisitSkips: 227796, prunedSup: 15264, prunedConf: 20, floorSkips: 3, groups: 80},
 			"8969660fe413a932"},
 		{"class 1", 1, rcbtTopK, -1, nil,
-			topkCounts{nodes: 12358, revisitSkips: 6396, prunedSup: 4700, prunedConf: 107, floorSkips: 8, groups: 61},
+			topkCounts{nodes: 12358, revisitSkips: 8936, prunedSup: 2261, prunedConf: 6, floorSkips: 7, groups: 61},
 			"8957d64f2ae52535"},
-		{"class 0 approx", 0, approx, -1, nil,
-			topkCounts{nodes: 100666, revisitSkips: 61780, prunedSup: 26593, prunedConf: 14, floorSkips: 3, groups: 79, slackPrunes: 7726, sketchSkips: 2191},
-			"df48fa6815e3cfb0"},
-		{"class 1 approx", 1, approx, -1, nil,
-			topkCounts{nodes: 5244, revisitSkips: 2123, prunedSup: 1814, prunedConf: 42, floorSkips: 7, groups: 58, slackPrunes: 673, sketchSkips: 160},
-			"41b1ff92ca2a824c"},
 		{"fault skip 0", 0, rcbtTopK, 0, errTopKFault,
 			topkCounts{nodes: 1},
 			"e3b0c44298fc1c14"},
@@ -263,7 +401,7 @@ func TestTopKSearchPinned(t *testing.T) {
 			topkCounts{nodes: 449, revisitSkips: 404, groups: 28},
 			"2e9b55f689e8e111"},
 		{"MaxNodes", 0, budget, -1, ErrBudgetExceeded,
-			topkCounts{nodes: 100033, revisitSkips: 79682, prunedSup: 16978, prunedConf: 10, floorSkips: 3, groups: 79},
+			topkCounts{nodes: 100033, revisitSkips: 91565, prunedSup: 5104, prunedConf: 1, floorSkips: 3, groups: 79},
 			"e502f890cf426852"},
 	}
 	for _, c := range cases {

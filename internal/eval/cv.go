@@ -103,10 +103,6 @@ func (cfg CVConfig) recordConfig() map[string]float64 {
 		if cfg.RCBT.MaxNodes > 0 {
 			m["max_nodes"] = float64(cfg.RCBT.MaxNodes)
 		}
-		if cfg.RCBT.Approx.Enabled() {
-			m["approx_width"] = float64(cfg.RCBT.Approx.ResolveWidth())
-			m["approx_epsilon"] = cfg.RCBT.Approx.ResolveEpsilon()
-		}
 	}
 	return m
 }

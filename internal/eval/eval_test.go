@@ -10,7 +10,6 @@ import (
 	"testing"
 	"time"
 
-	"bstc/internal/carminer"
 	"bstc/internal/cba"
 	"bstc/internal/dataset"
 	"bstc/internal/forest"
@@ -275,14 +274,13 @@ func TestRunCVWorkersDeterministic(t *testing.T) {
 
 // TestRunCVMiningIndependentOfWorkers pins that Top-k mining inside a test
 // does not depend on the fold pool size: node and group counts, node-budget
-// DNFs and approximate-mode accuracies match the serial study exactly. One
-// test per study keeps each record's counter window exact on the pool too.
+// DNFs and accuracies match the serial study exactly. One test per study
+// keeps each record's counter window exact on the pool too.
 func TestRunCVMiningIndependentOfWorkers(t *testing.T) {
 	d := toyData(t, 12)
 	exact := rcbt.Config{MinSupport: 0.5, K: 2, NL: 3}
-	budget, approx := exact, exact
+	budget := exact
 	budget.MaxNodes = 400 // below the serial miner's need on this split
-	approx.Approx = carminer.ApproxConfig{Epsilon: 0.2}
 	for _, tc := range []struct {
 		name    string
 		cfg     rcbt.Config
@@ -290,7 +288,6 @@ func TestRunCVMiningIndependentOfWorkers(t *testing.T) {
 	}{
 		{"exact", exact, false},
 		{"max-nodes", budget, true},
-		{"approx", approx, false},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			run := func(workers int) (obs.RunRecord, SizeResult) {

@@ -46,10 +46,6 @@ type Config struct {
 	// the Top-k miner; exceeding it surfaces carminer.ErrBudgetExceeded
 	// exactly like a deadline.
 	MaxNodes int
-	// Approx opts the Top-k miner into approximate mining (see
-	// carminer.ApproxConfig). Lower-bound mining and classifier assembly
-	// stay exact; only the set of mined groups may shrink.
-	Approx carminer.ApproxConfig
 }
 
 // DefaultConfig returns the author-suggested parameter values used
@@ -93,7 +89,6 @@ func Mine(ctx context.Context, d *dataset.Bool, cfg Config) ([]*carminer.TopKRes
 			K:          cfg.K,
 			Budget:     cfg.Budget,
 			MaxNodes:   cfg.MaxNodes,
-			Approx:     cfg.Approx,
 		})
 		results[ci] = res
 		if err != nil {

@@ -1,7 +1,8 @@
 // Package sketch implements the space-saving summary of Metwally, Agrawal
 // and El Abbadi ("Efficient Computation of Frequent and Top-k Elements in
-// Data Streams", ICDT'05) over opaque byte keys — the approximate counting
-// substrate of the Top-k miner's approximate mode.
+// Data Streams", ICDT'05) over opaque byte keys. It was the counting
+// substrate of the Top-k miner's approximate mode; that mode is retired and
+// no package imports sketch any more.
 //
 // A Sketch of width w tracks at most w distinct keys. Offering a tracked key
 // adds the offered weight to its counter; offering an untracked key when the
