@@ -35,13 +35,14 @@ CHAOS_SEED ?= 1
 # hit concurrently by parallel batch classification, eval threads the
 # registry through every miner (the fold pool runs one Top-k miner per
 # concurrent test), the fold pool stripes discretization and
-# classification across workers, and the serving layer coalesces
-# concurrent requests into batches. bench-smoke keeps the
-# benchmark/benchjson pipeline compiling and parsing (one iteration per
-# benchmark); fuzz-smoke gives every fuzz target a short budget on top
-# of the committed corpora. bench-module
-# vets and tests the repository benchmark (bench/, a module of its own that
-# ./... does not reach): its smoke tests and serving goldens pin the served
+# classification across workers, the serving layer coalesces
+# concurrent requests into batches, and bstcbench's -debug-addr handlers
+# read the registry, SLO set and span recorder the fold pool writes.
+# bench-smoke keeps the benchmark/benchjson pipeline compiling and parsing
+# (one iteration per benchmark); fuzz-smoke gives every fuzz target a
+# short budget on top of the committed corpora. bench-module vets and
+# tests the repository benchmark (bench/, a module of its own that ./...
+# does not reach): its smoke tests and serving goldens pin the served
 # class and confidence bits.
 check: fmt vet lint build race test bench-module bench-smoke fuzz-smoke fleet-smoke
 
@@ -71,7 +72,8 @@ race:
 		./internal/discretize/... ./internal/core/... \
 		./internal/carminer/... ./internal/experiments/... \
 		./internal/registry/... ./internal/serve/... ./internal/fleet/... \
-		./cmd/bstcd/... ./cmd/bstcload/... ./cmd/bstcgw/...
+		./cmd/bstcd/... ./cmd/bstcload/... ./cmd/bstcgw/... \
+		./cmd/bstcbench/...
 
 test:
 	$(GO) test ./...

@@ -79,7 +79,7 @@ func cmdEval(args []string) error {
 			return fmt.Errorf("eval: fold %d: %w", fold, err)
 		}
 		if wanted["bstc"] {
-			out, err := eval.RunBSTCWorkers(ps, nil, *workers)
+			out, err := eval.RunBSTCWorkers(context.Background(), ps, nil, *workers)
 			if err != nil {
 				return err
 			}

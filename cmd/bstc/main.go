@@ -39,7 +39,8 @@
 //	    Profile the run (written when the subcommand finishes).
 //
 //	bstc -debug-addr localhost:6060 eval -in expr.tsv
-//	    Serve /debug/vars (expvar) and /debug/pprof while running.
+//	    Serve /debug/pprof (heap?debug=1 carries the runtime memstats) and
+//	    /metrics, /slo while running.
 //
 // File formats are documented in internal/dataset (TSV for continuous
 // data, tab-separated item lists for boolean data, plus Weka ARFF).
@@ -71,7 +72,7 @@ func run(args []string) (err error) {
 	fs := flag.NewFlagSet("bstc", flag.ContinueOnError)
 	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile to this file")
 	memProfile := fs.String("memprofile", "", "write a heap profile to this file on exit")
-	debugAddr := fs.String("debug-addr", "", "serve /debug/vars and /debug/pprof on this address")
+	debugAddr := fs.String("debug-addr", "", "serve /debug/pprof, /metrics and /slo on this address")
 	showVersion := fs.Bool("version", false, "print build information and exit")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -85,7 +86,7 @@ func run(args []string) (err error) {
 		return fmt.Errorf("usage: bstc [-cpuprofile f] [-memprofile f] [-debug-addr a] [-version] <discretize|train|classify|mine|table|eval|artifact> [flags]")
 	}
 	if *debugAddr != "" {
-		srv, err := obs.ServeDebug(*debugAddr)
+		srv, err := obs.ServeDebug(*debugAddr, nil, nil, nil)
 		if err != nil {
 			return err
 		}

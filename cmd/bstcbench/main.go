@@ -10,7 +10,7 @@
 //	bstcbench -exp table4 -runlog runs.jsonl   # per-test JSONL telemetry
 //	bstcbench -exp all -quiet                  # summary lines only
 //	bstcbench -exp table6 -cpuprofile cpu.out -memprofile mem.out
-//	bstcbench -exp table4 -debug-addr localhost:6060  # expvar + pprof
+//	bstcbench -exp table4 -debug-addr localhost:6060  # /metrics, /slo, /tracez + pprof
 //	bstcbench -exp fig6 -workers 1             # exact serial evaluation
 //
 // Experiments: table2, table3, prelim, fig4, fig5, fig6, fig7, table4,
@@ -20,8 +20,9 @@
 // PC study once.
 //
 // Every experiment finishes with a one-line summary carrying its wall time
-// and instrumentation highlights (miner nodes and prunes, clause-cache hit
-// rate, and each study phase's busy time with its share of all six);
+// and instrumentation highlights (BST builds, miner nodes and prunes,
+// lower-bound steps, and each study phase's busy time with its share of
+// all six);
 // -quiet suppresses the rendered artifacts and keeps only those lines.
 // -runlog additionally writes one JSON object per cross-validation test —
 // the schema is documented in EXPERIMENTS.md ("Run telemetry").
@@ -79,7 +80,7 @@ func run(args []string) (err error) {
 	obsFlag := fs.Bool("obs", true, "instrument the pipeline (miner counters, phase histograms)")
 	cpuProfileFlag := fs.String("cpuprofile", "", "write a CPU profile to this file")
 	memProfileFlag := fs.String("memprofile", "", "write a heap profile to this file on exit")
-	debugAddrFlag := fs.String("debug-addr", "", "serve /debug/vars, /debug/pprof, /metrics, /tracez and /slo on this address (e.g. localhost:6060)")
+	debugAddrFlag := fs.String("debug-addr", "", "serve /metrics, /slo, /tracez and /debug/pprof on this address (e.g. localhost:6060)")
 	traceFlag := fs.String("trace", "", "write sampled spans as JSONL to this file")
 	traceSampleFlag := fs.Float64("trace-sample", -1, "fraction of experiment traces to sample in [0,1] (default 1 when -trace is set, else 0)")
 	if err := fs.Parse(args); err != nil {
@@ -180,12 +181,7 @@ func run(args []string) (err error) {
 	slos.Add(cvSLO)
 
 	if *debugAddrFlag != "" {
-		obs.PublishExpvar("bstc", reg)
-		srv, err := obs.ServeDebug(*debugAddrFlag,
-			obs.Route{Pattern: "/metrics", Handler: obs.PromHandler(reg)},
-			obs.Route{Pattern: "/tracez", Handler: traceRec.Handler()},
-			obs.Route{Pattern: "/slo", Handler: slos.Handler()},
-		)
+		srv, err := obs.ServeDebug(*debugAddrFlag, reg, slos, traceRec.Handler())
 		if err != nil {
 			return err
 		}

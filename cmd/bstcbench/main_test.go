@@ -4,6 +4,9 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"io"
+	"net"
+	"net/http"
 	"os"
 	"path/filepath"
 	"testing"
@@ -177,5 +180,51 @@ func TestSummaryLinePhaseBusy(t *testing.T) {
 	summaryLine(&b, "OC study", 1234*time.Millisecond, obs.Snapshot{})
 	if got, want := b.String(), "[OC study] 1.234s\n"; got != want {
 		t.Errorf("uninstrumented summary line %q, want %q", got, want)
+	}
+}
+
+// TestDebugAddrScrapedMidRun scrapes the -debug-addr handler set while a
+// traced study runs. Under make race the handlers' reads of the registry,
+// the SLO set and the span recorder then race the fold pool's writes.
+func TestDebugAddrScrapedMidRun(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr := ln.Addr().String()
+	ln.Close()
+	done := make(chan error, 1)
+	go func() {
+		done <- run([]string{"-exp", "fig5", "-scale", "small", "-tests", "1", "-cutoff", "300ms",
+			"-quiet", "-workers", "2", "-trace-sample", "1", "-debug-addr", addr})
+	}()
+	paths := []string{"/metrics", "/metrics?format=prom", "/slo", "/tracez?format=json"}
+	scraped := map[string]bool{}
+	for {
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, p := range paths {
+				if !scraped[p] {
+					t.Errorf("%s never answered 200 during the run", p)
+				}
+			}
+			return
+		default:
+		}
+		for _, p := range paths {
+			resp, err := http.Get("http://" + addr + p)
+			if err != nil {
+				continue // not listening yet, or already closed
+			}
+			body, _ := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if resp.StatusCode == http.StatusOK && (p == "/metrics?format=prom" || json.Valid(body)) {
+				scraped[p] = true
+			}
+		}
+		time.Sleep(5 * time.Millisecond)
 	}
 }

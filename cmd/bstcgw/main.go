@@ -24,10 +24,11 @@
 //
 // Endpoints (see internal/fleet): POST /v1/classify, GET /v1/model,
 // /healthz (gateway liveness), /readyz (503 until ≥1 replica is routable),
-// /fleetz (each replica's name, state and routability), /metrics (fleet.*
-// counters; JSON, or Prometheus text with ?format=prom), /slo. On
-// SIGINT/SIGTERM the gateway drains in-flight proxied requests and stops
-// probing.
+// /fleetz (each replica's name, state and routability), and the handler
+// set a bstcd replica serves: /metrics (fleet.* counters; JSON, or
+// Prometheus text with the SLO gauges on ?format=prom), /slo, and /tracez
+// (the sampled gateway/classify spans, -trace-sample). On SIGINT/SIGTERM
+// the gateway drains in-flight proxied requests and stops probing.
 package main
 
 import (

@@ -3,6 +3,7 @@ package eval
 import (
 	"context"
 	"fmt"
+	"maps"
 	"math/rand"
 	"sync"
 	"time"
@@ -320,13 +321,10 @@ func RunCV(ctx context.Context, cfg CVConfig) ([]SizeResult, error) {
 			}
 			return fail(fmt.Errorf("eval: size %s test %d: %w", t.size.Label, t.test, t.splitErr))
 		}
-		ph := obs.NewPhasesIn(reg)
-		span := ph.Start("discretize")
-		_, dspan := trace.Start(tctx, "cv/discretize")
-		ps, err := PrepareWorkers(tctx, cfg.Data, t.sp, workers)
-		dspan.End()
-		span.End()
-		rec.PhasesMS = ph.AddTo(rec.PhasesMS)
+		rec.PhasesMS = map[string]float64{}
+		dctx, disc := trace.StartLayer(tctx, reg, "discretize")
+		ps, err := PrepareWorkers(dctx, cfg.Data, t.sp, workers)
+		endPhase(rec.PhasesMS, disc)
 		if err != nil {
 			if fault.IsCancellation(err) {
 				return dnf(err, false)
@@ -335,18 +333,16 @@ func RunCV(ctx context.Context, cfg CVConfig) ([]SizeResult, error) {
 		}
 		rec.GenesAfterDiscretization = ps.GenesAfterDiscretization
 		res.genesAfter = ps.GenesAfterDiscretization
-		_, bspan := trace.Start(tctx, "cv/bstc")
-		b, err := RunBSTCWorkers(ps, cfg.BSTCOpts, workers)
-		bspan.End()
+		b, err := RunBSTCWorkers(tctx, ps, cfg.BSTCOpts, workers)
 		if err != nil {
 			return fail(fmt.Errorf("eval: size %s test %d: BSTC: %w", t.size.Label, t.test, err))
 		}
 		rec.BSTCAccuracy = obs.Float64Ptr(b.Accuracy)
-		rec.PhasesMS = b.Phases.AddTo(rec.PhasesMS)
+		maps.Copy(rec.PhasesMS, b.PhasesMS)
 		res.bstc = b
 		if cfg.RunRCBT {
 			rc, err := RunRCBT(tctx, ps, cfg.RCBT, cfg.Cutoff, cfg.NLFallback)
-			rec.PhasesMS = rc.Phases.AddTo(rec.PhasesMS)
+			maps.Copy(rec.PhasesMS, rc.PhasesMS)
 			rec.TopkDNF = rc.TopkDNF
 			rec.RCBTDNF = rc.RCBTDNF
 			rec.DNFReason = rc.DNFReason

@@ -27,42 +27,51 @@ import (
 type BSTCOutcome struct {
 	Accuracy float64
 	Elapsed  time.Duration
-	// Phases breaks Elapsed into bstc/train and bstc/classify.
-	Phases *obs.Phases
+	// PhasesMS holds the run's layer durations in fractional milliseconds:
+	// bstc (= Elapsed) and its parts bstc/train and bstc/classify.
+	PhasesMS map[string]float64
 }
 
 // RunBSTC trains and evaluates BSTC on a prepared split.
 func RunBSTC(ps *Prepared, opts *core.EvalOptions) (BSTCOutcome, error) {
-	return RunBSTCWorkers(ps, opts, 1)
+	return RunBSTCWorkers(context.Background(), ps, opts, 1)
 }
 
 // RunBSTCWorkers is RunBSTC with test-sample classification spread over up
 // to workers goroutines (≤ 1 is the exact serial path). Each query is pure
 // against the trained tables, so predictions — and the outcome — are
-// identical for any worker count.
-func RunBSTCWorkers(ps *Prepared, opts *core.EvalOptions, workers int) (BSTCOutcome, error) {
-	ph := obs.NewPhasesIn(reg)
-	run := ph.Start("bstc")
-	train := run.Child("train")
+// identical for any worker count. A sampled span on ctx gains the bstc
+// layer's spans.
+func RunBSTCWorkers(ctx context.Context, ps *Prepared, opts *core.EvalOptions, workers int) (BSTCOutcome, error) {
+	out := BSTCOutcome{PhasesMS: map[string]float64{}}
+	ctx, run := trace.StartLayer(ctx, reg, "bstc")
+	_, train := trace.StartLayer(ctx, reg, "bstc/train")
 	cl, err := core.Train(ps.TrainBool, opts)
-	train.End()
+	train.SetError(err)
+	endPhase(out.PhasesMS, train)
 	if err != nil {
 		run.End()
 		return BSTCOutcome{}, err
 	}
-	classify := run.Child("classify")
+	_, classify := trace.StartLayer(ctx, reg, "bstc/classify")
 	var preds []int
 	if workers > 1 {
 		preds = cl.ClassifyBatchParallel(ps.TestBool, workers)
 	} else {
 		preds = cl.ClassifyBatch(ps.TestBool)
 	}
-	classify.End()
-	return BSTCOutcome{
-		Accuracy: stats.Accuracy(preds, ps.TestBool.Classes),
-		Elapsed:  run.End(),
-		Phases:   ph,
-	}, nil
+	endPhase(out.PhasesMS, classify)
+	out.Accuracy = stats.Accuracy(preds, ps.TestBool.Classes)
+	out.Elapsed = endPhase(out.PhasesMS, run)
+	return out, nil
+}
+
+// endPhase ends l and adds its duration to phasesMS under the layer's
+// name, in fractional milliseconds — the run record's phases_ms form.
+func endPhase(phasesMS map[string]float64, l trace.Layer) time.Duration {
+	d := l.End()
+	phasesMS[l.Name()] += float64(d) / float64(time.Millisecond)
+	return d
 }
 
 // RCBTOutcome records one Top-k + RCBT run with the paper's cutoff
@@ -88,10 +97,11 @@ type RCBTOutcome struct {
 	// Accuracy is valid only when both phases finished.
 	Accuracy float64
 
-	// Phases holds the raw measured spans (rcbt/topk, rcbt/build,
-	// rcbt/classify). Unlike TopkTime/RCBTTime these are never clamped to
-	// the cutoff and include abandoned nl-fallback attempts.
-	Phases *obs.Phases
+	// PhasesMS holds the raw measured layers (rcbt/topk, rcbt/build,
+	// rcbt/classify) in fractional milliseconds. Unlike TopkTime/RCBTTime
+	// these are never clamped to the cutoff and include abandoned
+	// nl-fallback attempts.
+	PhasesMS map[string]float64
 }
 
 // Finished reports whether both phases completed within their cutoffs.
@@ -110,8 +120,7 @@ func (o RCBTOutcome) Finished() bool { return !o.TopkDNF && !o.RCBTDNF }
 // reserved for real failures — invalid configuration, degenerate training
 // data — which previously drowned in the DNF bookkeeping.
 func RunRCBT(ctx context.Context, ps *Prepared, cfg rcbt.Config, cutoff time.Duration, nlFallback int) (RCBTOutcome, error) {
-	ph := obs.NewPhasesIn(reg)
-	out := RCBTOutcome{NLUsed: cfg.NL, Phases: ph}
+	out := RCBTOutcome{NLUsed: cfg.NL, PhasesMS: map[string]float64{}}
 
 	budget := func() carminer.Budget {
 		if cutoff <= 0 {
@@ -123,12 +132,10 @@ func RunRCBT(ctx context.Context, ps *Prepared, cfg rcbt.Config, cutoff time.Dur
 	// Phase 1: Top-k covering rule group mining.
 	mineCfg := cfg
 	mineCfg.Budget = budget()
-	span := ph.Start("rcbt/topk")
-	_, tsp := trace.Start(ctx, "rcbt/topk")
-	mined, err := rcbt.Mine(ctx, ps.TrainBool, mineCfg)
-	tsp.SetError(err)
-	tsp.End()
-	out.TopkTime = span.End()
+	mctx, topk := trace.StartLayer(ctx, reg, "rcbt/topk")
+	mined, err := rcbt.Mine(mctx, ps.TrainBool, mineCfg)
+	topk.SetError(err)
+	out.TopkTime = endPhase(out.PhasesMS, topk)
 	if err != nil {
 		reason := stopReason(err)
 		if reason == "" {
@@ -143,29 +150,28 @@ func RunRCBT(ctx context.Context, ps *Prepared, cfg rcbt.Config, cutoff time.Dur
 	}
 
 	// Phase 2: lower-bound mining + classifier assembly + classification.
-	// On an nl fallback the build timer restarts: the reported RCBT time
+	// On an nl fallback the build layer restarts: the reported RCBT time
 	// covers only the attempt that produced the classifier, as in the
-	// paper's † runs (the abandoned attempt still shows up in Phases).
+	// paper's † runs (the abandoned attempt still counts in PhasesMS, and
+	// its span carries an nl_fallback event).
 	buildCfg := cfg
 	buildCfg.Budget = budget()
-	span = ph.Start("rcbt/build")
-	_, bsp := trace.Start(ctx, "rcbt/build")
-	cl, err := rcbt.Build(ctx, ps.TrainBool, mined, buildCfg)
+	bctx, build := trace.StartLayer(ctx, reg, "rcbt/build")
+	cl, err := rcbt.Build(bctx, ps.TrainBool, mined, buildCfg)
 	// The nl fallback retries only cutoff expiries: retrying after a context
 	// deadline or cancellation could not finish either.
 	if err != nil && nlFallback > 0 && nlFallback < cfg.NL && errors.Is(err, carminer.ErrBudgetExceeded) {
-		span.End()
-		bsp.AddEvent("nl_fallback")
+		build.AddEvent("nl_fallback")
+		endPhase(out.PhasesMS, build)
 		out.NLUsed = nlFallback
 		out.NLFallback = true
 		buildCfg.NL = nlFallback
 		buildCfg.Budget = budget()
-		span = ph.Start("rcbt/build")
-		cl, err = rcbt.Build(ctx, ps.TrainBool, mined, buildCfg)
+		bctx, build = trace.StartLayer(ctx, reg, "rcbt/build")
+		cl, err = rcbt.Build(bctx, ps.TrainBool, mined, buildCfg)
 	}
-	bsp.SetError(err)
-	bsp.End()
-	out.RCBTTime = span.End()
+	build.SetError(err)
+	out.RCBTTime = endPhase(out.PhasesMS, build)
 	if err != nil {
 		reason := stopReason(err)
 		if reason == "" {
@@ -178,11 +184,9 @@ func RunRCBT(ctx context.Context, ps *Prepared, cfg rcbt.Config, cutoff time.Dur
 		}
 		return out, nil
 	}
-	span = ph.Start("rcbt/classify")
-	_, csp := trace.Start(ctx, "rcbt/classify")
+	_, classify := trace.StartLayer(ctx, reg, "rcbt/classify")
 	preds := cl.ClassifyBatch(ps.TestBool)
-	csp.End()
-	out.RCBTTime += span.End()
+	out.RCBTTime += endPhase(out.PhasesMS, classify)
 	out.Accuracy = stats.Accuracy(preds, ps.TestBool.Classes)
 	return out, nil
 }

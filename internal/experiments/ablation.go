@@ -11,6 +11,7 @@ import (
 	"bstc/internal/dataset"
 	"bstc/internal/eval"
 	"bstc/internal/obs"
+	"bstc/internal/obs/trace"
 	"bstc/internal/stats"
 	"bstc/internal/synth"
 	"bstc/internal/textplot"
@@ -138,17 +139,16 @@ func Ablation(ctx context.Context, w io.Writer, cfg Config, profileName string) 
 	if err != nil {
 		return nil, err
 	}
-	ph := obs.NewPhasesIn(eval.Metrics())
 	for _, tie := range []bool{false, true} {
-		span := ph.Start("ablation/mine_mcmcbar")
+		_, mine := trace.StartLayer(ctx, eval.Metrics(), "ablation/mine_mcmcbar")
 		mined := bst.MineMCMCBAR(cfg.RCBT.K, core.MineOptions{TieBreakFewerExcluded: tie})
 		line(w, "Mine-MCMCBAR top-%d (tie-break fewer-excluded=%v): %d rules in %s",
-			cfg.RCBT.K, tie, len(mined), fmtDuration(span.End()))
+			cfg.RCBT.K, tie, len(mined), fmtDuration(mine.End()))
 	}
 
 	// §4.2's rule-explicit MCBAR classifier: k sensitivity vs parameter-free
 	// BSTC on the same split — the paper's stated reason for forgoing it.
-	bstcOut, err := eval.RunBSTCWorkers(ps, bstcOpts(), cfg.Workers)
+	bstcOut, err := eval.RunBSTCWorkers(ctx, ps, bstcOpts(), cfg.Workers)
 	if err != nil {
 		return nil, err
 	}

@@ -58,7 +58,7 @@ func Preliminary(ctx context.Context, w io.Writer, cfg Config) ([]PreliminaryRow
 		}
 
 		row := PreliminaryRow{Name: p.Name}
-		b, err := eval.RunBSTCWorkers(ps, bstcOpts(), cfg.Workers)
+		b, err := eval.RunBSTCWorkers(ctx, ps, bstcOpts(), cfg.Workers)
 		if err != nil {
 			return nil, err
 		}

@@ -13,6 +13,7 @@ import (
 	"bstc/internal/ep"
 	"bstc/internal/eval"
 	"bstc/internal/obs"
+	"bstc/internal/obs/trace"
 	"bstc/internal/synth"
 	"bstc/internal/textplot"
 )
@@ -47,16 +48,15 @@ func Related(ctx context.Context, w io.Writer, cfg Config) error {
 			return err
 		}
 
-		ph := obs.NewPhasesIn(eval.Metrics())
-		span := ph.Start("related/bst_build")
+		_, build := trace.StartLayer(ctx, eval.Metrics(), "related/bst_build")
 		for ci := 0; ci < ps.TrainBool.NumClasses(); ci++ {
 			if _, err := core.NewBST(ps.TrainBool, ci); err != nil {
 				return err
 			}
 		}
-		bstTime := span.End()
+		bstTime := build.End()
 
-		span = ph.Start("related/jep_mine")
+		_, mine := trace.StartLayer(ctx, eval.Metrics(), "related/jep_mine")
 		deadline := obs.Now().Add(cfg.Cutoff)
 		jepCell := ""
 		patterns := 0
@@ -71,7 +71,7 @@ func Related(ctx context.Context, w io.Writer, cfg Config) error {
 			}
 			patterns += len(jeps)
 		}
-		if jepDur := span.End(); jepCell == "" {
+		if jepDur := mine.End(); jepCell == "" {
 			jepCell = fmtDuration(jepDur)
 		}
 		rows = append(rows, []string{

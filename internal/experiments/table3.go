@@ -56,7 +56,7 @@ func Table3(ctx context.Context, w io.Writer, cfg Config) ([]Table3Row, error) {
 			Class1Train: counts[0], Class0Train: counts[1],
 			GenesAfterDiscretization: ps.GenesAfterDiscretization,
 		}
-		b, err := eval.RunBSTCWorkers(ps, bstcOpts(), cfg.Workers)
+		b, err := eval.RunBSTCWorkers(ctx, ps, bstcOpts(), cfg.Workers)
 		if err != nil {
 			return nil, err
 		}

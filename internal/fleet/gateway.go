@@ -26,8 +26,13 @@ import (
 //	GET  /healthz      gateway liveness (200 while the process runs)
 //	GET  /readyz       gateway readiness: 200 while ≥1 replica is routable
 //	GET  /fleetz       ring members, and each replica as {name, state, routable}
-//	GET  /metrics      fleet.* registry (JSON; Prometheus with ?format=prom)
+//	GET  /metrics      fleet.* registry (JSON; Prometheus text with the SLO
+//	                   gauges on ?format=prom or a text/plain Accept)
 //	GET  /slo          fleet availability/latency SLO windows
+//	GET  /tracez       sampled gateway/classify span trees (the tracer's
+//	                   recorder; 503 without one)
+//
+// The last three are obs.Mount, the handler set a replica serves too.
 type Gateway struct {
 	client *Client
 	reg    *obs.Registry
@@ -56,8 +61,7 @@ func (g *Gateway) Handler() http.Handler {
 	mux.HandleFunc("/healthz", g.handleHealthz)
 	mux.HandleFunc("/readyz", g.handleReadyz)
 	mux.HandleFunc("/fleetz", g.handleFleetz)
-	mux.HandleFunc("/metrics", g.handleMetrics)
-	mux.HandleFunc("/slo", g.handleSLO)
+	obs.Mount(mux, g.reg, g.client.SLOs(), g.tracer.Recorder().Handler())
 	return mux
 }
 
@@ -160,20 +164,6 @@ func (g *Gateway) handleFleetz(w http.ResponseWriter, r *http.Request) {
 		"members":  g.client.Ring().Members(),
 		"replicas": g.client.Statuses(),
 	})
-}
-
-func (g *Gateway) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	if obs.WantsProm(r) {
-		w.Header().Set("Content-Type", obs.PromContentType)
-		obs.WritePrometheus(w, g.reg) //nolint:errcheck // response committed
-		g.client.SLOs().WriteProm(w)  //nolint:errcheck // response committed
-		return
-	}
-	gatewayJSON(w, http.StatusOK, g.reg.Snapshot())
-}
-
-func (g *Gateway) handleSLO(w http.ResponseWriter, r *http.Request) {
-	gatewayJSON(w, http.StatusOK, g.client.SLOs().Report())
 }
 
 func copyHeader(dst, src http.Header, name string) {

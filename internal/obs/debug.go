@@ -2,44 +2,44 @@ package obs
 
 import (
 	"context"
-	"expvar"
-	"fmt"
+	"encoding/json"
 	"net"
 	"net/http"
 	"net/http/pprof"
 	"sync"
 )
 
-// published maps expvar names to the registry currently backing them.
-// expvar.Publish panics on duplicate names, so re-publishing under the
-// same name just swaps the backing registry.
-var published = struct {
-	sync.Mutex
-	regs map[string]*Registry
-}{regs: map[string]*Registry{}}
-
-// PublishExpvar exposes r's live snapshot as the named expvar (visible on
-// /debug/vars). Calling it again with the same name rebinds the variable
-// to the new registry; a nil registry publishes empty snapshots.
-func PublishExpvar(name string, r *Registry) {
-	published.Lock()
-	defer published.Unlock()
-	if _, ok := published.regs[name]; !ok {
-		expvar.Publish(name, expvar.Func(func() any {
-			published.Lock()
-			reg := published.regs[name]
-			published.Unlock()
-			return reg.Snapshot()
-		}))
+// Mount registers the observability handler set on mux, the one set that
+// bstcd, bstcgw and both -debug-addr servers serve:
+//
+//	GET /metrics  reg's Snapshot as JSON; the Prometheus text exposition
+//	              (WritePrometheus plus slos' bstc_slo_* block) on
+//	              ?format=prom or a text/plain Accept header
+//	GET /slo      slos' reports as a JSON array
+//	GET /tracez   tracez, a trace.Recorder's Handler (not mounted when nil)
+//
+// A nil reg or slos serves empty documents.
+func Mount(mux *http.ServeMux, reg *Registry, slos *SLOSet, tracez http.Handler) {
+	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
+		if wantsProm(r) {
+			w.Header().Set("Content-Type", PromContentType)
+			WritePrometheus(w, reg) //nolint:errcheck // response committed
+			slos.WriteProm(w)       //nolint:errcheck // response committed
+			return
+		}
+		writeJSON(w, reg.Snapshot())
+	})
+	mux.HandleFunc("/slo", func(w http.ResponseWriter, r *http.Request) {
+		writeJSON(w, slos.Report())
+	})
+	if tracez != nil {
+		mux.Handle("/tracez", tracez)
 	}
-	published.regs[name] = r
 }
 
-// Route is one extra handler mounted on the debug server, alongside the
-// built-in /debug/vars and /debug/pprof endpoints.
-type Route struct {
-	Pattern string
-	Handler http.Handler
+func writeJSON(w http.ResponseWriter, v any) {
+	w.Header().Set("Content-Type", "application/json")
+	json.NewEncoder(w).Encode(v) //nolint:errcheck // response committed
 }
 
 // DebugServer is the background HTTP server started by ServeDebug. It
@@ -90,35 +90,23 @@ func (d *DebugServer) Shutdown(ctx context.Context) error {
 	return err
 }
 
-// ServeDebug starts an HTTP server on addr exposing /debug/vars (expvar,
-// including anything published via PublishExpvar) and /debug/pprof/*
-// (net/http/pprof), plus any extra routes. It serves from a background
-// goroutine; the caller owns shutdown via Close or Shutdown. Registration
-// failures (a duplicate or malformed route pattern) close the listener
-// before returning, so ":0" probes cannot leak sockets.
-func ServeDebug(addr string, extra ...Route) (_ *DebugServer, err error) {
+// ServeDebug starts an HTTP server on addr exposing /debug/pprof/*
+// (net/http/pprof: heap?debug=1 carries the runtime memstats, cmdline the
+// command line) and the Mount handler set over reg, slos and tracez. It
+// serves from a background goroutine; the caller owns shutdown via Close
+// or Shutdown.
+func ServeDebug(addr string, reg *Registry, slos *SLOSet, tracez http.Handler) (*DebugServer, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, err
 	}
-	defer func() {
-		// mux.Handle panics on duplicate or invalid patterns; turn that
-		// into an error and release the listener.
-		if r := recover(); r != nil {
-			ln.Close()
-			err = fmt.Errorf("obs: debug route registration: %v", r)
-		}
-	}()
 	mux := http.NewServeMux()
-	mux.Handle("/debug/vars", expvar.Handler())
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
 	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-	for _, rt := range extra {
-		mux.Handle(rt.Pattern, rt.Handler)
-	}
+	Mount(mux, reg, slos, tracez)
 	d := &DebugServer{
 		srv:  &http.Server{Addr: ln.Addr().String(), Handler: mux},
 		ln:   ln,

@@ -11,12 +11,12 @@ import (
 )
 
 func TestServeDebugLifecycle(t *testing.T) {
-	srv, err := ServeDebug("127.0.0.1:0", Route{
-		Pattern: "/extra",
-		Handler: http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			io.WriteString(w, "extra-ok")
-		}),
+	reg := NewRegistry()
+	reg.Counter("debug.hits").Add(3)
+	tracez := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		io.WriteString(w, "tracez-ok")
 	})
+	srv, err := ServeDebug("127.0.0.1:0", reg, nil, tracez)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,11 +35,17 @@ func TestServeDebugLifecycle(t *testing.T) {
 		body, _ := io.ReadAll(resp.Body)
 		return resp.StatusCode, string(body)
 	}
-	if code, body := get("/extra"); code != http.StatusOK || body != "extra-ok" {
-		t.Errorf("/extra = %d %q", code, body)
+	if code, body := get("/tracez"); code != http.StatusOK || body != "tracez-ok" {
+		t.Errorf("/tracez = %d %q", code, body)
 	}
-	if code, _ := get("/debug/vars"); code != http.StatusOK {
-		t.Errorf("/debug/vars = %d", code)
+	if code, body := get("/metrics"); code != http.StatusOK || !strings.Contains(body, `"debug.hits":3`) {
+		t.Errorf("/metrics = %d %q", code, body)
+	}
+	if code, _ := get("/debug/pprof/cmdline"); code != http.StatusOK {
+		t.Errorf("/debug/pprof/cmdline = %d", code)
+	}
+	if code, _ := get("/debug/vars"); code != http.StatusNotFound {
+		t.Errorf("/debug/vars = %d, want 404 (the registry is on /metrics)", code)
 	}
 
 	// Close is effective (the port stops accepting) and idempotent.
@@ -64,14 +70,12 @@ func TestServeDebugLifecycle(t *testing.T) {
 func TestServeDebugGracefulShutdown(t *testing.T) {
 	release := make(chan struct{})
 	entered := make(chan struct{})
-	srv, err := ServeDebug("127.0.0.1:0", Route{
-		Pattern: "/slow",
-		Handler: http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			close(entered)
-			<-release
-			io.WriteString(w, "done")
-		}),
+	slow := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		close(entered)
+		<-release
+		io.WriteString(w, "done")
 	})
+	srv, err := ServeDebug("127.0.0.1:0", nil, nil, slow)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +85,7 @@ func TestServeDebugGracefulShutdown(t *testing.T) {
 	}
 	got := make(chan result, 1)
 	go func() {
-		resp, err := http.Get("http://" + srv.Addr() + "/slow")
+		resp, err := http.Get("http://" + srv.Addr() + "/tracez")
 		if err != nil {
 			got <- result{err: err}
 			return
@@ -101,18 +105,5 @@ func TestServeDebugGracefulShutdown(t *testing.T) {
 	r := <-got
 	if r.err != nil || r.body != "done" {
 		t.Errorf("in-flight request = %q, %v; want completed response", r.body, r.err)
-	}
-}
-
-func TestServeDebugBadRouteReleasesListener(t *testing.T) {
-	_, err := ServeDebug("127.0.0.1:0",
-		Route{Pattern: "/dup", Handler: http.NotFoundHandler()},
-		Route{Pattern: "/dup", Handler: http.NotFoundHandler()},
-	)
-	if err == nil {
-		t.Fatal("duplicate route pattern did not error")
-	}
-	if !strings.Contains(err.Error(), "route registration") {
-		t.Errorf("error = %v", err)
 	}
 }

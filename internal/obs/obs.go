@@ -1,7 +1,10 @@
 // Package obs is the repository's instrumentation substrate: cheap atomic
 // counters, gauges and histograms behind a registry with a snapshot API,
-// named nestable phase timers, a structured JSONL run log (log/slog), and
-// expvar / net/http/pprof / runtime-metrics hooks for live inspection.
+// a structured JSONL run log (log/slog), rolling SLO trackers, and the one
+// HTTP handler set (Mount: /metrics, /slo, /tracez) every daemon and debug
+// server serves, next to net/http/pprof and CPU/heap profiling hooks.
+// Layer timing, which records the phase.<name> histograms here, lives in
+// internal/obs/trace, so one call both times a layer and spans it.
 //
 // The package is stdlib-only and designed so that uninstrumented runs pay
 // essentially nothing: every metric type is nil-safe (a method on a nil
@@ -13,8 +16,8 @@
 // The paper this repository reproduces makes *performance* claims (BSTC
 // polynomial while Top-k/RCBT go super-linear and DNF, Tables 4/6); this
 // package exists so those claims can be explained, not just timed: nodes
-// pruned in the row-enumeration miner, exclusion-list sizes, clause-cache
-// hit rates and deadline polls all become queryable per run.
+// pruned in the row-enumeration miner, exclusion-list sizes, lower-bound
+// BFS steps and deadline polls all become queryable per run.
 package obs
 
 import (
@@ -152,8 +155,26 @@ func (r *Registry) Histogram(name string) *Histogram {
 	return h
 }
 
+// Phase returns the "phase.<name>" histogram a layer timer records into,
+// creating it on first use. Looking up an existing histogram allocates
+// nothing for names up to 26 bytes (the key is built in a stack buffer). A
+// nil registry returns the nil (no-op) histogram.
+func (r *Registry) Phase(name string) *Histogram {
+	if r == nil {
+		return nil
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	h, ok := r.hists["phase."+name]
+	if !ok {
+		h = &Histogram{}
+		r.hists["phase."+name] = h
+	}
+	return h
+}
+
 // Snapshot is a point-in-time copy of a registry's metrics, suitable for
-// JSON encoding (expvar, run records).
+// JSON encoding (/metrics, run records).
 type Snapshot struct {
 	Counters map[string]int64       `json:"counters,omitempty"`
 	Gauges   map[string]int64       `json:"gauges,omitempty"`

@@ -194,18 +194,10 @@ func promName(name string) string {
 	return b.String()
 }
 
-// PromHandler serves the registry as a Prometheus scrape target.
-func PromHandler(r *Registry) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
-		w.Header().Set("Content-Type", PromContentType)
-		WritePrometheus(w, r) //nolint:errcheck // response already committed
-	})
-}
-
-// WantsProm reports whether a /metrics request asked for the Prometheus
+// wantsProm reports whether a /metrics request asked for the Prometheus
 // text format — ?format=prom, or an Accept header preferring text/plain
 // (what a Prometheus scraper sends) over JSON.
-func WantsProm(req *http.Request) bool {
+func wantsProm(req *http.Request) bool {
 	if req.URL.Query().Get("format") == "prom" {
 		return true
 	}

@@ -177,20 +177,20 @@ func TestPromNameSanitize(t *testing.T) {
 
 func TestWantsProm(t *testing.T) {
 	q := httptest.NewRequest("GET", "/metrics?format=prom", nil)
-	if !WantsProm(q) {
+	if !wantsProm(q) {
 		t.Error("format=prom not detected")
 	}
 	scrape := httptest.NewRequest("GET", "/metrics", nil)
 	scrape.Header.Set("Accept", "text/plain;version=0.0.4;q=0.5,*/*;q=0.1")
-	if !WantsProm(scrape) {
+	if !wantsProm(scrape) {
 		t.Error("Prometheus Accept header not detected")
 	}
 	jsonReq := httptest.NewRequest("GET", "/metrics", nil)
 	jsonReq.Header.Set("Accept", "application/json")
-	if WantsProm(jsonReq) {
+	if wantsProm(jsonReq) {
 		t.Error("JSON Accept header misrouted to prom")
 	}
-	if WantsProm(httptest.NewRequest("GET", "/metrics", nil)) {
+	if wantsProm(httptest.NewRequest("GET", "/metrics", nil)) {
 		t.Error("bare request should default to JSON")
 	}
 }

@@ -1,10 +1,8 @@
 package obs
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
-	"net/http"
 	"strings"
 	"sync"
 	"time"
@@ -201,7 +199,7 @@ func (s *SLO) Report() SLOReport {
 }
 
 // SLOSet is a registry of objectives sharing one /slo endpoint and one
-// exposition block. The nil *SLOSet is a valid no-op receiver.
+// exposition block (see Mount). The nil *SLOSet is a valid no-op receiver.
 type SLOSet struct {
 	mu   sync.Mutex
 	slos []*SLO
@@ -252,16 +250,6 @@ func (ss *SLOSet) Report() []SLOReport {
 		out = append(out, s.Report())
 	}
 	return out
-}
-
-// Handler serves the set as JSON on /slo.
-func (ss *SLOSet) Handler() http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		enc.Encode(ss.Report()) //nolint:errcheck // response already committed
-	})
 }
 
 // WriteProm appends the set's state to a Prometheus exposition:

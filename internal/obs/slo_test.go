@@ -2,6 +2,7 @@ package obs
 
 import (
 	"encoding/json"
+	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
@@ -130,8 +131,10 @@ func TestSLOSetHandlerAndProm(t *testing.T) {
 	s.Record(true)
 	s.Record(false)
 
+	mux := http.NewServeMux()
+	Mount(mux, nil, ss, nil)
 	w := httptest.NewRecorder()
-	ss.Handler().ServeHTTP(w, httptest.NewRequest("GET", "/slo", nil))
+	mux.ServeHTTP(w, httptest.NewRequest("GET", "/slo", nil))
 	var reports []SLOReport
 	if err := json.Unmarshal(w.Body.Bytes(), &reports); err != nil {
 		t.Fatalf("handler JSON: %v", err)

@@ -122,6 +122,22 @@ func TestUnsampledPathsAllocateNothing(t *testing.T) {
 	if allocs != 0 {
 		t.Errorf("nil tracer/span path allocated %v per run, want 0", allocs)
 	}
+	// The layer timer on an unsampled context, with a nil and with a live
+	// registry: timing and the phase histogram must stay allocation-free.
+	for _, reg := range []*obs.Registry{nil, obs.NewRegistry()} {
+		allocs = testing.AllocsPerRun(1000, func() {
+			c, l := StartLayer(ctx, reg, "serve/discretize")
+			if c != ctx || l.Span != nil {
+				t.Fatal("unsampled StartLayer must return ctx unchanged and no span")
+			}
+			l.End()
+			s := FromContext(ctx)
+			s.StartLayer(reg, "serve/classify").End()
+		})
+		if allocs != 0 {
+			t.Errorf("unsampled layer timer (registry %v) allocated %v per run, want 0", reg != nil, allocs)
+		}
+	}
 }
 
 func TestSpanTreeRecordingAndExport(t *testing.T) {

@@ -114,15 +114,12 @@ func (m *model) flushBatch(batch []*pending) {
 		}
 	}
 
-	ph := obs.NewPhasesIn(s.cfg.Registry)
-	span := ph.Start("serve/classify")
-	classify := flush.StartChild("serve/classify")
+	classify := flush.StartLayer(s.cfg.Registry, "serve/classify")
 	preds, confs := m.art.Classifier.DecideBatchParallel(rows, s.cfg.Workers)
 	for i, p := range batch {
 		deliver(p, result{class: preds[i], confidence: confs[i]})
 	}
-	classify.End()
-	classifyNS := span.End()
+	classifyNS := classify.End()
 	flush.End()
 
 	s.met.batches.Inc()

@@ -33,12 +33,15 @@
 //	GET  /readyz       routability: 200 only while classify requests are
 //	                   admitted (503 while draining or unrouted), so fleet
 //	                   probers can tell starting/stopping from dead
-//	GET  /metrics      obs registry snapshot (JSON; Prometheus text with
-//	                   ?format=prom or a text/plain Accept header)
 //	GET  /runlogz      ring of recent per-batch records
-//	GET  /tracez       sampled span trees (HTML; ?format=json)
+//	GET  /metrics      obs registry snapshot (JSON; Prometheus text with the
+//	                   SLO gauges on ?format=prom or a text/plain Accept)
 //	GET  /slo          latency/availability SLO windows and burn rates,
 //	                   global and per live version
+//	GET  /tracez       sampled span trees (HTML; ?format=json)
+//
+// The last three are obs.Mount, the handler set bstcgw and the
+// -debug-addr servers serve too.
 //
 // Classify requests propagate W3C traceparent: the header is extracted on
 // ingest, the sampling decision (or the caller's sampled flag) decides
@@ -387,10 +390,8 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("/v1/model", s.handleModel)
 	mux.HandleFunc("/healthz", s.handleHealthz)
 	mux.HandleFunc("/readyz", s.handleReadyz)
-	mux.HandleFunc("/metrics", s.handleMetrics)
 	mux.HandleFunc("/runlogz", s.handleRunlogz)
-	mux.Handle("/tracez", s.cfg.Tracer.Recorder().Handler())
-	mux.HandleFunc("/slo", s.handleSLO)
+	obs.Mount(mux, s.cfg.Registry, s.slos, s.cfg.Tracer.Recorder().Handler())
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		sw := &statusWriter{ResponseWriter: w, status: http.StatusOK}
 		start := obs.Now()
@@ -556,12 +557,9 @@ func (s *Server) handleClassify(w http.ResponseWriter, r *http.Request) {
 
 	// Body → query row on the request goroutine (spanned per request), so
 	// the batcher only ever sees rows in its version's item universe.
-	ph := obs.NewPhasesIn(s.cfg.Registry)
-	phSpan := ph.Start("serve/discretize")
-	disc := span.StartChild("serve/discretize")
+	disc := span.StartLayer(s.cfg.Registry, "serve/discretize")
 	q, decoded, err := m.queryRow(body)
 	disc.End()
-	phSpan.End()
 	if !decoded {
 		s.met.badRequest.Inc()
 		span.SetError(err)
@@ -716,25 +714,6 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 		"status":     "ready",
 		"generation": s.Generation(),
 	})
-}
-
-// handleMetrics serves the registry as JSON by default and in the
-// Prometheus text exposition format when the request asks for it
-// (?format=prom, or a text/plain Accept header as scrapers send); the
-// Prometheus form also carries the SLO gauges.
-func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	if obs.WantsProm(r) {
-		w.Header().Set("Content-Type", obs.PromContentType)
-		obs.WritePrometheus(w, s.cfg.Registry) //nolint:errcheck // response committed
-		s.slos.WriteProm(w)                    //nolint:errcheck // response committed
-		return
-	}
-	writeJSON(w, http.StatusOK, s.cfg.Registry.Snapshot())
-}
-
-// handleSLO reports every objective's rolling windows and burn rates.
-func (s *Server) handleSLO(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, s.slos.Report())
 }
 
 func (s *Server) handleRunlogz(w http.ResponseWriter, r *http.Request) {

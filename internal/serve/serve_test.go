@@ -523,6 +523,14 @@ func TestEndpointsAndMetrics(t *testing.T) {
 			t.Errorf("histogram %q missing from /metrics", h)
 		}
 	}
+	// The layer histograms bench/bstcperf reads: one discretize per
+	// request, one classify per batch.
+	if got := snap.Hists["phase.serve/discretize"].Count; got != int64(len(samples)) {
+		t.Errorf("phase.serve/discretize count = %d, want one per request (%d)", got, len(samples))
+	}
+	if got, want := snap.Hists["phase.serve/classify"].Count, snap.Counters["serve.batches"]; got != want {
+		t.Errorf("phase.serve/classify count = %d, want one per batch (%d)", got, want)
+	}
 
 	resp, err = http.Get(ts.URL + "/runlogz")
 	if err != nil {
