@@ -2,8 +2,8 @@ GO ?= go
 
 # The hot-path benchmark set tracked in BENCH_hotpath.json (see
 # EXPERIMENTS.md, "Hot-path benchmarks").
-HOTPATH_BENCH = BenchmarkTopK|BenchmarkTopKOC|BenchmarkMineLowerBounds|BenchmarkSketchOffer|BenchmarkNewBST|BenchmarkEvaluate|BenchmarkClassify|BenchmarkClassifyBatchParallel|BenchmarkIntersect|BenchmarkKey|BenchmarkIntersectInto|BenchmarkAppendKey|BenchmarkRank|BenchmarkCountLoop|BenchmarkSelect|BenchmarkBuildIndex|BenchmarkArtifactColdStart|BenchmarkMappedClassifyRow|BenchmarkDecodeRowOC
-HOTPATH_PKGS = ./internal/bitset/ ./internal/carminer/ ./internal/core/ ./internal/eval/ ./internal/sketch/ ./internal/serve/
+HOTPATH_BENCH = BenchmarkTopK|BenchmarkTopKOC|BenchmarkMineLowerBounds|BenchmarkNewBST|BenchmarkEvaluate|BenchmarkClassify|BenchmarkClassifyBatchParallel|BenchmarkIntersect|BenchmarkKey|BenchmarkIntersectInto|BenchmarkAppendKey|BenchmarkRank|BenchmarkCountLoop|BenchmarkSelect|BenchmarkBuildIndex|BenchmarkArtifactColdStart|BenchmarkMappedClassifyRow|BenchmarkDecodeRowOC
+HOTPATH_PKGS = ./internal/bitset/ ./internal/carminer/ ./internal/core/ ./internal/eval/ ./internal/serve/
 
 # Every native fuzz target, as "package:Target" pairs for fuzz-smoke
 # (go test allows only one -fuzz pattern per invocation).
@@ -15,8 +15,7 @@ FUZZ_TARGETS = \
 	./internal/dataset:FuzzReadARFF \
 	./internal/eval:FuzzLoadArtifact \
 	./internal/registry:FuzzManifest \
-	./internal/serve:FuzzDecodeRequest \
-	./internal/sketch:FuzzSketch
+	./internal/serve:FuzzDecodeRequest
 FUZZTIME ?= 10s
 
 # The chaos suite: every fault-injection, panic-containment, watchdog,
@@ -36,8 +35,9 @@ CHAOS_SEED ?= 1
 # registry through every miner (the fold pool runs one Top-k miner per
 # concurrent test), the fold pool stripes discretization and
 # classification across workers, the serving layer coalesces
-# concurrent requests into batches, and bstcbench's -debug-addr handlers
-# read the registry, SLO set and span recorder the fold pool writes.
+# concurrent requests into batches, and the -debug-addr handlers of
+# bstcbench and bstc read the registry, SLO set and span recorder the fold
+# pool writes.
 # bench-smoke keeps the benchmark/benchjson pipeline compiling and parsing
 # (one iteration per benchmark); fuzz-smoke gives every fuzz target a
 # short budget on top of the committed corpora. bench-module vets and
@@ -73,7 +73,7 @@ race:
 		./internal/carminer/... ./internal/experiments/... \
 		./internal/registry/... ./internal/serve/... ./internal/fleet/... \
 		./cmd/bstcd/... ./cmd/bstcload/... ./cmd/bstcgw/... \
-		./cmd/bstcbench/...
+		./cmd/bstcbench/... ./cmd/bstc/...
 
 test:
 	$(GO) test ./...

@@ -55,6 +55,7 @@ import (
 	"bstc"
 	"bstc/internal/dataset"
 	"bstc/internal/discretize"
+	"bstc/internal/eval"
 	"bstc/internal/obs"
 	"bstc/internal/version"
 )
@@ -86,7 +87,12 @@ func run(args []string) (err error) {
 		return fmt.Errorf("usage: bstc [-cpuprofile f] [-memprofile f] [-debug-addr a] [-version] <discretize|train|classify|mine|table|eval|artifact> [flags]")
 	}
 	if *debugAddr != "" {
-		srv, err := obs.ServeDebug(*debugAddr, nil, nil, nil)
+		// The registry the pipeline's phase timers and miner counters write
+		// to while the subcommand runs; /metrics serves it.
+		reg := obs.NewRegistry()
+		eval.SetMetrics(reg)
+		defer eval.SetMetrics(nil)
+		srv, err := obs.ServeDebug(*debugAddr, reg, obs.NewSLOSet(), nil)
 		if err != nil {
 			return err
 		}

@@ -239,13 +239,15 @@ func (s *Set) AndNotInto(dst, t *Set) *Set {
 	return dst
 }
 
-// Extract removes s ∩ t from s, calling fn for each removed element in
-// ascending order, and returns how many it removed. One call is a single
+// Extract removes s ∩ t from s, setting dst[i] = v for each removed
+// element i, and returns how many it removed. One call is a single
 // word-parallel pass: it is the "resolve, then clear" step of BSTCE's column
-// sweep (internal/core), where s holds the still-unresolved genes.
-func (s *Set) Extract(t *Set, fn func(i int)) int {
+// sweep (internal/core), where s holds the still-unresolved genes and dst
+// their cell values. dst must cover s's universe.
+func (s *Set) Extract(t *Set, dst []float64, v float64) int {
 	s.guardWrite()
 	s.sameUniverse(t)
+	dst = dst[:s.n]
 	n := 0
 	sw, tw := s.words, t.words[:len(s.words)] // one bounds check, not one per word
 	for wi, x := range sw {
@@ -255,11 +257,58 @@ func (s *Set) Extract(t *Set, fn func(i int)) int {
 		}
 		sw[wi] = x &^ w
 		n += bits.OnesCount64(w)
+		base := wi * wordBits
 		for ; w != 0; w &= w - 1 {
-			fn(wi*wordBits + bits.TrailingZeros64(w))
+			dst[base+bits.TrailingZeros64(w)] = v
 		}
 	}
 	return n
+}
+
+// Scatter sets dst[i] = v for every element i of s. dst must cover s's
+// universe.
+func (s *Set) Scatter(dst []float64, v float64) {
+	dst = dst[:s.n]
+	for wi, w := range s.words {
+		base := wi * wordBits
+		for ; w != 0; w &= w - 1 {
+			dst[base+bits.TrailingZeros64(w)] = v
+		}
+	}
+}
+
+// Sum returns the sum of vals[i] over the elements i of s, added in
+// ascending order of i, so the result is the same float64 bits as a
+// ForEach loop accumulating from 0. vals must cover s's universe.
+func (s *Set) Sum(vals []float64) float64 {
+	vals = vals[:s.n]
+	var sum float64
+	for wi, w := range s.words {
+		base := wi * wordBits
+		for ; w != 0; w &= w - 1 {
+			sum += vals[base+bits.TrailingZeros64(w)]
+		}
+	}
+	return sum
+}
+
+// IntersectionCounts sets dst[i] = |s ∩ rows[i]| for every row, the batched
+// form of IntersectionCount: one pass over s's words per row, without
+// allocating. Every row must share s's universe and dst must have a slot
+// per row. BSTCE counts a query's column against every training row of the
+// other classes with one call (internal/core).
+func (s *Set) IntersectionCounts(dst []int32, rows []*Set) {
+	dst = dst[:len(rows)]
+	sw := s.words
+	for i, r := range rows {
+		s.sameUniverse(r)
+		rw := r.words[:len(sw)]
+		c := 0
+		for j, w := range sw {
+			c += bits.OnesCount64(w & rw[j])
+		}
+		dst[i] = int32(c)
+	}
 }
 
 // IntersectColumns sets s to the intersection of cols[j] over every j in

@@ -62,6 +62,7 @@ func TestKernelsUniverseMismatchPanics(t *testing.T) {
 		// selected column must share the destination's universe.
 		"IntersectColumns selector": func() { New(10).IntersectColumns(New(3), []*Set{s, s}) },
 		"IntersectColumns column":   func() { New(10).IntersectColumns(FromIndices(2, 1), []*Set{s, u}) },
+		"IntersectionCounts":        func() { s.IntersectionCounts(make([]int32, 2), []*Set{s, u}) },
 	} {
 		func() {
 			defer func() {
@@ -107,26 +108,79 @@ func TestAppendKeyNoAllocWithCapacity(t *testing.T) {
 	}
 }
 
-// TestExtract checks Extract against Intersect/Difference: it reports
-// exactly s ∩ t in ascending order, returns its size, and leaves s \ t.
+// TestExtract checks Extract against Intersect/Difference: it writes v
+// exactly at s ∩ t, returns its size, and leaves s \ t.
 func TestExtract(t *testing.T) {
 	r := rand.New(rand.NewSource(13))
 	for trial := 0; trial < 50; trial++ {
 		n := 1 + r.Intn(300)
 		s, u := randomSet(r, n), randomSet(r, n)
-		want, rest := Intersect(s, u).Indices(), Difference(s, u)
-		var got []int
-		removed := s.Extract(u, func(i int) { got = append(got, i) })
-		if removed != len(want) || len(got) != len(want) {
-			t.Fatalf("Extract removed %d, reported %d, want %d", removed, len(got), len(want))
+		want, rest := Intersect(s, u), Difference(s, u)
+		dst := make([]float64, n)
+		removed := s.Extract(u, dst, 0.5)
+		if removed != want.Count() {
+			t.Fatalf("Extract removed %d, want %d", removed, want.Count())
 		}
-		for k := range want {
-			if got[k] != want[k] {
-				t.Fatalf("Extract reported %v, want %v", got, want)
+		for i, v := range dst {
+			if (v == 0.5) != want.Contains(i) {
+				t.Fatalf("Extract wrote %v at %d; s ∩ t = %v", v, i, want)
 			}
 		}
 		if !s.Equal(rest) {
 			t.Fatalf("after Extract s = %v, want %v", s, rest)
+		}
+	}
+}
+
+// TestScatterSum checks Scatter and Sum against ForEach: Scatter writes v
+// at exactly the members, and Sum adds in ascending order, so its bits
+// match a ForEach accumulation.
+func TestScatterSum(t *testing.T) {
+	r := rand.New(rand.NewSource(23))
+	for trial := 0; trial < 50; trial++ {
+		n := 1 + r.Intn(300)
+		s := randomSet(r, n)
+		vals := make([]float64, n)
+		s.Scatter(vals, 1)
+		for i, v := range vals {
+			if (v == 1) != s.Contains(i) {
+				t.Fatalf("Scatter wrote %v at %d of %v", v, i, s)
+			}
+		}
+		for i := range vals {
+			vals[i] = r.Float64() * float64(r.Intn(1000))
+		}
+		var want float64
+		s.ForEach(func(i int) bool {
+			want += vals[i]
+			return true
+		})
+		if got := s.Sum(vals); got != want {
+			t.Fatalf("Sum = %v, ForEach accumulation %v", got, want)
+		}
+	}
+}
+
+// TestIntersectionCounts checks the batched kernel against one
+// IntersectionCount per row, around the word boundaries.
+func TestIntersectionCounts(t *testing.T) {
+	r := rand.New(rand.NewSource(29))
+	for _, n := range []int{1, 63, 64, 65, 200} {
+		s := randomSet(r, n)
+		rows := make([]*Set, 1+r.Intn(20))
+		for i := range rows {
+			rows[i] = randomSet(r, n)
+		}
+		dst := make([]int32, len(rows)+1)
+		dst[len(rows)] = -1
+		s.IntersectionCounts(dst, rows)
+		for i, row := range rows {
+			if want := s.IntersectionCount(row); int(dst[i]) != want {
+				t.Fatalf("n=%d row %d: count %d, want %d", n, i, dst[i], want)
+			}
+		}
+		if dst[len(rows)] != -1 {
+			t.Fatalf("n=%d: wrote past the rows", n)
 		}
 	}
 }

@@ -62,7 +62,7 @@ type Evaluation struct {
 // need the scalar.
 func (t *BST) Evaluate(q *bitset.Set, opts EvalOptions) Evaluation {
 	s := t.getScratch()
-	ev := Evaluation{Value: t.evaluate(q, opts, s)}
+	ev := Evaluation{Value: t.evaluate(q, opts, s, nil, nil)}
 	ev.ColumnValues = append([]float64(nil), s.colVals...)
 	t.putScratch(s)
 	return ev
@@ -70,10 +70,11 @@ func (t *BST) Evaluate(q *bitset.Set, opts EvalOptions) Evaluation {
 
 // EvaluateValue is Evaluate without the per-column breakdown: the scratch
 // state comes from the table's pool, so steady-state calls do not allocate.
-// This is the path Classify and batch classification run on.
+// Classifier.ValuesInto runs the same evaluation over pair counts shared by
+// every table of the classifier.
 func (t *BST) EvaluateValue(q *bitset.Set, opts EvalOptions) float64 {
 	s := t.getScratch()
-	v := t.evaluate(q, opts, s)
+	v := t.evaluate(q, opts, s, nil, nil)
 	t.putScratch(s)
 	return v
 }
@@ -82,22 +83,31 @@ func (t *BST) EvaluateValue(q *bitset.Set, opts EvalOptions) float64 {
 // the per-column means on return.
 //
 // The paper's configuration (MinCombine, no culling) resolves each column
-// with the exact sweep of sweepColumn; ProductCombine and §8 culling walk
-// each cell with cellValue. Both paths sum a column's cell values in
-// ascending gene order, so the sweep's column means are bit-identical to
-// the cell walk's, not merely close (TestEvaluateMatchesReference and
-// FuzzBSTCE pin this).
-func (t *BST) evaluate(q *bitset.Set, opts EvalOptions, s *evalScratch) float64 {
+// with the exact sweep of sweepColumn, which reads the column's pair
+// counts x = |q∩c∩h| from s.x: with pc nil the table counts them itself,
+// one batched AND-popcount per column over its outside rows; otherwise pc
+// holds the query's counts for every cross-class pair of the classifier,
+// computed once for both tables a pair sits in, and l places this table's
+// pairs in it. ProductCombine and §8 culling walk each cell with cellValue,
+// which counts each pair it needs on demand. Both paths sum a column's
+// cell values in ascending gene order, so the sweep's column means are
+// bit-identical to the cell walk's, not merely close
+// (TestEvaluateMatchesReference and FuzzBSTCE pin this).
+func (t *BST) evaluate(q *bitset.Set, opts EvalOptions, s *evalScratch, pc *pairCounts, l *tableLinks) float64 {
 	if q.Len() != t.numGenes {
 		panic("core: query gene universe does not match BST")
 	}
 	met.evals.Inc()
-	t.startQuery(q, s)
-	sweep := opts.Arithmetization == MinCombine && opts.CullListsTo <= 0
+	sweep := opts.sweeps()
+	if pc == nil {
+		t.startQuery(q, s)
+	} else {
+		t.resetQuery(s)
+		l.outsideCounts(s.qOut, pc)
+	}
 
 	var colSum float64
 	nonBlank := 0
-	qAndCol := s.qAndCol
 	for c := range t.ClassSamples {
 		// Genes considered in this column: expressed by both q and the
 		// column sample (Algorithm 5 line 6; Figure 3 keeps only Q's genes).
@@ -105,17 +115,18 @@ func (t *BST) evaluate(q *bitset.Set, opts EvalOptions, s *evalScratch) float64 
 			continue
 		}
 		var sum float64
-		if sweep {
-			t.sweepColumn(s, c)
-			qAndCol.ForEach(func(g int) bool {
-				sum += s.cells[g]
-				return true
-			})
-		} else {
-			qAndCol.ForEach(func(g int) bool {
+		switch {
+		case !sweep:
+			s.qAndCol.ForEach(func(g int) bool {
 				sum += t.cellValue(s, g, c, opts)
 				return true
 			})
+		case pc == nil:
+			s.qAndCol.IntersectionCounts(s.x, t.outsideGenes)
+			sum = t.sweepColumn(s, c)
+		default:
+			l.columnCounts(s.x, pc, c)
+			sum = t.sweepColumn(s, c)
 		}
 		v := sum / float64(s.qc)
 		s.colVals[c] = v
@@ -128,43 +139,67 @@ func (t *BST) evaluate(q *bitset.Set, opts EvalOptions, s *evalScratch) float64 
 	return 0
 }
 
-// sweepColumn writes the MinCombine value of every cell (g, c) with g in
-// s.qAndCol into s.cells[g]. A cell's value is the smallest pair value
-// pv[c][h] over the outside samples h expressing g, capped at 1, so rather
-// than walking each gene's outside expressers it visits the outside samples
-// once, in ascending pv order: the genes still unresolved that h expresses
-// take pv[c][h] and are cleared, a whole word of genes at a time. The sweep
-// stops once every gene is resolved or pv reaches 1 (the cap). Black dots
-// and genes no visited sample expresses keep 1.
-func (t *BST) sweepColumn(s *evalScratch, c int) {
-	cells := s.cells
-	s.qAndCol.ForEach(func(g int) bool {
-		cells[g] = 1
-		return true
-	})
-	unresolved := s.qAndCol.AndNotInto(s.unresolved, t.exclusiveGenes)
-	left := unresolved.Count()
-	if left == 0 {
-		return
-	}
-	ranks := rankHeap(s.ranks)
-	for h := range ranks {
-		ranks[h] = pairRank{
-			v: t.pairValue(s, c, h),
-			h: int32(h),
+// sweeps reports whether opts evaluate with the column sweep: the paper's
+// MinCombine without culling.
+func (o EvalOptions) sweeps() bool {
+	return o.Arithmetization == MinCombine && o.CullListsTo <= 0
+}
+
+// sweepColumn returns the sum, in ascending gene order, of the MinCombine
+// values of the cells (g, c) with g in s.qAndCol, given the column's pair
+// counts in s.x. A cell's value is the smallest pair value over the outside
+// samples h expressing g, capped at 1, so rather than walking each gene's
+// outside expressers it visits the outside samples once, in ascending pair
+// value order: the genes still unresolved that h expresses take h's value
+// and are cleared, a whole word of genes at a time (bitset.Extract). The
+// sweep stops once every gene is resolved; samples worth 1 or more are
+// never visited (the cap), and the genes they would resolve and the black
+// dots, which no outside sample expresses, are worth 1.
+//
+// A sweep visits about a fifth of the outside samples on the OC paper
+// profile, and the next column usually stops near the value the last one
+// stopped at (s.tau). So the samples at or below it are ordered first, and
+// the rest only if those run out; both orders are ascending and every
+// sample of the first is below every sample of the second, so the visit
+// order, and each cell, is what one ordering of all samples gives.
+func (t *BST) sweepColumn(s *evalScratch, c int) float64 {
+	unresolved := s.unresolved
+	unresolved.CopyFrom(s.qAndCol)
+	if left := s.qc - s.qAndCol.IntersectionCount(t.exclusiveGenes); left > 0 {
+		nh := len(t.outsideGenes)
+		pairs := t.pairs[c*nh : (c+1)*nh]
+		ranks := s.ranks[:nh]
+		lo, hi := 0, nh
+		for h, x := range s.x[:nh] {
+			r := pairRank{v: pairFraction(pairs[h], int(x), s.qc, int(s.qOut[h])), h: int32(h)}
+			switch {
+			case r.v <= s.tau:
+				ranks[lo] = r
+				lo++
+			case r.v < 1:
+				hi--
+				ranks[hi] = r
+			}
+		}
+		if left = t.resolve(s, ranks[:lo], left); left > 0 {
+			t.resolve(s, ranks[hi:], left)
 		}
 	}
+	unresolved.Scatter(s.cells, 1)
+	return s.qAndCol.Sum(s.cells)
+}
+
+// resolve visits ranks in ascending value order, giving each sample's value
+// to the unresolved genes it expresses, until the left genes still
+// unresolved are; it returns how many remain.
+func (t *BST) resolve(s *evalScratch, ranks rankHeap, left int) int {
 	ranks.init()
-	for len(ranks) > 0 {
+	for len(ranks) > 0 && left > 0 {
 		p := ranks.pop()
-		if p.v >= 1 {
-			return
-		}
-		left -= unresolved.Extract(t.outsideGenes[p.h], func(g int) { cells[g] = p.v })
-		if left == 0 {
-			return
-		}
+		s.tau = p.v
+		left -= s.unresolved.Extract(t.outsideGenes[p.h], s.cells, p.v)
 	}
+	return left
 }
 
 // pairRank is one outside sample's pair value in a column sweep, packed
@@ -208,10 +243,16 @@ func (r rankHeap) down(i int) {
 		if c >= n {
 			break
 		}
-		if c+1 < n && r[c+1].v < r[c].v {
-			c++
+		cv := r[c].v
+		if d := c + 1; d < n {
+			// Which child is smaller is a coin flip to the branch
+			// predictor, so pick it from the sign of the difference
+			// instead (values are finite and non-negative).
+			dv := r[d].v
+			c += int(math.Float64bits(dv-cv) >> 63)
+			cv = min(cv, dv)
 		}
-		if r[c].v >= x.v {
+		if cv >= x.v {
 			break
 		}
 		r[i] = r[c]
@@ -288,21 +329,29 @@ func (t *BST) cachedPairValue(s *evalScratch, pv []float64, c, h int) float64 {
 
 // pairValue is the satisfaction fraction of the (c, h) exclusion list for
 // the query s holds, with column c current: BSTCE's V_e (Algorithm 5 line
-// 4, rules.Clause.SatisfactionFraction), computed from counts against the
-// rows instead of from the list. With x = |q∩c∩h|, the negated list h\c
-// has n − (|q∩h| − x) satisfied literals and the positive list c\h has
-// |q∩c| − x. Every count is an integer, so the division is
-// SatisfactionFraction's, bit for bit; an empty list is worth 0. The cost
-// is one AND-popcount against outside row h.
+// 4, rules.Clause.SatisfactionFraction). It counts x = |q∩c∩h| against
+// outside row h with one AND-popcount; the column sweep reads x from its
+// batched counts instead.
 func (t *BST) pairValue(s *evalScratch, c, h int) float64 {
 	p := t.pairs[c*len(t.OutsideSamples)+h]
 	if p.n == 0 {
 		return 0
 	}
-	x := s.qAndCol.IntersectionCount(t.outsideGenes[h])
-	sat := s.qc - x
+	return pairFraction(p, s.qAndCol.IntersectionCount(t.outsideGenes[h]), s.qc, int(s.qOut[h]))
+}
+
+// pairFraction computes a pair's satisfaction fraction from counts against
+// the rows instead of from its list. With x = |q∩c∩h|, the negated list
+// h\c has n − (|q∩h| − x) satisfied literals and the positive list c\h
+// has |q∩c| − x. Every count is an integer, so the division is
+// SatisfactionFraction's, bit for bit; an empty list is worth 0.
+func pairFraction(p pairShape, x, qc, qh int) float64 {
+	if p.n == 0 {
+		return 0
+	}
+	sat := qc - x
 	if p.neg {
-		sat = int(p.n) - (s.qOut[h] - x)
+		sat = int(p.n) - (qh - x)
 	}
 	return float64(sat) / float64(p.n)
 }

@@ -19,6 +19,10 @@ type Classifier struct {
 	ClassNames []string
 	GeneNames  []string
 	Opts       EvalOptions
+
+	// shared places every cross-class pair's count for the tables (see
+	// sharePairs); Train and BuildClassifier derive it.
+	shared *sharedPairs
 }
 
 // Train builds a BSTC classifier from discretized training data. Training is
@@ -47,6 +51,11 @@ func Train(d *dataset.Bool, opts *EvalOptions) (*Classifier, error) {
 		}
 		cl.Tables = append(cl.Tables, t)
 	}
+	sp, err := sharePairs(cl.Tables, d.NumGenes())
+	if err != nil {
+		return nil, err
+	}
+	cl.shared = sp
 	return cl, nil
 }
 
@@ -57,11 +66,26 @@ func (cl *Classifier) Values(q *bitset.Set) []float64 {
 }
 
 // ValuesInto writes the classification values into dst (which must have one
-// slot per class) and returns it, allocating nothing itself.
+// slot per class) and returns it, allocating nothing itself. Under the
+// paper's options it counts each cross-class sample pair once for the two
+// tables that share it (see sharePairs); the values are the per-table
+// EvaluateValue results, bit for bit.
 func (cl *Classifier) ValuesInto(dst []float64, q *bitset.Set) []float64 {
-	for i, t := range cl.Tables {
-		dst[i] = t.EvaluateValue(q, cl.Opts)
+	if !cl.Opts.sweeps() {
+		for i, t := range cl.Tables {
+			dst[i] = t.EvaluateValue(q, cl.Opts)
+		}
+		return dst
 	}
+	sp := cl.shared
+	pc := sp.get()
+	sp.count(q, pc)
+	for i, t := range cl.Tables {
+		s := t.getScratch()
+		dst[i] = t.evaluate(q, cl.Opts, s, pc, &sp.links[i])
+		t.putScratch(s)
+	}
+	sp.put(pc)
 	return dst
 }
 

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -208,5 +209,31 @@ func TestArithmetizationString(t *testing.T) {
 	}
 	if Arithmetization(99).String() != "unknown" {
 		t.Error("unknown arithmetization should render as unknown")
+	}
+}
+
+// TestDecideBatchParallelMatchesSerial runs DecideBatchParallel with four
+// workers on a three-class classifier, whose queries share pair counts
+// across tables out of pooled scratch, and requires serial Decide's
+// answers bit for bit; make race runs it under the race detector.
+func TestDecideBatchParallelMatchesSerial(t *testing.T) {
+	r := rand.New(rand.NewSource(109))
+	d := randomBoolDataset(r, 30, 90, 3)
+	cl, err := Train(d, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := make([]*bitset.Set, 200)
+	for i := range rows {
+		rows[i] = randomRow(r, d.NumGenes())
+	}
+	for round := 0; round < 3; round++ {
+		classes, confs := cl.DecideBatchParallel(rows, 4)
+		for i, q := range rows {
+			wc, wconf := cl.Decide(q)
+			if classes[i] != wc || math.Float64bits(confs[i]) != math.Float64bits(wconf) {
+				t.Fatalf("round %d row %d: parallel (%d, %v), serial (%d, %v)", round, i, classes[i], confs[i], wc, wconf)
+			}
+		}
 	}
 }

@@ -73,7 +73,7 @@ func (t *BST) RuleSatisfaction(q *bitset.Set, m MCBAR, opts EvalOptions) float64
 	s := t.getScratch()
 	defer t.putScratch(s)
 	m.Excluded.ForEach(func(h int) bool {
-		s.qOut[h] = q.IntersectionCount(t.outsideGenes[h])
+		s.qOut[h] = int32(q.IntersectionCount(t.outsideGenes[h]))
 		return true
 	})
 	best := 0.0

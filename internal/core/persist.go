@@ -88,10 +88,12 @@ func (cl *Classifier) Export() ClassifierData {
 
 // BuildClassifier validates flattened classifier data — which may come
 // from an untrusted stream or a mapped file — and assembles a ready
-// classifier around it, deriving all other table state. The bitsets are
-// adopted, not copied, so a caller holding zero-copy views onto a mapping
-// pays nothing for the heavy part; they may be frozen (classification
-// never mutates table sets).
+// classifier around it, deriving all other table state. The tables must
+// come from one training set, as Train's do: every sample a column of one
+// table and outside every other, with the same row in each (sharePairs).
+// The bitsets are adopted, not copied, so a caller holding zero-copy views
+// onto a mapping pays nothing for the heavy part; they may be frozen
+// (classification never mutates table sets).
 func BuildClassifier(d ClassifierData) (*Classifier, error) {
 	if len(d.ClassNames) == 0 || len(d.Tables) != len(d.ClassNames) {
 		return nil, fmt.Errorf("core: classifier has %d tables for %d classes", len(d.Tables), len(d.ClassNames))
@@ -108,6 +110,11 @@ func BuildClassifier(d ClassifierData) (*Classifier, error) {
 		}
 		cl.Tables = append(cl.Tables, t)
 	}
+	sp, err := sharePairs(cl.Tables, len(d.GeneNames))
+	if err != nil {
+		return nil, err
+	}
+	cl.shared = sp
 	return cl, nil
 }
 

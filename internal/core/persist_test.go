@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 
 	"bstc/internal/bitset"
@@ -160,4 +161,77 @@ func TestLoadClassifierReadsStoredListStreams(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestBuildClassifierRejectsDisagreeingTables pins the load-time check the
+// shared pair counts rest on: every table must hold the same row for a
+// sample, and the tables must partition the samples. Train's tables pass;
+// an export edited to break either is refused, whatever the edit touches.
+func TestBuildClassifierRejectsDisagreeingTables(t *testing.T) {
+	d := randomBoolDataset(rand.New(rand.NewSource(107)), 12, 20, 3)
+	cl, err := Train(d, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := BuildClassifier(cl.Export()); err != nil {
+		t.Fatalf("trained model refused: %v", err)
+	}
+	// edited returns a copy of the export that edit may change freely: the
+	// export shares its slices and sets with the live classifier.
+	edited := func(edit func(cd *ClassifierData)) ClassifierData {
+		cd := cl.Export()
+		cd.Tables = append([]TableData(nil), cd.Tables...)
+		for i := range cd.Tables {
+			tb := &cd.Tables[i]
+			tb.ClassSamples = append([]int(nil), tb.ClassSamples...)
+			tb.OutsideSamples = append([]int(nil), tb.OutsideSamples...)
+			tb.ColGenes = cloneSets(tb.ColGenes)
+			tb.GeneOutside = cloneSets(tb.GeneOutside)
+		}
+		edit(&cd)
+		return cd
+	}
+	for _, tc := range []struct {
+		name, want string
+		edit       func(cd *ClassifierData)
+	}{
+		{"flipped bit in one table's copy of a shared row", "different rows", func(cd *ClassifierData) {
+			// Gene 3 of table 0's outside sample 0: the sample's own
+			// table keeps the trained row.
+			if s := cd.Tables[0].GeneOutside[3]; s.Contains(0) {
+				s.Remove(0)
+			} else {
+				s.Add(0)
+			}
+		}},
+		{"sample listed under two classes", "is a column of table 0 and of table 1", func(cd *ClassifierData) {
+			t0, t1 := &cd.Tables[0], &cd.Tables[1]
+			t0.ClassSamples = append(t0.ClassSamples, t1.ClassSamples[0])
+			t0.ColGenes = append(t0.ColGenes, t1.ColGenes[0])
+		}},
+		{"own column listed outside", "not a column of another table", func(cd *ClassifierData) {
+			tb := &cd.Tables[2]
+			tb.OutsideSamples[0] = tb.ClassSamples[0]
+		}},
+		{"outside sample listed twice", "twice", func(cd *ClassifierData) {
+			tb := &cd.Tables[1]
+			tb.OutsideSamples[1] = tb.OutsideSamples[0]
+		}},
+	} {
+		_, err := BuildClassifier(edited(tc.edit))
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: BuildClassifier error %v, want one containing %q", tc.name, err, tc.want)
+		}
+	}
+	if _, err := BuildClassifier(cl.Export()); err != nil {
+		t.Fatalf("the edits reached the trained model: %v", err)
+	}
+}
+
+func cloneSets(sets []*bitset.Set) []*bitset.Set {
+	out := make([]*bitset.Set, len(sets))
+	for i, s := range sets {
+		out[i] = s.Clone()
+	}
+	return out
 }

@@ -14,38 +14,48 @@ import (
 // proportional to the work actually done, not the table size.
 //
 // qOut, qAndCol and qc are the counts every pair value reads (see
-// pairValue): |q∩h| per outside sample h, set once per query by
-// startQuery, and the current column's q∩c and |q∩c|, set by startColumn.
+// pairFraction): |q∩h| per outside sample h, set once per query by
+// startQuery (or from the classifier's shared counts), and the current
+// column's q∩c and |q∩c|, set by startColumn.
 //
-// cells, unresolved and ranks are the column sweep's state (see
-// sweepColumn): per-gene cell values, the genes not yet resolved, and the
-// column's outside samples keyed by pair value. Each sweep overwrites the
-// entries it reads, so startQuery leaves them alone.
+// x, cells, unresolved and ranks are the column sweep's state (see
+// sweepColumn): the column's pair counts |q∩c∩h| per outside sample, which
+// the table counts itself or copies from the classifier's shared counts
+// (pairCounts), per-gene cell values, the genes not yet resolved, and the
+// column's outside samples keyed by pair value. Each column overwrites the
+// entries it reads, so startQuery leaves them alone. tau is the pair value
+// the last sweep stopped at, which only decides what the next one orders
+// first.
 type evalScratch struct {
 	pairV      [][]float64
 	slab       []float64
 	touched    []int
 	colVals    []float64
-	qOut       []int
+	qOut       []int32
 	qAndCol    *bitset.Set
 	qc         int
+	x          []int32
 	cells      []float64
 	unresolved *bitset.Set
 	ranks      []pairRank
+	tau        float64
 }
 
 // startQuery prepares s for a fresh query q: it clears the pair-value
 // cache and the column means, and counts q against every outside row.
 func (t *BST) startQuery(q *bitset.Set, s *evalScratch) {
+	t.resetQuery(s)
+	q.IntersectionCounts(s.qOut, t.outsideGenes)
+}
+
+// resetQuery clears the pair-value cache and the column means.
+func (t *BST) resetQuery(s *evalScratch) {
 	for _, c := range s.touched {
 		s.pairV[c] = nil
 	}
 	s.touched = s.touched[:0]
 	for c := range s.colVals {
 		s.colVals[c] = math.NaN()
-	}
-	for h, hg := range t.outsideGenes {
-		s.qOut[h] = q.IntersectionCount(hg)
 	}
 }
 
@@ -85,8 +95,9 @@ func (t *BST) getScratch() *evalScratch {
 		slab:       make([]float64, cols*outs),
 		touched:    make([]int, 0, cols),
 		colVals:    make([]float64, cols),
-		qOut:       make([]int, outs),
+		qOut:       make([]int32, outs),
 		qAndCol:    bitset.New(t.numGenes),
+		x:          make([]int32, outs),
 		cells:      make([]float64, t.numGenes),
 		unresolved: bitset.New(t.numGenes),
 		ranks:      make([]pairRank, outs),

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"fmt"
+	"math"
 	"testing"
 
 	"bstc/internal/bitset"
@@ -15,7 +17,9 @@ import (
 // referenceEvaluate under both arithmetizations — bit for bit under the
 // paper's MinCombine, which runs the column sweep. The same check runs on
 // the tables rebuilt from Export, whose outside gene sets are transposed at
-// load rather than aliased from the training rows.
+// load rather than aliased from the training rows. Both classifiers' values
+// and decisions, which read the pair counts the tables share, must match
+// the per-table reference too.
 func FuzzBSTCE(f *testing.F) {
 	f.Add(uint8(6), uint8(5), uint8(0), []byte{0x5a, 0x3c, 0x99, 0x0f, 0xe1, 0x42})
 	f.Add(uint8(70), uint8(9), uint8(1), []byte{0xff, 0x00, 0x81, 0x7e, 0x18, 0x24, 0xc3})
@@ -40,7 +44,42 @@ func FuzzBSTCE(f *testing.F) {
 				}
 			}
 		}
+		want := referenceValues(cl, q)
+		if err := classifierMatches(cl, q, want); err != nil {
+			t.Fatal(err)
+		}
+		if err := classifierMatches(loaded, q, want); err != nil {
+			t.Fatalf("loaded: %v", err)
+		}
 	})
+}
+
+// referenceValues is referenceEvaluate's MinCombine value for every table
+// of cl: the classification values the per-table oracle gives.
+func referenceValues(cl *Classifier, q *bitset.Set) []float64 {
+	vals := make([]float64, len(cl.Tables))
+	for i, tb := range cl.Tables {
+		vals[i] = referenceEvaluate(tb, q, MinCombine).Value
+	}
+	return vals
+}
+
+// classifierMatches checks the classifier-level path, which counts each
+// cross-class pair once for both tables that hold it, against per-table
+// values want: ValuesInto must return them bit for bit, and Decide the
+// class and confidence decideValues derives from them.
+func classifierMatches(cl *Classifier, q *bitset.Set, want []float64) error {
+	got := cl.ValuesInto(make([]float64, len(cl.Tables)), q)
+	for i := range want {
+		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+			return fmt.Errorf("ValuesInto class %d: %v, per-table %v", i, got[i], want[i])
+		}
+	}
+	wc, wconf := decideValues(want)
+	if gc, gconf := cl.Decide(q); gc != wc || math.Float64bits(gconf) != math.Float64bits(wconf) {
+		return fmt.Errorf("Decide = (%d, %v), per-table values decide (%d, %v)", gc, gconf, wc, wconf)
+	}
+	return nil
 }
 
 // fuzzDataset reads a dataset and a query from bits, cycling through them
@@ -94,7 +133,9 @@ func fuzzDataset(genes, samples, classes int, bits []byte) (*dataset.Bool, *bits
 // synth paper profile (small scale, discretized like a study) and checks
 // the column sweep against the reference walk on held-out rows, bit for
 // bit: the generator's block structure and bleed-through exercise ties,
-// black dots and early exits that random datasets rarely hit.
+// black dots and early exits that random datasets rarely hit. The
+// classifier's values and decisions over shared pair counts must match the
+// reference as well.
 func TestSweepBitIdenticalOnPaperProfiles(t *testing.T) {
 	for _, p := range synth.PaperProfiles(synth.Small) {
 		c, err := p.Generate()
@@ -131,6 +172,9 @@ func TestSweepBitIdenticalOnPaperProfiles(t *testing.T) {
 				if err := matchesReference(tb, q, MinCombine); err != nil {
 					t.Fatalf("%s class %d held-out row %d: %v", p.Name, ci, k, err)
 				}
+			}
+			if err := classifierMatches(cl, q, referenceValues(cl, q)); err != nil {
+				t.Fatalf("%s held-out row %d: %v", p.Name, k, err)
 			}
 		}
 	}
