@@ -85,10 +85,11 @@ bench:
 	$(GO) test -bench=. -benchmem
 
 # bench-json refreshes BENCH_hotpath.json: the first run records the
-# baseline, later runs keep it and update the current numbers. Delete the
+# baseline, later runs keep it and update the current numbers. Each
+# benchmark runs 5 times and benchjson records the median ns/op. Delete the
 # file to re-baseline.
 bench-json:
-	$(GO) test -run '^$$' -bench '$(HOTPATH_BENCH)' -benchmem $(HOTPATH_PKGS) \
+	$(GO) test -run '^$$' -bench '$(HOTPATH_BENCH)' -benchmem -count 5 $(HOTPATH_PKGS) \
 		| $(GO) run ./cmd/benchjson -o BENCH_hotpath.json
 
 # bench-smoke runs every hot-path benchmark 20 times and gates against the

@@ -3,15 +3,17 @@
 //
 // Usage:
 //
-//	go test -run '^$' -bench 'TopK|Evaluate' -benchmem ./... | benchjson -o BENCH_hotpath.json
+//	go test -run '^$' -bench 'TopK|Evaluate' -benchmem -count 5 ./... | benchjson -o BENCH_hotpath.json
 //
-// The document has two sections: "benchmarks" holds the numbers from the
-// current run, and "baseline" holds the numbers from the first run ever
-// written to the output file. When the output file already exists its
-// baseline is preserved verbatim (or, for files written before a baseline
-// existed, its current numbers are promoted to baseline), so regenerating
-// after an optimization records the before/after pair. Delete the file to
-// reset the baseline. The schema is documented in EXPERIMENTS.md.
+// A benchmark run several times (-count N) is recorded as its median ns/op
+// and its largest B/op and allocs/op over the repeats. The document has two
+// sections: "benchmarks" holds the numbers from the current run, and
+// "baseline" holds the numbers from the first run ever written to the
+// output file. When the output file already exists its baseline is
+// preserved verbatim (or, for files written before a baseline existed, its
+// current numbers are promoted to baseline), so regenerating after an
+// optimization records the before/after pair. Delete the file to reset the
+// baseline. The schema is documented in EXPERIMENTS.md.
 //
 // With -gate PCT the command additionally compares the run against a
 // committed reference (-baseline FILE, its "benchmarks" section) and exits
@@ -30,6 +32,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"regexp"
 	"sort"
@@ -72,24 +75,8 @@ func run() error {
 	gateMinIters := flag.Int64("gate-min-iters", 10, "gate ns/op only when the current run measured at least this many iterations")
 	flag.Parse()
 
-	got := map[string]Result{}
-	sc := bufio.NewScanner(os.Stdin)
-	sc.Buffer(make([]byte, 1024*1024), 1024*1024)
-	for sc.Scan() {
-		m := benchLine.FindStringSubmatch(sc.Text())
-		if m == nil {
-			continue
-		}
-		iters, _ := strconv.ParseInt(m[2], 10, 64)
-		ns, _ := strconv.ParseFloat(m[3], 64)
-		r := Result{Iterations: iters, NsPerOp: ns}
-		if m[4] != "" {
-			r.BytesPerOp, _ = strconv.ParseInt(m[4], 10, 64)
-			r.AllocsPerOp, _ = strconv.ParseInt(m[5], 10, 64)
-		}
-		got[m[1]] = r
-	}
-	if err := sc.Err(); err != nil {
+	got, err := parseRuns(os.Stdin)
+	if err != nil {
 		return err
 	}
 	if len(got) == 0 {
@@ -202,6 +189,49 @@ func gateFailures(cur, ref map[string]Result, pct float64, minIters int64) []str
 		}
 	}
 	return fails
+}
+
+// parseRuns reads `go test -bench -benchmem` output and returns one result
+// per benchmark. A benchmark run more than once (-count N) is reduced to
+// the median ns/op (the mean of the middle two for an even count), the
+// largest B/op and allocs/op, and the fewest iterations, so the ns/op gate
+// applies only when every repeat ran its minimum iterations.
+func parseRuns(in io.Reader) (map[string]Result, error) {
+	runs := map[string][]Result{}
+	sc := bufio.NewScanner(in)
+	sc.Buffer(make([]byte, 1024*1024), 1024*1024)
+	for sc.Scan() {
+		m := benchLine.FindStringSubmatch(sc.Text())
+		if m == nil {
+			continue
+		}
+		iters, _ := strconv.ParseInt(m[2], 10, 64)
+		ns, _ := strconv.ParseFloat(m[3], 64)
+		r := Result{Iterations: iters, NsPerOp: ns}
+		if m[4] != "" {
+			r.BytesPerOp, _ = strconv.ParseInt(m[4], 10, 64)
+			r.AllocsPerOp, _ = strconv.ParseInt(m[5], 10, 64)
+		}
+		runs[m[1]] = append(runs[m[1]], r)
+	}
+	if err := sc.Err(); err != nil {
+		return nil, err
+	}
+	got := make(map[string]Result, len(runs))
+	for name, rs := range runs {
+		ns := make([]float64, len(rs))
+		agg := rs[0]
+		for i, r := range rs {
+			ns[i] = r.NsPerOp
+			agg.Iterations = min(agg.Iterations, r.Iterations)
+			agg.BytesPerOp = max(agg.BytesPerOp, r.BytesPerOp)
+			agg.AllocsPerOp = max(agg.AllocsPerOp, r.AllocsPerOp)
+		}
+		sort.Float64s(ns)
+		agg.NsPerOp = (ns[(len(ns)-1)/2] + ns[len(ns)/2]) / 2
+		got[name] = agg
+	}
+	return got, nil
 }
 
 // marshalStable renders the file with sorted keys and trailing newline so

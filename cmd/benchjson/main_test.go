@@ -112,3 +112,35 @@ func TestBenchLineParsing(t *testing.T) {
 		t.Errorf("name = %q, want GOMAXPROCS suffix stripped", m[1])
 	}
 }
+
+// TestParseRunsRepeated: with -count N a benchmark's repeated lines reduce
+// to the median ns/op, the largest B/op and allocs/op and the fewest
+// iterations; a benchmark run once keeps its line as it is.
+func TestParseRunsRepeated(t *testing.T) {
+	out := `goos: linux
+BenchmarkLB-2   	     300	   4000000 ns/op	     672 B/op	       3 allocs/op
+BenchmarkLB-2   	     310	   3000000 ns/op	     700 B/op	       3 allocs/op
+BenchmarkOnce-2 	    1000	      1234 ns/op	      16 B/op	       1 allocs/op
+BenchmarkLB-2   	     250	   9000000 ns/op	     672 B/op	       5 allocs/op
+BenchmarkEven-2 	      10	       100 ns/op
+BenchmarkEven-2 	      20	       300 ns/op
+PASS
+`
+	got, err := parseRuns(strings.NewReader(out))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]Result{
+		"BenchmarkLB":   {Iterations: 250, NsPerOp: 4000000, BytesPerOp: 700, AllocsPerOp: 5},
+		"BenchmarkOnce": {Iterations: 1000, NsPerOp: 1234, BytesPerOp: 16, AllocsPerOp: 1},
+		"BenchmarkEven": {Iterations: 10, NsPerOp: 200},
+	}
+	if len(got) != len(want) {
+		t.Fatalf("parsed %d benchmarks %v, want %d", len(got), got, len(want))
+	}
+	for n, w := range want {
+		if got[n] != w {
+			t.Errorf("%s = %+v, want %+v", n, got[n], w)
+		}
+	}
+}

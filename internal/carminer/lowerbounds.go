@@ -91,9 +91,16 @@ var lbPool = sync.Pool{New: func() any { return new(lbSearch) }}
 // in the pool for the next, usually small, search.
 const lbPoolMax = 64 << 20
 
+// release pools s unless its slabs, every one of which a pooled search
+// keeps, hold more than lbPoolMax bytes.
 func (s *lbSearch) release() {
-	b := 8 * (cap(s.rows[0]) + cap(s.rows[1]))
-	b += cap(s.lists8[0]) + cap(s.lists8[1]) + 4*(cap(s.lists32[0])+cap(s.lists32[1]))
+	b := 8 * (cap(s.genes) + cap(s.target) + cap(s.found) + cap(s.parent))
+	b += 4 * (cap(s.tops) + cap(s.byTop) + cap(s.sameTop))
+	for k := range s.rows {
+		b += 8*cap(s.rows[k]) + 4*cap(s.start[k])
+		b += cap(s.lists8[k].prefix) + cap(s.lists8[k].last)
+		b += 4 * (cap(s.lists32[k].prefix) + cap(s.lists32[k].last))
+	}
 	if b <= lbPoolMax {
 		lbPool.Put(s)
 	}
@@ -104,32 +111,39 @@ func (s *lbSearch) release() {
 // pairs joined on a shared prefix) without allocating per candidate.
 //
 // The upper bound's genes are renumbered to local positions 0..n-1. A BFS
-// level lives in two slabs, gene lists at a fixed stride (the level) and
-// row sets of rw words each; the next level is built in a second pair of
-// slabs and the pairs swap. Gene lists take one byte per gene when n <= 256
-// (every upper bound of the small-scale profiles), since the frontier's
-// width is what bounds the search's memory. A joined candidate is written at the slab tail, and the tail
-// advances only when the candidate survives into the next level. Found
-// bounds are local gene masks of gw words, chained by their largest gene,
-// so the minimality prune is a word-AND against the few bounds that can
-// lie inside a candidate. Pooled searches keep their slabs, so a warm call
-// allocates only the bounds it returns.
+// level of l-gene candidates is a list of join groups: group k stores its
+// shared prefix of l−1 genes once and the offset of its first member, and
+// a member stores only its last gene and its row set of rw words. Member i
+// of a group opens the next level's group prefix+gene(i), whose members
+// are the joins (i, j>i) that survive the minimality prune and miss the
+// target; a group left with fewer than two members joins nothing and is
+// not stored. The next level is built in a second set of slabs and the
+// sets swap. Genes take one byte when n <= 256 (every upper bound of the
+// small-scale profiles), since the frontier's width is what bounds the
+// search's memory. Found bounds are local gene masks of gw words, chained
+// by their largest gene, so the minimality prune is a word-AND against the
+// few bounds that can lie inside a candidate. Pooled searches keep their
+// slabs, so a warm call allocates only the bounds it returns.
 type lbSearch struct {
-	genes     []int       // global gene of each local position, ascending
-	n, rw, gw int         // local genes, words per row set, words per gene mask
-	target    []uint64    // the row set a bound must hit exactly
-	rows      [2][]uint64 // the two levels' row sets, rw words each
-	lists8    [2][]uint8  // the two levels' gene lists, for n <= 256
-	lists32   [2][]int32  // ... otherwise
-	found     []uint64    // found bounds' gene masks less their top, gw words each
-	tops      []int32     // each found bound's top: its largest gene
-	byTop     []int32     // per gene x, the last bound found with top x, or -1
-	sameTop   []int32     // per bound, the previous bound with its top, or -1
-	prefix    []uint64    // gene mask of the join group's shared prefix
-	parent    []uint64    // gene mask of the candidate being extended
-	steps     int         // candidates examined
-	peak      int         // widest level joined
+	genes     []int             // global gene of each local position, ascending
+	n, rw, gw int               // local genes, words per row set, words per gene mask
+	target    []uint64          // the row set a bound must hit exactly
+	rows      [2][]uint64       // the two levels' member row sets, rw words each
+	start     [2][]int32        // group k's members are [start[k], start[k+1])
+	lists8    [2]lbLists[uint8] // the two levels' genes, for n <= 256
+	lists32   [2]lbLists[int32] // ... otherwise
+	found     []uint64          // found bounds' gene masks less their top, gw words each
+	tops      []int32           // each found bound's top: its largest gene
+	byTop     []int32           // per gene x, the last bound found with top x, or -1
+	sameTop   []int32           // per bound, the previous bound with its top, or -1
+	parent    []uint64          // gene mask of the member being extended
+	steps     int               // candidates examined
+	peak      int               // widest level joined
 }
+
+// lbLists is one level's genes: each group's prefix, at a stride of the
+// prefix's length, and each member's last gene.
+type lbLists[G lbGene] struct{ prefix, last []G }
 
 // reset sizes s for n local genes over rows samples, with the level-1 row
 // sets (gene i's at rows[0][i·rw:]) and the target zeroed for the caller
@@ -143,7 +157,6 @@ func (s *lbSearch) reset(n, rows int) {
 	for i := range s.byTop {
 		s.byTop[i] = -1
 	}
-	s.prefix = zeroed(s.prefix, s.gw)
 	s.parent = zeroed(s.parent, s.gw)
 	s.steps, s.peak = 0, 0
 }
@@ -160,14 +173,17 @@ func (s *lbSearch) run(nl int, poll func() error) error {
 // lbGene is a local gene position, as stored in the frontier's gene lists.
 type lbGene interface{ uint8 | int32 }
 
-// bfs is s.run with gene lists of type G: candidate k of a level of size l
-// has genes lists[·][k·l : (k+1)·l] and support rows[·][k·rw : (k+1)·rw].
-func bfs[G lbGene](s *lbSearch, lists *[2][]G, nl int, poll func() error) error {
+// bfs is s.run with genes of type G: at a level of l-gene candidates,
+// group k's prefix is lists[·].prefix[k·(l−1) : (k+1)·(l−1)] and its
+// members are m in [start[·][k], start[·][k+1]), with last gene
+// lists[·].last[m] and support rows[·][m·rw : (m+1)·rw].
+func bfs[G lbGene](s *lbSearch, lists *[2]lbLists[G], nl int, poll func() error) error {
 	rw := s.rw
 	cur, next := 0, 1
 	// Level 1: the singletons, compacted in place — a gene whose column
-	// hits the target is a bound; the rest survive.
-	lists[cur] = grow(lists[cur], s.n)
+	// hits the target is a bound; the rest survive, as the members of one
+	// group with an empty prefix.
+	lists[cur].last = grow(lists[cur].last, s.n)
 	width := 0 // candidates in the current level
 	for i := 0; i < s.n; i++ {
 		if s.steps++; poll != nil && s.steps%lbPoll == 0 {
@@ -184,76 +200,97 @@ func bfs[G lbGene](s *lbSearch, lists *[2][]G, nl int, poll func() error) error 
 			continue
 		}
 		copy(s.rows[cur][width*rw:], col)
-		lists[cur][width] = G(i)
+		lists[cur].last[width] = G(i)
 		width++
 	}
+	s.start[cur] = append(s.start[cur][:0], 0, int32(width))
+	groups := 1 // join groups stored in the current level
 
-	// Levels 2..n: join pairs of the level that share all but their last
-	// gene. The level is in lexicographic order, so each join group is a
-	// contiguous run. A joined candidate's support is the intersection of
-	// its parents'; it is a bound when that hits the target.
+	// Levels 2..n: each member joins the later members of its group. The
+	// levels are in lexicographic order, as the textbook join makes them.
+	// A joined candidate's support is the intersection of its parents'; it
+	// is a bound when that hits the target.
 	for l := 1; width > 0 && s.numFound() < nl; l++ {
 		s.peak = max(s.peak, width)
-		genes, rows := lists[cur], s.rows[cur]
-		built := 0 // candidates in the next level
-		end := 0   // the current join group is [.., end)
-		for i := 0; i < width; i++ {
-			a := genes[i*l : (i+1)*l]
-			if i >= end {
-				end = i + 1
-				for end < width && samePrefix(a, genes[end*l:(end+1)*l]) {
-					end++
-				}
-				if end > i+1 {
-					setMask(s.prefix, a[:l-1])
-				}
-			}
-			if i+1 == end {
-				continue // last of its join group: nothing to join
-			}
-			copy(s.parent, s.prefix)
-			y := a[l-1]
-			s.parent[y/64] |= 1 << (y % 64)
-			ar := rows[i*rw : (i+1)*rw]
-			for j := i + 1; j < end; j++ {
-				if s.steps++; poll != nil && s.steps%lbPoll == 0 {
-					if err := poll(); err != nil {
-						return err
+		in, out := &lists[cur], &lists[next]
+		rows, start := s.rows[cur], s.start[cur]
+		width = 0       // candidates in the next level
+		built := 0      // members stored in the next level
+		nextGroups := 0 // groups stored in the next level
+		s.start[next] = s.start[next][:0]
+		for k := 0; k < groups; k++ {
+			prefix := in.prefix[k*(l-1) : (k+1)*(l-1)]
+			setMask(s.parent, prefix)
+			end := int(start[k+1])
+			for i := int(start[k]); i < end-1; i++ {
+				// Member i opens the group prefix+y; the next level's
+				// slabs grow once for all of its possible members.
+				y := in.last[i]
+				s.parent[y/64] |= 1 << (y % 64)
+				first := built
+				out.last = grow(out.last, built+end-i-1)
+				s.rows[next] = grow(s.rows[next], (built+end-i-1)*rw)
+				dst, ar := s.rows[next], rows[i*rw:(i+1)*rw]
+				for j := i + 1; j < end; j++ {
+					if s.steps++; poll != nil && s.steps%lbPoll == 0 {
+						if err := poll(); err != nil {
+							return err
+						}
 					}
+					// Minimality prune: prefix+y+x holding a found bound
+					// is not a minimal generator. No bound lies inside
+					// prefix+y (it survived every bound of its level and
+					// below; the bounds of this level are larger), so such
+					// a bound's largest gene is x.
+					x := in.last[j]
+					if s.byTop[x] >= 0 && s.holdsBound(int32(x)) {
+						continue
+					}
+					if andHits(dst[built*rw:(built+1)*rw], ar, rows[j*rw:(j+1)*rw], s.target) {
+						if s.emit(int32(x)) >= nl {
+							return nil
+						}
+						continue
+					}
+					out.last[built] = x
+					built++
 				}
-				// Minimality prune: a+x holding a found bound is not a
-				// minimal generator. No bound lies inside a (a survived
-				// every bound of its level and below; the bounds of this
-				// level are larger), so such a bound's largest gene is x.
-				x := genes[(j+1)*l-1]
-				if s.byTop[x] >= 0 && s.holdsBound(int32(x)) {
+				s.parent[y/64] &^= 1 << (y % 64)
+				// Every survivor is in the next level's width, but a lone
+				// one joins nothing, so only a pair or more is stored.
+				width += built - first
+				if built-first < 2 {
+					built = first
 					continue
 				}
-				t := built // the next level's tail
-				s.rows[next] = grow(s.rows[next], (t+1)*rw)
-				dst, br := s.rows[next][t*rw:(t+1)*rw], rows[j*rw:(j+1)*rw]
-				hit := true
-				for w := range dst {
-					dst[w] = ar[w] & br[w]
-					hit = hit && dst[w] == s.target[w]
-				}
-				if hit {
-					if s.emit(int32(x)) >= nl {
-						return nil
-					}
-					continue
-				}
-				lists[next] = grow(lists[next], (t+1)*(l+1))
-				g := lists[next][t*(l+1) : (t+1)*(l+1)]
-				copy(g, a)
-				g[l] = x
-				built++
+				out.prefix = grow(out.prefix, (nextGroups+1)*l)
+				p := out.prefix[nextGroups*l : (nextGroups+1)*l]
+				copy(p, prefix)
+				p[l-1] = y
+				s.start[next] = append(s.start[next], int32(first))
+				nextGroups++
 			}
 		}
+		s.start[next] = append(s.start[next], int32(built))
 		cur, next = next, cur
-		width = built
+		groups = nextGroups
 	}
 	return nil
+}
+
+// andHits writes a∧b into dst and reports whether it equals target. It is
+// the BFS's one row-set kernel, for every width: the operands are cut to
+// dst's length so the loop runs without bounds checks, and the comparison
+// ORs each word's difference into one word instead of branching.
+func andHits(dst, a, b, target []uint64) bool {
+	a, b, target = a[:len(dst)], b[:len(dst)], target[:len(dst)]
+	var diff uint64
+	for w := range dst {
+		v := a[w] & b[w]
+		dst[w] = v
+		diff |= v ^ target[w]
+	}
+	return diff == 0
 }
 
 // setMask sets mask to the genes of p.
@@ -310,17 +347,6 @@ func (s *lbSearch) bounds(universe int) []*bitset.Set {
 		set.Add(s.genes[s.tops[b]])
 	}
 	return out
-}
-
-// samePrefix reports whether two equal-length sorted gene lists agree on all
-// but the last element (the apriori join condition).
-func samePrefix[G lbGene](a, b []G) bool {
-	for k := 0; k < len(a)-1; k++ {
-		if a[k] != b[k] {
-			return false
-		}
-	}
-	return true
 }
 
 func equalWords(a, b []uint64) bool {

@@ -115,19 +115,25 @@ func sameBounds(t *testing.T, what string, got, want []*bitset.Set) {
 }
 
 // TestMineLowerBoundsMatchesReference pins the slab BFS to the reference
-// BFS candidate for candidate: for random data and PC-shaped groups, at
-// every nl, both return the same bounds in the same order with the same
-// step count, bound count and frontier peak; LowerBounds, fed the same
-// columns, returns the same bounds too. The stop path is pinned by arming
-// the carminer.lb fault site: both searches stop at the same step with the
-// same error and the same partial bounds, which is the poll cadence that
-// budgets and DNF results depend on.
+// BFS candidate for candidate: for random data, PC-shaped groups and three
+// constructed ones (a 300-gene upper bound joined past pairs, row sets of
+// three words, joins that leave lone members), at every nl, both return
+// the same bounds in the same order with the same step count, bound count
+// and frontier peak; LowerBounds, fed the same columns, returns the same
+// bounds too. The stop path is pinned by arming the carminer.lb fault site:
+// both searches stop at the same step with the same error and the same
+// partial bounds, which is the poll cadence that budgets and DNF results
+// depend on.
 func TestMineLowerBoundsMatchesReference(t *testing.T) {
 	type job struct {
-		name string
-		d    *dataset.Bool
-		g    *RuleGroup
-		nls  []int // nl values to run; nil is 1, 2, 20 and unlimited
+		name  string
+		d     *dataset.Bool
+		g     *RuleGroup
+		nls   []int // nl values to run; nil is 1, 2, 20 and unlimited
+		skips []int // fault skips to pin at each nl too
+		// shape, when set, reports what the unlimited reference search
+		// no longer exercises of what a constructed job is for.
+		shape func(want lbRun) string
 	}
 	var jobs []job
 	r := rand.New(rand.NewSource(83))
@@ -152,6 +158,34 @@ func TestMineLowerBoundsMatchesReference(t *testing.T) {
 			jobs = append(jobs, job{name: fmt.Sprintf("pc/%d/%d", ci, k), d: pc, g: gs[k]})
 		}
 	}
+	all := func(genes int) *RuleGroup {
+		u := bitset.New(genes)
+		u.Fill()
+		return &RuleGroup{UpperBound: u}
+	}
+	skips := []int{0, 1, 2}
+	jobs = append(jobs,
+		job{name: "deep-int32", d: deepWideRows(r), g: all(300), skips: skips, shape: func(want lbRun) string {
+			for _, b := range want.bounds {
+				if b.Count() >= 3 && b.Indices()[b.Count()-1] > 255 {
+					return ""
+				}
+			}
+			return "no bound of three or more genes reaches past local position 255"
+		}},
+		job{name: "three-words", d: threeWordRows(r), g: &RuleGroup{UpperBound: bitset.FromIndices(14, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12)}, skips: skips, shape: func(want lbRun) string {
+			if want.steps < 1000 || want.found < 20 {
+				return fmt.Sprintf("only %d steps and %d bounds", want.steps, want.found)
+			}
+			return ""
+		}},
+		job{name: "lone-members", d: loneMemberRows(), g: all(6), skips: skips, shape: func(want lbRun) string {
+			if want.steps != 27 || want.found != 7 || want.peak != 8 {
+				return fmt.Sprintf("steps/bounds/peak %d/%d/%d, want 27/7/8", want.steps, want.found, want.peak)
+			}
+			return ""
+		}},
+	)
 
 	for _, j := range jobs {
 		genes := j.g.UpperBound.Indices()
@@ -168,6 +202,15 @@ func TestMineLowerBoundsMatchesReference(t *testing.T) {
 			want := runLB(mineLowerBoundsReference, j.d, j.g, nl, -1)
 			sameRun(t, what, runLB(MineLowerBounds, j.d, j.g, nl, -1), want)
 			sameBounds(t, what+" LowerBounds", LowerBounds(j.d.NumGenes(), genes, cols, target, nl), want.bounds)
+			for _, skip := range j.skips {
+				what := fmt.Sprintf("%s fault skip=%d", what, skip)
+				sameRun(t, what, runLB(MineLowerBounds, j.d, j.g, nl, skip), runLB(mineLowerBoundsReference, j.d, j.g, nl, skip))
+			}
+			if nl == 1<<30 && j.shape != nil {
+				if msg := j.shape(want); msg != "" {
+					t.Fatalf("%s: %s", j.name, msg)
+				}
+			}
 		}
 	}
 
@@ -184,6 +227,77 @@ func TestMineLowerBoundsMatchesReference(t *testing.T) {
 		}
 		sameRun(t, what, runLB(MineLowerBounds, pc, g, 1<<30, skip), want)
 	}
+}
+
+// deepWideRows is a dataset for a 300-gene upper bound (every gene) whose
+// unlimited search joins past pairs on the int32 path. Row 0 expresses
+// every gene, so it is the target. 24 genes, half of them at local
+// positions past 255, are also expressed in random subsets of eight more
+// rows, so most of their pairs miss the target and the search goes on to
+// triples and beyond; every other gene is expressed in row 0 alone, a
+// level-1 bound.
+func deepWideRows(r *rand.Rand) *dataset.Bool {
+	const genes = 300
+	rows := make([][]int, 9)
+	for g := 0; g < genes; g++ {
+		rows[0] = append(rows[0], g)
+	}
+	for k := 0; k < 12; k++ {
+		for _, g := range []int{10 + 20*k, 260 + 3*k} {
+			for x := 1; x < len(rows); x++ {
+				if r.Intn(2) == 0 {
+					rows[x] = append(rows[x], g)
+				}
+			}
+		}
+	}
+	return rowsOf(genes, rows)
+}
+
+// threeWordRows is a dataset of 150 samples, so row sets take three words,
+// for the upper bound of genes 1–12: 20 samples express all twelve (the
+// target) and the other 130 miss three to five of them at random. Genes 0
+// and 13, outside the upper bound, are random.
+func threeWordRows(r *rand.Rand) *dataset.Bool {
+	rows := make([][]int, 150)
+	for i := range rows {
+		miss := map[int]bool{}
+		if i >= 20 {
+			for k := 3 + r.Intn(3); len(miss) < k; {
+				miss[1+r.Intn(12)] = true
+			}
+		}
+		for g := 0; g < 14; g++ {
+			if (g == 0 || g == 13) && r.Intn(2) == 0 || miss[g] {
+				continue
+			}
+			rows[i] = append(rows[i], g)
+		}
+	}
+	return rowsOf(14, rows)
+}
+
+// loneMemberRows is a dataset for the upper bound of genes 0–5 whose joins
+// leave lone members. Row 0 expresses every gene (the target); rows A–D
+// express {0,1,2}, {0,2,3}, {0,3,4} and {4,5}. Level 2 joins the six genes'
+// 15 pairs: the 7 with no row in common are bounds, and of the 8 left only
+// gene 0's four share a group; every other gene keeps one join, a lone
+// member. Level 3 joins gene 0's group: (0,1,3), (0,1,4) and (0,2,4) hold
+// the bounds {1,3}, {1,4} and {2,4}, and (0,1,2), (0,2,3) and (0,3,4)
+// survive, each the lone member of its group, so the level stores no
+// group. Level 2 is the widest, 8 candidates, and half of them are lone.
+func loneMemberRows() *dataset.Bool {
+	return rowsOf(6, [][]int{{0, 1, 2, 3, 4, 5}, {0, 1, 2}, {0, 2, 3}, {0, 3, 4}, {4, 5}})
+}
+
+// rowsOf is a one-class dataset over genes whose sample i expresses rows[i].
+func rowsOf(genes int, rows [][]int) *dataset.Bool {
+	d := &dataset.Bool{GeneNames: make([]string, genes), ClassNames: []string{"C"}}
+	for _, r := range rows {
+		d.Classes = append(d.Classes, 0)
+		d.Rows = append(d.Rows, bitset.FromIndices(genes, r...))
+	}
+	return d
 }
 
 // TestLowerBoundsSteadyStateAllocs pins the slab BFS's allocations: once

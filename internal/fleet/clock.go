@@ -2,7 +2,7 @@ package fleet
 
 import (
 	"context"
-	"sort"
+	"math"
 	"sync"
 	"time"
 )
@@ -169,16 +169,33 @@ func (l *latencyTracker) record(d time.Duration) {
 	l.mu.Unlock()
 }
 
-// p99 returns the 99th percentile of the window, or 0 with fewer than
-// latencyMinSamples observations.
+// latencyAbove is how many samples of a full window rank above its p99.
+const latencyAbove = (latencyWindow - 1) - (latencyWindow-1)*99/100
+
+// p99 returns the 99th percentile of the window, its sample of rank
+// (n−1)·99/100 in ascending order, or 0 with fewer than latencyMinSamples
+// observations. At most latencyAbove samples rank above it, so one pass
+// that keeps the largest few finds it without copying or sorting.
 func (l *latencyTracker) p99() time.Duration {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.n < latencyMinSamples {
 		return 0
 	}
-	tmp := make([]int64, l.n)
-	copy(tmp, l.buf[:l.n])
-	sort.Slice(tmp, func(i, j int) bool { return tmp[i] < tmp[j] })
-	return time.Duration(tmp[(l.n-1)*99/100])
+	k := (l.n - 1) - (l.n-1)*99/100
+	var top [latencyAbove + 1]int64 // the k+1 largest so far, descending
+	for i := range top {
+		top[i] = math.MinInt64
+	}
+	for _, v := range l.buf[:l.n] {
+		if v <= top[k] {
+			continue
+		}
+		i := k
+		for ; i > 0 && top[i-1] < v; i-- {
+			top[i] = top[i-1]
+		}
+		top[i] = v
+	}
+	return time.Duration(top[k])
 }

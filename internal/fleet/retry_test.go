@@ -3,6 +3,7 @@ package fleet
 import (
 	"math/rand"
 	"net/http"
+	"sort"
 	"testing"
 	"time"
 )
@@ -171,5 +172,46 @@ func TestLatencyTrackerP99(t *testing.T) {
 	}
 	if got := lt.p99(); got != time.Second {
 		t.Fatalf("p99 with 1s tail outliers = %v; tail not reflected", got)
+	}
+}
+
+// TestLatencyTrackerP99MatchesSort pins the one-pass p99 to the sort it
+// replaced: for random windows at every fill level from the sample floor to
+// a full window, and for rings that wrapped, it returns the sorted window's
+// element (n−1)·99/100, and it allocates nothing.
+func TestLatencyTrackerP99MatchesSort(t *testing.T) {
+	sortedP99 := func(window []int64) time.Duration {
+		tmp := append([]int64(nil), window...)
+		sort.Slice(tmp, func(i, j int) bool { return tmp[i] < tmp[j] })
+		return time.Duration(tmp[(len(tmp)-1)*99/100])
+	}
+	r := rand.New(rand.NewSource(5))
+	for trial := 0; trial < 20; trial++ {
+		// Few distinct values make ties; a wide range makes a long tail.
+		span := int64(1 + r.Intn(1000))
+		if trial%2 == 1 {
+			span = 5
+		}
+		lt := newLatencyTracker()
+		var recorded []int64
+		for n := 1; n <= 3*latencyWindow+7; n++ {
+			v := r.Int63n(span) * int64(time.Microsecond)
+			lt.record(time.Duration(v))
+			recorded = append(recorded, v)
+			if n < latencyMinSamples {
+				continue
+			}
+			window := recorded[max(0, len(recorded)-latencyWindow):]
+			if got, want := lt.p99(), sortedP99(window); got != want {
+				t.Fatalf("trial %d, %d samples recorded: p99 %v, sorted window %v", trial, n, got, want)
+			}
+		}
+	}
+	lt := newLatencyTracker()
+	for i := 0; i < latencyWindow; i++ {
+		lt.record(time.Duration(r.Int63n(1e6)))
+	}
+	if a := testing.AllocsPerRun(100, func() { lt.p99() }); a != 0 {
+		t.Fatalf("p99 allocates %v per call, want 0", a)
 	}
 }
