@@ -94,3 +94,25 @@ func BenchmarkAppendKey(b *testing.B) {
 		buf = x.AppendKey(buf[:0])
 	}
 }
+
+// BenchmarkIntersectColumns is one Top-k closure on the OC small 40%
+// split's shape: a 40-gene selector (about half the genes, as a class
+// row's itemset holds) over 101-row columns, through the column table.
+func BenchmarkIntersectColumns(b *testing.B) {
+	r := rand.New(rand.NewSource(3))
+	cols := make([]*Set, 40)
+	for j := range cols {
+		cols[j] = randomSet(r, 101)
+	}
+	tab := NewColumnTable(101, cols)
+	sels := make([]*Set, 16)
+	for i := range sels {
+		sels[i] = randomSet(r, 40)
+	}
+	dst := New(101)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		_ = dst.IntersectColumns(sels[i%len(sels)], tab)
+	}
+}

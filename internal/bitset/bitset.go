@@ -311,28 +311,83 @@ func (s *Set) IntersectionCounts(dst []int32, rows []*Set) {
 	}
 }
 
-// IntersectColumns sets s to the intersection of cols[j] over every j in
-// sel and returns s; an empty sel leaves s the whole universe. With cols a
-// bit matrix's columns (see Transpose), that is the matrix rows holding
-// every column sel selects. Every column must share s's universe, and sel's
-// universe must be len(cols). It is one word-AND per selected column and
-// word, without allocating: the Top-k miner's closure (internal/carminer).
-func (s *Set) IntersectColumns(sel *Set, cols []*Set) *Set {
-	s.guardWrite()
-	if sel.n != len(cols) {
-		panic(fmt.Sprintf("bitset: selector universe %d vs %d columns", sel.n, len(cols)))
+// ColumnTable is a byte-indexed table of a bit matrix's columns, built
+// once so that intersecting many column subsets is cheap: the Method of
+// Four Russians (Arlazarov et al., 1970) applied to column intersection.
+// Entry (b, v) holds the AND of columns 8b+i over every bit i set in the
+// byte v, and entry (b, 0) is every row. Each entry is built with one AND,
+// from the entry of v without its highest bit, and the table takes
+// 256·⌈cols/8⌉·⌈rows/64⌉ words.
+type ColumnTable struct {
+	cols, rows int
+	// words holds entry (b, v) at [(256b+v)·w, (256b+v+1)·w) for
+	// w = ⌈rows/64⌉.
+	words []uint64
+}
+
+// NewColumnTable returns the table of cols, each a set over [0, rows).
+func NewColumnTable(rows int, cols []*Set) *ColumnTable {
+	if rows < 0 {
+		panic("bitset: negative universe size")
 	}
-	dst := s.words
+	nw := (rows + wordBits - 1) / wordBits
+	t := &ColumnTable{cols: len(cols), rows: rows,
+		words: make([]uint64, 256*((len(cols)+7)/8)*nw)}
+	for j, c := range cols {
+		if c.n != rows {
+			panic(fmt.Sprintf("bitset: universe mismatch %d vs %d table rows", c.n, rows))
+		}
+		b, i := j/8, j%8
+		block := t.words[256*b*nw : 256*(b+1)*nw]
+		if i == 0 {
+			all := Set{words: block[:nw], n: rows}
+			all.Fill()
+		}
+		// Entries (b, v) for 2^i ≤ v < 2^(i+1) are entries (b, v−2^i),
+		// all built already, AND column j. Entries naming a column past
+		// the last stay zero: a selector has no bits beyond its universe,
+		// so none is looked up.
+		dst := block[nw<<i : nw<<(i+1)]
+		src := block[:len(dst)]
+		for w, x := range c.words {
+			for k := w; k < len(dst); k += nw {
+				dst[k] = src[k] & x
+			}
+		}
+	}
+	return t
+}
+
+// IntersectColumns sets s to the intersection of the table's columns j
+// over every j in sel and returns s; an empty sel leaves s the whole
+// universe. With the table built from a bit matrix's columns (see
+// Transpose), that is the matrix rows holding every column sel selects.
+// s's universe must be the table's row count and sel's its column count.
+// It is one word-AND per non-zero byte of sel and word of s, without
+// allocating: the Top-k miner's closure (internal/carminer).
+func (s *Set) IntersectColumns(sel *Set, t *ColumnTable) *Set {
+	s.guardWrite()
+	if sel.n != t.cols {
+		panic(fmt.Sprintf("bitset: selector universe %d vs %d columns", sel.n, t.cols))
+	}
+	if s.n != t.rows {
+		panic(fmt.Sprintf("bitset: universe mismatch %d vs %d table rows", s.n, t.rows))
+	}
+	dst, tw := s.words, t.words
+	nw := len(dst)
 	for i := range dst {
 		dst[i] = ^uint64(0)
 	}
 	for wi, w := range sel.words {
-		for ; w != 0; w &= w - 1 {
-			c := cols[wi*wordBits+bits.TrailingZeros64(w)]
-			s.sameUniverse(c)
-			cw := c.words[:len(dst)] // one bounds check, not one per word
-			for i := range dst {
-				dst[i] &= cw[i]
+		block := 8 * 256 * nw * wi // entry (8wi, 0)
+		for w != 0 {
+			// The lowest non-zero byte of w starts at bit shift: it
+			// selects entry (8wi + shift/8, that byte).
+			shift := uint(bits.TrailingZeros64(w)) &^ 7
+			e := tw[block+(32*int(shift)+int(w>>shift&0xff))*nw:][:nw]
+			w &^= 0xff << shift
+			for i, x := range e {
+				dst[i] &= x
 			}
 		}
 	}
@@ -533,6 +588,28 @@ func (s *Set) NextAfter(i int) int {
 		}
 	}
 	return -1
+}
+
+// Word returns word i of s, elements 64i to 64i+63 with element 64i+j at
+// bit j, for walks that work a word at a time outside this package (the
+// Top-k miner's child walk). Bits past the universe are zero.
+func (s *Set) Word(i int) uint64 { return s.words[i] }
+
+// CountAfter returns the number of elements strictly greater than i.
+func (s *Set) CountAfter(i int) int {
+	i++
+	if i < 0 {
+		i = 0
+	}
+	if i >= s.n {
+		return 0
+	}
+	wi := i / wordBits
+	c := bits.OnesCount64(s.words[wi] >> (uint(i) % wordBits))
+	for _, w := range s.words[wi+1:] {
+		c += bits.OnesCount64(w)
+	}
+	return c
 }
 
 // MarshalBinary implements encoding.BinaryMarshaler: 8 bytes of universe

@@ -2,6 +2,7 @@ package bitset
 
 import (
 	"bytes"
+	"math/rand"
 	"testing"
 )
 
@@ -61,5 +62,44 @@ func FuzzUnmarshalBinary(f *testing.F) {
 			t.Fatalf("max member %d outside universe %d", m, s.Len())
 		}
 		checkInvariants(t, "fuzz", &s)
+	})
+}
+
+// FuzzIntersectColumns checks the table kernel against Fill plus one And
+// per selected column. The fuzzer picks the row and column counts and the
+// selector's bytes (bit j of sel selects column j, and bytes past the
+// column count are ignored); seed draws the columns, dense enough that the
+// intersections of a dozen columns are seldom empty.
+func FuzzIntersectColumns(f *testing.F) {
+	f.Add(uint8(101), uint8(40), int64(1), []byte{0xa5, 0x0f, 0x00, 0x81, 0xff})
+	f.Add(uint8(64), uint8(9), int64(2), []byte{0x00, 0x01})
+	f.Add(uint8(1), uint8(1), int64(3), []byte{0x01})
+	f.Add(uint8(130), uint8(130), int64(4), bytes.Repeat([]byte{0xff}, 17))
+	f.Add(uint8(65), uint8(0), int64(5), []byte(nil))
+	f.Add(uint8(101), uint8(72), int64(6), []byte{0, 0x10, 0, 0, 0, 0, 0, 0x81, 0x02})
+	f.Fuzz(func(t *testing.T, rows, ncols uint8, seed int64, sel []byte) {
+		m, n := int(rows), int(ncols)
+		r := rand.New(rand.NewSource(seed))
+		cols := make([]*Set, n)
+		for j := range cols {
+			cols[j] = New(m)
+			for wi := range cols[j].words {
+				cols[j].words[wi] = r.Uint64() | r.Uint64() | r.Uint64()
+			}
+			cols[j].trim()
+		}
+		s := New(n)
+		for j := 0; j < n && j/8 < len(sel); j++ {
+			if sel[j/8]&(1<<(j%8)) != 0 {
+				s.Add(j)
+			}
+		}
+		want := intersectColumnsWant(m, s, cols)
+		got := New(m)
+		got.Complement() // the kernel must overwrite, not AND into, s
+		if got.IntersectColumns(s, NewColumnTable(m, cols)); !got.Equal(want) {
+			t.Fatalf("%d rows × %d columns, sel %v: got %v, want %v", m, n, s, got, want)
+		}
+		checkInvariants(t, "IntersectColumns", got)
 	})
 }

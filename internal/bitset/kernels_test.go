@@ -58,11 +58,12 @@ func TestKernelsUniverseMismatchPanics(t *testing.T) {
 		"OrInto":        func() { s.OrInto(New(20), u) },
 		"AndNotInto":    func() { New(20).AndNotInto(s, New(20)) },
 		"CopyFrom":      func() { s.CopyFrom(u) },
-		// The selector's universe must be the column count, and every
-		// selected column must share the destination's universe.
-		"IntersectColumns selector": func() { New(10).IntersectColumns(New(3), []*Set{s, s}) },
-		"IntersectColumns column":   func() { New(10).IntersectColumns(FromIndices(2, 1), []*Set{s, u}) },
-		"IntersectionCounts":        func() { s.IntersectionCounts(make([]int32, 2), []*Set{s, u}) },
+		// The selector's universe must be the table's column count, and
+		// the destination's its row count.
+		"IntersectColumns selector":    func() { New(10).IntersectColumns(New(3), NewColumnTable(10, []*Set{s, s})) },
+		"IntersectColumns destination": func() { New(20).IntersectColumns(FromIndices(2, 1), NewColumnTable(10, []*Set{s, s})) },
+		"NewColumnTable":               func() { NewColumnTable(10, []*Set{s, u}) },
+		"IntersectionCounts":           func() { s.IntersectionCounts(make([]int32, 2), []*Set{s, u}) },
 	} {
 		func() {
 			defer func() {
@@ -185,39 +186,92 @@ func TestIntersectionCounts(t *testing.T) {
 	}
 }
 
-// TestIntersectColumns checks IntersectColumns against Fill plus one And per
-// selected column, on matrices around the word boundaries, and pins the
-// empty selector to the whole universe with the bits past it clear.
+// intersectColumnsWant is IntersectColumns the slow way: Fill plus one And
+// per selected column.
+func intersectColumnsWant(m int, sel *Set, cols []*Set) *Set {
+	want := New(m)
+	want.Fill()
+	sel.ForEach(func(j int) bool {
+		want.And(cols[j])
+		return true
+	})
+	return want
+}
+
+// TestIntersectColumns checks the table kernel against Fill plus one And
+// per selected column, for column counts on either side of the byte and
+// word boundaries and row universes on either side of the word boundary:
+// the empty selector (the whole universe, with the bits past it clear),
+// the full selector, every single column, and random selectors, half of
+// them with bits in the last, possibly partial, byte.
 func TestIntersectColumns(t *testing.T) {
 	r := rand.New(rand.NewSource(19))
-	sizes := []int{1, 63, 64, 65, 130}
-	for _, m := range sizes {
-		for _, n := range sizes {
+	for _, m := range []int{1, 63, 64, 65, 130} {
+		for _, n := range []int{1, 7, 8, 9, 63, 64, 65, 130} {
 			cols := make([]*Set, n)
 			for j := range cols {
 				cols[j] = randomSet(r, m)
 			}
+			tab := NewColumnTable(m, cols)
 			// Fill leaves the bits past the universe clear, and Equal
 			// compares whole words, so this checks the tail too.
 			full := New(m)
 			full.Fill()
 			dst := New(m)
-			if got := dst.IntersectColumns(New(n), cols); !got.Equal(full) {
+			if got := dst.IntersectColumns(New(n), tab); !got.Equal(full) {
 				t.Fatalf("%d×%d: empty selector gave %v, want the whole universe", m, n, got)
 			}
-			for trial := 0; trial < 10; trial++ {
+			sels := []*Set{New(n)}
+			sels[0].Fill()
+			for j := 0; j < n; j++ {
+				sels = append(sels, FromIndices(n, j))
+			}
+			lastByte := n &^ 7
+			if lastByte == n {
+				lastByte = n - 8
+			}
+			for trial := 0; trial < 20; trial++ {
 				sel := New(n)
-				for k := r.Intn(4); k >= 0; k-- {
+				for k := r.Intn(12); k >= 0; k-- {
 					sel.Add(r.Intn(n))
 				}
-				want := New(m)
-				want.Fill()
-				sel.ForEach(func(j int) bool {
-					want.And(cols[j])
-					return true
-				})
-				if got := dst.IntersectColumns(sel, cols); !got.Equal(want) {
+				if trial%2 == 0 {
+					sel.Add(lastByte + r.Intn(n-lastByte))
+				}
+				sels = append(sels, sel)
+			}
+			for _, sel := range sels {
+				want := intersectColumnsWant(m, sel, cols)
+				if got := dst.IntersectColumns(sel, tab); !got.Equal(want) {
 					t.Fatalf("%d×%d sel %v: IntersectColumns = %v, want %v", m, n, sel, got, want)
+				}
+			}
+		}
+	}
+}
+
+// TestWordCountAfter checks Word against Contains and CountAfter against
+// Indices, from every start below, inside and past the universe.
+func TestWordCountAfter(t *testing.T) {
+	r := rand.New(rand.NewSource(31))
+	for _, n := range []int{1, 63, 64, 65, 130} {
+		for trial := 0; trial < 10; trial++ {
+			s := randomSet(r, n)
+			for i := 0; i < (n+63)/64*64; i++ {
+				if got := s.Word(i/64)&(1<<(i%64)) != 0; got != s.Contains(i) {
+					t.Fatalf("n=%d %v: bit %d of Word(%d) is %v", n, s, i%64, i/64, got)
+				}
+			}
+			members := s.Indices()
+			for i := -2; i <= n; i++ {
+				want := 0
+				for _, x := range members {
+					if x > i {
+						want++
+					}
+				}
+				if got := s.CountAfter(i); got != want {
+					t.Fatalf("n=%d %v: CountAfter(%d) = %d, want %d", n, s, i, got, want)
 				}
 			}
 		}

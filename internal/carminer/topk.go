@@ -26,9 +26,13 @@
 // materializes such a group.
 //
 // A node's closure, the training rows containing its itemset, is the AND of
-// its genes' row columns: the miner transposes the training rows into
-// per-gene row sets once, so each node costs a few word-ANDs per gene
-// instead of a subset test against every training row. The search counters
+// its genes' row columns. The miner transposes the training rows into
+// per-gene row sets once and tabulates them by gene byte (a
+// bitset.ColumnTable: each of a byte's 256 gene subsets has its AND
+// stored), so each node costs one row-set AND per non-zero byte of its
+// itemset instead of a subset test against every training row. Children
+// and the capacity prune's remaining rows come from word-level walks and
+// counts over the class rows outside the closure. The search counters
 // are counted in the miner and added to the shared registry at the stop
 // poll and when the run returns, so concurrent miners do not contend on its
 // atomics at every node.
@@ -38,6 +42,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math/bits"
 	"sort"
 	"time"
 
@@ -224,11 +229,10 @@ type topkMiner struct {
 	// already added to the registry (see flushCounts).
 	count, flushed topkCounts
 
-	// cols[g] is the set of training rows holding gene g (one slab, from
-	// bitset.Transpose) and classMask the rows of class ci; rows is the
-	// closure's scratch, read before dfs recurses, so one per miner is
-	// enough.
-	cols      []*bitset.Set
+	// cols tabulates the training rows holding each gene (see closure)
+	// and classMask is the rows of class ci; rows is the closure's
+	// scratch, read before dfs recurses, so one per miner is enough.
+	cols      *bitset.ColumnTable
 	classMask *bitset.Set
 	rows      *bitset.Set
 
@@ -286,7 +290,7 @@ func newTopkMiner(ctx context.Context, d *dataset.Bool, ci int, classRows []int,
 		budget:    cfg.Budget,
 		maxNodes:  cfg.MaxNodes,
 		ctx:       ctx,
-		cols:      bitset.Transpose(d.Rows, d.NumGenes()),
+		cols:      bitset.NewColumnTable(d.NumSamples(), bitset.Transpose(d.Rows, d.NumGenes())),
 		classMask: bitset.New(d.NumSamples()),
 		rows:      bitset.New(d.NumSamples()),
 		covers:    make([][]*RuleGroup, len(classRows)),
@@ -365,12 +369,13 @@ func (m *topkMiner) flushCounts() {
 }
 
 // closure sets classSet to the class rows containing itemset and returns
-// how many training rows of any class contain it: the rows holding every
-// gene of itemset are the AND of those genes' row columns.
-func (m *topkMiner) closure(itemset, classSet *bitset.Set) int {
+// the training rows of any class containing it, the miner's scratch set:
+// the AND of the itemset genes' row columns, one table entry per non-zero
+// byte of itemset.
+func (m *topkMiner) closure(itemset, classSet *bitset.Set) *bitset.Set {
 	rows := m.rows.IntersectColumns(itemset, m.cols)
 	rows.IntersectInto(classSet, m.classMask)
-	return rows.Count()
+	return rows
 }
 
 // dfs extends the current intersection with class row classRows[idx] and
@@ -400,19 +405,21 @@ func (m *topkMiner) dfs(itemset, parent *bitset.Set, idx, level int) error {
 	if next.IsEmpty() {
 		return nil
 	}
-	// Closure: every class row containing the itemset, plus the total row
-	// count for confidence.
+	// Closure: every class row containing the itemset, and every row of
+	// any class for confidence.
 	classSet := sc.classSet
-	total := m.closure(next, classSet)
+	rows := m.closure(next, classSet)
 	// Canonical-parent test: the node goes on only if row idx is the lowest
 	// class row its closure gains over the parent's. Every closed node has
 	// exactly one such parent, and depth-first order arrives from it first;
 	// whatever a later arrival could expand, that first one expanded, or a
 	// prune on the way to it cut.
-	if classSet.MinDifference(parent) != m.classRows[idx] {
+	r := m.classRows[idx]
+	if classSet.MinDifference(parent) != r {
 		m.count.revisitSkips++
 		return nil
 	}
+	total := rows.Count()
 	support := classSet.Count()
 	if support >= m.minSup {
 		m.record(next, classSet, support, total)
@@ -420,12 +427,17 @@ func (m *topkMiner) dfs(itemset, parent *bitset.Set, idx, level int) error {
 	if m.pruned(classSet, idx, support, total) {
 		return nil
 	}
-	for j := idx + 1; j < len(m.classRows); j++ {
-		if classSet.Contains(m.classRows[j]) {
-			continue // already in the closure; extension is a no-op
-		}
-		if err := m.dfs(next, classSet, j, level+1); err != nil {
-			return err
+	// Children: the later class rows outside the closure (extending by a
+	// row already in it is a no-op), walked a word of classMask \ classSet
+	// at a time.
+	from := r + 1
+	mask := ^uint64(0) << (uint(from) % 64)
+	for wi := from / 64; 64*wi < m.classMask.Len(); wi, mask = wi+1, ^uint64(0) {
+		for w := (m.classMask.Word(wi) &^ classSet.Word(wi)) & mask; w != 0; w &= w - 1 {
+			j := m.rowPos[64*wi+bits.TrailingZeros64(w)]
+			if err := m.dfs(next, classSet, int(j), level+1); err != nil {
+				return err
+			}
 		}
 	}
 	return nil
@@ -440,12 +452,9 @@ func (m *topkMiner) dfs(itemset, parent *bitset.Set, idx, level int) error {
 // full-confidence groups). The confidence prune is prunable's.
 func (m *topkMiner) pruned(classSet *bitset.Set, idx, support, total int) bool {
 	if support < m.effMinSup {
-		remaining := 0
-		for j := idx + 1; j < len(m.classRows); j++ {
-			if !classSet.Contains(m.classRows[j]) {
-				remaining++
-			}
-		}
+		// The later class rows outside the closure: all later class rows
+		// less the closure's.
+		remaining := len(m.classRows) - 1 - idx - classSet.CountAfter(m.classRows[idx])
 		capacity := support + remaining
 		switch {
 		case capacity < m.minSup:

@@ -179,7 +179,7 @@ func TestTopKClosureMatchesRowScan(t *testing.T) {
 				}
 				classSet := bitset.New(samples)
 				for _, s := range itemsets {
-					total := m.closure(s, classSet)
+					total := m.closure(s, classSet).Count()
 					want, wantTotal := closureRowScan(d, ci, s)
 					if total != wantTotal || !classSet.Equal(want) {
 						t.Fatalf("%d×%d class %d itemset %v: closure %v/%d, row scan %v/%d",
@@ -223,8 +223,10 @@ func checkGroupsRowScan(t *testing.T, name string, d *dataset.Bool, groups []*Ru
 // closed node reached, keyed by class support set, with the lowest index
 // it has been expanded from; a revisit from an earlier index re-expands
 // only the children that expansion skipped, and any other revisit backs
-// out. It shares the miner's closure, record, prunes and result assembly,
-// and polls only the node budget.
+// out. It keeps the per-row forms the miner replaced with word-level walks
+// (a Contains test per later class row for the children, and a per-row
+// remaining count in pruned), shares the miner's closure, record,
+// confidence prune and result assembly, and polls only the node budget.
 type refMiner struct {
 	*topkMiner
 	states map[string]int
@@ -256,7 +258,7 @@ func (m *refMiner) dfs(itemset *bitset.Set, idx, level int) error {
 		return nil
 	}
 	classSet := sc.classSet
-	total := m.closure(next, classSet)
+	total := m.closure(next, classSet).Count()
 	support := classSet.Count()
 	key := classSet.Key()
 	explored, revisit := m.states[key]
@@ -287,12 +289,41 @@ func (m *refMiner) dfs(itemset *bitset.Set, idx, level int) error {
 	return nil
 }
 
+// pruned is the miner's prune with remaining counted one class row at a
+// time.
+func (m *refMiner) pruned(classSet *bitset.Set, idx, support, total int) bool {
+	if support < m.effMinSup {
+		remaining := 0
+		for j := idx + 1; j < len(m.classRows); j++ {
+			if !classSet.Contains(m.classRows[j]) {
+				remaining++
+			}
+		}
+		capacity := support + remaining
+		switch {
+		case capacity < m.minSup:
+			m.count.prunedSup++
+			return true
+		case capacity < m.effMinSup:
+			m.count.floorPrunes++
+			return true
+		}
+	}
+	if m.prunable(total - support) {
+		m.count.prunedConf++
+		return true
+	}
+	return false
+}
+
 // TestTopKMatchesReference diffs the canonical-parent search against the
 // states map search it replaced: the same groups and per-row lists, the
 // same nodes and groups counters, and the same stop. The arrivals the map
 // search pruned again are revisit skips now, so revisit_skips +
 // pruned_support + pruned_confidence + floor_prunes must agree too, and
-// the canonical search may only weigh fewer groups (floor_skips). Shapes:
+// the canonical search may only weigh fewer groups (floor_skips). Since
+// the reference keeps the per-row child loop and remaining count, the diff
+// also checks the miner's word walk and popcount forms of both. Shapes:
 // random matrices on either side of the 64-bit word boundary, one with a
 // class row holding every gene, one with duplicated class rows, minsup
 // 0–0.7 and k 1–10, and the OC and PC small 40% and 60% splits.
