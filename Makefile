@@ -1,9 +1,10 @@
 GO ?= go
 
 # The hot-path benchmark set tracked in BENCH_hotpath.json (see
-# EXPERIMENTS.md, "Hot-path benchmarks").
-HOTPATH_BENCH = BenchmarkTopK|BenchmarkTopKOC|BenchmarkMineLowerBounds|BenchmarkNewBST|BenchmarkEvaluate|BenchmarkClassify|BenchmarkClassifyBatchParallel|BenchmarkIntersect|BenchmarkIntersectColumns|BenchmarkKey|BenchmarkIntersectInto|BenchmarkAppendKey|BenchmarkRank|BenchmarkCountLoop|BenchmarkSelect|BenchmarkBuildIndex|BenchmarkArtifactColdStart|BenchmarkMappedClassifyRow|BenchmarkDecodeRowOC
-HOTPATH_PKGS = ./internal/bitset/ ./internal/carminer/ ./internal/core/ ./internal/eval/ ./internal/serve/
+# EXPERIMENTS.md, "Hot-path benchmarks"). The regex is anchored, so it runs
+# exactly the benchmarks it names.
+HOTPATH_BENCH = ^(BenchmarkTopK|BenchmarkTopKOC|BenchmarkMineLowerBounds|BenchmarkNewBST|BenchmarkEvaluate|BenchmarkClassify|BenchmarkClassifyBatchParallel|BenchmarkIntersect|BenchmarkIntersectionCount|BenchmarkIntersectColumns|BenchmarkKey|BenchmarkIntersectInto|BenchmarkAppendKey|BenchmarkRank|BenchmarkCountLoop|BenchmarkSelect|BenchmarkBuildIndex|BenchmarkArtifactColdStartMapped|BenchmarkMappedClassifyRow|BenchmarkDecodeRowOC|BenchmarkFitOC)$$
+HOTPATH_PKGS = ./internal/bitset/ ./internal/carminer/ ./internal/core/ ./internal/discretize/ ./internal/eval/ ./internal/serve/
 
 # Every native fuzz target, as "package:Target" pairs for fuzz-smoke
 # (go test allows only one -fuzz pattern per invocation).
@@ -14,6 +15,7 @@ FUZZ_TARGETS = \
 	./internal/dataset:FuzzReadBool \
 	./internal/dataset:FuzzReadContinuous \
 	./internal/dataset:FuzzReadARFF \
+	./internal/discretize:FuzzEntropyMDL \
 	./internal/eval:FuzzLoadArtifact \
 	./internal/registry:FuzzManifest \
 	./internal/serve:FuzzDecodeRequest
@@ -29,7 +31,7 @@ CHAOS_TESTS = Chaos|Fault|Panic|Watchdog|Checkpoint|Deadline|Cancel|RetryAfter|T
 CHAOS_PKGS = ./internal/fault/ ./internal/dataset/ ./internal/eval/ ./internal/serve/ ./internal/registry/ ./internal/fleet/
 CHAOS_SEED ?= 1
 
-.PHONY: check fmt vet lint build test bench-module race bench bench-json bench-smoke bench-gate fuzz-smoke chaos load-smoke load-report fleet-smoke
+.PHONY: check fmt vet lint build fma-check test bench-module race bench bench-json bench-smoke bench-gate fuzz-smoke chaos load-smoke load-report fleet-smoke
 
 # The tier-1 gate plus the race-sensitive packages: the obs counters are
 # hit concurrently by parallel batch classification, eval threads the
@@ -67,6 +69,21 @@ lint:
 
 build:
 	$(GO) build ./...
+
+# fma-check cross-compiles internal/discretize for arm64 and fails on any
+# fused multiply-add in its assembly. The Go spec lets a compiler fuse
+# x*y+z into one instruction with a single rounding; arm64 does and amd64
+# does not, so an unrounded product would let entropies, gains and cut
+# points differ in the last bit between the two. An explicit float64(x*y)
+# keeps the product rounded. -a makes the compiler run, and so list the
+# assembly, even when the package is cached.
+fma-check:
+	@out=$$(GOARCH=arm64 $(GO) build -a -gcflags='bstc/internal/discretize=-S' ./internal/discretize/ 2>&1) \
+		|| { echo "$$out"; exit 1; }; \
+	echo "$$out" | grep -q 'discretize\.EntropyMDL' || { echo "fma-check: no assembly listed"; exit 1; }; \
+	n=$$(echo "$$out" | grep -cE 'F(N?M(ADD|SUB))[DS]'); \
+	echo "fused multiply-adds in internal/discretize (arm64): $$n"; \
+	[ "$$n" -eq 0 ]
 
 race:
 	$(GO) test -race ./internal/obs/... ./internal/eval/... \

@@ -10,12 +10,20 @@
 // class information under the MDL criterion and are dropped — the paper's
 // "Genes After Discretization" column in Table 3 counts the genes that
 // survive.
+//
+// EntropyMDL reads its entropy terms from a process-wide table instead of
+// calling math.Log2 per term. The table covers ranges of up to 1,024
+// samples (4.2 MB at that cap) and holds the formula's float64s, so the
+// cut points are those of the plain formula. Every product is rounded
+// explicitly, so the cuts are also the same on every architecture (see
+// split; `make fma-check` guards it).
 package discretize
 
 import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -240,65 +248,104 @@ func (m *Model) Transform(c *dataset.Continuous) (*dataset.Bool, error) {
 }
 
 // EntropyMDL is Fayyad & Irani's entropy-minimized partition with the MDL
-// stopping criterion, applied recursively.
+// stopping criterion, applied recursively. Values must be finite, as Fit
+// checks.
+//
+// The column is sorted as (value, class) pairs. Ties may land in any
+// order: cuts fall only between distinct values, so every candidate sees
+// the same class counts. Each entropy subtracts, in class order, the term
+// p·log2 p of every class present, read from a table built once for the
+// largest training size a fit has seen (up to 1,024 samples; a larger range
+// computes its terms). A cached term is the same rounded product as one
+// computed afresh, so entropies, gains and cut points are the same float64s
+// either way. One set of count slices serves a gene's whole recursion, so a
+// gene costs a constant number of allocations.
 func EntropyMDL(values []float64, classes []int, numClasses int) []float64 {
 	n := len(values)
-	order := make([]int, n)
-	for i := range order {
-		order[i] = i
+	ps := make([]pair, n)
+	for i, v := range values {
+		ps[i] = pair{v, classes[i]}
 	}
-	sort.Slice(order, func(a, b int) bool { return values[order[a]] < values[order[b]] })
-	sortedVals := make([]float64, n)
-	sortedCls := make([]int, n)
-	for i, idx := range order {
-		sortedVals[i] = values[idx]
-		sortedCls[i] = classes[idx]
+	slices.SortFunc(ps, func(a, b pair) int {
+		switch {
+		case a.v < b.v:
+			return -1
+		case a.v > b.v:
+			return 1
+		}
+		return 0
+	})
+	counts := make([]int, 3*numClasses)
+	s := splitter{
+		ps:    ps,
+		terms: entropyTerms.table(n),
+		total: counts[:numClasses],
+		left:  counts[numClasses : 2*numClasses],
+		right: counts[2*numClasses:],
 	}
-	var cuts []float64
-	mdlSplit(sortedVals, sortedCls, 0, n, numClasses, &cuts)
-	sort.Float64s(cuts)
-	return cuts
+	s.split(0, n)
+	sort.Float64s(s.cuts)
+	return s.cuts
 }
 
-// mdlSplit recursively splits the range [lo, hi) of the sorted values.
-func mdlSplit(vals []float64, cls []int, lo, hi, numClasses int, cuts *[]float64) {
+// pair is one sample of a gene column.
+type pair struct {
+	v float64
+	c int
+}
+
+// splitter is one gene's sorted column, the count slices every range of its
+// recursion reuses, and the cuts accepted so far.
+type splitter struct {
+	ps                 []pair
+	terms              *termTable
+	total, left, right []int
+	cuts               []float64
+}
+
+// split recursively splits the range [lo, hi) of the sorted column.
+//
+// Every product is rounded explicitly (float64(x*y)): the Go spec lets a
+// compiler fuse x*y+z into one instruction with a single rounding, which
+// arm64 does, and the conversion keeps gains and MDL decisions the same
+// float64s on every architecture.
+func (s *splitter) split(lo, hi int) {
 	n := hi - lo
 	if n < 2 {
 		return
 	}
 	// Class counts and entropy of the whole range.
-	total := make([]int, numClasses)
-	for i := lo; i < hi; i++ {
-		total[cls[i]]++
+	clear(s.total)
+	for _, p := range s.ps[lo:hi] {
+		s.total[p.c]++
 	}
-	ent := entropy(total, n)
+	ent := s.terms.entropy(s.total, n)
 	if ent == 0 {
 		return // pure range: nothing to gain
 	}
 
 	// Scan candidate cut positions: between adjacent distinct values.
-	left := make([]int, numClasses)
+	clear(s.left)
 	bestGain, bestPos := -1.0, -1
 	var bestLeftEnt, bestRightEnt float64
 	var bestLeftK, bestRightK int
 	for i := lo; i < hi-1; i++ {
-		left[cls[i]]++
-		if vals[i] == vals[i+1] {
+		s.left[s.ps[i].c]++
+		if s.ps[i].v == s.ps[i+1].v {
 			continue
 		}
 		nl := i - lo + 1
 		nr := n - nl
-		le := entropy(left, nl)
-		right := make([]int, numClasses)
-		for c := range right {
-			right[c] = total[c] - left[c]
+		for c, t := range s.total {
+			s.right[c] = t - s.left[c]
 		}
-		re := entropy(right, nr)
-		gain := ent - (float64(nl)*le+float64(nr)*re)/float64(n)
+		le := s.terms.entropy(s.left, nl)
+		re := s.terms.entropy(s.right, nr)
+		gain := ent - (float64(float64(nl)*le)+float64(float64(nr)*re))/float64(n)
 		if gain > bestGain {
 			bestGain, bestPos = gain, i
 			bestLeftEnt, bestRightEnt = le, re
-			bestLeftK, bestRightK = distinct(left), distinct(right)
+			bestLeftK, bestRightK = distinct(s.left), distinct(s.right)
 		}
 	}
 	if bestPos < 0 {
@@ -308,31 +355,98 @@ func mdlSplit(vals []float64, cls []int, lo, hi, numClasses int, cuts *[]float64
 	// MDL acceptance (Fayyad & Irani 1993): accept the cut iff
 	// gain > log2(n-1)/n + delta/n with
 	// delta = log2(3^k - 2) - (k·E - k1·E1 - k2·E2).
-	k := distinct(total)
+	k := distinct(s.total)
 	delta := math.Log2(math.Pow(3, float64(k))-2) -
-		(float64(k)*ent - float64(bestLeftK)*bestLeftEnt - float64(bestRightK)*bestRightEnt)
+		(float64(float64(k)*ent) - float64(float64(bestLeftK)*bestLeftEnt) - float64(float64(bestRightK)*bestRightEnt))
 	threshold := (math.Log2(float64(n-1)) + delta) / float64(n)
 	if bestGain <= threshold {
 		return
 	}
 
-	*cuts = append(*cuts, (vals[bestPos]+vals[bestPos+1])/2)
-	mdlSplit(vals, cls, lo, bestPos+1, numClasses, cuts)
-	mdlSplit(vals, cls, bestPos+1, hi, numClasses, cuts)
+	s.cuts = append(s.cuts, (s.ps[bestPos].v+s.ps[bestPos+1].v)/2)
+	s.split(lo, bestPos+1)
+	s.split(bestPos+1, hi)
 }
 
-func entropy(counts []int, n int) float64 {
-	if n == 0 {
-		return 0
+// termCap is the largest range size whose entropy terms are cached. Its
+// table holds (termCap+1)(termCap+2)/2 float64s, 4.2 MB; a larger range
+// computes its terms afresh.
+const termCap = 1024
+
+// termTable caches the entropy term p·log2 p, p = c/m, of every count
+// 0 < c ≤ m ≤ n: entry m(m+1)/2 + c holds term(c, m). A table is immutable
+// once published, so concurrent fits read it without locks.
+type termTable struct {
+	n     int
+	terms []float64
+}
+
+func newTermTable(n int) *termTable {
+	t := &termTable{n: n, terms: make([]float64, (n+1)*(n+2)/2)}
+	for m := 1; m <= n; m++ {
+		row := t.terms[m*(m+1)/2:]
+		for c := 1; c <= m; c++ {
+			row[c] = term(c, m)
+		}
 	}
+	return t
+}
+
+// entropy returns the class entropy of a range of m samples with the given
+// class counts: the terms of the classes present, subtracted in class order,
+// read from the table or, for a range larger than it covers, computed.
+func (t *termTable) entropy(counts []int, m int) float64 {
 	e := 0.0
+	if m > t.n {
+		for _, c := range counts {
+			if c > 0 {
+				e -= term(c, m)
+			}
+		}
+		return e
+	}
+	row := t.terms[m*(m+1)/2:]
 	for _, c := range counts {
 		if c > 0 {
-			p := float64(c) / float64(n)
-			e -= p * math.Log2(p)
+			e -= row[c]
 		}
 	}
 	return e
+}
+
+// term is p·log2 p for p = c/m, its product rounded explicitly so that no
+// architecture fuses it into the subtraction that uses it.
+func term(c, m int) float64 {
+	p := float64(c) / float64(m)
+	return float64(p * math.Log2(p))
+}
+
+// termCache publishes the entropy-term table for the largest training size
+// a fit has seen, up to termCap. A fit whose size the table covers reads it
+// with one atomic load; growth takes the lock, so that workers that all
+// need a larger table build it once.
+type termCache struct {
+	mu sync.Mutex
+	t  atomic.Pointer[termTable]
+}
+
+// entropyTerms is the process-wide cache every EntropyMDL call reads.
+var entropyTerms termCache
+
+// table returns a table covering ranges of up to min(n, termCap) samples.
+func (c *termCache) table(n int) *termTable {
+	n = min(n, termCap)
+	if t := c.t.Load(); t != nil && t.n >= n {
+		return t
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if t := c.t.Load(); t != nil && t.n >= n {
+		return t
+	}
+	t := newTermTable(n)
+	c.t.Store(t)
+	return t
 }
 
 func distinct(counts []int) int {
