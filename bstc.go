@@ -21,8 +21,6 @@
 package bstc
 
 import (
-	"io"
-
 	"bstc/internal/bitset"
 	"bstc/internal/core"
 	"bstc/internal/dataset"
@@ -89,10 +87,6 @@ const (
 func Train(d *Dataset, opts *EvalOptions) (*Classifier, error) {
 	return core.Train(d, opts)
 }
-
-// LoadClassifier reads a classifier previously written with
-// Classifier.Save, so models train once and classify many times.
-func LoadClassifier(r io.Reader) (*Classifier, error) { return core.LoadClassifier(r) }
 
 // Explanation is one atomic BST cell rule supporting a classification
 // (§5.3.2).

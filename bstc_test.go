@@ -1,7 +1,6 @@
 package bstc_test
 
 import (
-	"bytes"
 	"testing"
 
 	"bstc"
@@ -82,26 +81,6 @@ func TestFacadeMining(t *testing.T) {
 	}
 	if len(groups.Groups) == 0 {
 		t.Error("no rule groups mined")
-	}
-}
-
-func TestFacadePersistence(t *testing.T) {
-	d := bstc.PaperTable1()
-	cl, err := bstc.Train(d, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := cl.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := bstc.LoadClassifier(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	q := bstc.GeneSetOf(d.NumGenes(), 0, 3, 4)
-	if loaded.Classify(q) != cl.Classify(q) {
-		t.Error("loaded model disagrees with original")
 	}
 }
 

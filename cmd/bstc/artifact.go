@@ -3,24 +3,21 @@ package main
 import (
 	"flag"
 	"fmt"
-	"os"
 	"runtime"
-	"strings"
 
-	"bstc/internal/dataset"
 	"bstc/internal/eval"
 )
 
 // cmdArtifact trains the full serving pipeline — entropy-MDL discretizer
 // plus BSTC tables — on a continuous matrix and writes the combined
-// artifact for `bstcd -model`.
+// artifact, the model file of `bstc classify -model` and `bstcd -model`.
 //
 //	bstc artifact -in expr.tsv -out model.bstc [-workers N]
 //
 // The file is the flat layout bstcd maps and serves zero-copy. It is
 // written atomically (temp + fsync + rename), so a crash mid-write never
 // leaves a torn artifact where a daemon would pick it up. Rerunning this
-// command is also how a file in a retired format — the v1 gob stream, or
+// command is also how a file in a retired format — a gob stream, or
 // version 2 of the flat layout, which stored every exclusion list — is
 // replaced.
 func cmdArtifact(args []string) error {
@@ -34,17 +31,7 @@ func cmdArtifact(args []string) error {
 	if *in == "" || *out == "" {
 		return fmt.Errorf("artifact: -in and -out are required")
 	}
-	f, err := os.Open(*in)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	var cont *dataset.Continuous
-	if strings.HasSuffix(strings.ToLower(*in), ".arff") {
-		cont, err = dataset.ReadARFF(f)
-	} else {
-		cont, err = dataset.ReadContinuous(f)
-	}
+	cont, err := readContinuous(*in)
 	if err != nil {
 		return err
 	}

@@ -36,17 +36,7 @@ func cmdEval(args []string) error {
 	if *in == "" {
 		return fmt.Errorf("eval: -in is required")
 	}
-	f, err := os.Open(*in)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	var cont *dataset.Continuous
-	if strings.HasSuffix(strings.ToLower(*in), ".arff") {
-		cont, err = dataset.ReadARFF(f)
-	} else {
-		cont, err = dataset.ReadContinuous(f)
-	}
+	cont, err := readContinuous(*in)
 	if err != nil {
 		return err
 	}

@@ -5,13 +5,17 @@
 // Subcommands:
 //
 //	bstc discretize -in expr.tsv -out data.bool
-//	    Fit the entropy-MDL partition on a continuous TSV matrix and write
-//	    the boolean item-list representation.
+//	    Fit the entropy-MDL partition on a continuous matrix (TSV, or ARFF
+//	    when the file ends in .arff) and write the boolean item-list
+//	    representation.
 //
-//	bstc classify -train train.bool (or -model m) -test test.bool [-explain N] [-min-sat F]
-//	    Train BSTC on the training file and classify every test sample,
-//	    printing predictions (and accuracy when the test file carries
-//	    labels). -explain N additionally prints the top N supporting cell
+//	bstc classify -train train.bool (or -model model.bstc) -test test.bool [-explain N] [-min-sat F]
+//	    Train BSTC on the training file, or load it from an artifact
+//	    written by `bstc artifact`, and classify every test sample,
+//	    printing predictions (and accuracy by class name when the test
+//	    file carries labels). The test file must list the model's items in
+//	    the model's order, as `bstc discretize` writes them from the same
+//	    input. -explain N additionally prints the top N supporting cell
 //	    rules per sample with satisfaction ≥ -min-sat.
 //
 //	bstc mine -train train.bool -class LABEL -k K [-per-sample]
@@ -22,16 +26,14 @@
 //	    Render the class's Boolean Structure Table in the style of the
 //	    paper's Figure 1.
 //
-//	bstc train -train train.bool -out model.gob
-//	    Train once and persist the model for later `classify -model` runs.
-//
 //	bstc eval -in expr.tsv -folds 5 -classifiers bstc,svm,forest,cba
 //	    K-fold cross validation on a continuous matrix (TSV, or ARFF when
 //	    the file ends in .arff), discretizing each fold's training half.
 //
 //	bstc artifact -in expr.tsv -out model.bstc
 //	    Train the full serving pipeline (discretizer + BSTC tables) on a
-//	    continuous matrix and write the combined artifact for `bstcd`.
+//	    continuous matrix and write the combined artifact, the one model
+//	    file `classify -model`, `bstcd` and `bstcload` read.
 //
 // Global flags, accepted before the subcommand:
 //
@@ -47,10 +49,12 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"os"
 	"runtime"
+	"strings"
 
 	"bstc"
 	"bstc/internal/dataset"
@@ -84,7 +88,7 @@ func run(args []string) (err error) {
 	}
 	args = fs.Args()
 	if len(args) == 0 {
-		return fmt.Errorf("usage: bstc [-cpuprofile f] [-memprofile f] [-debug-addr a] [-version] <discretize|train|classify|mine|table|eval|artifact> [flags]")
+		return fmt.Errorf("usage: bstc [-cpuprofile f] [-memprofile f] [-debug-addr a] [-version] <discretize|classify|mine|table|eval|artifact> [flags]")
 	}
 	if *debugAddr != "" {
 		// The registry the pipeline's phase timers and miner counters write
@@ -112,8 +116,6 @@ func run(args []string) (err error) {
 	switch args[0] {
 	case "discretize":
 		return cmdDiscretize(args[1:])
-	case "train":
-		return cmdTrain(args[1:])
 	case "classify":
 		return cmdClassify(args[1:])
 	case "mine":
@@ -125,7 +127,7 @@ func run(args []string) (err error) {
 	case "artifact":
 		return cmdArtifact(args[1:])
 	}
-	return fmt.Errorf("unknown subcommand %q (want discretize, train, classify, mine, table, eval or artifact)", args[0])
+	return fmt.Errorf("unknown subcommand %q (want discretize, classify, mine, table, eval or artifact)", args[0])
 }
 
 func readBool(path string) (*dataset.Bool, error) {
@@ -135,6 +137,20 @@ func readBool(path string) (*dataset.Bool, error) {
 	}
 	defer f.Close()
 	return dataset.ReadBool(f)
+}
+
+// readContinuous reads a continuous expression matrix: Weka ARFF when the
+// file name ends in .arff, TSV otherwise.
+func readContinuous(path string) (*dataset.Continuous, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	if strings.HasSuffix(strings.ToLower(path), ".arff") {
+		return dataset.ReadARFF(f)
+	}
+	return dataset.ReadContinuous(f)
 }
 
 func classIndex(d *dataset.Bool, label string) (int, error) {
@@ -148,7 +164,7 @@ func classIndex(d *dataset.Bool, label string) (int, error) {
 
 func cmdDiscretize(args []string) error {
 	fs := flag.NewFlagSet("discretize", flag.ContinueOnError)
-	in := fs.String("in", "", "continuous TSV input (required)")
+	in := fs.String("in", "", "continuous TSV or ARFF input (required)")
 	out := fs.String("out", "", "boolean item-list output (required)")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -156,12 +172,7 @@ func cmdDiscretize(args []string) error {
 	if *in == "" || *out == "" {
 		return fmt.Errorf("discretize: -in and -out are required")
 	}
-	f, err := os.Open(*in)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	cont, err := dataset.ReadContinuous(f)
+	cont, err := readContinuous(*in)
 	if err != nil {
 		return err
 	}
@@ -186,43 +197,10 @@ func cmdDiscretize(args []string) error {
 	return of.Close()
 }
 
-// cmdTrain trains BSTC and writes the model to a file for later classify
-// runs (`bstc classify -model ...`).
-func cmdTrain(args []string) error {
-	fs := flag.NewFlagSet("train", flag.ContinueOnError)
-	trainPath := fs.String("train", "", "training item-list file (required)")
-	out := fs.String("out", "", "model output path (required)")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	if *trainPath == "" || *out == "" {
-		return fmt.Errorf("train: -train and -out are required")
-	}
-	train, err := readBool(*trainPath)
-	if err != nil {
-		return err
-	}
-	cl, err := bstc.Train(train, nil)
-	if err != nil {
-		return err
-	}
-	f, err := os.Create(*out)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	if err := cl.Save(f); err != nil {
-		return err
-	}
-	fmt.Printf("trained %d-class BSTC on %d samples x %d items; model written to %s\n",
-		train.NumClasses(), train.NumSamples(), train.NumGenes(), *out)
-	return f.Close()
-}
-
 func cmdClassify(args []string) error {
 	fs := flag.NewFlagSet("classify", flag.ContinueOnError)
 	trainPath := fs.String("train", "", "training item-list file (or use -model)")
-	modelPath := fs.String("model", "", "model file written by `bstc train` (or use -train)")
+	modelPath := fs.String("model", "", "artifact written by `bstc artifact` (or use -train)")
 	testPath := fs.String("test", "", "test item-list file (required)")
 	explain := fs.Int("explain", 0, "print up to N supporting cell rules per sample")
 	minSat := fs.Float64("min-sat", 0.8, "minimum satisfaction level for explanations")
@@ -235,14 +213,15 @@ func cmdClassify(args []string) error {
 	}
 	var cl *bstc.Classifier
 	if *modelPath != "" {
-		f, err := os.Open(*modelPath)
+		m, err := eval.LoadArtifactMapped(*modelPath)
 		if err != nil {
+			if errors.Is(err, eval.ErrCorruptArtifact) {
+				err = fmt.Errorf("classify: %s is not a model written by `bstc artifact`: %w", *modelPath, err)
+			}
 			return err
 		}
-		defer f.Close()
-		if cl, err = bstc.LoadClassifier(f); err != nil {
-			return err
-		}
+		defer m.Close()
+		cl = m.Classifier
 	} else {
 		train, err := readBool(*trainPath)
 		if err != nil {
@@ -259,8 +238,8 @@ func cmdClassify(args []string) error {
 	if err != nil {
 		return err
 	}
-	if test.NumGenes() != len(cl.GeneNames) {
-		return fmt.Errorf("test file has %d items, model has %d", test.NumGenes(), len(cl.GeneNames))
+	if err := sameItems(test.GeneNames, cl.GeneNames); err != nil {
+		return fmt.Errorf("classify: %w", err)
 	}
 	var preds []int
 	if *workers > 1 {
@@ -278,7 +257,9 @@ func cmdClassify(args []string) error {
 		fmt.Printf("%s\t%s", name, cl.ClassNames[pred])
 		if i < len(test.Classes) {
 			labeled++
-			if pred == test.Classes[i] {
+			// Each file numbers its classes in order of first appearance,
+			// so labels compare by name; one the model lacks is a miss.
+			if cl.ClassNames[pred] == test.ClassNames[test.Classes[i]] {
 				correct++
 			}
 		}
@@ -296,6 +277,21 @@ func cmdClassify(args []string) error {
 	}
 	if labeled > 0 {
 		fmt.Printf("accuracy: %d/%d = %.2f%%\n", correct, labeled, 100*float64(correct)/float64(labeled))
+	}
+	return nil
+}
+
+// sameItems checks that a test file lists the model's items in the model's
+// order. Rows are sets of item positions, so a file over other items, or
+// over the same items in another order, would be classified silently wrong.
+func sameItems(test, model []string) error {
+	for i := range min(len(test), len(model)) {
+		if test[i] != model[i] {
+			return fmt.Errorf("test file item %d is %q, model item %d is %q", i+1, test[i], i+1, model[i])
+		}
+	}
+	if len(test) != len(model) {
+		return fmt.Errorf("test file has %d items, model has %d", len(test), len(model))
 	}
 	return nil
 }

@@ -1,12 +1,15 @@
 package main
 
 import (
+	"errors"
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
+	"bstc/internal/bitset"
 	"bstc/internal/dataset"
 	"bstc/internal/eval"
 	"bstc/internal/version"
@@ -70,20 +73,11 @@ func TestRunUsageErrors(t *testing.T) {
 // TestRunVersionFlag: `bstc -version` prints build identity and exits clean,
 // without requiring a subcommand.
 func TestRunVersionFlag(t *testing.T) {
-	old := os.Stdout
-	r, w, err := os.Pipe()
+	out, err := runOutput(t, "-version")
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("run(-version): %v", err)
 	}
-	os.Stdout = w
-	runErr := run([]string{"-version"})
-	w.Close()
-	os.Stdout = old
-	out, _ := io.ReadAll(r)
-	if runErr != nil {
-		t.Fatalf("run(-version): %v", runErr)
-	}
-	if want := version.Get().String(); strings.TrimSpace(string(out)) != want {
+	if want := version.Get().String(); strings.TrimSpace(out) != want {
 		t.Errorf("output %q, want %q", out, want)
 	}
 }
@@ -95,24 +89,157 @@ func TestClassifySelf(t *testing.T) {
 	}
 }
 
-func TestTrainModelThenClassify(t *testing.T) {
-	path := writeTable1(t)
-	model := filepath.Join(t.TempDir(), "m.gob")
-	if err := run([]string{"train", "-train", path, "-out", model}); err != nil {
+// runOutput runs the command and returns what it printed to stdout.
+func runOutput(t *testing.T, args ...string) (string, error) {
+	t.Helper()
+	old := os.Stdout
+	r, w, err := os.Pipe()
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := run([]string{"classify", "-model", model, "-test", path}); err != nil {
+	os.Stdout = w
+	out := make(chan []byte)
+	go func() {
+		b, _ := io.ReadAll(r)
+		r.Close()
+		out <- b
+	}()
+	runErr := run(args)
+	w.Close()
+	os.Stdout = old
+	return string(<-out), runErr
+}
+
+// writeItems writes an item-list file over the given items; each row is a
+// class label followed by the items its sample expresses.
+func writeItems(t *testing.T, name string, items []string, rows ...[]string) string {
+	t.Helper()
+	d := &dataset.Bool{GeneNames: items}
+	classOf := map[string]int{}
+	for _, row := range rows {
+		c, ok := classOf[row[0]]
+		if !ok {
+			c = len(d.ClassNames)
+			classOf[row[0]] = c
+			d.ClassNames = append(d.ClassNames, row[0])
+		}
+		var genes []int
+		for _, item := range row[1:] {
+			genes = append(genes, slices.Index(items, item))
+		}
+		d.Classes = append(d.Classes, c)
+		d.Rows = append(d.Rows, bitset.FromIndices(len(items), genes...))
+	}
+	path := filepath.Join(t.TempDir(), name)
+	f, err := os.Create(path)
+	if err != nil {
 		t.Fatal(err)
+	}
+	defer f.Close()
+	if err := dataset.WriteBool(f, d); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
+
+// TestArtifactModelThenClassify: `bstc discretize` and `bstc artifact` fit
+// the same model on one input, so classifying the discretized file with
+// the artifact prints exactly what training on it does.
+func TestArtifactModelThenClassify(t *testing.T) {
+	in := writeContinuous(t)
+	dir := t.TempDir()
+	items, model := filepath.Join(dir, "cont.bool"), filepath.Join(dir, "cont.bstc")
+	if err := run([]string{"discretize", "-in", in, "-out", items}); err != nil {
+		t.Fatal(err)
+	}
+	if err := run([]string{"artifact", "-in", in, "-out", model}); err != nil {
+		t.Fatal(err)
+	}
+	got, err := runOutput(t, "classify", "-model", model, "-test", items, "-explain", "2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := runOutput(t, "classify", "-train", items, "-test", items, "-explain", "2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != want {
+		t.Errorf("classify -model printed\n%s\nclassify -train printed\n%s", got, want)
+	}
+	if !strings.Contains(got, "accuracy: 6/6") {
+		t.Errorf("classify -model output lacks accuracy 6/6:\n%s", got)
 	}
 	// -train and -model are mutually exclusive; neither is also an error.
-	if err := run([]string{"classify", "-model", model, "-train", path, "-test", path}); err == nil {
+	if err := run([]string{"classify", "-model", model, "-train", items, "-test", items}); err == nil {
 		t.Error("both -train and -model should error")
 	}
-	if err := run([]string{"classify", "-test", path}); err == nil {
+	if err := run([]string{"classify", "-test", items}); err == nil {
 		t.Error("neither -train nor -model should error")
 	}
-	if err := run([]string{"train", "-train", path}); err == nil {
-		t.Error("train without -out should error")
+	if err := run([]string{"train", "-train", items, "-out", filepath.Join(dir, "m")}); err == nil ||
+		!strings.Contains(err.Error(), "unknown subcommand") {
+		t.Errorf("train = %v, want an unknown subcommand error", err)
+	}
+}
+
+// TestClassifyRefusesGobModel: a model file written by the retired `bstc
+// train` (a gob classifier stream, committed under testdata) is refused
+// with a pointer to `bstc artifact`.
+func TestClassifyRefusesGobModel(t *testing.T) {
+	items := filepath.Join(t.TempDir(), "cont.bool")
+	if err := run([]string{"discretize", "-in", writeContinuous(t), "-out", items}); err != nil {
+		t.Fatal(err)
+	}
+	err := run([]string{"classify", "-model", filepath.Join("testdata", "gob-classifier.model"), "-test", items})
+	if !errors.Is(err, eval.ErrCorruptArtifact) || !strings.Contains(err.Error(), "bstc artifact") {
+		t.Fatalf("classify -model on a gob model = %v, want a corrupt-artifact error naming `bstc artifact`", err)
+	}
+}
+
+// TestClassifyItemsMustMatch: a test file must list the model's items in
+// the model's order, for -train and -model alike; the error names the
+// first position that differs.
+func TestClassifyItemsMustMatch(t *testing.T) {
+	in := writeContinuous(t)
+	dir := t.TempDir()
+	items, model := filepath.Join(dir, "cont.bool"), filepath.Join(dir, "cont.bstc")
+	if err := run([]string{"discretize", "-in", in, "-out", items}); err != nil {
+		t.Fatal(err)
+	}
+	if err := run([]string{"artifact", "-in", in, "-out", model}); err != nil {
+		t.Fatal(err)
+	}
+	if err := run([]string{"classify", "-model", model, "-test", writeTable1(t)}); err == nil ||
+		!strings.Contains(err.Error(), "item 1") {
+		t.Errorf("classify -model over other items = %v, want an error naming item 1", err)
+	}
+
+	abc := []string{"x", "y", "z"}
+	train := writeItems(t, "train.bool", abc, []string{"A", "x"}, []string{"A", "x", "y"}, []string{"B", "z"}, []string{"B", "y", "z"})
+	reversed := writeItems(t, "reversed.bool", []string{"z", "y", "x"}, []string{"B", "z"}, []string{"A", "x"})
+	for _, args := range [][]string{
+		{"classify", "-train", train, "-test", reversed},
+		{"classify", "-model", model, "-test", reversed},
+	} {
+		if err := run(args); err == nil || !strings.Contains(err.Error(), "item 1 is \"z\"") {
+			t.Errorf("run(%v) = %v, want an error naming item 1", args, err)
+		}
+	}
+}
+
+// TestClassifyScoresByClassName: each item file numbers its classes in
+// order of first appearance, so a test file whose classes come in the
+// other order must still be scored by name.
+func TestClassifyScoresByClassName(t *testing.T) {
+	abc := []string{"x", "y", "z"}
+	train := writeItems(t, "train.bool", abc, []string{"A", "x"}, []string{"A", "x", "y"}, []string{"B", "z"}, []string{"B", "y", "z"})
+	test := writeItems(t, "test.bool", abc, []string{"B", "z"}, []string{"A", "x"})
+	out, err := runOutput(t, "classify", "-train", train, "-test", test)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := "s1\tB\ns2\tA\naccuracy: 2/2 = 100.00%\n"; out != want {
+		t.Errorf("classify printed %q, want %q", out, want)
 	}
 }
 
@@ -160,6 +287,9 @@ func TestEvalKFold(t *testing.T) {
 	}
 }
 
+// TestEvalReadsARFF: eval, discretize and artifact read the same inputs,
+// so an ARFF matrix runs through all three, and the artifact classifies
+// the discretized file.
 func TestEvalReadsARFF(t *testing.T) {
 	c := &dataset.Continuous{
 		GeneNames:  []string{"f1"},
@@ -179,6 +309,16 @@ func TestEvalReadsARFF(t *testing.T) {
 	}
 	f.Close()
 	if err := run([]string{"eval", "-in", path, "-folds", "2", "-classifiers", "bstc"}); err != nil {
+		t.Fatal(err)
+	}
+	items, model := filepath.Join(t.TempDir(), "d.bool"), filepath.Join(t.TempDir(), "d.bstc")
+	if err := run([]string{"discretize", "-in", path, "-out", items}); err != nil {
+		t.Fatal(err)
+	}
+	if err := run([]string{"artifact", "-in", path, "-out", model}); err != nil {
+		t.Fatal(err)
+	}
+	if err := run([]string{"classify", "-model", model, "-test", items}); err != nil {
 		t.Fatal(err)
 	}
 }

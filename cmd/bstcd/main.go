@@ -135,13 +135,12 @@ func run(ctx context.Context, args []string, stdout io.Writer, ready func(net.Ad
 	cfg.Tracer = trace.New(traceCfg)
 
 	// Both modes serve through a registry. -model's manifest is implicit and
-	// rebuilt per reload as a fresh version; superseded versions are never
-	// routed again, so none are kept warm.
-	regCfg := registry.Config{Dir: *registryDir}
+	// rebuilt per reload as a fresh version.
+	dir := *registryDir
 	if *model != "" {
-		regCfg = registry.Config{Dir: filepath.Dir(*model), Cache: -1}
+		dir = filepath.Dir(*model)
 	}
-	reg, err := registry.Open(regCfg)
+	reg, err := registry.Open(dir)
 	if err != nil {
 		return err
 	}
@@ -269,8 +268,9 @@ loop:
 }
 
 // handleToModel adapts a registry handle into a serving model descriptor;
-// the Release hook returns the handle to the registry's warm cache once the
-// version has fully drained.
+// the Release hook returns the handle to the registry once the version has
+// fully drained, and the registry unmaps the artifact when that was its
+// last reference.
 func handleToModel(h *registry.Handle) *serve.Model {
 	fp := h.Digest
 	if len(fp) > 16 {

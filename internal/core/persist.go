@@ -1,51 +1,21 @@
 package core
 
 import (
-	"encoding/gob"
 	"fmt"
-	"io"
 
 	"bstc/internal/bitset"
 )
 
-// Model persistence: a trained Classifier serializes to a self-contained
-// gob stream so the CLI (and any downstream service) can train once and
-// classify many times without re-reading the training data.
-//
-// The exported Export/BuildClassifier pair is the format-agnostic half:
-// it flattens a classifier into plain exported data (and validates and
-// reassembles one from it), so alternative encodings — the gob stream
-// here, internal/eval's flat memory-mappable v2 layout — share one
-// construction and validation path.
-
-// persistFormatVersion guards against reading streams written by an
-// incompatible layout.
-const persistFormatVersion = 1
-
-// The gob DTO types below ARE the wire format of the classifier stream
-// `bstc train` writes (gob encodes their names and field sets); do not
-// rename or reorder them. bstDTO has exactly TableData's fields, so the two
-// convert directly; new encodings should use TableData / ClassifierData.
-
-type classifierDTO struct {
-	Version    int
-	ClassNames []string
-	GeneNames  []string
-	Opts       EvalOptions
-	Tables     []bstDTO
-}
-
-type bstDTO struct {
-	Class          int
-	ClassSamples   []int
-	OutsideSamples []int
-	NumGenes       int
-	ColGenes       []*bitset.Set
-	GeneOutside    []*bitset.Set
-}
+// Model persistence: Export flattens a trained Classifier into plain
+// exported data, its training rows, and BuildClassifier validates and
+// reassembles one from such data, deriving everything else. The one
+// encoding of that data is internal/eval's artifact image (written by
+// `bstc artifact`, loaded by eval.LoadArtifactMapped), whose encoder and
+// decoder go through this pair, so a model read from a file passes the
+// same checks as one built in memory.
 
 // TableData is the serializable content of one BST: its training rows, the
-// only state a save format persists. Everything else — black dots, pair
+// only state the artifact persists. Everything else — black dots, pair
 // shapes, cull orders, rank directories — is derived by BuildClassifier.
 type TableData struct {
 	Class          int
@@ -87,8 +57,8 @@ func (cl *Classifier) Export() ClassifierData {
 }
 
 // BuildClassifier validates flattened classifier data — which may come
-// from an untrusted stream or a mapped file — and assembles a ready
-// classifier around it, deriving all other table state. The tables must
+// from an untrusted file — and assembles a ready classifier around it,
+// deriving all other table state. The tables must
 // come from one training set, as Train's do: every sample a column of one
 // table and outside every other, with the same row in each (sharePairs).
 // The bitsets are adopted, not copied, so a caller holding zero-copy views
@@ -165,45 +135,4 @@ func setLen(s *bitset.Set) string {
 		return "nil"
 	}
 	return fmt.Sprintf("%d", s.Len())
-}
-
-// Save writes the classifier to w.
-func (cl *Classifier) Save(w io.Writer) error {
-	d := cl.Export()
-	dto := classifierDTO{
-		Version:    persistFormatVersion,
-		ClassNames: d.ClassNames,
-		GeneNames:  d.GeneNames,
-		Opts:       d.Opts,
-	}
-	for _, t := range d.Tables {
-		dto.Tables = append(dto.Tables, bstDTO(t))
-	}
-	return gob.NewEncoder(w).Encode(dto)
-}
-
-// LoadClassifier reads a classifier previously written by Save. Streams
-// from releases that also stored pair lists and black-dot flags load too:
-// gob skips the fields bstDTO no longer has, and both are derived again.
-func LoadClassifier(r io.Reader) (*Classifier, error) {
-	var dto classifierDTO
-	if err := gob.NewDecoder(r).Decode(&dto); err != nil {
-		return nil, fmt.Errorf("core: load classifier: %w", err)
-	}
-	if dto.Version != persistFormatVersion {
-		return nil, fmt.Errorf("core: model format version %d, want %d", dto.Version, persistFormatVersion)
-	}
-	d := ClassifierData{
-		ClassNames: dto.ClassNames,
-		GeneNames:  dto.GeneNames,
-		Opts:       dto.Opts,
-	}
-	for _, b := range dto.Tables {
-		d.Tables = append(d.Tables, TableData(b))
-	}
-	cl, err := BuildClassifier(d)
-	if err != nil {
-		return nil, fmt.Errorf("core: load classifier: %w", err)
-	}
-	return cl, nil
 }

@@ -3,63 +3,42 @@ package eval
 import (
 	"bytes"
 	"testing"
+
+	"bstc/internal/dataset"
 )
 
-// TestFingerprintStable pins the identity contract: the fingerprint is
-// deterministic, survives a save and load, and changes when the model
-// changes.
-func TestFingerprintStable(t *testing.T) {
-	art, err := TrainArtifact(tinyContinuous(), nil, 1)
-	if err != nil {
-		t.Fatal(err)
+// TestFileDigest pins the identity contract of a file digest: 64 hex
+// characters, deterministic, and different for different artifacts.
+func TestFileDigest(t *testing.T) {
+	image := func(c *dataset.Continuous) []byte {
+		t.Helper()
+		art, err := TrainArtifact(c, nil, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := art.SaveV2(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
 	}
-	fp, err := art.Fingerprint()
-	if err != nil {
-		t.Fatal(err)
+	data := image(tinyContinuous())
+	d := FileDigest(data)
+	if len(d) != 64 {
+		t.Fatalf("FileDigest %q: want 64 hex characters", d)
 	}
-	if len(fp) != 16 {
-		t.Fatalf("fingerprint %q: want 16 hex chars", fp)
+	for _, c := range d {
+		if !('0' <= c && c <= '9' || 'a' <= c && c <= 'f') {
+			t.Fatalf("FileDigest %q: not lower-case hex", d)
+		}
 	}
-	again, err := art.Fingerprint()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if again != fp {
-		t.Fatalf("fingerprint not deterministic: %q then %q", fp, again)
-	}
-
-	// A v2 round trip must preserve identity.
-	var v2Buf bytes.Buffer
-	if err := art.SaveV2(&v2Buf); err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := decodeV2(v2Buf.Bytes())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, err := loaded.Fingerprint(); err != nil || got != fp {
-		t.Fatalf("v2 round trip fingerprint = %q (%v), want %q", got, err, fp)
+	if again := FileDigest(image(tinyContinuous())); again != d {
+		t.Fatalf("FileDigest not deterministic: %s then %s", d, again)
 	}
 
-	// A different model must not collide.
-	oc := tinyContinuous()
-	oc.Values[0][0] = 2.5 // shift one training value: different cuts, different model
-	other, err := TrainArtifact(oc, nil, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ofp, err := other.Fingerprint()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ofp == fp {
-		t.Fatalf("distinct artifacts share fingerprint %q", fp)
-	}
-
-	if d := FileDigest(v2Buf.Bytes()); len(d) != 64 {
-		t.Fatalf("FileDigest length %d, want 64", len(d))
-	}
-	if FileDigest(v2Buf.Bytes()) != FileDigest(v2Buf.Bytes()) {
-		t.Fatal("FileDigest not deterministic")
+	other := tinyContinuous()
+	other.Values[0][0] = 2.5 // shift one training value: different cuts, different model
+	if od := FileDigest(image(other)); od == d {
+		t.Fatalf("distinct artifacts share digest %s", d)
 	}
 }

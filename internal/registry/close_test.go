@@ -12,7 +12,7 @@ import (
 // directly without panicking or double-unmapping.
 func TestCloseWhileHandlesHeld(t *testing.T) {
 	dir, arts := writeRegistry(t)
-	r, err := Open(Config{Dir: dir})
+	r, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,14 +58,14 @@ func TestCloseWhileHandlesHeld(t *testing.T) {
 	}
 
 	// Releases after Close: the first drops a reference, the second (last)
-	// must evict and unmap exactly once.
+	// must unmap exactly once.
 	h1.Release()
-	if loaded, _ := r.Stats(); loaded != 1 {
-		t.Fatalf("loaded after first release = %d, want 1 (h2 still holds it)", loaded)
+	if n := loadedVersions(r); n != 1 {
+		t.Fatalf("loaded after first release = %d, want 1 (h2 still holds it)", n)
 	}
 	h2.Release()
-	if loaded, idle := r.Stats(); loaded != 0 || idle != 0 {
-		t.Fatalf("after last release: loaded=%d idle=%d, want 0/0 (evicted, not parked warm)", loaded, idle)
+	if n := loadedVersions(r); n != 0 {
+		t.Fatalf("loaded after last release = %d, want 0", n)
 	}
 
 	// Releasing an already-released handle is a no-op, never a second
@@ -82,7 +82,7 @@ func TestCloseWhileHandlesHeld(t *testing.T) {
 func TestAcquireRacingClose(t *testing.T) {
 	for iter := 0; iter < 20; iter++ {
 		dir, _ := writeRegistry(t)
-		r, err := Open(Config{Dir: dir})
+		r, err := Open(dir)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -128,8 +128,8 @@ func TestAcquireRacingClose(t *testing.T) {
 		close(start)
 		wg.Wait()
 
-		if loaded, idle := r.Stats(); loaded != 0 || idle != 0 {
-			t.Fatalf("iter %d: loaded=%d idle=%d after close and all releases, want 0/0", iter, loaded, idle)
+		if n := loadedVersions(r); n != 0 {
+			t.Fatalf("iter %d: %d versions loaded after close and all releases, want 0", iter, n)
 		}
 	}
 }

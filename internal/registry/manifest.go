@@ -1,8 +1,8 @@
 // Package registry is the multi-model substrate of the serving tier: a
 // directory of named, versioned artifact files described by a manifest,
-// mapped zero-copy on demand (eval.LoadArtifactMapped), and
-// cached with reference counts so the routing layer can hold one version
-// while another drains — and a rolled-back canary is still warm.
+// mapped zero-copy on demand (eval.LoadArtifactMapped), and shared with
+// reference counts so the routing layer can hold one version while
+// another drains; the last release unmaps a version.
 //
 // The on-disk shape is one directory:
 //
@@ -52,8 +52,9 @@ type ModelEntry struct {
 	// Path locates the artifact file, relative to the registry directory;
 	// absolute paths and paths escaping the directory are rejected.
 	Path string `json:"path"`
-	// SHA256, when set, pins the exact file bytes (hex). Loading a file
-	// whose digest differs fails instead of serving the wrong model.
+	// SHA256, when set, pins the exact file bytes (hex). Acquiring a
+	// version whose digest differs, loaded or not, fails instead of
+	// serving the wrong model.
 	SHA256 string `json:"sha256,omitempty"`
 }
 

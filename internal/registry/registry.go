@@ -12,29 +12,16 @@ import (
 	"bstc/internal/fault"
 )
 
-// Config tunes a Registry. The zero value of every field selects a sane
-// default.
-type Config struct {
-	// Dir is the registry directory (required).
-	Dir string
-	// Cache bounds how many loaded-but-unreferenced artifacts stay warm
-	// for instant rollback before the least recently used is evicted and
-	// unmapped (default 4; negative keeps none).
-	Cache int
-}
-
-// Registry loads and caches the artifacts a registry directory describes.
-// Loaded artifacts are handed out as reference-counted Handles: a handle
-// keeps its artifact resident (mapped artifacts must not be unmapped while
-// a request can still touch their bitsets), and releasing the last
-// reference moves the artifact to a bounded warm LRU instead of dropping
-// it, so swapping back to a recent version costs nothing.
+// Registry loads the artifacts a registry directory describes. Loaded
+// artifacts are handed out as reference-counted Handles: a handle keeps its
+// artifact mapped (mapped artifacts must not be unmapped while a request
+// can still touch their bitsets), acquiring a loaded version shares its
+// one copy, and releasing the last reference unmaps it.
 type Registry struct {
-	cfg Config
+	dir string
 
 	mu      sync.Mutex
-	entries map[string]*entry // key: name@version
-	idle    []*entry          // refs == 0, oldest first
+	entries map[string]*entry // key: name@version; every entry is referenced
 	closed  bool
 }
 
@@ -42,7 +29,7 @@ type Registry struct {
 type entry struct {
 	key    string
 	handle Handle
-	mapped *eval.MappedArtifact // nil once unmapped
+	mapped *eval.MappedArtifact
 	refs   int
 }
 
@@ -61,97 +48,93 @@ type Handle struct {
 	e *entry
 }
 
-// Key renders the handle's canonical name@version key.
-func (h *Handle) Key() string { return h.Name + "@" + h.ModelVersion }
-
 // Open validates the directory and returns a registry over it. The
 // manifest is read per Manifest call, not cached: the whole point is that
 // the file changes underneath a running daemon.
-func Open(cfg Config) (*Registry, error) {
-	if cfg.Dir == "" {
-		return nil, fmt.Errorf("registry: Dir is required")
+func Open(dir string) (*Registry, error) {
+	if dir == "" {
+		return nil, fmt.Errorf("registry: directory is required")
 	}
-	if st, err := os.Stat(cfg.Dir); err != nil {
+	if st, err := os.Stat(dir); err != nil {
 		return nil, fmt.Errorf("registry: %w", err)
 	} else if !st.IsDir() {
-		return nil, fmt.Errorf("registry: %s is not a directory", cfg.Dir)
+		return nil, fmt.Errorf("registry: %s is not a directory", dir)
 	}
-	if cfg.Cache == 0 {
-		cfg.Cache = 4
-	}
-	if cfg.Cache < 0 {
-		cfg.Cache = 0
-	}
-	return &Registry{cfg: cfg, entries: make(map[string]*entry)}, nil
+	return &Registry{dir: dir, entries: make(map[string]*entry)}, nil
 }
-
-// Dir returns the registry directory.
-func (r *Registry) Dir() string { return r.cfg.Dir }
 
 // Manifest reads and validates the directory's current manifest.
 func (r *Registry) Manifest() (*Manifest, error) {
-	return LoadManifest(r.cfg.Dir)
+	return LoadManifest(r.dir)
 }
 
-// Acquire returns a handle on (name, version), loading the artifact if it
-// is neither referenced nor warm in the LRU. Loading maps the file
-// zero-copy and verifies the manifest's digest pin when one is set. Every
-// Acquire must be balanced by exactly one Release.
+// Acquire returns a handle on (name, version), sharing the loaded copy
+// while the version is referenced and loading it otherwise. Loading maps
+// the file zero-copy. The manifest must list the version, and when it pins
+// a digest the served bytes must match it, whether they are loaded now or
+// already shared. Every Acquire must be balanced by exactly one Release.
 func (r *Registry) Acquire(m *Manifest, name, version string) (*Handle, error) {
-	key := name + "@" + version
-	r.mu.Lock()
-	if r.closed {
-		r.mu.Unlock()
-		return nil, fmt.Errorf("registry: closed")
+	ent, ok := m.Find(name, version)
+	if !ok {
+		return nil, fmt.Errorf("registry: %s@%s not in manifest", name, version)
 	}
-	if e, ok := r.entries[key]; ok {
-		if e.refs == 0 {
-			r.unidleLocked(e)
-		}
-		e.refs++
-		r.mu.Unlock()
-		h := e.handle
-		h.r, h.e = r, e
-		return &h, nil
+	if h, err := r.share(ent, nil); h != nil || err != nil {
+		return h, err
 	}
-	r.mu.Unlock()
 
 	// Load outside the lock: artifact IO can take milliseconds and must not
 	// block unrelated acquires. A racing Acquire of the same key may load
-	// twice; the second loser is released below.
-	ent, ok := m.Find(name, version)
-	if !ok {
-		return nil, fmt.Errorf("registry: %s not in manifest", key)
-	}
+	// twice; the loser serves the winner's copy and unmaps its own.
 	loaded, err := r.load(ent)
 	if err != nil {
 		return nil, err
 	}
+	h, err := r.share(ent, loaded)
+	if h == nil || h.e != loaded {
+		loaded.mapped.Close()
+	}
+	return h, err
+}
 
+// share takes a reference on ent's loaded copy after checking it against
+// the manifest's pin. When the version is not loaded it adds loaded, or
+// returns no handle and no error if loaded is nil.
+func (r *Registry) share(ent ModelEntry, loaded *entry) (*Handle, error) {
 	r.mu.Lock()
+	defer r.mu.Unlock()
 	if r.closed {
-		r.mu.Unlock()
-		loaded.closeMapping()
 		return nil, fmt.Errorf("registry: closed")
 	}
-	if e, ok := r.entries[key]; ok {
-		// Lost the race: serve the incumbent, drop our copy.
-		if e.refs == 0 {
-			r.unidleLocked(e)
+	e, ok := r.entries[ent.Key()]
+	switch {
+	case ok:
+		if err := checkPin(ent, e.handle.Digest); err != nil {
+			return nil, err
 		}
-		e.refs++
-		r.mu.Unlock()
-		loaded.closeMapping()
-		h := e.handle
-		h.r, h.e = r, e
-		return &h, nil
+	case loaded == nil:
+		return nil, nil
+	default:
+		e = loaded
+		r.entries[e.key] = e
 	}
-	loaded.refs = 1
-	r.entries[key] = loaded
-	r.mu.Unlock()
-	h := loaded.handle
-	h.r, h.e = r, loaded
-	return &h, nil
+	e.refs++
+	return e.newHandle(r), nil
+}
+
+func (e *entry) newHandle(r *Registry) *Handle {
+	h := e.handle
+	h.r, h.e = r, e
+	return &h
+}
+
+// checkPin refuses a digest that differs from the entry's pin, when one is
+// set.
+func checkPin(ent ModelEntry, digest string) error {
+	if ent.SHA256 != "" && !strings.EqualFold(digest, ent.SHA256) {
+		return fmt.Errorf("registry: %s: file digest %s does not match manifest pin %s",
+			ent.Key(), digest, ent.SHA256)
+	}
+	return nil
 }
 
 // load maps one artifact file and verifies the digest pin against the
@@ -161,15 +144,14 @@ func (r *Registry) load(ent ModelEntry) (*entry, error) {
 		return nil, fmt.Errorf("registry: load %s: %w", ent.Key(), err)
 	}
 	start := time.Now()
-	mapped, err := eval.LoadArtifactMapped(filepath.Join(r.cfg.Dir, ent.Path))
+	mapped, err := eval.LoadArtifactMapped(filepath.Join(r.dir, ent.Path))
 	if err != nil {
 		return nil, fmt.Errorf("registry: load %s: %w", ent.Key(), err)
 	}
 	digest := eval.FileDigest(mapped.Bytes())
-	if ent.SHA256 != "" && !strings.EqualFold(digest, ent.SHA256) {
+	if err := checkPin(ent, digest); err != nil {
 		mapped.Close()
-		return nil, fmt.Errorf("registry: load %s: file digest %s does not match manifest pin %s",
-			ent.Key(), digest[:16], ent.SHA256[:16])
+		return nil, err
 	}
 	return &entry{
 		key:    ent.Key(),
@@ -184,80 +166,31 @@ func (r *Registry) load(ent ModelEntry) (*entry, error) {
 	}, nil
 }
 
-func (e *entry) closeMapping() {
-	if e.mapped != nil {
-		e.mapped.Close()
-		e.mapped = nil
-	}
-}
-
-// Release returns the handle's reference. The last release parks the
-// artifact in the warm LRU; beyond Config.Cache idle artifacts, the least
-// recently used is evicted and, when mapped, unmapped.
+// Release returns the handle's reference. The last release unmaps the
+// artifact; a later Acquire loads it again.
 func (h *Handle) Release() {
 	if h == nil || h.r == nil {
 		return
 	}
 	r, e := h.r, h.e
 	h.r, h.e = nil, nil
-	var evict []*entry
 	r.mu.Lock()
 	e.refs--
-	if e.refs == 0 {
-		if r.closed {
-			delete(r.entries, e.key)
-			evict = append(evict, e)
-		} else {
-			r.idle = append(r.idle, e)
-			for len(r.idle) > r.cfg.Cache {
-				old := r.idle[0]
-				r.idle = r.idle[1:]
-				delete(r.entries, old.key)
-				evict = append(evict, old)
-			}
-		}
-	}
-	r.mu.Unlock()
-	for _, old := range evict {
-		old.closeMapping()
-	}
-}
-
-// unidleLocked removes e from the idle list. Callers hold r.mu.
-func (r *Registry) unidleLocked(e *entry) {
-	for i, cand := range r.idle {
-		if cand == e {
-			r.idle = append(r.idle[:i], r.idle[i+1:]...)
-			return
-		}
-	}
-}
-
-// Stats reports the cache state: loaded artifacts, how many are idle.
-func (r *Registry) Stats() (loaded, idle int) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return len(r.entries), len(r.idle)
-}
-
-// Close drops the warm cache and refuses further acquires. Artifacts still
-// referenced by outstanding handles stay resident until released; their
-// final Release unmaps them directly.
-func (r *Registry) Close() error {
-	r.mu.Lock()
-	if r.closed {
-		r.mu.Unlock()
-		return nil
-	}
-	r.closed = true
-	idle := r.idle
-	r.idle = nil
-	for _, e := range idle {
+	last := e.refs == 0
+	if last {
 		delete(r.entries, e.key)
 	}
 	r.mu.Unlock()
-	for _, e := range idle {
-		e.closeMapping()
+	if last {
+		e.mapped.Close()
 	}
+}
+
+// Close refuses further acquires. Artifacts still referenced by
+// outstanding handles stay mapped until their last Release.
+func (r *Registry) Close() error {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.closed = true
 	return nil
 }

@@ -67,7 +67,7 @@ func writeRegistry(t testing.TB) (dir string, arts map[string]*eval.Artifact) {
 // artifact it was written from, and a second acquire shares the copy.
 func TestRegistryAcquireFormats(t *testing.T) {
 	dir, arts := writeRegistry(t)
-	r, err := Open(Config{Dir: dir})
+	r, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,16 +126,23 @@ func TestRegistryAcquireFormats(t *testing.T) {
 	if _, err := r.Acquire(m, "bstc", "v9"); err == nil {
 		t.Error("acquiring an unlisted version succeeded")
 	}
-	if _, idle := r.Stats(); idle != 0 {
-		t.Errorf("idle = %d while all handles held", idle)
+	if n := loadedVersions(r); n != 2 {
+		t.Errorf("%d versions loaded while both are held, want 2", n)
 	}
 }
 
-// TestRegistryLRU: released artifacts stay warm up to Cache, the oldest is
-// evicted beyond that, and a warm re-acquire is the same loaded artifact.
-func TestRegistryLRU(t *testing.T) {
+// loadedVersions counts the registry's loaded versions.
+func loadedVersions(r *Registry) int {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return len(r.entries)
+}
+
+// TestRegistryLastReleaseUnmaps: the last release of a version unmaps it
+// and forgets it, so a re-acquire loads a new copy.
+func TestRegistryLastReleaseUnmaps(t *testing.T) {
 	dir, _ := writeRegistry(t)
-	r, err := Open(Config{Dir: dir, Cache: 1})
+	r, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,46 +156,33 @@ func TestRegistryLRU(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	art1 := h1.Artifact
+	art1, mapped := h1.Artifact, h1.e.mapped
 	h1.Release()
-	if loaded, idle := r.Stats(); loaded != 1 || idle != 1 {
-		t.Fatalf("after release: loaded=%d idle=%d, want 1/1", loaded, idle)
+	if mapped.Bytes() != nil {
+		t.Error("last release left the artifact mapped")
+	}
+	if n := loadedVersions(r); n != 0 {
+		t.Fatalf("%d versions loaded after the last release, want 0", n)
 	}
 
-	// Warm re-acquire: same artifact, no reload.
 	h1, err = r.Acquire(m, "bstc", "v1")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if h1.Artifact != art1 {
-		t.Error("warm re-acquire reloaded the artifact")
-	}
-	h1.Release()
-
-	// Releasing a second version overflows Cache=1 and evicts v1.
-	h2, err := r.Acquire(m, "bstc", "v2")
-	if err != nil {
-		t.Fatal(err)
-	}
-	h2.Release()
-	if loaded, idle := r.Stats(); loaded != 1 || idle != 1 {
-		t.Fatalf("after overflow: loaded=%d idle=%d, want 1/1", loaded, idle)
-	}
-	h1, err = r.Acquire(m, "bstc", "v1")
-	if err != nil {
-		t.Fatal(err)
-	}
+	defer h1.Release()
 	if h1.Artifact == art1 {
-		t.Error("evicted artifact came back without a reload")
+		t.Error("re-acquire served the released artifact instead of loading it")
 	}
-	h1.Release()
+	if h1.LoadNanos <= 0 {
+		t.Errorf("re-acquire load nanos = %d, want a measured load", h1.LoadNanos)
+	}
 }
 
 // TestRegistryReferencedNeverEvicted: a referenced artifact survives any
-// amount of cache churn; eviction applies to idle entries only.
+// amount of churn on other versions; only its own last release unmaps it.
 func TestRegistryReferencedNeverEvicted(t *testing.T) {
 	dir, _ := writeRegistry(t)
-	r, err := Open(Config{Dir: dir, Cache: -1}) // keep nothing warm
+	r, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,7 +191,7 @@ func TestRegistryReferencedNeverEvicted(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	held, err := r.Acquire(m, "bstc", "v2") // mapped: eviction would unmap
+	held, err := r.Acquire(m, "bstc", "v2") // mapped: an early unmap would fault below
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,13 +208,14 @@ func TestRegistryReferencedNeverEvicted(t *testing.T) {
 		t.Fatal(err)
 	}
 	held.Release()
-	if loaded, idle := r.Stats(); loaded != 0 || idle != 0 {
-		t.Errorf("Cache<0 retained loaded=%d idle=%d", loaded, idle)
+	if n := loadedVersions(r); n != 0 {
+		t.Errorf("%d versions loaded after every release, want 0", n)
 	}
 }
 
 // TestRegistryDigestPin: a manifest digest pin must match the file bytes,
-// in either hex case, and a mismatch leaves nothing loaded.
+// in either hex case. A mismatch is refused whether the version is loaded
+// or not, names both digests, and loads nothing.
 func TestRegistryDigestPin(t *testing.T) {
 	dir, _ := writeRegistry(t)
 	data, err := os.ReadFile(filepath.Join(dir, "model-v1.bstc"))
@@ -240,7 +235,7 @@ func TestRegistryDigestPin(t *testing.T) {
 		}
 		return m
 	}
-	r, err := Open(Config{Dir: dir})
+	r, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -257,19 +252,30 @@ func TestRegistryDigestPin(t *testing.T) {
 		h.Release()
 	}
 
-	r2, err := Open(Config{Dir: dir}) // fresh cache so the load really runs
+	refused := func(when string, wantLoaded int) {
+		t.Helper()
+		_, err := r.Acquire(writeManifest(bad), "bstc", "v1")
+		if err == nil {
+			t.Fatalf("%s: acquire with mismatched digest pin succeeded", when)
+		}
+		if !strings.Contains(err.Error(), good) || !strings.Contains(err.Error(), bad) {
+			t.Fatalf("%s: error %q does not name both digests", when, err)
+		}
+		if n := loadedVersions(r); n != wantLoaded {
+			t.Fatalf("%s: %d versions loaded after the refusal, want %d", when, n, wantLoaded)
+		}
+	}
+	refused("not loaded", 0)
+
+	held, err := r.Acquire(writeManifest(good), "bstc", "v1")
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer r2.Close()
-	if _, err := r2.Acquire(writeManifest(bad), "bstc", "v1"); err == nil {
-		t.Fatal("acquire with mismatched digest pin succeeded")
-	} else if !strings.Contains(err.Error(), "digest") {
-		t.Fatalf("error %q does not mention the digest", err)
+	refused("held", 1)
+	if _, _, err := held.Artifact.ClassifyRow([]float64{1.1, 7}); err != nil {
+		t.Fatal(err)
 	}
-	if loaded, idle := r2.Stats(); loaded != 0 || idle != 0 {
-		t.Fatalf("after digest mismatch: loaded=%d idle=%d, want 0/0", loaded, idle)
-	}
+	held.Release()
 }
 
 // TestRegistryLoadFault: an injected fault at registry.load surfaces as an
@@ -282,7 +288,7 @@ func TestRegistryLoadFault(t *testing.T) {
 	fault.Enable(in)
 	defer fault.Disable()
 
-	r, err := Open(Config{Dir: dir})
+	r, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -295,7 +301,7 @@ func TestRegistryLoadFault(t *testing.T) {
 		t.Fatal("faulted load succeeded")
 	}
 	// The rule is exhausted: the next acquire works and the failed one left
-	// no cache residue.
+	// nothing loaded.
 	h, err := r.Acquire(m, "bstc", "v1")
 	if err != nil {
 		t.Fatal(err)
@@ -305,10 +311,10 @@ func TestRegistryLoadFault(t *testing.T) {
 
 // TestRegistryConcurrentAcquire races many acquires and releases of both
 // versions; under -race this pins the locking discipline, and every loser
-// of the load race must observe the single cached artifact.
+// of the load race must serve the winner's loaded artifact.
 func TestRegistryConcurrentAcquire(t *testing.T) {
 	dir, _ := writeRegistry(t)
-	r, err := Open(Config{Dir: dir, Cache: 1})
+	r, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -29,16 +29,16 @@ import (
 
 // Model describes one artifact version handed to New or Apply. Release,
 // when non-nil, is called exactly once after the version has fully drained
-// and nothing can touch the artifact anymore (this is how registry handles
-// flow back to the warm cache).
+// and nothing can touch the artifact anymore (this is how a registry
+// handle is released, which unmaps the artifact at its last reference).
 type Model struct {
 	// Version names the artifact build ("v1"). Responses carry it, metrics
 	// are labeled with it.
 	Version string
 	// Artifact is the loaded inference pipeline.
 	Artifact *eval.Artifact
-	// Fingerprint is the artifact's content identity (eval.Fingerprint or
-	// the registry's file digest); /v1/model reports it so a swap is
+	// Fingerprint is the artifact's content identity (a prefix of the
+	// registry's file digest); /v1/model reports it so a swap is
 	// observable even when version names are reused.
 	Fingerprint string
 	// LoadNanos is the measured cold-start load time.

@@ -245,8 +245,7 @@ func New(art *eval.Artifact, cfg Config) *Server {
 
 // NewFromModel is New for a fully described version — callers that load
 // through the model registry pass the handle's identity and Release hook,
-// so the artifact flows back to the registry cache when the version
-// eventually retires.
+// so the handle is released when the version eventually retires.
 func NewFromModel(d *Model, cfg Config) *Server {
 	cfg = cfg.withDefaults()
 	reg := cfg.Registry
