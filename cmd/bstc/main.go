@@ -241,12 +241,7 @@ func cmdClassify(args []string) error {
 	if err := sameItems(test.GeneNames, cl.GeneNames); err != nil {
 		return fmt.Errorf("classify: %w", err)
 	}
-	var preds []int
-	if *workers > 1 {
-		preds = cl.ClassifyBatchParallel(test, *workers)
-	} else {
-		preds = cl.ClassifyBatch(test)
-	}
+	preds := cl.ClassifyBatchParallel(test, max(*workers, 1))
 	correct, labeled := 0, 0
 	for i, row := range test.Rows {
 		pred := preds[i]

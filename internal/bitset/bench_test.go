@@ -40,51 +40,6 @@ func BenchmarkKey(b *testing.B) {
 	}
 }
 
-// BenchmarkRank vs BenchmarkCountLoop is the directory's headline: a prefix
-// popcount answered from the block directory against the full scan a
-// Count-based covering check pays. BENCH_hotpath.json tracks both.
-func BenchmarkRank(b *testing.B) {
-	x, _ := benchPair()
-	ix := x.BuildIndex()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = ix.Rank((i * 769) % benchUniverse)
-	}
-}
-
-// BenchmarkCountLoop is the scan Rank replaces: popcounting every word up
-// to the probe point (here the whole set, as Count-style covering checks
-// do).
-func BenchmarkCountLoop(b *testing.B) {
-	x, _ := benchPair()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = x.Count()
-	}
-}
-
-func BenchmarkSelect(b *testing.B) {
-	x, _ := benchPair()
-	ix := x.BuildIndex()
-	c := ix.Count()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = ix.Select((i * 37) % c)
-	}
-}
-
-func BenchmarkBuildIndex(b *testing.B) {
-	x, _ := benchPair()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = x.BuildIndex()
-	}
-}
-
 func BenchmarkAppendKey(b *testing.B) {
 	x, _ := benchPair()
 	buf := make([]byte, 0, benchUniverse/8)

@@ -21,8 +21,8 @@ type Set struct {
 	words []uint64
 	n     int
 	// frozen marks read-only sets whose words alias externally owned (and
-	// possibly write-protected) memory, e.g. a mmapped artifact region — see
-	// View. Mutators panic on frozen sets instead of corrupting shared pages.
+	// possibly write-protected) memory, e.g. a mmapped artifact region (see
+	// ViewBlock); mutators panic on them instead of corrupting shared pages.
 	frozen bool
 }
 
@@ -84,8 +84,8 @@ func (s *Set) guardWrite() {
 	}
 }
 
-// Frozen reports whether s is a read-only view (see View); mutators panic
-// on frozen sets.
+// Frozen reports whether s is a read-only view (see ViewBlock); mutators
+// panic on frozen sets.
 func (s *Set) Frozen() bool { return s.frozen }
 
 // Count returns the number of elements in the set.

@@ -10,9 +10,8 @@ import (
 //
 //  1. the word count matches the universe size;
 //  2. every padding bit beyond the universe in the last word is zero —
-//     the invariant Count, Rank, Select, IsEmpty, Equal and Key all depend
-//     on (a stray padding bit silently inflates counts and corrupts keys);
-//  3. a freshly built rank directory agrees with the scan-based Count.
+//     the invariant Count, IsEmpty, Equal and Key all depend on (a stray
+//     padding bit silently inflates counts and corrupts keys).
 func checkInvariants(t *testing.T, label string, s *Set) {
 	t.Helper()
 	if want := (s.n + wordBits - 1) / wordBits; len(s.words) != want {
@@ -22,13 +21,6 @@ func checkInvariants(t *testing.T, label string, s *Set) {
 		if stray := s.words[len(s.words)-1] &^ (1<<rem - 1); stray != 0 {
 			t.Fatalf("%s: padding bits set beyond universe %d (last word %#x)", label, s.n, s.words[len(s.words)-1])
 		}
-	}
-	ix := s.BuildIndex()
-	if got, want := ix.Count(), s.Count(); got != want {
-		t.Fatalf("%s: rank directory Count %d, scan Count %d", label, got, want)
-	}
-	if got, want := ix.Rank(s.n), s.Count(); got != want {
-		t.Fatalf("%s: Rank(n) %d, Count %d", label, got, want)
 	}
 }
 
@@ -67,8 +59,8 @@ func TestMutatorsPreservePaddingInvariant(t *testing.T) {
 }
 
 // TestRandomMutatorSequencesPreserveInvariants is the property test: long
-// random sequences of every mutator, interleaved with rank probes, can
-// never leave a set whose padding bits, Count and rank directory disagree.
+// random sequences of every mutator can never leave a set with the wrong
+// word count or a stray padding bit.
 // A regression in any one mutator's trim handling fails here even if no
 // unit test exercises the exact sequence.
 func TestRandomMutatorSequencesPreserveInvariants(t *testing.T) {
@@ -107,20 +99,6 @@ func TestRandomMutatorSequencesPreserveInvariants(t *testing.T) {
 				other = randomSet(r, n)
 			}
 			checkInvariants(t, "sequence", s)
-			// Rank/Select agreement with the membership list, probed at a
-			// random point so the whole sequence space gets covered cheaply.
-			ix := s.BuildIndex()
-			i := r.Intn(n + 1)
-			if got, want := ix.Rank(i), rankNaive(s, i); got != want {
-				t.Fatalf("seed %d step %d: Rank(%d) = %d, want %d", seed, step, i, got, want)
-			}
-			if c := ix.Count(); c > 0 {
-				k := r.Intn(c)
-				pos := ix.Select(k)
-				if pos < 0 || !s.Contains(pos) || ix.Rank(pos) != k {
-					t.Fatalf("seed %d step %d: Select(%d) = %d inconsistent", seed, step, k, pos)
-				}
-			}
 		}
 	}
 }

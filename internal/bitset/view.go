@@ -6,61 +6,20 @@ import (
 	"unsafe"
 )
 
-// View is a read-only bitset whose words alias externally owned memory —
-// typically a section of a memory-mapped artifact (see internal/eval's
-// format v2). Constructing a View copies nothing: the mapping's pages are
-// the storage, so any number of processes serving the same artifact share
-// one page-cache copy.
-//
-// Set returns the view as a frozen *Set usable anywhere a query-side Set
-// is accepted (intersection counts, clause satisfaction, classification);
-// every Set mutator panics on it rather than writing through to memory the
-// view does not own.
-type View struct {
-	set Set
-}
-
-// NewView wraps externally owned words as a read-only set over [0, n).
-// It validates the invariants every Set maintains internally — the word
-// count matches the universe and the padding bits beyond n are zero — so
-// corrupt input fails here, loudly, instead of silently skewing every
-// Count/Rank downstream.
-func NewView(words []uint64, n int) (*View, error) {
-	v := new(View)
-	if err := v.Reset(words, n); err != nil {
-		return nil, err
-	}
-	return v, nil
-}
-
-// Reset points an existing View at new words, running the same validation
-// as NewView. It lets loaders resolving many references carve views out of
-// a preallocated arena instead of allocating one per set.
-func (v *View) Reset(words []uint64, n int) error {
-	if n < 0 {
-		return fmt.Errorf("bitset: negative universe size %d", n)
-	}
-	if want := (n + wordBits - 1) / wordBits; len(words) != want {
-		return fmt.Errorf("bitset: view has %d words for universe %d (want %d)", len(words), n, want)
-	}
-	if rem := uint(n) % wordBits; rem != 0 {
-		if stray := words[len(words)-1] &^ (1<<rem - 1); stray != 0 {
-			return fmt.Errorf("bitset: view has bits set beyond universe %d", n)
-		}
-	}
-	v.set = Set{words: words, n: n, frozen: true}
-	return nil
-}
-
-// Set returns the view as a frozen *Set aliasing the same words.
-func (v *View) Set() *Set { return &v.set }
-
 // ViewBlock carves count read-only sets over [0, n) out of a contiguous
-// word region: set i aliases words[i·w : (i+1)·w] where w = ⌈n/64⌉. It runs
-// the same validation as NewView — exact region length, zero padding bits
-// in every set — but hoists the universe math out of the loop, so resolving
-// a block of ten thousand sets from a mapped artifact costs two allocations
-// and one mask test per set instead of a constructor call each.
+// word region that the caller owns, typically a section of a memory-mapped
+// artifact: set i aliases words[i·w : (i+1)·w] where w = ⌈n/64⌉. Nothing is
+// copied, so the mapping's pages are the storage and every process serving
+// the same artifact shares one page-cache copy.
+//
+// The sets are frozen: they work anywhere a query-side Set is accepted
+// (intersection counts, clause satisfaction, classification), and every
+// mutator panics on them rather than writing through to memory they do not
+// own. ViewBlock validates the invariants every Set maintains internally —
+// the region holds exactly count·w words and the padding bits beyond n are
+// zero in every set — so corrupt input fails here, loudly, instead of
+// silently skewing every Count downstream. A block costs two allocations
+// however many sets it holds, and one mask test per set.
 func ViewBlock(words []uint64, n, count int) ([]*Set, error) {
 	if n < 0 || n > maxInt-wordBits {
 		return nil, fmt.Errorf("bitset: invalid universe size %d", n)
@@ -76,7 +35,7 @@ func ViewBlock(words []uint64, n, count int) ([]*Set, error) {
 	if rem := uint(n) % wordBits; rem != 0 {
 		stray = ^(1<<rem - 1)
 	}
-	views := make([]View, count)
+	sets := make([]Set, count)
 	out := make([]*Set, count)
 	off := 0
 	for i := range out {
@@ -85,24 +44,11 @@ func ViewBlock(words []uint64, n, count int) ([]*Set, error) {
 		if nw > 0 && w[nw-1]&stray != 0 {
 			return nil, fmt.Errorf("bitset: block set %d has bits set beyond universe %d", i, n)
 		}
-		views[i].set = Set{words: w, n: n, frozen: true}
-		out[i] = &views[i].set
+		sets[i] = Set{words: w, n: n, frozen: true}
+		out[i] = &sets[i]
 	}
 	return out, nil
 }
-
-// Len returns the universe size.
-func (v *View) Len() int { return v.set.Len() }
-
-// Count returns the number of elements.
-func (v *View) Count() int { return v.set.Count() }
-
-// Contains reports whether element i is in the view.
-func (v *View) Contains(i int) bool { return v.set.Contains(i) }
-
-// BuildIndex returns the view's rank/select directory. Views cannot be
-// mutated, so the directory stays valid for the life of the mapping.
-func (v *View) BuildIndex() *Index { return v.set.BuildIndex() }
 
 // hostLittleEndian reports whether native byte order is little-endian, the
 // order MarshalBinary/AppendKey serialize words in. On the (rare)

@@ -5,21 +5,26 @@ import (
 	"testing"
 )
 
-func TestNewViewValidates(t *testing.T) {
-	if _, err := NewView(make([]uint64, 2), 65); err != nil {
-		t.Fatalf("valid view rejected: %v", err)
+func TestViewBlockValidates(t *testing.T) {
+	if _, err := ViewBlock(make([]uint64, 2), 65, 1); err != nil {
+		t.Fatalf("valid block rejected: %v", err)
+	}
+	if _, err := ViewBlock(make([]uint64, 4), 65, 2); err != nil {
+		t.Fatalf("valid two-set block rejected: %v", err)
 	}
 	cases := map[string]struct {
-		words []uint64
-		n     int
+		words    []uint64
+		n, count int
 	}{
-		"negative universe": {nil, -1},
-		"too few words":     {make([]uint64, 1), 65},
-		"too many words":    {make([]uint64, 2), 64},
-		"stray padding bit": {[]uint64{0, 1 << 5}, 68},
+		"negative universe":          {nil, -1, 1},
+		"too few words":              {make([]uint64, 1), 65, 1},
+		"too many words":             {make([]uint64, 2), 64, 1},
+		"stray padding bit":          {[]uint64{0, 1 << 5}, 68, 1},
+		"negative count":             {nil, 64, -1},
+		"stray padding bit in set 2": {[]uint64{0, 1 << 3, 0, 1 << 5}, 68, 2},
 	}
 	for name, c := range cases {
-		if _, err := NewView(c.words, c.n); err == nil {
+		if _, err := ViewBlock(c.words, c.n, c.count); err == nil {
 			t.Errorf("%s: accepted", name)
 		}
 	}
@@ -29,18 +34,18 @@ func TestViewSetIsReadOnlyAlias(t *testing.T) {
 	src := FromIndices(130, 0, 64, 129)
 	words := make([]uint64, 3)
 	copy(words, src.words)
-	v, err := NewView(words, 130)
+	block, err := ViewBlock(words, 130, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := v.Set()
+	s := block[0]
 	if !s.Frozen() {
 		t.Fatal("view set is not frozen")
 	}
 	if !s.Equal(src) {
 		t.Fatal("view set differs from source")
 	}
-	if v.Count() != 3 || !v.Contains(64) || v.Contains(63) || v.Len() != 130 {
+	if s.Count() != 3 || !s.Contains(64) || s.Contains(63) || s.Len() != 130 {
 		t.Fatal("view read accessors disagree with contents")
 	}
 	// Reads that only use the view as an operand must work...
@@ -94,11 +99,11 @@ func TestAliasWordsRoundTrip(t *testing.T) {
 	buf = s.AppendKey(buf)
 	words, ok := AliasWords(buf)
 	if ok {
-		got, err := NewView(words, 777)
+		got, err := ViewBlock(words, 777, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !got.Set().Equal(s) {
+		if !got[0].Equal(s) {
 			t.Fatal("aliased view differs from source set")
 		}
 	}
@@ -107,11 +112,11 @@ func TestAliasWordsRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := NewView(copied, 777)
+	got, err := ViewBlock(copied, 777, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !got.Set().Equal(s) {
+	if !got[0].Equal(s) {
 		t.Fatal("copied view differs from source set")
 	}
 	if _, err := CopyWords(buf[:len(buf)-3]); err == nil {

@@ -53,19 +53,14 @@ type BST struct {
 	// list. Derived, never persisted: it saves every pair value a second
 	// popcount.
 	pairs []pairShape
-	// cullOnce guards the lazy culling state below: it is only needed when
-	// a query evaluates with CullListsTo > 0, so it is built on the first
-	// such query (concurrency-safe) instead of at construction or load —
-	// default-path cold starts skip it entirely.
+	// cullOnce guards cullOrders: they are only needed when a query
+	// evaluates with CullListsTo > 0, so they are built on the first such
+	// query (concurrency-safe) instead of at construction or load —
+	// default-path cold starts skip them entirely.
 	cullOnce sync.Once
 	// cullOrders holds, per column, the outside positions ordered by
 	// ascending list length, for §8's list culling.
 	cullOrders [][]int
-	// outsideIdx[g] is geneOutside[g]'s rank/select directory. Its O(1)
-	// Count replaces the per-cell popcount scan in the BSTCE culling check;
-	// Rank/Select stay available for covering diagnostics. Built once per
-	// table, never after a mutation.
-	outsideIdx []*bitset.Index
 	// pairExpr lazily caches each pair clause's Expr for the rule-mining
 	// paths, which revisit the same pair clauses across many rules;
 	// pairGenes is their scratch for one list's genes. Mining methods are

@@ -272,9 +272,9 @@ func (t *BST) cellValue(s *evalScratch, g, c int, opts EvalOptions) float64 {
 	pv := s.column(c, len(t.OutsideSamples))
 
 	outs := t.geneOutside[g]
-	// The rank directory answers the covering check in O(1); the scan-based
-	// outs.Count() here used to cost a full word pass per cell per query.
-	if k := opts.CullListsTo; k > 0 && t.cullIdx()[g].Count() > k {
+	// outs spans only the table's outside samples (at most 162 on the paper
+	// profiles), so counting it directly costs at most three popcounts.
+	if k := opts.CullListsTo; k > 0 && outs.Count() > k {
 		// §8's list culling: consider only the cell's k shortest (most
 		// discriminating) exclusion lists. The per-column shortest-first
 		// order is precomputed on the first culled query, so culling
@@ -357,30 +357,22 @@ func pairFraction(p pairShape, x, qc, qh int) float64 {
 }
 
 // cullOrder returns column c's outside positions ordered by ascending
-// exclusion-list length. Only valid after cullIdx (or buildCullState) ran.
-func (t *BST) cullOrder(c int) []int { return t.cullOrders[c] }
-
-// cullIdx returns the per-gene rank directories, building the whole culling
-// state on first use. sync.Once keeps the build safe under concurrent
-// queries, and tables evaluated without CullListsTo never pay for it — the
-// lazy build is what keeps artifact cold start proportional to the metadata
-// actually needed on the default path.
-func (t *BST) cullIdx() []*bitset.Index {
+// exclusion-list length, building every column's order on first use.
+// sync.Once keeps the build safe under concurrent queries, and tables
+// evaluated without CullListsTo never pay for it — the lazy build is what
+// keeps artifact cold start proportional to the metadata actually needed
+// on the default path.
+func (t *BST) cullOrder(c int) []int {
 	t.cullOnce.Do(t.buildCullState)
-	return t.outsideIdx
+	return t.cullOrders[c]
 }
 
-// buildCullState materializes §8's culling accelerators: per-gene rank
-// directories over the outside-expresser sets (O(1) covering checks) and
-// per-column outside positions sorted by exclusion-list length. The sort
-// compares the derived pair sizes, not live popcounts, so building the
-// orders is O(columns · outside log outside) regardless of the gene
+// buildCullState materializes §8's culling order: per column, the outside
+// positions sorted by exclusion-list length, ties in ascending position.
+// The sort compares the derived pair sizes, not live popcounts, so building
+// the orders is O(columns · outside log outside) regardless of the gene
 // universe width.
 func (t *BST) buildCullState() {
-	t.outsideIdx = make([]*bitset.Index, len(t.geneOutside))
-	for g, outs := range t.geneOutside {
-		t.outsideIdx[g] = outs.BuildIndex()
-	}
 	t.cullOrders = make([][]int, len(t.ClassSamples))
 	for c := range t.ClassSamples {
 		nh := len(t.OutsideSamples)

@@ -15,8 +15,8 @@ import (
 // same checks as one built in memory.
 
 // TableData is the serializable content of one BST: its training rows, the
-// only state the artifact persists. Everything else — black dots, pair
-// shapes, cull orders, rank directories — is derived by BuildClassifier.
+// only state the artifact persists. Everything else is derived: black dots
+// and pair shapes by BuildClassifier, cull orders on the first culled query.
 type TableData struct {
 	Class          int
 	ClassSamples   []int

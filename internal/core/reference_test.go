@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"sort"
 	"testing"
 
 	"bstc/internal/bitset"
@@ -39,9 +40,13 @@ func pairListsReference(t *BST) [][]rules.Clause {
 // takes each of its exclusion lists' satisfaction fractions independently,
 // combines them with min (or product) — a black dot, with no outside
 // expresser, keeps 1 — and the values average down columns and across
-// non-blank columns. The optimized Evaluate (derived pair values, lazy
-// computation, culling fast paths) must agree with it exactly.
-func referenceEvaluate(t *BST, q *bitset.Set, arith Arithmetization) Evaluation {
+// non-blank columns. Under §8's culling to k lists, a cell with more than k
+// outside expressers keeps its k shortest lists, ties broken by ascending
+// outside position, and combines them in that order; every other cell
+// combines all its lists in ascending position. The optimized Evaluate
+// (derived pair values, lazy computation, the column sweep) must agree
+// with it exactly.
+func referenceEvaluate(t *BST, q *bitset.Set, opts EvalOptions) Evaluation {
 	lists := pairListsReference(t)
 	colVals := make([]float64, t.NumColumns())
 	for c := range colVals {
@@ -56,16 +61,22 @@ func referenceEvaluate(t *BST, q *bitset.Set, arith Arithmetization) Evaluation 
 			if !q.Contains(g) || !t.colGenes[c].Contains(g) {
 				continue
 			}
+			hs := t.geneOutside[g].Indices()
+			if k := opts.CullListsTo; k > 0 && len(hs) > k {
+				sort.SliceStable(hs, func(a, b int) bool {
+					return lists[c][hs[a]].Genes.Count() < lists[c][hs[b]].Genes.Count()
+				})
+				hs = hs[:k]
+			}
 			v := 1.0
-			t.geneOutside[g].ForEach(func(h int) bool {
+			for _, h := range hs {
 				f := lists[c][h].SatisfactionFraction(q)
-				if arith == ProductCombine {
+				if opts.Arithmetization == ProductCombine {
 					v *= f
 				} else if f < v {
 					v = f
 				}
-				return true
-			})
+			}
 			sum += v
 			n++
 		}
@@ -83,10 +94,20 @@ func referenceEvaluate(t *BST, q *bitset.Set, arith Arithmetization) Evaluation 
 	return ev
 }
 
+// TestEvaluateMatchesReference checks Evaluate against referenceEvaluate
+// on random tables, under both arithmetizations, unculled and culled to 1,
+// 2 and 8 lists. The last ten tables have 33–42 samples: more outside
+// samples than the 12 elements up to which sort.Slice is an insertion sort
+// (and so stable), and short enough lists to tie often, so a cull order
+// that broke ties other than by ascending position would show.
 func TestEvaluateMatchesReference(t *testing.T) {
 	r := rand.New(rand.NewSource(71))
-	for trial := 0; trial < 60; trial++ {
-		d := randomBoolDataset(r, 3+r.Intn(10), 3+r.Intn(12), 2+r.Intn(2))
+	for trial := 0; trial < 70; trial++ {
+		samples, genes := 3+r.Intn(10), 3+r.Intn(12)
+		if trial >= 60 {
+			samples, genes = samples+30, genes+9
+		}
+		d := randomBoolDataset(r, samples, genes, 2+r.Intn(2))
 		for ci := 0; ci < d.NumClasses(); ci++ {
 			bst, err := NewBST(d, ci)
 			if err != nil {
@@ -95,8 +116,11 @@ func TestEvaluateMatchesReference(t *testing.T) {
 			for qn := 0; qn < 4; qn++ {
 				q := randomRow(r, d.NumGenes())
 				for _, arith := range []Arithmetization{MinCombine, ProductCombine} {
-					if err := matchesReference(bst, q, arith); err != nil {
-						t.Fatalf("trial %d class %d: %v", trial, ci, err)
+					for _, cull := range []int{0, 1, 2, 8} {
+						opts := EvalOptions{Arithmetization: arith, CullListsTo: cull}
+						if err := matchesReference(bst, q, opts); err != nil {
+							t.Fatalf("trial %d class %d: %v", trial, ci, err)
+						}
 					}
 				}
 			}
@@ -105,24 +129,26 @@ func TestEvaluateMatchesReference(t *testing.T) {
 }
 
 // matchesReference compares Evaluate against referenceEvaluate. The
-// paper's MinCombine runs the column sweep, which must agree bit for bit
-// (same float64 bits, NaN for the same blank columns); ProductCombine keeps
-// a 1e-12 tolerance.
-func matchesReference(bst *BST, q *bitset.Set, arith Arithmetization) error {
-	got := bst.Evaluate(q, EvalOptions{Arithmetization: arith})
-	want := referenceEvaluate(bst, q, arith)
+// paper's MinCombine runs the column sweep, and a culled evaluation
+// combines its lists in the reference's order, so both must agree bit for
+// bit (same float64 bits, NaN for the same blank columns); unculled
+// ProductCombine keeps a 1e-12 tolerance.
+func matchesReference(bst *BST, q *bitset.Set, opts EvalOptions) error {
+	got := bst.Evaluate(q, opts)
+	want := referenceEvaluate(bst, q, opts)
+	exact := opts.Arithmetization == MinCombine || opts.CullListsTo > 0
 	same := func(g, w float64) bool {
-		if arith == MinCombine {
+		if exact {
 			return math.Float64bits(g) == math.Float64bits(w) || math.IsNaN(g) && math.IsNaN(w)
 		}
 		return math.IsNaN(g) == math.IsNaN(w) && (math.IsNaN(g) || math.Abs(g-w) <= 1e-12)
 	}
 	if !same(got.Value, want.Value) {
-		return fmt.Errorf("arith %v: value %v, reference %v", arith, got.Value, want.Value)
+		return fmt.Errorf("%+v: value %v, reference %v", opts, got.Value, want.Value)
 	}
 	for c := range want.ColumnValues {
 		if g, w := got.ColumnValues[c], want.ColumnValues[c]; !same(g, w) {
-			return fmt.Errorf("arith %v col %d: %v vs reference %v", arith, c, g, w)
+			return fmt.Errorf("%+v col %d: %v vs reference %v", opts, c, g, w)
 		}
 	}
 	return nil
@@ -306,7 +332,7 @@ func TestPairDerivationMatchesReference(t *testing.T) {
 		}
 		queries = append(queries, q)
 		for _, arith := range []Arithmetization{MinCombine, ProductCombine} {
-			if err := matchesReference(bst, q, arith); err != nil {
+			if err := matchesReference(bst, q, EvalOptions{Arithmetization: arith}); err != nil {
 				t.Fatalf("query %v: %v", q, err)
 			}
 		}

@@ -36,10 +36,10 @@ func FuzzBSTCE(f *testing.F) {
 		}
 		for ci := range cl.Tables {
 			for _, arith := range []Arithmetization{MinCombine, ProductCombine} {
-				if err := matchesReference(cl.Tables[ci], q, arith); err != nil {
+				if err := matchesReference(cl.Tables[ci], q, EvalOptions{Arithmetization: arith}); err != nil {
 					t.Fatalf("class %d: %v", ci, err)
 				}
-				if err := matchesReference(loaded.Tables[ci], q, arith); err != nil {
+				if err := matchesReference(loaded.Tables[ci], q, EvalOptions{Arithmetization: arith}); err != nil {
 					t.Fatalf("loaded class %d: %v", ci, err)
 				}
 			}
@@ -59,7 +59,7 @@ func FuzzBSTCE(f *testing.F) {
 func referenceValues(cl *Classifier, q *bitset.Set) []float64 {
 	vals := make([]float64, len(cl.Tables))
 	for i, tb := range cl.Tables {
-		vals[i] = referenceEvaluate(tb, q, MinCombine).Value
+		vals[i] = referenceEvaluate(tb, q, EvalOptions{}).Value
 	}
 	return vals
 }
@@ -169,7 +169,7 @@ func TestSweepBitIdenticalOnPaperProfiles(t *testing.T) {
 		}
 		for k, q := range testB.Rows {
 			for ci, tb := range cl.Tables {
-				if err := matchesReference(tb, q, MinCombine); err != nil {
+				if err := matchesReference(tb, q, EvalOptions{}); err != nil {
 					t.Fatalf("%s class %d held-out row %d: %v", p.Name, ci, k, err)
 				}
 			}

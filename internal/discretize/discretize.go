@@ -59,19 +59,16 @@ type Model struct {
 
 // Fit learns entropy-MDL cut points from training data.
 func Fit(train *dataset.Continuous) (*Model, error) {
-	return FitWith(train, EntropyMDL)
+	return FitWithWorkers(context.Background(), train, EntropyMDL, 1)
 }
 
-// FitWith learns cut points using the supplied Cutter.
-func FitWith(train *dataset.Continuous, cut Cutter) (*Model, error) {
-	return FitWithWorkers(context.Background(), train, cut, 1)
-}
-
-// FitWithWorkers learns cut points using up to workers goroutines (≤ 1 runs
-// serially). Each gene's cut computation depends only on that gene's column
-// and the class labels, so genes stripe across workers; the item vocabulary
-// is assembled serially in gene order afterwards, making the returned model
-// identical for every worker count.
+// FitWithWorkers learns cut points using the supplied Cutter and up to
+// workers goroutines (≤ 1 runs serially). Each gene's cut computation
+// depends only on that gene's column and the class labels, so genes stripe
+// across workers; the item vocabulary is assembled serially in gene order
+// afterwards, making the returned model identical for every worker count.
+// The serial branch stays as the reference the striped one is diffed
+// against (TestFitWithWorkersMatchesSerial).
 //
 // The context is polled once per chunk of genes; a deadline or cancellation
 // stops all workers promptly and returns the typed fault.ErrDeadline /

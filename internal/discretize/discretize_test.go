@@ -212,7 +212,7 @@ func TestTransformRejectsWrongGeneCount(t *testing.T) {
 
 func TestFitWithEqualWidth(t *testing.T) {
 	train := twoGeneTrain()
-	m, err := FitWith(train, EqualWidthK(4))
+	m, err := FitWithWorkers(context.Background(), train, EqualWidthK(4), 1)
 	if err != nil {
 		t.Fatal(err)
 	}

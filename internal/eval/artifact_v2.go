@@ -235,7 +235,7 @@ func (w *setWriter) refs(e *metaEnc, sets []*bitset.Set) {
 // setReader resolves (count, n, wordOff) blocks against the decoded words
 // section. On the zero-copy path the words slice aliases the mapping, so
 // the returned sets cost no memory beyond their headers — two allocations
-// per block (the views, the pointer slice), regardless of count.
+// per block (the set headers, the pointer slice), regardless of count.
 type setReader struct {
 	words []uint64
 	d     *metaDec

@@ -65,9 +65,10 @@ type CVConfig struct {
 
 	// Workers bounds how many (size, test) evaluations run concurrently;
 	// the same value stripes gene discretization and batch classification
-	// inside each test. 0 or 1 runs the exact legacy serial path. Splits
-	// are always pre-drawn serially from the study's rand.Rand, so results
-	// and rendered tables are identical for every worker count.
+	// inside each test. 0 or 1 runs the tests one after another, fits
+	// serially and classifies inline. Splits are always drawn serially from
+	// the study's rand.Rand, so results and rendered tables are identical
+	// for every worker count.
 	Workers int
 
 	// Checkpoint, when non-empty, journals every finished test to this
@@ -379,6 +380,11 @@ func RunCV(ctx context.Context, cfg CVConfig) ([]SizeResult, error) {
 		}
 	}
 
+	// The serial loop stays beside the pool because it is the only path
+	// that replays a seeded fault schedule exactly (TestChaosSweep's
+	// serial-deterministic case): the injector draws from one shared RNG,
+	// and the pool draws the next split on its feeder goroutine while
+	// workers draw faults on theirs.
 	emitted := start
 	if workers <= 1 {
 		for i := start; i < total; i++ {

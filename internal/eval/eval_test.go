@@ -42,7 +42,7 @@ func preparedToy(t *testing.T) *Prepared {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ps, err := Prepare(d, sp)
+	ps, err := PrepareWorkers(context.Background(), d, sp, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,17 +72,17 @@ func TestPrepareShapes(t *testing.T) {
 
 func TestPrepareRejectsEmptySides(t *testing.T) {
 	d := toyData(t, 6)
-	if _, err := Prepare(d, dataset.Split{Train: []int{0, 1}, Test: nil}); err == nil {
+	if _, err := PrepareWorkers(context.Background(), d, dataset.Split{Train: []int{0, 1}, Test: nil}, 1); err == nil {
 		t.Error("empty test side should error")
 	}
-	if _, err := Prepare(d, dataset.Split{Train: nil, Test: []int{0}}); err == nil {
+	if _, err := PrepareWorkers(context.Background(), d, dataset.Split{Train: nil, Test: []int{0}}, 1); err == nil {
 		t.Error("empty train side should error")
 	}
 }
 
 func TestRunBSTCAccuracy(t *testing.T) {
 	ps := preparedToy(t)
-	out, err := RunBSTC(ps, nil)
+	out, err := RunBSTCWorkers(context.Background(), ps, nil, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -474,14 +474,14 @@ func TestMediumScalePipelineSanity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ps, err := Prepare(d, sp)
+	ps, err := PrepareWorkers(context.Background(), d, sp, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if ps.GenesAfterDiscretization < 10 {
 		t.Fatalf("medium OC selected only %d genes", ps.GenesAfterDiscretization)
 	}
-	out, err := RunBSTC(ps, nil)
+	out, err := RunBSTCWorkers(context.Background(), ps, nil, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -28,15 +28,11 @@ type Prepared struct {
 	GenesAfterDiscretization int
 }
 
-// Prepare discretizes per the protocol and materializes all four views.
-func Prepare(c *dataset.Continuous, sp dataset.Split) (*Prepared, error) {
-	return PrepareWorkers(context.Background(), c, sp, 1)
-}
-
-// PrepareWorkers is Prepare with the entropy-MDL fit striped over up to
-// workers goroutines (≤ 1 is the serial path). The fitted model — and thus
-// every returned view — is identical for any worker count. A context
-// deadline or cancellation stops the fit with the typed fault errors.
+// PrepareWorkers discretizes per the protocol and materializes all four
+// views, with the entropy-MDL fit striped over up to workers goroutines
+// (≤ 1 fits serially). The fitted model — and thus every returned view — is
+// identical for any worker count. A context deadline or cancellation stops
+// the fit with the typed fault errors.
 func PrepareWorkers(ctx context.Context, c *dataset.Continuous, sp dataset.Split, workers int) (*Prepared, error) {
 	if len(sp.Train) == 0 || len(sp.Test) == 0 {
 		return nil, fmt.Errorf("eval: split needs both train (%d) and test (%d) samples",

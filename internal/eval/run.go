@@ -32,15 +32,10 @@ type BSTCOutcome struct {
 	PhasesMS map[string]float64
 }
 
-// RunBSTC trains and evaluates BSTC on a prepared split.
-func RunBSTC(ps *Prepared, opts *core.EvalOptions) (BSTCOutcome, error) {
-	return RunBSTCWorkers(context.Background(), ps, opts, 1)
-}
-
-// RunBSTCWorkers is RunBSTC with test-sample classification spread over up
-// to workers goroutines (≤ 1 is the exact serial path). Each query is pure
-// against the trained tables, so predictions — and the outcome — are
-// identical for any worker count. A sampled span on ctx gains the bstc
+// RunBSTCWorkers trains BSTC on a prepared split and classifies its test
+// samples over up to workers goroutines (≤ 1 classifies inline). Each query
+// is pure against the trained tables, so predictions — and the outcome —
+// are identical for any worker count. A sampled span on ctx gains the bstc
 // layer's spans.
 func RunBSTCWorkers(ctx context.Context, ps *Prepared, opts *core.EvalOptions, workers int) (BSTCOutcome, error) {
 	out := BSTCOutcome{PhasesMS: map[string]float64{}}
@@ -54,12 +49,7 @@ func RunBSTCWorkers(ctx context.Context, ps *Prepared, opts *core.EvalOptions, w
 		return BSTCOutcome{}, err
 	}
 	_, classify := trace.StartLayer(ctx, reg, "bstc/classify")
-	var preds []int
-	if workers > 1 {
-		preds = cl.ClassifyBatchParallel(ps.TestBool, workers)
-	} else {
-		preds = cl.ClassifyBatch(ps.TestBool)
-	}
+	preds := cl.ClassifyBatchParallel(ps.TestBool, max(workers, 1))
 	endPhase(out.PhasesMS, classify)
 	out.Accuracy = stats.Accuracy(preds, ps.TestBool.Classes)
 	out.Elapsed = endPhase(out.PhasesMS, run)
