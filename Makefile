@@ -21,13 +21,13 @@ FUZZ_TARGETS = \
 	./internal/serve:FuzzDecodeRequest
 FUZZTIME ?= 10s
 
-# The chaos suite: every fault-injection, panic-containment, watchdog,
+# The chaos suite: every fault-injection, panic-containment, deadline,
 # cancellation, checkpoint/corruption and fleet health test, run under the
 # race detector.
 # CHAOS_SEED picks the deterministic fault schedule for the seeded sweep
 # (TestChaosSweep); CI runs a small seed matrix, and a failing seed
 # reproduces locally with the same value.
-CHAOS_TESTS = Chaos|Fault|Panic|Watchdog|Checkpoint|Deadline|Cancel|RetryAfter|Truncation|BitFlips|Corrupt|Resilience|Swap|Hedge|Eject|Probe|Close|Racing|NaturalBatching|FailOpen|ReadyzTracksFleet
+CHAOS_TESTS = Chaos|Fault|Panic|Checkpoint|Deadline|Cancel|RetryAfter|Truncation|BitFlips|Corrupt|Resilience|Swap|Hedge|Eject|Probe|Close|Racing|NaturalBatching|FailOpen|ReadyzTracksFleet
 CHAOS_PKGS = ./internal/fault/ ./internal/dataset/ ./internal/eval/ ./internal/serve/ ./internal/registry/ ./internal/fleet/
 CHAOS_SEED ?= 1
 

@@ -53,7 +53,7 @@ func TestFacadeDiscretizePipeline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	preds := cl.ClassifyBatch(boolData)
+	preds := cl.ClassifyBatchParallel(boolData, 1)
 	correct := 0
 	for i, pr := range preds {
 		if pr == boolData.Classes[i] {

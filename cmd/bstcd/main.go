@@ -34,12 +34,15 @@
 // /healthz (liveness, with build info), /readyz (routability: 503 while
 // draining or before the first route is applied — what a fleet prober
 // like cmd/bstcgw watches), /metrics (JSON, or Prometheus text with
-// ?format=prom), /runlogz, /tracez, /slo. Classify requests carry W3C
+// ?format=prom), /tracez, /slo. Classify requests carry W3C
 // traceparent end to end: -trace-sample heads new traces, a propagated
 // sampled flag is always honored, and sampled spans land on /tracez and
-// in the -trace JSONL export. On SIGINT/SIGTERM the daemon drains:
-// admitted requests are answered, new ones get 503, then both the HTTP
-// server and the batcher stop.
+// in the -trace JSONL export. -runlog truncates its file at start, then
+// writes one JSONL record per flushed batch, route swap and contained
+// panic. -timeout is the one bound on a request: one its batch has not
+// answered by then gets 504, wedged batch or not. On SIGINT/SIGTERM the
+// daemon drains: admitted requests are answered, new ones get 503, then
+// both the HTTP server and the batcher stop.
 package main
 
 import (
@@ -87,7 +90,6 @@ func run(ctx context.Context, args []string, stdout io.Writer, ready func(net.Ad
 	maxInflight := fs.Int("max-inflight", 0, "admitted-request bound before 429 (default 4x batch)")
 	workers := fs.Int("workers", runtime.GOMAXPROCS(0), "goroutines per batch classify")
 	timeout := fs.Duration("timeout", 0, "per-request deadline (default 5s)")
-	watchdogFactor := fs.Int("watchdog-factor", 0, "fail a batch flush exceeding this multiple of -timeout, with a stack dump to the runlog (default 4, negative disables)")
 	retryAfter := fs.Duration("retry-after", 0, "Retry-After hint on 429/503 responses (default 1s)")
 	runlogPath := fs.String("runlog", "", "append per-batch JSONL records to this file")
 	tracePath := fs.String("trace", "", "write sampled spans as JSONL to this file")
@@ -107,7 +109,6 @@ func run(ctx context.Context, args []string, stdout io.Writer, ready func(net.Ad
 		MaxInFlight:    *maxInflight,
 		Workers:        *workers,
 		RequestTimeout: *timeout,
-		WatchdogFactor: *watchdogFactor,
 		RetryAfter:     *retryAfter,
 		Registry:       obs.NewRegistry(),
 		SLOLatency:     *sloLatency,

@@ -56,6 +56,12 @@ func TestRunUsageErrors(t *testing.T) {
 	if err := run(ctx, []string{"-model", junk}, &out, nil); err == nil {
 		t.Error("run with a corrupt model file should error")
 	}
+	// The request deadline is the one bound on a batch; there is no
+	// watchdog to tune.
+	err := run(ctx, []string{"-watchdog-factor", "4"}, &out, nil)
+	if err == nil || !strings.Contains(err.Error(), "flag provided but not defined: -watchdog-factor") {
+		t.Errorf("-watchdog-factor: err = %v, want an unknown-flag error", err)
+	}
 }
 
 // TestServeAndDrain boots the daemon on a random port, classifies over HTTP,

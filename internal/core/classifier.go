@@ -140,16 +140,6 @@ func (cl *Classifier) Classify(q *bitset.Set) int {
 	return class
 }
 
-// ClassifyBatch classifies every row of a test dataset (which must share the
-// training gene universe) and returns the predicted class indices.
-func (cl *Classifier) ClassifyBatch(test *dataset.Bool) []int {
-	out := make([]int, test.NumSamples())
-	for i, row := range test.Rows {
-		out[i] = cl.Classify(row)
-	}
-	return out
-}
-
 // Confidence returns §8's proposed classification confidence heuristic: the
 // normalized difference between the highest and second-highest BST
 // satisfaction levels, in [0, 1]. Single-class classifiers return 1. Callers

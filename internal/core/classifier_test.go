@@ -53,7 +53,7 @@ func TestClassifyBatch(t *testing.T) {
 	}
 	// Training samples should mostly classify as their own class: every
 	// sample satisfies its own cells fully (value 1 for its own table).
-	got := cl.ClassifyBatch(d)
+	got := cl.ClassifyBatchParallel(d, 1)
 	for i, pred := range got {
 		if pred != d.Classes[i] {
 			t.Errorf("training sample %s classified %s, want %s",

@@ -122,9 +122,10 @@ func TestClassifyBatchParallelMatchesSerial(t *testing.T) {
 		t.Fatal(err)
 	}
 	test := randomBoolDataset(r, 40, 15, 3)
-	serial := cl.ClassifyBatch(test)
+	serial := make([]int, len(test.Rows))
 	confs := make([]float64, len(test.Rows))
 	for i, row := range test.Rows {
+		serial[i] = cl.Classify(row)
 		confs[i] = cl.Confidence(row)
 	}
 	for _, workers := range []int{-1, 0, 1, 2, 7, 100} {

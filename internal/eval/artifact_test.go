@@ -114,7 +114,7 @@ func TestArtifactClassifyRowMatchesBatchPath(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := art.Classifier.ClassifyBatch(b)
+	want := art.Classifier.ClassifyBatchParallel(b, 1)
 	for i, row := range c.Values {
 		got, _, err := art.ClassifyRow(row)
 		if err != nil {

@@ -630,6 +630,3 @@ func (sr SizeResult) DNFCounts() (rcbtDNF, topkFinished int, nlLowered bool) {
 	}
 	return rcbtDNF, topkFinished, nlLowered
 }
-
-// DefaultRCBTConfig mirrors rcbt.DefaultConfig for harness convenience.
-func DefaultRCBTConfig() rcbt.Config { return rcbt.DefaultConfig() }

@@ -1,10 +1,6 @@
 package serve
 
 import (
-	"errors"
-	"fmt"
-	"runtime"
-	"sync"
 	"time"
 
 	"bstc/internal/bitset"
@@ -12,10 +8,6 @@ import (
 	"bstc/internal/obs"
 	"bstc/internal/obs/trace"
 )
-
-// errWatchdog fails a batch whose flush outlived WatchdogFactor request
-// timeouts; handlers map it to 504.
-var errWatchdog = errors.New("serve: batch watchdog expired")
 
 // runBatcher is a version's one batch worker. It blocks until a request is
 // queued, takes whatever else is already queued (up to BatchSize),
@@ -39,9 +31,9 @@ func (m *model) runBatcher() {
 }
 
 // deliver hands res to p without ever blocking: done is buffered with one
-// slot and each request receives at most once, so the first delivery —
-// result, watchdog failure, or panic failure — wins and any later one is
-// dropped on the floor.
+// slot, so the worker never waits on a handler that already answered 504
+// at its deadline, and the first delivery — result or failure of a batch
+// that panicked — wins; any later one is dropped on the floor.
 func deliver(p *pending, res result) {
 	select {
 	case p.done <- res:
@@ -66,19 +58,13 @@ func failBatch(batch []*pending, err error) {
 // confidence. Delivery into the buffered done channels never blocks, so a
 // request that already gave up on its deadline cannot stall the batch.
 //
-// The flush is fenced two ways: a panic is contained into 500s with the
-// stack in the run log, and a watchdog fails the batch with 504s — plus an
-// all-goroutine stack dump — if the flush outlives WatchdogFactor request
-// timeouts. Either way the worker moves on to the next batch once the
-// flush returns. Requests queued behind a wedged flush wait for it and get
-// a 504 at their own deadline.
+// A panic in the flush is contained into 500s, with the stack in the run
+// log, and the worker moves on to the next batch. Nothing else bounds a
+// flush: a batch that outlives its requests' deadlines has already been
+// answered 504 by their handlers, and requests queued behind it wait for
+// the worker and get a 504 at their own deadlines.
 func (m *model) flushBatch(batch []*pending) {
 	s := m.s
-	if s.cfg.WatchdogFactor > 0 {
-		limit := time.Duration(s.cfg.WatchdogFactor) * s.cfg.RequestTimeout
-		wd := time.AfterFunc(limit, func() { m.watchdogFire(batch, limit) })
-		defer wd.Stop()
-	}
 	defer func() {
 		if r := recover(); r != nil {
 			perr := fault.Recovered("serve.batch", r)
@@ -113,6 +99,7 @@ func (m *model) flushBatch(batch []*pending) {
 			}
 		}
 	}
+	flush.SetAttr("trace_ids", traceIDs)
 
 	classify := flush.StartLayer(s.cfg.Registry, "serve/classify")
 	preds, confs := m.art.Classifier.DecideBatchParallel(rows, s.cfg.Workers)
@@ -128,102 +115,15 @@ func (m *model) flushBatch(batch []*pending) {
 	m.met.batches.Inc()
 	m.met.batchSamples.Add(int64(len(batch)))
 	m.met.batchSize.Record(int64(len(batch)))
-	m.recordBatch(len(batch), preds, classifyNS, flush, traceIDs)
-}
-
-// watchdogFire is the batch watchdog's timer body: count it, dump every
-// goroutine's stack to the run log (the wedged worker is in there), and fail
-// the batch so its callers stop waiting.
-func (m *model) watchdogFire(batch []*pending, limit time.Duration) {
-	s := m.s
-	s.met.watchdogs.Inc()
-	buf := make([]byte, 1<<20)
-	buf = buf[:runtime.Stack(buf, true)]
-	s.emitFailure("serve.watchdog",
-		fmt.Sprintf("batch of %d (version %s) still flushing after %v", len(batch), m.version, limit), buf)
-	failBatch(batch, errWatchdog)
-}
-
-// BatchRecord is one flushed micro-batch as reported by /runlogz: size,
-// the version that classified it, classify wall-clock, the per-class
-// prediction counts, and the trace IDs of the sampled requests it carried.
-type BatchRecord struct {
-	Seq        int64          `json:"seq"`
-	Version    string         `json:"version,omitempty"`
-	Size       int            `json:"size"`
-	ClassifyMS float64        `json:"classify_ms"`
-	Classes    map[string]int `json:"classes,omitempty"`
-	TraceIDs   []string       `json:"trace_ids,omitempty"`
-}
-
-// recordBatch appends the batch to the /runlogz ring and, when configured,
-// emits an obs.RunRecord to the run log, stamped with the flush span's
-// identity when the batch was traced.
-func (m *model) recordBatch(size int, preds []int, classify time.Duration, flush *trace.Span, traceIDs []string) {
-	s := m.s
-	counts := make(map[string]int)
-	for _, c := range preds {
-		counts[m.art.Classifier.ClassNames[c]]++
-	}
-	rec := BatchRecord{
-		Version:    m.version,
-		Size:       size,
-		ClassifyMS: float64(classify) / float64(time.Millisecond),
-		Classes:    counts,
-		TraceIDs:   traceIDs,
-	}
-	rec.Seq = s.ring.add(rec)
 	if s.cfg.RunLog != nil {
 		s.cfg.RunLog.Emit(obs.RunRecord{
 			Experiment: "serve.batch",
 			Dataset:    m.version,
-			Test:       int(rec.Seq),
-			Config:     map[string]float64{"batch_size": float64(size), "workers": float64(s.cfg.Workers)},
-			PhasesMS:   map[string]float64{"serve/classify": rec.ClassifyMS},
+			Test:       int(s.batchSeq.Add(1)),
+			Config:     map[string]float64{"batch_size": float64(len(batch)), "workers": float64(s.cfg.Workers)},
+			PhasesMS:   map[string]float64{"serve/classify": float64(classifyNS) / float64(time.Millisecond)},
 			TraceID:    flush.TraceIDString(),
 			SpanID:     flush.SpanIDString(),
 		})
 	}
-}
-
-// batchRing keeps the most recent batch records for /runlogz.
-type batchRing struct {
-	mu   sync.Mutex
-	next int64
-	buf  []BatchRecord
-	size int
-}
-
-func newBatchRing(n int) *batchRing {
-	return &batchRing{buf: make([]BatchRecord, 0, n), size: n}
-}
-
-// add stores rec and returns its sequence number (total batches so far,
-// 1-based).
-func (r *batchRing) add(rec BatchRecord) int64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.next++
-	rec.Seq = r.next
-	if len(r.buf) < r.size {
-		r.buf = append(r.buf, rec)
-	} else {
-		r.buf[int((r.next-1))%r.size] = rec
-	}
-	return r.next
-}
-
-// records returns the retained batches, oldest first.
-func (r *batchRing) records() []BatchRecord {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make([]BatchRecord, 0, len(r.buf))
-	if len(r.buf) < r.size {
-		out = append(out, r.buf...)
-		return out
-	}
-	start := int(r.next) % r.size
-	out = append(out, r.buf[start:]...)
-	out = append(out, r.buf[:start]...)
-	return out
 }

@@ -14,7 +14,7 @@ import (
 	"bstc/internal/obs"
 )
 
-// syncBuffer lets the run log be written from batch/watchdog goroutines and
+// syncBuffer lets the run log be written from batch worker goroutines and
 // read by the test without a race.
 type syncBuffer struct {
 	mu  sync.Mutex
@@ -33,9 +33,10 @@ func (b *syncBuffer) String() string {
 	return b.buf.String()
 }
 
-// failureRecords extracts the failure records for one site; healthy batch
-// records share the "serve.batch" experiment name but carry no Error.
-func failureRecords(t *testing.T, raw, site string) []obs.RunRecord {
+// runRecords extracts the run log's records for one site, in log order:
+// the failures (Error set) or the rest. Healthy batch records and batch
+// failures share the "serve.batch" experiment name.
+func runRecords(t *testing.T, raw, site string, failed bool) []obs.RunRecord {
 	t.Helper()
 	var out []obs.RunRecord
 	for _, line := range strings.Split(raw, "\n") {
@@ -48,11 +49,23 @@ func failureRecords(t *testing.T, raw, site string) []obs.RunRecord {
 		if err := json.Unmarshal([]byte(line), &env); err != nil {
 			t.Fatalf("bad runlog line: %v\n%s", err, line)
 		}
-		if env.Run.Experiment == site && env.Run.Error != "" {
+		if env.Run.Experiment == site && (env.Run.Error != "") == failed {
 			out = append(out, env.Run)
 		}
 	}
 	return out
+}
+
+// failureRecords extracts the failure records for one site.
+func failureRecords(t *testing.T, raw, site string) []obs.RunRecord {
+	t.Helper()
+	return runRecords(t, raw, site, true)
+}
+
+// batchRecords extracts the flushed batches' serve.batch records.
+func batchRecords(t *testing.T, raw string) []obs.RunRecord {
+	t.Helper()
+	return runRecords(t, raw, "serve.batch", false)
 }
 
 func counterValue(reg *obs.Registry, name string) int64 {
@@ -134,55 +147,43 @@ func TestHandlerPanicContained(t *testing.T) {
 	}
 }
 
-// TestWatchdogFailsWedgedBatch wedges the batch worker (injected latency far
-// past the request timeout) and checks the watchdog fires: the request is
-// failed with 504 instead of hanging, the counter moves, and the run log
-// gets an all-goroutine stack dump. A request queued behind the wedged
-// batch waits for the same worker, so it gets a 504 at its own deadline,
-// and Close still returns once the wedge clears.
-func TestWatchdogFailsWedgedBatch(t *testing.T) {
+// TestWedgedBatchAnswersAtDeadline wedges the batch worker (injected
+// latency far past the request timeout) and checks that the request
+// deadline alone answers its callers: the request in the wedged batch and
+// one queued behind it each get a deadline 504 well before the wedge ends,
+// serve.deadline_exceeded counts both, and Close returns once the wedge
+// clears, after the worker has classified both abandoned rows.
+func TestWedgedBatchAnswersAtDeadline(t *testing.T) {
+	const wedge = 400 * time.Millisecond
 	in := fault.NewInjector(12)
-	in.Set("serve.batch", fault.Rule{Prob: 1, MaxFires: 1, Latency: 400 * time.Millisecond})
+	in.Set("serve.batch", fault.Rule{Prob: 1, MaxFires: 1, Latency: wedge})
 	fault.Enable(in)
 	defer fault.Disable()
 
 	reg := obs.NewRegistry()
-	var logBuf syncBuffer
 	s := New(testArtifact(t), Config{
 		BatchSize:      1,
 		RequestTimeout: 50 * time.Millisecond,
-		WatchdogFactor: 2,
 		Registry:       reg,
-		RunLog:         obs.NewRunLog(&logBuf),
 	})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
-	status, _ := postClassify(t, ts.URL, valuesBody(t, testSamples()[0]))
-	if status != http.StatusGatewayTimeout {
-		t.Fatalf("wedged batch: status %d, want 504", status)
+	// The first request starts the wedge and gets its 504 at its 50ms
+	// deadline; the second then queues behind the still-wedged worker.
+	start := time.Now()
+	for i, which := range []string{"request in the wedged batch", "request queued behind it"} {
+		status, body := postClassify(t, ts.URL, valuesBody(t, testSamples()[i]))
+		if status != http.StatusGatewayTimeout || !strings.Contains(string(body), "deadline exceeded") {
+			t.Fatalf("%s: status %d (%s), want a deadline 504", which, status, body)
+		}
 	}
-	// The worker is still wedged (the 504 came at 50ms of a 400ms wedge),
-	// so this request queues behind it and times out on its own deadline.
-	sent := time.Now()
-	status, body := postClassify(t, ts.URL, valuesBody(t, testSamples()[1]))
-	if status != http.StatusGatewayTimeout || !strings.Contains(string(body), "deadline exceeded") {
-		t.Fatalf("request queued behind the wedged batch: status %d (%s), want a deadline 504", status, body)
+	if waited := time.Since(start); waited >= wedge {
+		t.Errorf("both requests answered after %v, not at their 50ms deadlines inside the %v wedge", waited, wedge)
 	}
-	if waited := time.Since(sent); waited >= 400*time.Millisecond {
-		t.Errorf("queued request answered after %v, not at its 50ms deadline", waited)
+	if got := counterValue(reg, "serve.deadline_exceeded"); got != 2 {
+		t.Errorf("serve.deadline_exceeded = %d, want 2", got)
 	}
-	deadline := time.Now().Add(5 * time.Second)
-	for counterValue(reg, "serve.watchdog_fires") == 0 && time.Now().Before(deadline) {
-		time.Sleep(10 * time.Millisecond)
-	}
-	if got := counterValue(reg, "serve.watchdog_fires"); got == 0 {
-		t.Fatal("watchdog never fired")
-	}
-	if got := counterValue(reg, "serve.deadline_exceeded"); got < 1 {
-		t.Errorf("serve.deadline_exceeded = %d, want >= 1", got)
-	}
-	// Close drains the wedged worker, so the log is complete and quiescent.
 	closed := make(chan error, 1)
 	go func() { closed <- s.Close() }()
 	select {
@@ -193,12 +194,8 @@ func TestWatchdogFailsWedgedBatch(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("Close did not return after the wedge cleared")
 	}
-	recs := failureRecords(t, logBuf.String(), "serve.watchdog")
-	if len(recs) != 1 {
-		t.Fatalf("got %d watchdog records, want 1", len(recs))
-	}
-	if !strings.Contains(recs[0].Stack, "goroutine") {
-		t.Error("watchdog record is missing the all-goroutine stack dump")
+	if got := counterValue(reg, "serve.batches"); got != 2 {
+		t.Errorf("serve.batches = %d after the wedge, want 2", got)
 	}
 }
 

@@ -127,15 +127,6 @@ func (sn *snapshot) byVersion(version string) *model {
 	return nil
 }
 
-// RouteToCanary is the deterministic canary split: an FNV-1a hash of the
-// seed and routing key, bucketed into 1000 slots, of which the first
-// permilleOf(percent) route to the canary. The same (seed, key) always
-// lands on the same side — across requests, replicas, and restarts — so a
-// client (or the load generator) can predict and verify its route.
-func RouteToCanary(seed uint64, key []byte, percent float64) bool {
-	return routePermille(seed, key) < permilleOf(percent)
-}
-
 // permilleOf converts a canary percentage to 1/1000ths of traffic.
 func permilleOf(percent float64) int {
 	switch {
@@ -147,7 +138,10 @@ func permilleOf(percent float64) int {
 	return int(percent*10 + 0.5)
 }
 
-// routePermille hashes (seed, key) into [0, 1000) with FNV-1a.
+// routePermille hashes (seed, key) into [0, 1000) with FNV-1a. It is the
+// deterministic canary split: the keys whose slot is below the snapshot's
+// permilleOf(percent) route to the canary, so the same (seed, key) always
+// lands on the same side — across requests, replicas, and restarts.
 func routePermille(seed uint64, key []byte) int {
 	const (
 		offset64 = 14695981039346656037

@@ -20,7 +20,13 @@
 // it is free → core.DecideBatchParallel (per batch, spanned) → per-request
 // response. Predictions are exactly what core.Classify returns for the same
 // row under the same version; batching and routing change latency and
-// placement, never results.
+// placement, never results. A request's deadline (Config.RequestTimeout)
+// is the one bound on its wait, wedged batch or not.
+//
+// A flushed batch is recorded by the serve.batch* metrics, by its
+// serve/batch_flush span when a member was traced (the span lists every
+// traced member's trace ID in trace_ids), and, with Config.RunLog, by one
+// serve.batch run-log record.
 //
 // Endpoints:
 //
@@ -33,7 +39,6 @@
 //	GET  /readyz       routability: 200 only while classify requests are
 //	                   admitted (503 while draining or unrouted), so fleet
 //	                   probers can tell starting/stopping from dead
-//	GET  /runlogz      ring of recent per-batch records
 //	GET  /metrics      obs registry snapshot (JSON; Prometheus text with the
 //	                   SLO gauges on ?format=prom or a text/plain Accept)
 //	GET  /slo          latency/availability SLO windows and burn rates,
@@ -80,17 +85,14 @@ type Config struct {
 	// MaxInFlight bounds admitted-but-unanswered requests across all
 	// versions; excess load is shed with 429 (default 4×BatchSize).
 	MaxInFlight int
-	// Workers is the goroutine count handed to ClassifyBatchParallel per
+	// Workers is the goroutine count handed to DecideBatchParallel per
 	// batch (default GOMAXPROCS; the kernel clamps to the batch size).
 	Workers int
 	// RequestTimeout is the per-request deadline measured from admission;
-	// a request that cannot be answered in time gets 504 (default 5s).
+	// a request that cannot be answered in time gets 504 (default 5s). It
+	// is also what answers the callers of a wedged batch: nothing else
+	// bounds a flush.
 	RequestTimeout time.Duration
-	// WatchdogFactor × RequestTimeout bounds one batch flush: a batch worker
-	// still running past it gets an all-goroutine stack dump into the run
-	// log and its requests failed with 504, so one wedged batch cannot
-	// silently pin its callers. Negative disables; 0 means the default (4).
-	WatchdogFactor int
 	// RetryAfter is the Retry-After hint sent with 429 (shed) and 503
 	// (draining) responses (default 1s). Sub-second values render rounded
 	// up to whole seconds (the header speaks integer seconds; "0" would
@@ -102,11 +104,8 @@ type Config struct {
 	// uninstrumented.
 	Registry *obs.Registry
 	// RunLog, when non-nil, receives one obs.RunRecord per flushed batch
-	// and per route swap.
+	// and per route swap, plus one per contained failure.
 	RunLog *obs.RunLog
-	// RunLogRing is how many recent batch records /runlogz keeps
-	// (default 64).
-	RunLogRing int
 	// Tracer records request-scoped spans: traceparent is extracted from
 	// classify requests and injected into their responses, and sampled
 	// requests produce a handler → batch wait → batch flush → classify
@@ -119,9 +118,6 @@ type Config struct {
 	// SLOTarget is the objective's good fraction for both the latency and
 	// availability SLOs (default 0.999).
 	SLOTarget float64
-	// Version names the initial artifact build handed to New (default
-	// "v1"). Responses and per-version metrics carry it.
-	Version string
 }
 
 func (c Config) withDefaults() Config {
@@ -137,14 +133,8 @@ func (c Config) withDefaults() Config {
 	if c.RequestTimeout <= 0 {
 		c.RequestTimeout = 5 * time.Second
 	}
-	if c.WatchdogFactor == 0 {
-		c.WatchdogFactor = 4
-	}
 	if c.RetryAfter == 0 {
 		c.RetryAfter = time.Second
-	}
-	if c.RunLogRing <= 0 {
-		c.RunLogRing = 64
 	}
 	if c.SLOLatency <= 0 {
 		c.SLOLatency = 100 * time.Millisecond
@@ -152,14 +142,11 @@ func (c Config) withDefaults() Config {
 	if c.SLOTarget <= 0 || c.SLOTarget >= 1 {
 		c.SLOTarget = 0.999
 	}
-	if c.Version == "" {
-		c.Version = "v1"
-	}
 	return c
 }
 
 // result is what the batcher delivers back to a waiting handler. err is set
-// when the batch failed (contained panic, watchdog expiry) instead of
+// when the batch failed (a contained panic or an injected fault) instead of
 // classifying.
 type result struct {
 	class      int
@@ -190,7 +177,6 @@ type metrics struct {
 	deadlines       *obs.Counter
 	batchPanics     *obs.Counter
 	handlerPanic    *obs.Counter
-	watchdogs       *obs.Counter
 	batches         *obs.Counter
 	batchSamples    *obs.Counter
 	swaps           *obs.Counter
@@ -223,8 +209,10 @@ type Server struct {
 	active   int  // admitted requests not yet answered (all versions)
 	draining bool // no new admissions
 
-	met  metrics
-	ring *batchRing
+	met metrics
+	// batchSeq numbers the serve.batch run-log records, 1-based across
+	// every version the server has run.
+	batchSeq atomic.Int64
 
 	slos       *obs.SLOSet
 	sloAvail   *obs.SLO // all-version availability, as before multi-model
@@ -236,11 +224,10 @@ type Server struct {
 }
 
 // New builds a server around one loaded artifact, installed as the stable
-// version cfg.Version. The version's batcher starts immediately; the
-// server is ready to accept requests (and Apply can add versions later).
+// version "v1". The version's batcher starts immediately; the server is
+// ready to accept requests (and Apply can add versions later).
 func New(art *eval.Artifact, cfg Config) *Server {
-	cfg = cfg.withDefaults()
-	return NewFromModel(&Model{Version: cfg.Version, Artifact: art}, cfg)
+	return NewFromModel(&Model{Version: "v1", Artifact: art}, cfg)
 }
 
 // NewFromModel is New for a fully described version — callers that load
@@ -260,7 +247,6 @@ func NewFromModel(d *Model, cfg Config) *Server {
 			deadlines:       reg.Counter("serve.deadline_exceeded"),
 			batchPanics:     reg.Counter("serve.batch_panics"),
 			handlerPanic:    reg.Counter("serve.handler_panics"),
-			watchdogs:       reg.Counter("serve.watchdog_fires"),
 			batches:         reg.Counter("serve.batches"),
 			batchSamples:    reg.Counter("serve.batch_samples"),
 			swaps:           reg.Counter("serve.swaps"),
@@ -274,7 +260,6 @@ func NewFromModel(d *Model, cfg Config) *Server {
 			latency:         reg.Histogram("serve.latency_ns"),
 			queueWait:       reg.Histogram("serve.queue_wait_ns"),
 		},
-		ring:       newBatchRing(cfg.RunLogRing),
 		retryAfter: renderRetryAfter(cfg.RetryAfter),
 	}
 	s.sloAvail = obs.NewSLO(obs.SLOConfig{Name: "classify_availability", Target: cfg.SLOTarget})
@@ -389,7 +374,6 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("/v1/model", s.handleModel)
 	mux.HandleFunc("/healthz", s.handleHealthz)
 	mux.HandleFunc("/readyz", s.handleReadyz)
-	mux.HandleFunc("/runlogz", s.handleRunlogz)
 	obs.Mount(mux, s.cfg.Registry, s.slos, s.cfg.Tracer.Recorder().Handler())
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		sw := &statusWriter{ResponseWriter: w, status: http.StatusOK}
@@ -429,8 +413,9 @@ func (w *statusWriter) WriteHeader(status int) {
 	w.ResponseWriter.WriteHeader(status)
 }
 
-// emitFailure records a contained failure (panic, watchdog expiry) with its
-// stack in the run log, where study failures land too.
+// emitFailure records a contained failure (a panic or an injected fault)
+// with its stack, when there is one, in the run log, where study failures
+// land too.
 func (s *Server) emitFailure(site, msg string, stack []byte) {
 	s.cfg.RunLog.Emit(obs.RunRecord{
 		Experiment: site,
@@ -606,16 +591,12 @@ func (s *Server) handleClassify(w http.ResponseWriter, r *http.Request) {
 	select {
 	case res := <-p.done:
 		if res.err != nil {
-			// A failed batch: watchdog expiries surface as timeouts, panics
-			// and injected faults as internal errors. The process lives on.
+			// A failed batch: a contained panic or an injected fault. The
+			// process lives on.
 			m.met.failures.Inc()
 			m.sloAvail.Record(false)
 			span.SetError(res.err)
-			if errors.Is(res.err, errWatchdog) {
-				writeError(w, http.StatusGatewayTimeout, "%v", res.err)
-			} else {
-				writeError(w, http.StatusInternalServerError, "%v", res.err)
-			}
+			writeError(w, http.StatusInternalServerError, "%v", res.err)
 			return
 		}
 		elapsed := obs.Now().Sub(start)
@@ -713,8 +694,4 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 		"status":     "ready",
 		"generation": s.Generation(),
 	})
-}
-
-func (s *Server) handleRunlogz(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, s.ring.records())
 }

@@ -193,7 +193,9 @@ func TestNaturalBatching(t *testing.T) {
 
 	t.Run("queue_fills_while_busy", func(t *testing.T) {
 		in := holdWorker(t, time.Second)
-		s := New(art, Config{BatchSize: 4})
+		reg := obs.NewRegistry()
+		var logBuf syncBuffer
+		s := New(art, Config{BatchSize: 4, Registry: reg, RunLog: obs.NewRunLog(&logBuf)})
 		ts := httptest.NewServer(s.Handler())
 		defer ts.Close()
 		defer s.Close()
@@ -215,8 +217,8 @@ func TestNaturalBatching(t *testing.T) {
 		// All five queue behind the held batch: no second batch may be
 		// dispatched while the worker is busy.
 		waitQueued(t, s.route.Load().stable, 5)
-		if n := len(s.ring.records()); n != 0 {
-			t.Fatalf("%d batches dispatched during the hold, want 0", n)
+		if n := counterValue(reg, "serve.batches"); n != 0 {
+			t.Fatalf("%d batches flushed during the hold, want 0", n)
 		}
 
 		for range 6 {
@@ -228,21 +230,16 @@ func TestNaturalBatching(t *testing.T) {
 				t.Errorf("sample %d: body %q, want %q", r.sample, r.body, want)
 			}
 		}
-		resp, err := http.Get(ts.URL + "/runlogz")
-		if err != nil {
+		// A batch's record follows its replies; Close waits for the worker.
+		if err := s.Close(); err != nil {
 			t.Fatal(err)
 		}
-		defer resp.Body.Close()
-		var recs []BatchRecord
-		if err := json.NewDecoder(resp.Body).Decode(&recs); err != nil {
-			t.Fatal(err)
-		}
-		var sizes []int
-		for _, r := range recs {
-			sizes = append(sizes, r.Size)
+		var sizes []float64
+		for _, r := range batchRecords(t, logBuf.String()) {
+			sizes = append(sizes, r.Config["batch_size"])
 		}
 		if fmt.Sprint(sizes) != "[1 4 1]" {
-			t.Errorf("/runlogz batch sizes %v, want [1 4 1]", sizes)
+			t.Errorf("serve.batch record sizes %v, want [1 4 1]", sizes)
 		}
 	})
 
@@ -310,15 +307,13 @@ func TestItemsRequestMatchesValues(t *testing.T) {
 // TestDeadlineExceeded504 pins the deadline path: a request the batch
 // worker cannot answer before the request deadline must get a 504, and the
 // server must still shut down cleanly afterwards (the worker classifies the
-// abandoned row once the hold ends). The watchdog is off, so the request's
-// own deadline is the only thing that can fail it.
+// abandoned row once the hold ends).
 func TestDeadlineExceeded504(t *testing.T) {
 	holdWorker(t, 300*time.Millisecond)
 	reg := obs.NewRegistry()
 	art := testArtifact(t)
 	s := New(art, Config{
 		RequestTimeout: 50 * time.Millisecond,
-		WatchdogFactor: -1,
 		Registry:       reg,
 	})
 	ts := httptest.NewServer(s.Handler())
@@ -461,14 +456,14 @@ func TestShedBeforeDecode(t *testing.T) {
 }
 
 // TestEndpointsAndMetrics covers the observability surface: /v1/model,
-// /healthz, /metrics (counters and phase histograms present), /runlogz
-// (batch records whose sizes sum to the answered requests).
+// /metrics (counters and phase histograms present), the run log (one
+// serve.batch record per batch, numbered 1..n, whose sizes sum to the
+// answered requests), and the retired /runlogz (404).
 func TestEndpointsAndMetrics(t *testing.T) {
 	reg := obs.NewRegistry()
-	var logBuf bytes.Buffer
-	rl := obs.NewRunLog(&logBuf)
+	var logBuf syncBuffer
 	art := testArtifact(t)
-	s := New(art, Config{BatchSize: 4, Registry: reg, RunLog: rl})
+	s := New(art, Config{BatchSize: 4, Registry: reg, RunLog: obs.NewRunLog(&logBuf)})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
@@ -532,31 +527,28 @@ func TestEndpointsAndMetrics(t *testing.T) {
 		t.Errorf("phase.serve/classify count = %d, want one per batch (%d)", got, want)
 	}
 
+	recs := batchRecords(t, logBuf.String())
+	if got, want := int64(len(recs)), snap.Counters["serve.batches"]; got != want {
+		t.Errorf("%d serve.batch records, want one per batch (%d)", got, want)
+	}
+	total := 0
+	for i, r := range recs {
+		total += int(r.Config["batch_size"])
+		if r.Test != i+1 || r.Dataset != "v1" {
+			t.Errorf("record %d: seq %d version %q, want seq %d version v1", i, r.Test, r.Dataset, i+1)
+		}
+	}
+	if total != len(samples) {
+		t.Errorf("serve.batch record sizes sum to %d, want %d", total, len(samples))
+	}
+
 	resp, err = http.Get(ts.URL + "/runlogz")
 	if err != nil {
 		t.Fatal(err)
 	}
-	var recs []BatchRecord
-	if err := json.NewDecoder(resp.Body).Decode(&recs); err != nil {
-		t.Fatal(err)
-	}
 	resp.Body.Close()
-	total := 0
-	for _, r := range recs {
-		total += r.Size
-		sum := 0
-		for _, n := range r.Classes {
-			sum += n
-		}
-		if sum != r.Size {
-			t.Errorf("batch %d: class counts sum %d != size %d", r.Seq, sum, r.Size)
-		}
-	}
-	if total != len(samples) {
-		t.Errorf("/runlogz batch sizes sum to %d, want %d", total, len(samples))
-	}
-	if !bytes.Contains(logBuf.Bytes(), []byte(`"serve.batch"`)) {
-		t.Error("run log did not receive serve.batch records")
+	if resp.StatusCode != http.StatusNotFound {
+		t.Errorf("GET /runlogz: %d, want 404", resp.StatusCode)
 	}
 }
 
@@ -698,24 +690,5 @@ func TestShutdownIdempotent(t *testing.T) {
 	wg.Wait()
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
-	}
-}
-
-// TestBatchRingWraparound pins the /runlogz ring ordering across overwrite.
-func TestBatchRingWraparound(t *testing.T) {
-	r := newBatchRing(3)
-	for i := 1; i <= 7; i++ {
-		if seq := r.add(BatchRecord{Size: i}); seq != int64(i) {
-			t.Fatalf("add %d returned seq %d", i, seq)
-		}
-	}
-	recs := r.records()
-	if len(recs) != 3 {
-		t.Fatalf("ring holds %d records, want 3", len(recs))
-	}
-	for i, want := range []int64{5, 6, 7} {
-		if recs[i].Seq != want || recs[i].Size != int(want) {
-			t.Fatalf("ring[%d] = seq %d size %d, want seq %d", i, recs[i].Seq, recs[i].Size, want)
-		}
 	}
 }

@@ -232,7 +232,7 @@ func TestSwapAtomicUnderLoad(t *testing.T) {
 
 // TestCanaryDeterminism pins the canary split contract: the hash routing is
 // a pure function of (seed, routing key, percent) — the server's picks
-// match RouteToCanary exactly, a second server with the same seed routes
+// match routePermille's split exactly, a second server with the same seed routes
 // byte-identically, every response's body matches the version that claims
 // it, and /v1/model advertises the live split.
 func TestCanaryDeterminism(t *testing.T) {
@@ -276,7 +276,7 @@ func TestCanaryDeterminism(t *testing.T) {
 	for i := 0; i < 200; i++ {
 		key := fmt.Sprintf("client-%d", i)
 		want := "v1"
-		if RouteToCanary(seed, []byte(key), percent) {
+		if routePermille(seed, []byte(key)) < permilleOf(percent) {
 			want = "v2"
 			canaried++
 		}

@@ -3,11 +3,14 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"testing"
+	"time"
 
 	"bstc/internal/obs"
 	"bstc/internal/obs/trace"
@@ -90,6 +93,10 @@ func TestClassifyTracePropagation(t *testing.T) {
 	if !ok || classify.ParentID != flush.SpanID {
 		t.Errorf("classify span = %+v, want child of batch_flush", classify)
 	}
+	// The flush span lists the batch's traced members.
+	if ids, _ := flush.Attrs["trace_ids"].([]string); len(ids) != 1 || ids[0] != wantTrace {
+		t.Errorf("batch_flush trace_ids = %v, want [%s]", flush.Attrs["trace_ids"], wantTrace)
+	}
 
 	// Drain the batcher before inspecting the export and runlog buffers:
 	// the batch record is emitted asynchronously after the response.
@@ -102,14 +109,9 @@ func TestClassifyTracePropagation(t *testing.T) {
 		t.Errorf("exporter wrote %d lines, want >= 5 (request, wait, flush, classify, discretize)", n)
 	}
 
-	// The batch runlog record and /runlogz carry the trace for correlation.
+	// The batch's run-log record carries the flush span's trace.
 	if !bytes.Contains(logged.Bytes(), []byte(`"trace_id":"`+wantTrace+`"`)) {
 		t.Errorf("runlog record lacks trace_id: %s", logged.String())
-	}
-	var ring []BatchRecord
-	getJSON(t, ts.URL+"/runlogz", &ring)
-	if len(ring) == 0 || len(ring[0].TraceIDs) == 0 || ring[0].TraceIDs[0] != wantTrace {
-		t.Errorf("/runlogz batches lack trace IDs: %+v", ring)
 	}
 
 	// /tracez serves the same trace.
@@ -121,6 +123,116 @@ func TestClassifyTracePropagation(t *testing.T) {
 	tz.Body.Close()
 	if tz.StatusCode != http.StatusOK {
 		t.Errorf("/tracez trace lookup status %d", tz.StatusCode)
+	}
+}
+
+// TestCoalescedBatchRecords pins how flushed batches are recorded: two
+// traced requests coalesced into one batch both appear in that batch's
+// serve/batch_flush trace_ids, and with a canary live, every batch of
+// either version gets one serve.batch run-log record, all numbered in one
+// 1-based sequence.
+func TestCoalescedBatchRecords(t *testing.T) {
+	in := holdWorker(t, 300*time.Millisecond)
+	art := testArtifact(t)
+	reg := obs.NewRegistry()
+	rec := trace.NewRecorder(0)
+	var logBuf syncBuffer
+	s := New(art, Config{
+		BatchSize: 4,
+		Registry:  reg,
+		Tracer:    trace.New(trace.Config{Recorder: rec}),
+		RunLog:    obs.NewRunLog(&logBuf),
+	})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	defer s.Close()
+
+	// Each request carries a sampled traceparent naming its trace.
+	traceIDs := []string{
+		"11111111111111111111111111111111",
+		"22222222222222222222222222222222",
+		"33333333333333333333333333333333",
+	}
+	statuses := make(chan int, len(traceIDs))
+	post := func(i int) {
+		req, err := http.NewRequest(http.MethodPost, ts.URL+"/v1/classify", strings.NewReader(valuesBody(t, testSamples()[i])))
+		if err != nil {
+			t.Error(err)
+			statuses <- 0
+			return
+		}
+		req.Header.Set(trace.TraceparentHeader, "00-"+traceIDs[i]+"-00f067aa0ba902b7-01")
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Error(err)
+			statuses <- 0
+			return
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		statuses <- resp.StatusCode
+	}
+	// The first request holds the worker; the other two queue behind it
+	// and flush together.
+	go post(0)
+	waitHeld(t, in)
+	go post(1)
+	go post(2)
+	waitQueued(t, s.route.Load().stable, 2)
+	for range traceIDs {
+		if status := <-statuses; status != http.StatusOK {
+			t.Fatalf("traced request: status %d, want 200", status)
+		}
+	}
+
+	if err := s.Apply(Update{
+		Stable:        &Model{Version: "v1", Artifact: art},
+		Canary:        &Model{Version: "v2", Artifact: art},
+		CanaryPercent: 50,
+		Seed:          7,
+	}); err != nil {
+		t.Fatal(err)
+	}
+	body := valuesBody(t, testSamples()[0])
+	for i := range 8 {
+		if status, got, _ := postClassifyKey(t, ts.URL, body, fmt.Sprintf("key-%d", i)); status != http.StatusOK {
+			t.Fatalf("canary-split request %d: status %d: %s", i, status, got)
+		}
+	}
+	// Close waits for the workers, so every span and record is written.
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	var coalesced []string
+	for _, d := range rec.Spans() {
+		if d.Name == "serve/batch_flush" && d.Attrs["batch_size"] == 2 {
+			coalesced, _ = d.Attrs["trace_ids"].([]string)
+		}
+	}
+	slices.Sort(coalesced)
+	if !slices.Equal(coalesced, traceIDs[1:]) {
+		t.Errorf("coalesced batch's trace_ids = %v, want both members %v", coalesced, traceIDs[1:])
+	}
+
+	recs := batchRecords(t, logBuf.String())
+	if got, want := int64(len(recs)), counterValue(reg, "serve.batches"); got != want {
+		t.Fatalf("%d serve.batch records, want one per batch (%d)", got, want)
+	}
+	var seqs []int
+	versions := map[string]int{}
+	for _, r := range recs {
+		seqs = append(seqs, r.Test)
+		versions[r.Dataset]++
+	}
+	slices.Sort(seqs)
+	for i, seq := range seqs {
+		if seq != i+1 {
+			t.Fatalf("serve.batch sequence %v, want 1..%d", seqs, len(seqs))
+		}
+	}
+	if versions["v1"] == 0 || versions["v2"] == 0 {
+		t.Errorf("serve.batch records per version %v, want both v1 and v2", versions)
 	}
 }
 
