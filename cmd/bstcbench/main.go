@@ -11,7 +11,7 @@
 //	bstcbench -exp all -quiet                  # summary lines only
 //	bstcbench -exp table6 -cpuprofile cpu.out -memprofile mem.out
 //	bstcbench -exp table4 -debug-addr localhost:6060  # /metrics, /slo, /tracez + pprof
-//	bstcbench -exp fig6 -workers 1             # exact serial evaluation
+//	bstcbench -exp fig6 -workers 1             # one test at a time, exact counters
 //
 // Experiments: table2, table3, prelim, fig4, fig5, fig6, fig7, table4,
 // table5, table6, table7, tuning, ablation, related, all. Figures and
@@ -30,12 +30,12 @@
 // Cross-validation tests run concurrently on a -workers pool (default
 // GOMAXPROCS); the same knob stripes discretization and batch
 // classification inside each test, while Top-k rule group mining stays
-// serial within its test. Splits are pre-drawn from the study seed, so
-// accuracy artifacts are byte-identical for any worker count; DNF cells
-// report real elapsed time against the cutoff and so can flip near the
-// boundary under CPU contention, as on any loaded machine. -workers 1
-// restores the exact serial path with precise per-test counter
-// attribution.
+// serial within its test. Splits are drawn in test order from the study
+// seed, so accuracy artifacts are byte-identical for any worker count; DNF
+// cells report real elapsed time against the cutoff and so can flip near
+// the boundary under CPU contention, as on any loaded machine. -workers 1
+// runs one worker on the same pool, one test at a time, with precise
+// per-test counter attribution.
 package main
 
 import (
@@ -71,7 +71,7 @@ func run(args []string) (err error) {
 	testsFlag := fs.Int("tests", 0, "cross-validation tests per training size (0 = scale default)")
 	cutoffFlag := fs.Duration("cutoff", 0, "per-phase mining cutoff (0 = scale default)")
 	seedFlag := fs.Int64("seed", 0, "random seed (0 = default)")
-	workersFlag := fs.Int("workers", runtime.GOMAXPROCS(0), "concurrent cross-validation tests, also striping discretization and batch classification (1 = serial; accuracies are identical for any value)")
+	workersFlag := fs.Int("workers", runtime.GOMAXPROCS(0), "concurrent cross-validation tests, also striping discretization and batch classification (1 = one worker on the same pool; accuracies are identical for any value)")
 	maxNodesFlag := fs.Int("max-nodes", 0, "deterministic per-class Top-k node budget, checked every 64 nodes (a run can visit up to 63 past it); exceeding it DNFs the test like a cutoff (0 = unlimited)")
 	runlogFlag := fs.String("runlog", "", "write one JSONL record per cross-validation test to this file")
 	timeoutFlag := fs.Duration("timeout", 0, "overall wall-clock deadline; expired cross-validation tests become DNF records instead of aborting (0 = none)")

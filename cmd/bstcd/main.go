@@ -37,9 +37,10 @@
 // ?format=prom), /tracez, /slo. Classify requests carry W3C
 // traceparent end to end: -trace-sample heads new traces, a propagated
 // sampled flag is always honored, and sampled spans land on /tracez and
-// in the -trace JSONL export. -runlog truncates its file at start, then
-// writes one JSONL record per flushed batch, route swap and contained
-// panic. -timeout is the one bound on a request: one its batch has not
+// in the -trace JSONL export. -runlog appends to its file one JSONL record
+// per flushed batch, route swap and contained panic; batch numbers restart
+// at 1 in each process, so a restarted daemon's records follow the last
+// run's in the same file. -timeout is the one bound on a request: one its batch has not
 // answered by then gets 504, wedged batch or not. On SIGINT/SIGTERM the
 // daemon drains: admitted requests are answered, new ones get 503, then
 // both the HTTP server and the batcher stop.
@@ -115,12 +116,12 @@ func run(ctx context.Context, args []string, stdout io.Writer, ready func(net.Ad
 		SLOTarget:      *sloTarget,
 	}
 	if *runlogPath != "" {
-		rl, err := obs.OpenRunLog(*runlogPath)
+		f, err := os.OpenFile(*runlogPath, os.O_APPEND|os.O_CREATE|os.O_WRONLY, 0o644)
 		if err != nil {
 			return err
 		}
-		defer rl.Close()
-		cfg.RunLog = rl
+		defer f.Close()
+		cfg.RunLog = obs.NewRunLog(f)
 	}
 	// The tracer always carries a recorder so /tracez works even at sample
 	// rate 0 (propagated sampled traceparents still produce spans).

@@ -146,47 +146,66 @@ func TestServeAndDrain(t *testing.T) {
 	}
 }
 
-// TestRunlogFile checks the -runlog flag produces per-batch JSONL records.
+// TestRunlogFile runs the daemon twice on one -runlog file, one request per
+// run, and finds both runs' serve.batch records: the file is appended to,
+// not truncated, and each process numbers its batches from 1.
 func TestRunlogFile(t *testing.T) {
 	model, _, rows := writeArtifact(t)
 	logPath := filepath.Join(t.TempDir(), "batches.jsonl")
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-
-	addrCh := make(chan net.Addr, 1)
-	done := make(chan error, 1)
-	var out bytes.Buffer
-	go func() {
-		done <- run(ctx,
-			[]string{"-model", model, "-addr", "127.0.0.1:0", "-runlog", logPath},
-			&out, func(a net.Addr) { addrCh <- a })
-	}()
-	var base string
-	select {
-	case a := <-addrCh:
-		base = "http://" + a.String()
-	case <-time.After(10 * time.Second):
-		t.Fatal("daemon never became ready")
-	}
 	body, _ := json.Marshal(map[string][]float64{"values": rows[0]})
-	resp, err := http.Post(base+"/v1/classify", "application/json", bytes.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("classify: %d", resp.StatusCode)
-	}
-	cancel()
-	if err := <-done; err != nil {
-		t.Fatal(err)
+	for range 2 {
+		ctx, cancel := context.WithCancel(context.Background())
+		addrCh := make(chan net.Addr, 1)
+		done := make(chan error, 1)
+		var out bytes.Buffer
+		go func() {
+			done <- run(ctx,
+				[]string{"-model", model, "-addr", "127.0.0.1:0", "-runlog", logPath},
+				&out, func(a net.Addr) { addrCh <- a })
+		}()
+		var base string
+		select {
+		case a := <-addrCh:
+			base = "http://" + a.String()
+		case <-time.After(10 * time.Second):
+			cancel()
+			t.Fatal("daemon never became ready")
+		}
+		resp, err := http.Post(base+"/v1/classify", "application/json", bytes.NewReader(body))
+		if err != nil {
+			cancel()
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		cancel()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("classify: %d", resp.StatusCode)
+		}
+		if err := <-done; err != nil {
+			t.Fatal(err)
+		}
 	}
 	data, err := os.ReadFile(logPath)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Contains(data, []byte(`"serve.batch"`)) {
-		t.Fatalf("run log has no serve.batch records: %s", data)
+	var batches []int
+	for _, line := range bytes.Split(bytes.TrimSpace(data), []byte("\n")) {
+		var rec struct {
+			Run struct {
+				Experiment string `json:"experiment"`
+				Test       int    `json:"test"`
+			} `json:"run"`
+		}
+		if err := json.Unmarshal(line, &rec); err != nil {
+			t.Fatalf("run log line %q: %v", line, err)
+		}
+		if rec.Run.Experiment == "serve.batch" {
+			batches = append(batches, rec.Run.Test)
+		}
+	}
+	if len(batches) != 2 || batches[0] != 1 || batches[1] != 1 {
+		t.Fatalf("serve.batch records numbered %v, want [1 1] (one per run): %s", batches, data)
 	}
 }
 

@@ -523,6 +523,27 @@ func TestMineLowerBoundsNLLimit(t *testing.T) {
 	}
 }
 
+// TestLowerBoundsNoGenes: a search over no genes finds no bound, whether
+// LowerBounds gets no columns or MineLowerBounds a group whose upper bound
+// is empty. The search has no gene-mask words then, so it must not derive
+// its bound count from them.
+func TestLowerBoundsNoGenes(t *testing.T) {
+	r := rand.New(rand.NewSource(61))
+	d := randomBool(r, 10, 12, 2)
+	for _, nl := range []int{1, 20} {
+		all := bitset.New(d.NumSamples())
+		all.Fill()
+		if got := LowerBounds(d.NumGenes(), nil, nil, all, nl); len(got) != 0 {
+			t.Errorf("nl=%d: LowerBounds over no genes returned %d bounds", nl, len(got))
+		}
+		g := &RuleGroup{Class: 0, UpperBound: bitset.New(d.NumGenes())}
+		got, err := MineLowerBounds(context.Background(), d, g, nl, Budget{})
+		if err != nil || len(got) != 0 {
+			t.Errorf("nl=%d: MineLowerBounds on an empty upper bound returned %d bounds, err %v", nl, len(got), err)
+		}
+	}
+}
+
 func TestMineLowerBoundsBudget(t *testing.T) {
 	// An upper bound with many genes and an expired deadline must DNF.
 	r := rand.New(rand.NewSource(59))

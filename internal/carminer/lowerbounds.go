@@ -58,7 +58,7 @@ func MineLowerBounds(ctx context.Context, d *dataset.Bool, g *RuleGroup, nl int,
 		return fault.Hit("carminer.lb")
 	})
 	met.lbSteps.Add(int64(s.steps % lbPoll))
-	met.lbBounds.Add(int64(s.numFound()))
+	met.lbBounds.Add(int64(s.nfound))
 	met.lbFrontierPeak.SetMax(int64(s.peak))
 	return s.bounds(d.NumGenes()), err
 }
@@ -66,8 +66,10 @@ func MineLowerBounds(ctx context.Context, d *dataset.Bool, g *RuleGroup, nl int,
 // LowerBounds is the same search over explicit columns, with no budget and
 // no counters: it returns up to nl minimal subsets of genes (global indices
 // over [0, universe), ascending) whose columns intersect to exactly target.
-// cols[i] is genes[i]'s support set, over target's universe. core's IBRG
-// lower bounds (§4.2) run through it.
+// cols[i] is genes[i]'s support set, over target's universe, and every
+// column must hold the target, as the columns of an upper bound's genes do:
+// the minimality prune relies on it. core's IBRG lower bounds (§4.2) run
+// through it, over genes every supporting column expresses.
 func LowerBounds(universe int, genes []int, cols []*bitset.Set, target *bitset.Set, nl int) []*bitset.Set {
 	if nl <= 0 {
 		return nil
@@ -94,8 +96,7 @@ const lbPoolMax = 64 << 20
 // release pools s unless its slabs, every one of which a pooled search
 // keeps, hold more than lbPoolMax bytes.
 func (s *lbSearch) release() {
-	b := 8 * (cap(s.genes) + cap(s.target) + cap(s.found) + cap(s.parent))
-	b += 4 * (cap(s.tops) + cap(s.byTop) + cap(s.sameTop))
+	b := 8 * (cap(s.genes) + cap(s.target) + cap(s.found) + cap(s.mask))
 	for k := range s.rows {
 		b += 8*cap(s.rows[k]) + 4*cap(s.start[k])
 		b += cap(s.lists8[k].prefix) + cap(s.lists8[k].last)
@@ -120,10 +121,12 @@ func (s *lbSearch) release() {
 // not stored. The next level is built in a second set of slabs and the
 // sets swap. Genes take one byte when n <= 256 (every upper bound of the
 // small-scale profiles), since the frontier's width is what bounds the
-// search's memory. Found bounds are local gene masks of gw words, chained
-// by their largest gene, so the minimality prune is a word-AND against the
-// few bounds that can lie inside a candidate. Pooled searches keep their
-// slabs, so a warm call allocates only the bounds it returns.
+// search's memory. Found bounds are local gene masks of gw words. Every
+// column holds the target, so a candidate holding a found bound has that
+// bound's support, the target: only a hit can fail the minimality prune,
+// which is then a word-AND against each of the at most nl found masks.
+// Pooled searches keep their slabs, so a warm call allocates only the
+// bounds it returns.
 type lbSearch struct {
 	genes     []int             // global gene of each local position, ascending
 	n, rw, gw int               // local genes, words per row set, words per gene mask
@@ -132,11 +135,9 @@ type lbSearch struct {
 	start     [2][]int32        // group k's members are [start[k], start[k+1])
 	lists8    [2]lbLists[uint8] // the two levels' genes, for n <= 256
 	lists32   [2]lbLists[int32] // ... otherwise
-	found     []uint64          // found bounds' gene masks less their top, gw words each
-	tops      []int32           // each found bound's top: its largest gene
-	byTop     []int32           // per gene x, the last bound found with top x, or -1
-	sameTop   []int32           // per bound, the previous bound with its top, or -1
-	parent    []uint64          // gene mask of the member being extended
+	found     []uint64          // found bounds' gene masks, gw words each
+	nfound    int               // bounds found
+	mask      []uint64          // gene mask of the hit being checked
 	steps     int               // candidates examined
 	peak      int               // widest level joined
 }
@@ -152,12 +153,8 @@ func (s *lbSearch) reset(n, rows int) {
 	s.n, s.rw, s.gw = n, (rows+63)/64, (n+63)/64
 	s.target = zeroed(s.target, s.rw)
 	s.rows[0] = zeroed(s.rows[0], n*s.rw)
-	s.found, s.tops, s.sameTop = s.found[:0], s.tops[:0], s.sameTop[:0]
-	s.byTop = grow(s.byTop, n)[:n]
-	for i := range s.byTop {
-		s.byTop[i] = -1
-	}
-	s.parent = zeroed(s.parent, s.gw)
+	s.found, s.nfound = s.found[:0], 0
+	s.mask = grow(s.mask, s.gw)[:s.gw]
 	s.steps, s.peak = 0, 0
 }
 
@@ -193,8 +190,7 @@ func bfs[G lbGene](s *lbSearch, lists *[2]lbLists[G], nl int, poll func() error)
 		}
 		col := s.rows[cur][i*rw : (i+1)*rw]
 		if equalWords(col, s.target) {
-			clear(s.parent)
-			if s.emit(int32(i)) >= nl {
+			if emit(s, nil, G(i), G(i)) >= nl { // a singleton is its own y and x
 				return nil
 			}
 			continue
@@ -208,9 +204,11 @@ func bfs[G lbGene](s *lbSearch, lists *[2]lbLists[G], nl int, poll func() error)
 
 	// Levels 2..n: each member joins the later members of its group. The
 	// levels are in lexicographic order, as the textbook join makes them.
-	// A joined candidate's support is the intersection of its parents'; it
-	// is a bound when that hits the target.
-	for l := 1; width > 0 && s.numFound() < nl; l++ {
+	// A joined candidate's support is the intersection of the two joined
+	// members' supports; it is a bound when that hits the target and it
+	// holds no found bound. A miss holds none, since a bound's supersets
+	// all have the target as their support.
+	for l := 1; width > 0 && s.nfound < nl; l++ {
 		s.peak = max(s.peak, width)
 		in, out := &lists[cur], &lists[next]
 		rows, start := s.rows[cur], s.start[cur]
@@ -220,13 +218,11 @@ func bfs[G lbGene](s *lbSearch, lists *[2]lbLists[G], nl int, poll func() error)
 		s.start[next] = s.start[next][:0]
 		for k := 0; k < groups; k++ {
 			prefix := in.prefix[k*(l-1) : (k+1)*(l-1)]
-			setMask(s.parent, prefix)
 			end := int(start[k+1])
 			for i := int(start[k]); i < end-1; i++ {
 				// Member i opens the group prefix+y; the next level's
 				// slabs grow once for all of its possible members.
 				y := in.last[i]
-				s.parent[y/64] |= 1 << (y % 64)
 				first := built
 				out.last = grow(out.last, built+end-i-1)
 				s.rows[next] = grow(s.rows[next], (built+end-i-1)*rw)
@@ -237,17 +233,9 @@ func bfs[G lbGene](s *lbSearch, lists *[2]lbLists[G], nl int, poll func() error)
 							return err
 						}
 					}
-					// Minimality prune: prefix+y+x holding a found bound
-					// is not a minimal generator. No bound lies inside
-					// prefix+y (it survived every bound of its level and
-					// below; the bounds of this level are larger), so such
-					// a bound's largest gene is x.
 					x := in.last[j]
-					if s.byTop[x] >= 0 && s.holdsBound(int32(x)) {
-						continue
-					}
 					if andHits(dst[built*rw:(built+1)*rw], ar, rows[j*rw:(j+1)*rw], s.target) {
-						if s.emit(int32(x)) >= nl {
+						if emit(s, prefix, y, x) >= nl {
 							return nil
 						}
 						continue
@@ -255,7 +243,6 @@ func bfs[G lbGene](s *lbSearch, lists *[2]lbLists[G], nl int, poll func() error)
 					out.last[built] = x
 					built++
 				}
-				s.parent[y/64] &^= 1 << (y % 64)
 				// Every survivor is in the next level's width, but a lone
 				// one joins nothing, so only a pair or more is stored.
 				width += built - first
@@ -293,58 +280,49 @@ func andHits(dst, a, b, target []uint64) bool {
 	return diff == 0
 }
 
-// setMask sets mask to the genes of p.
-func setMask[G lbGene](mask []uint64, p []G) {
-	clear(mask)
-	for _, i := range p {
-		mask[i/64] |= 1 << (i % 64)
+// emit is the minimality prune of a hit prefix+y+x: it records the
+// candidate as a bound unless a found bound lies inside it, and returns how
+// many bounds have been found.
+func emit[G lbGene](s *lbSearch, prefix []G, y, x G) int {
+	clear(s.mask)
+	for _, i := range prefix {
+		s.mask[i/64] |= 1 << (i % 64)
 	}
-}
-
-// emit records the bound s.parent+x, whose top is x, and returns how many
-// bounds have been found.
-func (s *lbSearch) emit(x int32) int {
-	s.found = append(s.found, s.parent...)
-	s.sameTop = append(s.sameTop, s.byTop[x])
-	s.byTop[x] = int32(len(s.tops))
-	s.tops = append(s.tops, x)
-	return len(s.tops)
-}
-
-// holdsBound reports whether s.parent+x contains a found bound with top x.
-func (s *lbSearch) holdsBound(x int32) bool {
-	for k := s.byTop[x]; k >= 0; k = s.sameTop[k] {
-		inside := true
-		for w, fw := range s.found[int(k)*s.gw : int(k+1)*s.gw] {
-			if fw&^s.parent[w] != 0 {
-				inside = false
-				break
-			}
-		}
-		if inside {
-			return true
+	s.mask[y/64] |= 1 << (y % 64)
+	s.mask[x/64] |= 1 << (x % 64)
+	for k := 0; k < s.nfound; k++ {
+		if insideMask(s.found[k*s.gw:(k+1)*s.gw], s.mask) {
+			return s.nfound
 		}
 	}
-	return false
+	s.found = append(s.found, s.mask...)
+	s.nfound++
+	return s.nfound
 }
 
-func (s *lbSearch) numFound() int { return len(s.tops) }
+// insideMask reports whether every gene of a is in b.
+func insideMask(a, b []uint64) bool {
+	for w, aw := range a {
+		if aw&^b[w] != 0 {
+			return false
+		}
+	}
+	return true
+}
 
 // bounds returns the found bounds as sets of global genes over
 // [0, universe), in the order found.
 func (s *lbSearch) bounds(universe int) []*bitset.Set {
-	k := s.numFound()
-	if k == 0 {
+	if s.nfound == 0 {
 		return nil
 	}
-	out := bitset.NewBlock(universe, k)
+	out := bitset.NewBlock(universe, s.nfound)
 	for b, set := range out {
 		for w, m := range s.found[b*s.gw : (b+1)*s.gw] {
 			for ; m != 0; m &= m - 1 {
 				set.Add(s.genes[w*64+bits.TrailingZeros64(m)])
 			}
 		}
-		set.Add(s.genes[s.tops[b]])
 	}
 	return out
 }

@@ -92,13 +92,6 @@ func (b Budget) Check(ctx context.Context) error {
 	return nil
 }
 
-// IsStop reports whether err is one of the orderly stop outcomes (budget
-// expiry, context deadline, context cancel) rather than a real failure.
-// Harnesses record stops as DNF results; real failures abort.
-func IsStop(err error) bool {
-	return errors.Is(err, ErrBudgetExceeded) || fault.IsCancellation(err)
-}
-
 // RuleGroup is an interesting rule group's upper bound: the maximal (closed)
 // antecedent itemset shared by every rule in the group, with its support and
 // confidence for the target class.

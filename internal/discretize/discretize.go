@@ -62,18 +62,17 @@ func Fit(train *dataset.Continuous) (*Model, error) {
 	return FitWithWorkers(context.Background(), train, EntropyMDL, 1)
 }
 
-// FitWithWorkers learns cut points using the supplied Cutter and up to
-// workers goroutines (≤ 1 runs serially). Each gene's cut computation
+// FitWithWorkers learns cut points using the supplied Cutter on
+// max(1, min(workers, genes)) goroutines. Each gene's cut computation
 // depends only on that gene's column and the class labels, so genes stripe
 // across workers; the item vocabulary is assembled serially in gene order
 // afterwards, making the returned model identical for every worker count.
-// The serial branch stays as the reference the striped one is diffed
-// against (TestFitWithWorkersMatchesSerial).
 //
 // The context is polled once per chunk of genes; a deadline or cancellation
 // stops all workers promptly and returns the typed fault.ErrDeadline /
-// fault.ErrCanceled. A Cutter panic in any worker is recovered into a
-// *fault.PanicError instead of crashing the process.
+// fault.ErrCanceled. A Cutter panic in any worker, at any worker count, is
+// recovered into a *fault.PanicError at site discretize.fit instead of
+// crashing the process.
 func FitWithWorkers(ctx context.Context, train *dataset.Continuous, cut Cutter, workers int) (*Model, error) {
 	if err := train.Validate(); err != nil {
 		return nil, err
@@ -87,76 +86,60 @@ func FitWithWorkers(ctx context.Context, train *dataset.Continuous, cut Cutter, 
 		ClassNames: train.ClassNames,
 		numGenes:   numGenes,
 	}
-	if workers > numGenes {
-		workers = numGenes
-	}
+	workers = max(1, min(workers, numGenes))
 	const chunk = 8
-	stop := func() error {
-		if err := fault.CtxErr(ctx); err != nil {
-			return err
-		}
-		return fault.Hit("discretize.fit")
+	// Workers grab genes in chunks off a shared atomic cursor; every Cutter
+	// copies what it keeps, so the per-worker column buffer is safe to
+	// reuse. The first error (context stop, injected fault, or recovered
+	// panic) wins; other workers drain out at their next poll.
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	errs := make([]error, workers)
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			defer func() {
+				if r := recover(); r != nil {
+					errs[w] = fault.Recovered("discretize.fit", r)
+				}
+			}()
+			col := make([]float64, train.NumSamples())
+			for {
+				g0 := int(next.Add(chunk)) - chunk
+				if g0 >= numGenes {
+					return
+				}
+				if err := fault.CtxErr(ctx); err != nil {
+					errs[w] = err
+					return
+				}
+				if err := fault.Hit("discretize.fit"); err != nil {
+					errs[w] = err
+					return
+				}
+				for g := g0; g < g0+chunk && g < numGenes; g++ {
+					m.GeneCuts[g] = cutGene(train, cut, col, g)
+				}
+			}
+		}(w)
 	}
-	if workers <= 1 {
-		col := make([]float64, train.NumSamples())
-		for g := 0; g < numGenes; g++ {
-			if g%chunk == 0 {
-				if err := stop(); err != nil {
-					return nil, err
-				}
-			}
-			m.GeneCuts[g] = cutGene(train, cut, col, g)
+	wg.Wait()
+	var firstErr error
+	for _, err := range errs {
+		if err == nil {
+			continue
 		}
-	} else {
-		// Workers grab genes in chunks off a shared atomic cursor; every
-		// Cutter copies what it keeps, so the per-worker column buffer is
-		// safe to reuse. The first error (context stop, injected fault, or
-		// recovered panic) wins; other workers drain out at their next poll.
-		var next atomic.Int64
-		var wg sync.WaitGroup
-		errs := make([]error, workers)
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				defer func() {
-					if r := recover(); r != nil {
-						errs[w] = fault.Recovered("discretize.fit", r)
-					}
-				}()
-				col := make([]float64, train.NumSamples())
-				for {
-					g0 := int(next.Add(chunk)) - chunk
-					if g0 >= numGenes {
-						return
-					}
-					if err := stop(); err != nil {
-						errs[w] = err
-						return
-					}
-					for g := g0; g < g0+chunk && g < numGenes; g++ {
-						m.GeneCuts[g] = cutGene(train, cut, col, g)
-					}
-				}
-			}(w)
+		if _, ok := fault.AsPanic(err); ok {
+			firstErr = err
+			break
 		}
-		wg.Wait()
-		var firstErr error
-		for _, err := range errs {
-			if err == nil {
-				continue
-			}
-			if _, ok := fault.AsPanic(err); ok {
-				firstErr = err
-				break
-			}
-			if firstErr == nil {
-				firstErr = err
-			}
+		if firstErr == nil {
+			firstErr = err
 		}
-		if firstErr != nil {
-			return nil, firstErr
-		}
+	}
+	if firstErr != nil {
+		return nil, firstErr
 	}
 	m.ItemNames = make([]string, 0, m.index())
 	for _, g := range m.Selected {

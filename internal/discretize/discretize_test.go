@@ -342,27 +342,47 @@ func randomTrain(genes, samples int, seed int64) *dataset.Continuous {
 	return c
 }
 
+// TestFitWithWorkersMatchesSerial diffs the striped fit, at every worker
+// count, against a reference built here the plain way: EntropyMDL on each
+// gene's column in turn, then the item vocabulary in gene order.
 func TestFitWithWorkersMatchesSerial(t *testing.T) {
 	train := randomTrain(253, 40, 11)
-	serial, err := FitWithWorkers(context.Background(), train, EntropyMDL, 1)
-	if err != nil {
-		t.Fatal(err)
+	var (
+		cuts     = make([][]float64, train.NumGenes())
+		selected []int
+		names    []string
+		itemBase []int
+	)
+	col := make([]float64, train.NumSamples())
+	for g := range cuts {
+		for i, row := range train.Values {
+			col[i] = row[g]
+		}
+		cuts[g] = EntropyMDL(col, train.Classes, train.NumClasses())
+		if len(cuts[g]) == 0 {
+			continue
+		}
+		selected = append(selected, g)
+		itemBase = append(itemBase, len(names))
+		for b := 0; b <= len(cuts[g]); b++ {
+			names = append(names, fmt.Sprintf("%s[%d]", train.GeneNames[g], b))
+		}
 	}
-	for _, workers := range []int{2, 3, 8, 64, 1000} {
-		par, err := FitWithWorkers(context.Background(), train, EntropyMDL, workers)
+	if len(selected) == 0 {
+		t.Fatal("determinism check is vacuous: no genes selected")
+	}
+	for _, workers := range []int{1, 2, 3, 8, 64, 1000} {
+		m, err := FitWithWorkers(context.Background(), train, EntropyMDL, workers)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(par.GeneCuts, serial.GeneCuts) {
-			t.Fatalf("workers=%d: gene cuts differ from serial", workers)
+		if !reflect.DeepEqual(m.GeneCuts, cuts) {
+			t.Fatalf("workers=%d: gene cuts differ from the gene-by-gene fit", workers)
 		}
-		if !reflect.DeepEqual(par.Selected, serial.Selected) ||
-			!reflect.DeepEqual(par.ItemNames, serial.ItemNames) ||
-			!reflect.DeepEqual(par.itemBase, serial.itemBase) {
-			t.Fatalf("workers=%d: item vocabulary differs from serial", workers)
+		if !reflect.DeepEqual(m.Selected, selected) ||
+			!reflect.DeepEqual(m.ItemNames, names) ||
+			!reflect.DeepEqual(m.itemBase, itemBase) {
+			t.Fatalf("workers=%d: item vocabulary differs from the gene-by-gene fit", workers)
 		}
-	}
-	if serial.NumSelectedGenes() == 0 {
-		t.Fatal("determinism check is vacuous: no genes selected")
 	}
 }

@@ -65,10 +65,10 @@ type CVConfig struct {
 
 	// Workers bounds how many (size, test) evaluations run concurrently;
 	// the same value stripes gene discretization and batch classification
-	// inside each test. 0 or 1 runs the tests one after another, fits
-	// serially and classifies inline. Splits are always drawn serially from
-	// the study's rand.Rand, so results and rendered tables are identical
-	// for every worker count.
+	// inside each test. Below 1 it is 1: one worker on the same pool, which
+	// runs the tests one after another. Splits are always drawn in task
+	// order from the study's rand.Rand, so results and rendered tables are
+	// identical for every worker count.
 	Workers int
 
 	// Checkpoint, when non-empty, journals every finished test to this
@@ -109,8 +109,8 @@ func (cfg CVConfig) recordConfig() map[string]float64 {
 	return m
 }
 
-// effectiveWorkers normalizes the Workers knob: anything below 1 is the
-// serial path.
+// effectiveWorkers normalizes the Workers knob: anything below 1 is one
+// worker.
 func (cfg CVConfig) effectiveWorkers() int {
 	if cfg.Workers < 1 {
 		return 1
@@ -139,7 +139,7 @@ func (sr SizeResult) ok(i int) bool {
 // cvTask is one drawn (size, test) evaluation. splitErr, when non-nil,
 // poisons the position where split drawing failed: every task before it
 // still runs and emits, then the poisoned record is emitted and the error
-// returned — exactly the serial protocol's behaviour.
+// returned.
 type cvTask struct {
 	test     int
 	size     TrainSize
@@ -167,19 +167,20 @@ type cvResult struct {
 
 // RunCV runs the full study: Tests independent random splits per size, each
 // discretized on its training half, with BSTC always and Top-k/RCBT
-// optionally evaluated. With Workers > 1 the tests run on a bounded worker
-// pool; splits are drawn serially in task order from the shared generator
-// and records are emitted in task order, so every artifact is identical to
-// the serial run.
+// optionally evaluated. The tests run on a pool of Workers goroutines; each
+// claims the next test and draws its split in task order from the shared
+// generator, and records are emitted in task order, so every artifact is
+// identical for any worker count. At one worker the pool draws and runs
+// each test in turn, so a seeded fault schedule replays exactly.
 //
 // Resilience semantics:
 //   - A context deadline or cancellation is not an error: tests already
 //     running finish as DNF records (reason "deadline" / "canceled"), no
 //     further splits are drawn, and the completed prefix of results is
 //     returned with a nil error.
-//   - A panic on any worker is contained: the test's record carries the
-//     panic value and stack, the study continues, and the test is marked
-//     Failed in its SizeResult.
+//   - A panic on any worker, in a test or in its split draw, is contained:
+//     the test's record carries the panic value and stack, the study
+//     continues, and the test is marked Failed in its SizeResult.
 //   - With cfg.Checkpoint set, finished tests are journaled and a restart
 //     resumes after the journaled prefix.
 func RunCV(ctx context.Context, cfg CVConfig) ([]SizeResult, error) {
@@ -216,16 +217,23 @@ func RunCV(ctx context.Context, cfg CVConfig) ([]SizeResult, error) {
 		start = len(replay)
 	}
 
-	// Splits are drawn lazily, one task ahead of dispatch, always in task
+	// Splits are drawn lazily, as workers claim their tests, always in task
 	// order from the shared generator — split is the protocol's only rand
-	// consumer, so the drawn sequence (and every downstream result) matches
-	// the serial path exactly, and a stopped study stops drawing instead of
-	// burning through the remaining sizes. Replayed tests consume their
+	// consumer, so the drawn sequence (and every downstream result) is the
+	// same for any worker count, and a stopped study stops drawing instead
+	// of burning through the remaining sizes. Replayed tests consume their
 	// draws so the stream lines up for the fresh ones.
 	r := rand.New(rand.NewSource(cfg.Seed))
-	draw := func(i int) cvTask {
+	draw := func(i int) (t cvTask) {
 		size := cfg.Sizes[i/cfg.Tests]
-		t := cvTask{test: i % cfg.Tests, size: size}
+		t = cvTask{test: i % cfg.Tests, size: size}
+		// A draw runs on the worker that claims its test, so a panic in it
+		// is contained like one in the test itself.
+		defer func() {
+			if v := recover(); v != nil {
+				t.splitErr = fault.Recovered("eval.split", v)
+			}
+		}()
 		if err := fault.Hit("eval.split"); err != nil {
 			t.splitErr = err
 			return t
@@ -271,8 +279,8 @@ func RunCV(ctx context.Context, cfg CVConfig) ([]SizeResult, error) {
 		// The deferred delta lands on the record on every exit path —
 		// failed tests previously lost exactly the counters that would
 		// explain the failure. Concurrent tests share the registry, so
-		// overlapping windows may see each other's activity; serial runs
-		// attribute exactly.
+		// overlapping windows may see each other's activity; one-worker
+		// runs attribute exactly.
 		before := reg.Snapshot()
 		defer func() {
 			rec.Counters = reg.Snapshot().DeltaFrom(before).Flat()
@@ -380,35 +388,9 @@ func RunCV(ctx context.Context, cfg CVConfig) ([]SizeResult, error) {
 		}
 	}
 
-	// The serial loop stays beside the pool because it is the only path
-	// that replays a seeded fault schedule exactly (TestChaosSweep's
-	// serial-deterministic case): the injector draws from one shared RNG,
-	// and the pool draws the next split on its feeder goroutine while
-	// workers draw faults on theirs.
-	emitted := start
-	if workers <= 1 {
-		for i := start; i < total; i++ {
-			if err := fault.CtxErr(ctx); err != nil {
-				break
-			}
-			res := runTest(draw(i), 1)
-			results[i] = res
-			emit(i, res)
-			emitted = i + 1
-			if res.err == nil || res.contained {
-				continue
-			}
-			if res.dnf {
-				break
-			}
-			return nil, res.err
-		}
-	} else {
-		n, err := runPool(ctx, cfg, start, results, draw, runTest, emit, workers)
-		emitted = n
-		if err != nil {
-			return nil, err
-		}
+	emitted, err := runPool(ctx, start, results, draw, runTest, emit, workers)
+	if err != nil {
+		return nil, err
 	}
 	return buildResults(cfg, results, emitted), nil
 }
@@ -441,39 +423,42 @@ func buildResults(cfg CVConfig, results []*cvResult, emitted int) []SizeResult {
 	return out
 }
 
-// runPool evaluates tasks start.. on a bounded pool of workers with
-// first-error-wins cancellation. Finished results are stored by task index
-// and the contiguous completed prefix is emitted in task order, halting at
-// (and including) the first errored record. The feeder draws splits and
-// dispatches indices in order, so the unstarted tasks always form a suffix,
-// the lowest-index error is always reached, and a stopped study stops
-// drawing splits immediately — nothing after the first error is emitted,
-// matching the serial protocol, which would never have run those tests.
+// runPool evaluates tasks start.. on a pool of workers with
+// first-error-wins cancellation. A worker claims the next task and draws
+// its split under the pool's lock, so the unstarted tasks always form a
+// suffix and the lowest-index error is always reached. Finished results
+// are stored by task index and the contiguous completed prefix is emitted
+// in task order, halting at (and including) the first errored record; once
+// any test fails, or the context stops, no further task is claimed.
 //
 // Contained panics do not stop the pool: their records emit and the
-// remaining tests keep running. A context stop (DNF results) stops dispatch
+// remaining tests keep running. A context stop (DNF results) stops claims
 // like an error, but runPool maps it to a truncated success: the emitted
 // count is returned with a nil error.
-func runPool(ctx context.Context, cfg CVConfig, start int, results []*cvResult, draw func(int) cvTask, runTest func(cvTask, int) *cvResult, emit func(int, *cvResult), workers int) (int, error) {
+func runPool(ctx context.Context, start int, results []*cvResult, draw func(int) cvTask, runTest func(cvTask, int) *cvResult, emit func(int, *cvResult), workers int) (int, error) {
 	total := len(results)
-	if workers > total-start {
-		workers = total - start
-	}
 	var (
 		mu       sync.Mutex
+		next     = start // the next task to claim
 		nextEmit = start
+		stopped  bool // a test failed or hit a context stop: claim nothing more
 		firstErr error
 		wg       sync.WaitGroup
-		stopOnce sync.Once
 	)
-	stop := make(chan struct{})
-	// tasks[i] is written by the feeder before index i is sent on feed; the
-	// channel send orders the write before the receiving worker's read.
-	tasks := make([]cvTask, total)
+	claim := func() (int, cvTask, bool) {
+		mu.Lock()
+		defer mu.Unlock()
+		if stopped || next >= total || ctx.Err() != nil {
+			return 0, cvTask{}, false
+		}
+		next++
+		return next - 1, draw(next - 1), true
+	}
 	store := func(i int, res *cvResult) {
 		mu.Lock()
 		defer mu.Unlock()
 		results[i] = res
+		stopped = stopped || res.err != nil && !res.contained
 		for firstErr == nil && nextEmit < total && results[nextEmit] != nil {
 			r := results[nextEmit]
 			nextEmit++
@@ -483,32 +468,19 @@ func runPool(ctx context.Context, cfg CVConfig, start int, results []*cvResult, 
 			}
 		}
 	}
-	feed := make(chan int)
-	for w := 1; w <= workers; w++ {
+	for w := 1; w <= min(workers, total-start); w++ {
 		wg.Add(1)
 		go func(worker int) {
 			defer wg.Done()
-			for i := range feed {
-				res := runTest(tasks[i], worker)
-				if res.err != nil && !res.contained {
-					stopOnce.Do(func() { close(stop) })
+			for {
+				i, t, ok := claim()
+				if !ok {
+					return
 				}
-				store(i, res)
+				store(i, runTest(t, worker))
 			}
 		}(w)
 	}
-dispatch:
-	for i := start; i < total; i++ {
-		tasks[i] = draw(i)
-		select {
-		case feed <- i:
-		case <-stop:
-			break dispatch
-		case <-ctx.Done():
-			break dispatch
-		}
-	}
-	close(feed)
 	wg.Wait()
 	if fault.IsCancellation(firstErr) {
 		return nextEmit, nil

@@ -30,9 +30,9 @@ type Prepared struct {
 
 // PrepareWorkers discretizes per the protocol and materializes all four
 // views, with the entropy-MDL fit striped over up to workers goroutines
-// (≤ 1 fits serially). The fitted model — and thus every returned view — is
-// identical for any worker count. A context deadline or cancellation stops
-// the fit with the typed fault errors.
+// (at least one; see discretize.FitWithWorkers). The fitted model — and
+// thus every returned view — is identical for any worker count. A context
+// deadline or cancellation stops the fit with the typed fault errors.
 func PrepareWorkers(ctx context.Context, c *dataset.Continuous, sp dataset.Split, workers int) (*Prepared, error) {
 	if len(sp.Train) == 0 || len(sp.Test) == 0 {
 		return nil, fmt.Errorf("eval: split needs both train (%d) and test (%d) samples",

@@ -145,62 +145,67 @@ type writerFunc func([]byte) (int, error)
 
 func (f writerFunc) Write(p []byte) (int, error) { return f(p) }
 
-// TestRunCVContainedPanic injects a panic into the discretization phase and
-// checks containment on both the serial and the pooled path: the poisoned
-// test degrades to a failed record with the stack in the run log, every
-// other test still succeeds, and RunCV returns no error.
+// TestRunCVContainedPanic injects a panic into the discretization phase,
+// then into a split draw, and checks containment at one worker and at
+// three: the poisoned test degrades to a failed record naming the site that
+// recovered the panic, with the stack in the run log, every other test
+// still succeeds, and RunCV returns no error. The fit's own pool recovers
+// its panic at every worker count, and a draw runs on the worker that
+// claims its test.
 func TestRunCVContainedPanic(t *testing.T) {
 	for _, workers := range []int{1, 3} {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
-			in := fault.NewInjector(3)
-			in.Set("discretize.fit", fault.Rule{Prob: 1, MaxFires: 1, Panic: "chaos"})
-			fault.Enable(in)
-			defer fault.Disable()
+			for _, site := range []string{"discretize.fit", "eval.split"} {
+				in := fault.NewInjector(3)
+				in.Set(site, fault.Rule{Prob: 1, MaxFires: 1, Panic: "chaos"})
+				fault.Enable(in)
 
-			var buf bytes.Buffer
-			cfg := resilienceCVConfig(t, false)
-			cfg.Workers = workers
-			cfg.RunLog = obs.NewRunLog(&buf)
-			results, err := RunCV(context.Background(), cfg)
-			if err != nil {
-				t.Fatalf("a contained panic must not abort the study, got %v", err)
-			}
-			recs := runlogLines(t, &buf)
-			total := cfg.Tests * len(cfg.Sizes)
-			if len(recs) != total {
-				t.Fatalf("got %d records, want %d (the study continues past the panic)", len(recs), total)
-			}
-			panicked := 0
-			for _, rec := range recs {
-				if rec.Error == "" {
-					continue
+				var buf bytes.Buffer
+				cfg := resilienceCVConfig(t, false)
+				cfg.Workers = workers
+				cfg.RunLog = obs.NewRunLog(&buf)
+				results, err := RunCV(context.Background(), cfg)
+				fault.Disable()
+				if err != nil {
+					t.Fatalf("%s: a contained panic must not abort the study, got %v", site, err)
 				}
-				panicked++
-				if !strings.Contains(rec.Error, "panic") {
-					t.Errorf("failed record does not name the panic: %q", rec.Error)
+				recs := runlogLines(t, &buf)
+				total := cfg.Tests * len(cfg.Sizes)
+				if len(recs) != total {
+					t.Fatalf("%s: got %d records, want %d (the study continues past the panic)", site, len(recs), total)
 				}
-				if rec.Stack == "" {
-					t.Error("failed record lost the panic stack")
-				}
-			}
-			if panicked != 1 {
-				t.Fatalf("%d records failed, want exactly the poisoned one", panicked)
-			}
-			var okCount, failCount int
-			for _, sr := range results {
-				for i := range sr.BSTC {
-					if sr.ok(i) {
-						okCount++
-					} else {
-						failCount++
+				panicked := 0
+				for _, rec := range recs {
+					if rec.Error == "" {
+						continue
+					}
+					panicked++
+					if !strings.Contains(rec.Error, "panic in "+site) {
+						t.Errorf("failed record does not name the panic at %s: %q", site, rec.Error)
+					}
+					if rec.Stack == "" {
+						t.Errorf("%s: failed record lost the panic stack", site)
 					}
 				}
-				if len(sr.BSTCAccuracies()) != len(sr.BSTC)-countFailed(sr) {
-					t.Error("aggregates must skip the failed test")
+				if panicked != 1 {
+					t.Fatalf("%s: %d records failed, want exactly the poisoned one", site, panicked)
 				}
-			}
-			if failCount != 1 || okCount != total-1 {
-				t.Fatalf("failed/ok = %d/%d, want 1/%d", failCount, okCount, total-1)
+				var okCount, failCount int
+				for _, sr := range results {
+					for i := range sr.BSTC {
+						if sr.ok(i) {
+							okCount++
+						} else {
+							failCount++
+						}
+					}
+					if len(sr.BSTCAccuracies()) != len(sr.BSTC)-countFailed(sr) {
+						t.Errorf("%s: aggregates must skip the failed test", site)
+					}
+				}
+				if failCount != 1 || okCount != total-1 {
+					t.Fatalf("%s: failed/ok = %d/%d, want 1/%d", site, failCount, okCount, total-1)
+				}
 			}
 		})
 	}

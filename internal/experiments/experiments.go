@@ -40,8 +40,8 @@ type Config struct {
 	NLFallback int
 	// Workers bounds concurrent cross-validation tests (and stripes
 	// discretization and batch classification inside each); 0 or 1 runs
-	// serially. Top-k mining inside a test is always serial. Results are
-	// identical for every value — see eval.CVConfig.
+	// one worker on the same pool. Top-k mining inside a test is always
+	// serial. Results are identical for every value — see eval.CVConfig.
 	Workers int
 	// RunLog, when non-nil, receives one JSONL record per cross-validation
 	// test (see obs.RunRecord).

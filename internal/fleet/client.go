@@ -26,10 +26,6 @@ type Config struct {
 	// Seed fixes the consistent-hash placement. The same (Seed, members)
 	// pair produces the identical key→replica assignment in every process.
 	Seed uint64
-	// HTTPClient issues the requests (default: a dedicated client with
-	// per-replica connection pooling; per-attempt deadlines come from
-	// AttemptTimeout, not a client timeout).
-	HTTPClient *http.Client
 	// AttemptTimeout bounds one attempt against one replica, and one
 	// /readyz probe (default 2s).
 	AttemptTimeout time.Duration
@@ -137,6 +133,10 @@ type fleetMetrics struct {
 type Client struct {
 	cfg Config
 	clk clock
+	// http sends the requests: a dedicated client with per-replica
+	// connection pooling; per-attempt deadlines come from AttemptTimeout,
+	// not a client timeout.
+	http *http.Client
 
 	ring atomic.Pointer[Ring]
 
@@ -168,18 +168,16 @@ func New(cfg Config) (*Client, error) {
 	if len(cfg.Replicas) == 0 {
 		return nil, fmt.Errorf("fleet: at least one replica is required")
 	}
-	if cfg.HTTPClient == nil {
-		cfg.HTTPClient = &http.Client{
+	reg := cfg.Registry
+	c := &Client{
+		cfg: cfg,
+		clk: realClock{},
+		http: &http.Client{
 			Transport: &http.Transport{
 				MaxIdleConns:        64,
 				MaxIdleConnsPerHost: 16,
 			},
-		}
-	}
-	reg := cfg.Registry
-	c := &Client{
-		cfg:      cfg,
-		clk:      realClock{},
+		},
 		replicas: make(map[string]*replica, len(cfg.Replicas)),
 		rng:      rand.New(rand.NewSource(1)),
 		budget:   newRetryBudget(cfg.RetryBudgetRatio, cfg.RetryBudgetMax),
@@ -290,7 +288,7 @@ func (c *Client) Close() {
 			c.probeCancel()
 		}
 		c.probeWG.Wait()
-		c.cfg.HTTPClient.CloseIdleConnections()
+		c.http.CloseIdleConnections()
 	})
 }
 
@@ -338,7 +336,7 @@ func (c *Client) probe(ctx context.Context, name string) int {
 	if err != nil {
 		return 0
 	}
-	resp, err := c.cfg.HTTPClient.Do(req)
+	resp, err := c.http.Do(req)
 	if err != nil {
 		return 0
 	}
@@ -666,7 +664,7 @@ func (c *Client) doAttempt(ctx context.Context, name, method, path string, key, 
 		req.Header.Set(serve.RoutingKeyHeader, string(key))
 	}
 	start := c.clk.Now()
-	resp, err := c.cfg.HTTPClient.Do(req)
+	resp, err := c.http.Do(req)
 	if err != nil {
 		att.SetError(err)
 		return nil, err

@@ -23,7 +23,7 @@ type RunRecord struct {
 	// Test is the 0-based test index within the size.
 	Test int `json:"test"`
 	// Worker is the 1-based pool worker that ran this test when the study
-	// executed with more than one worker; 0 (omitted) on serial runs.
+	// executed with more than one worker; 0 (omitted) on one-worker runs.
 	Worker int `json:"worker,omitempty"`
 	// Seed is the study's random seed.
 	Seed int64 `json:"seed"`
@@ -37,8 +37,8 @@ type RunRecord struct {
 	// Counters holds the run's counter deltas and gauge peaks (miner
 	// nodes, prunes, cache hits/misses, deadline polls, …). The registry is
 	// shared, so with Workers > 1 each test's snapshot window may also catch
-	// activity from tests running concurrently on other workers; serial runs
-	// attribute exactly.
+	// activity from tests running concurrently on other workers; one-worker
+	// runs attribute exactly.
 	Counters map[string]int64 `json:"counters,omitempty"`
 
 	BSTCAccuracy *float64 `json:"bstc_accuracy,omitempty"`

@@ -2,117 +2,11 @@ package rules
 
 import (
 	"math/rand"
-	"reflect"
 	"testing"
 
 	"bstc/internal/bitset"
 	"bstc/internal/dataset"
 )
-
-// randExpr generates a random expression over numGenes genes with the given
-// maximum nesting depth. Constants are rare; literals are the common leaf.
-func randExpr(r *rand.Rand, numGenes, depth int) Expr {
-	if depth == 0 || r.Intn(3) == 0 {
-		if r.Intn(10) == 0 {
-			return Const(r.Intn(2) == 1)
-		}
-		return Lit{Gene: r.Intn(numGenes), Neg: r.Intn(2) == 1}
-	}
-	n := 2 + r.Intn(3)
-	ops := make([]Expr, n)
-	for i := range ops {
-		ops[i] = randExpr(r, numGenes, depth-1)
-	}
-	if r.Intn(2) == 0 {
-		return And(ops)
-	}
-	return Or(ops)
-}
-
-// TestSimplifyPreservesEvaluation is the core Simplify property: for random
-// expressions, the simplified form agrees with the original on every one of
-// the 2^n gene assignments.
-func TestSimplifyPreservesEvaluation(t *testing.T) {
-	const numGenes = 6
-	r := rand.New(rand.NewSource(1))
-	for i := 0; i < 500; i++ {
-		e := randExpr(r, numGenes, 4)
-		s := Simplify(e)
-		if !Equivalent(e, s, numGenes) {
-			t.Fatalf("iteration %d: Simplify changed semantics\n  original:   %s\n  simplified: %s",
-				i, Render(e, nil), Render(s, nil))
-		}
-	}
-}
-
-// TestSimplifyIdempotent: Simplify of its own output is structurally
-// identical, so the form is a fixed point (canonical).
-func TestSimplifyIdempotent(t *testing.T) {
-	r := rand.New(rand.NewSource(2))
-	for i := 0; i < 500; i++ {
-		e := randExpr(r, 6, 4)
-		once := Simplify(e)
-		twice := Simplify(once)
-		if !reflect.DeepEqual(once, twice) {
-			t.Fatalf("iteration %d: not idempotent\n  original: %s\n  once:     %s\n  twice:    %s",
-				i, Render(e, nil), Render(once, nil), Render(twice, nil))
-		}
-	}
-}
-
-// TestSimplifyNormalizesReorderings: the same operands in a different order
-// simplify to the same canonical expression.
-func TestSimplifyNormalizesReorderings(t *testing.T) {
-	r := rand.New(rand.NewSource(3))
-	for i := 0; i < 200; i++ {
-		n := 2 + r.Intn(4)
-		ops := make([]Expr, n)
-		for j := range ops {
-			ops[j] = randExpr(r, 5, 2)
-		}
-		shuffled := append([]Expr(nil), ops...)
-		r.Shuffle(len(shuffled), func(a, b int) { shuffled[a], shuffled[b] = shuffled[b], shuffled[a] })
-		if a, b := Simplify(And(ops)), Simplify(And(shuffled)); !reflect.DeepEqual(a, b) {
-			t.Fatalf("iteration %d: AND order changes canonical form: %s vs %s",
-				i, Render(a, nil), Render(b, nil))
-		}
-		if a, b := Simplify(Or(ops)), Simplify(Or(shuffled)); !reflect.DeepEqual(a, b) {
-			t.Fatalf("iteration %d: OR order changes canonical form: %s vs %s",
-				i, Render(a, nil), Render(b, nil))
-		}
-	}
-}
-
-// TestSimplifyReductions pins the specific algebraic identities.
-func TestSimplifyReductions(t *testing.T) {
-	g := func(i int) Lit { return Lit{Gene: i} }
-	ng := func(i int) Lit { return Lit{Gene: i, Neg: true} }
-	cases := []struct {
-		name string
-		in   Expr
-		want Expr
-	}{
-		{"contradiction", And{g(0), ng(0)}, Const(false)},
-		{"tautology", Or{g(0), ng(0)}, Const(true)},
-		{"deep contradiction", And{g(1), And{g(0), Or{g(2)}, ng(0)}}, Const(false)},
-		{"and absorption", And{g(0), Or{g(0), g(1)}}, g(0)},
-		{"or absorption", Or{g(0), And{g(0), g(1)}}, g(0)},
-		{"subset absorption", And{Or{g(0), g(1)}, Or{g(0), g(1), g(2)}}, Or{g(0), g(1)}},
-		{"dedup reordered", And{Or{g(0), g(1)}, Or{g(1), g(0)}}, Or{g(0), g(1)}},
-		{"constant folding", And{Const(true), g(0), Or{Const(false), g(1)}}, And{g(0), g(1)}},
-		{"false annihilates", And{g(0), Const(false)}, Const(false)},
-		{"true annihilates", Or{g(0), Const(true)}, Const(true)},
-		{"flatten", And{And{g(0), g(1)}, And{g(2)}}, And{g(0), g(1), g(2)}},
-		{"leaf passthrough", g(3), g(3)},
-	}
-	for _, tc := range cases {
-		got := Simplify(tc.in)
-		if !reflect.DeepEqual(got, tc.want) {
-			t.Errorf("%s: Simplify(%s) = %s, want %s",
-				tc.name, Render(tc.in, nil), Render(got, nil), Render(tc.want, nil))
-		}
-	}
-}
 
 // randBool generates a random labeled boolean dataset.
 func randBool(r *rand.Rand, numGenes, numSamples, numClasses int) *dataset.Bool {
@@ -173,26 +67,6 @@ func TestCARToBARRoundTrip(t *testing.T) {
 		if backSupp != wantSupp || backConf != wantConf {
 			t.Fatalf("iteration %d: round-tripped CAR measures (%d, %v), want (%d, %v)",
 				i, backSupp, backConf, wantSupp, wantConf)
-		}
-	}
-}
-
-// TestSimplifyPreservesBARMeasures ties the two properties together: a BAR
-// with a simplified antecedent has the same support set and confidence over
-// any dataset.
-func TestSimplifyPreservesBARMeasures(t *testing.T) {
-	r := rand.New(rand.NewSource(5))
-	for i := 0; i < 200; i++ {
-		numGenes := 3 + r.Intn(4)
-		d := randBool(r, numGenes, 4+r.Intn(20), 2)
-		e := randExpr(r, numGenes, 3)
-		b := BAR{Antecedent: e, Class: r.Intn(2)}
-		s := BAR{Antecedent: Simplify(e), Class: b.Class}
-		if !b.Support(d).Equal(s.Support(d)) {
-			t.Fatalf("iteration %d: support set changed by Simplify (%s)", i, Render(e, nil))
-		}
-		if b.Confidence(d) != s.Confidence(d) {
-			t.Fatalf("iteration %d: confidence changed by Simplify (%s)", i, Render(e, nil))
 		}
 	}
 }
