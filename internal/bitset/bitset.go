@@ -215,6 +215,48 @@ func (s *Set) IntersectInto(dst, t *Set) *Set {
 	return dst
 }
 
+// IntersectIntoAny sets dst to s ∩ t and reports whether it is non-empty:
+// IntersectInto and IsEmpty in one pass over the words. All three sets must
+// share a universe; dst may alias s or t.
+func (s *Set) IntersectIntoAny(dst, t *Set) bool {
+	dst.guardWrite()
+	s.sameUniverse(t)
+	s.sameUniverse(dst)
+	sw := s.words
+	tw, dw := t.words[:len(sw)], dst.words[:len(sw)]
+	var nz uint64
+	for i, w := range sw {
+		w &= tw[i]
+		dw[i] = w
+		nz |= w
+	}
+	return nz != 0
+}
+
+// IntersectMinDifference sets dst to s ∩ t and returns the smallest
+// element of dst \ u, or -1 if dst ⊆ u, in one pass over the words. All
+// four sets must share a universe; dst may alias s or t, but not u.
+// Top-k's canonical-parent test is one call (internal/carminer).
+func (s *Set) IntersectMinDifference(dst, t, u *Set) int {
+	dst.guardWrite()
+	s.sameUniverse(t)
+	s.sameUniverse(dst)
+	s.sameUniverse(u)
+	sw := s.words
+	tw, uw, dw := t.words[:len(sw)], u.words[:len(sw)], dst.words[:len(sw)]
+	for i, w := range sw {
+		w &= tw[i]
+		dw[i] = w
+		if d := w &^ uw[i]; d != 0 {
+			for j := i + 1; j < len(sw); j++ {
+				dw[j] = sw[j] & tw[j]
+			}
+			return i*wordBits + bits.TrailingZeros64(d)
+		}
+	}
+	return -1
+}
+
 // OrInto sets dst to s ∪ t and returns dst. All three sets must share a
 // universe; dst may alias s or t.
 func (s *Set) OrInto(dst, t *Set) *Set {
@@ -540,19 +582,6 @@ func (s *Set) Min() int {
 	for wi, w := range s.words {
 		if w != 0 {
 			return wi*wordBits + bits.TrailingZeros64(w)
-		}
-	}
-	return -1
-}
-
-// MinDifference returns the smallest element of s \ t, or -1 if s ⊆ t. It
-// reads words only up to the first one holding such an element.
-func (s *Set) MinDifference(t *Set) int {
-	s.sameUniverse(t)
-	tw := t.words[:len(s.words)]
-	for wi, w := range s.words {
-		if d := w &^ tw[wi]; d != 0 {
-			return wi*wordBits + bits.TrailingZeros64(d)
 		}
 	}
 	return -1

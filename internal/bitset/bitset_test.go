@@ -195,21 +195,48 @@ func TestMinMaxNextAfter(t *testing.T) {
 	if got := s.NextAfter(190); got != -1 {
 		t.Errorf("NextAfter(190) = %d, want -1", got)
 	}
-	if got := s.MinDifference(FromIndices(200, 5, 7)); got != 64 {
-		t.Errorf("MinDifference = %d, want 64", got)
+	if got := s.IntersectMinDifference(New(200), s, FromIndices(200, 5, 7)); got != 64 {
+		t.Errorf("IntersectMinDifference = %d, want 64", got)
 	}
-	if got := s.MinDifference(FromIndices(200, 5, 64, 190)); got != -1 {
-		t.Errorf("MinDifference of a subset = %d, want -1", got)
+	if got := s.IntersectMinDifference(New(200), s, FromIndices(200, 5, 64, 190)); got != -1 {
+		t.Errorf("IntersectMinDifference of a subset = %d, want -1", got)
 	}
 }
 
+// TestQuickMinDifference checks IntersectMinDifference against the
+// smallest element of the difference, with dst fresh and aliasing s: dst
+// must hold s ∩ t either way.
 func TestQuickMinDifference(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		n := 1 + r.Intn(300)
+		a, b, u := randomSet(r, n), randomSet(r, n), randomSet(r, n)
+		both := a.Clone().And(b)
+		dst := New(n)
+		if a.IntersectMinDifference(dst, b, u) != Difference(both, u).Min() || !dst.Equal(both) {
+			return false
+		}
+		if a.IntersectMinDifference(dst, b, Union(both, u)) != -1 {
+			return false
+		}
+		alias := a.Clone()
+		return alias.IntersectMinDifference(alias, b, u) == Difference(both, u).Min() && alias.Equal(both)
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Error(err)
+	}
+}
+
+// TestQuickIntersectIntoAny checks IntersectIntoAny against IntersectInto
+// and IsEmpty.
+func TestQuickIntersectIntoAny(t *testing.T) {
+	f := func(seed int64) bool {
+		r := rand.New(rand.NewSource(seed))
+		n := r.Intn(300)
 		a, b := randomSet(r, n), randomSet(r, n)
-		return a.MinDifference(b) == Difference(a, b).Min() &&
-			a.MinDifference(Union(a, b)) == -1
+		want := a.Clone().And(b)
+		dst := New(n)
+		return a.IntersectIntoAny(dst, b) != want.IsEmpty() && dst.Equal(want)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)

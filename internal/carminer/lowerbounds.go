@@ -38,17 +38,26 @@ func MineLowerBounds(ctx context.Context, d *dataset.Bool, g *RuleGroup, nl int,
 		s.genes = append(s.genes, gi)
 		return true
 	})
-	s.reset(len(s.genes), d.NumSamples())
-	for r, row := range d.Rows {
-		w, bit := r/64, uint64(1)<<(r%64)
+	// The target is the rows holding the whole upper bound; row sets
+	// cover the other rows alone (see lbSearch).
+	outside := 0
+	for _, row := range d.Rows {
+		if !g.UpperBound.SubsetOf(row) {
+			outside++
+		}
+	}
+	s.reset(len(s.genes), outside)
+	k := 0
+	for _, row := range d.Rows {
 		if g.UpperBound.SubsetOf(row) {
-			s.target[w] |= bit
+			continue
 		}
 		for i, gi := range s.genes {
 			if row.Contains(gi) {
-				s.rows[0][i*s.rw+w] |= bit
+				s.rows[0][i*s.rw+k/64] |= 1 << (k % 64)
 			}
 		}
+		k++
 	}
 	err := s.run(nl, func() error {
 		met.lbSteps.Add(lbPoll)
@@ -68,8 +77,9 @@ func MineLowerBounds(ctx context.Context, d *dataset.Bool, g *RuleGroup, nl int,
 // over [0, universe), ascending) whose columns intersect to exactly target.
 // cols[i] is genes[i]'s support set, over target's universe, and every
 // column must hold the target, as the columns of an upper bound's genes do:
-// the minimality prune relies on it. core's IBRG lower bounds (§4.2) run
-// through it, over genes every supporting column expresses.
+// the search reads only the rows outside the target. core's IBRG lower
+// bounds (§4.2) run through it, over genes every supporting column
+// expresses.
 func LowerBounds(universe int, genes []int, cols []*bitset.Set, target *bitset.Set, nl int) []*bitset.Set {
 	if nl <= 0 {
 		return nil
@@ -77,10 +87,18 @@ func LowerBounds(universe int, genes []int, cols []*bitset.Set, target *bitset.S
 	s := lbPool.Get().(*lbSearch)
 	defer s.release()
 	s.genes = append(s.genes[:0], genes...)
-	s.reset(len(genes), target.Len())
-	setWords(s.target, target)
-	for i, c := range cols {
-		setWords(s.rows[0][i*s.rw:(i+1)*s.rw], c)
+	s.reset(len(genes), target.Len()-target.Count())
+	k := 0
+	for r := 0; r < target.Len(); r++ {
+		if target.Contains(r) {
+			continue
+		}
+		for i, c := range cols {
+			if c.Contains(r) {
+				s.rows[0][i*s.rw+k/64] |= 1 << (k % 64)
+			}
+		}
+		k++
 	}
 	_ = s.run(nl, nil) // without a poll the search cannot stop early
 	return s.bounds(universe)
@@ -96,7 +114,7 @@ const lbPoolMax = 64 << 20
 // release pools s unless its slabs, every one of which a pooled search
 // keeps, hold more than lbPoolMax bytes.
 func (s *lbSearch) release() {
-	b := 8 * (cap(s.genes) + cap(s.target) + cap(s.found) + cap(s.mask))
+	b := 8 * (cap(s.genes) + cap(s.found) + cap(s.mask))
 	for k := range s.rows {
 		b += 8*cap(s.rows[k]) + 4*cap(s.start[k])
 		b += cap(s.lists8[k].prefix) + cap(s.lists8[k].last)
@@ -111,26 +129,28 @@ func (s *lbSearch) release() {
 // apriori candidates in the textbook order (levels by size, each level's
 // pairs joined on a shared prefix) without allocating per candidate.
 //
-// The upper bound's genes are renumbered to local positions 0..n-1. A BFS
-// level of l-gene candidates is a list of join groups: group k stores its
-// shared prefix of l−1 genes once and the offset of its first member, and
-// a member stores only its last gene and its row set of rw words. Member i
-// of a group opens the next level's group prefix+gene(i), whose members
-// are the joins (i, j>i) that survive the minimality prune and miss the
-// target; a group left with fewer than two members joins nothing and is
-// not stored. The next level is built in a second set of slabs and the
+// The upper bound's genes are renumbered to local positions 0..n-1. Every
+// gene's column holds the target, so a candidate's support always does,
+// and it hits the target exactly when it holds none of the other rows: a
+// row set covers only the rows outside the target, and a hit is an empty
+// one. A BFS level of l-gene candidates is a list of join groups: group k
+// stores its shared prefix of l−1 genes once and the offset of its first
+// member, and a member stores only its last gene and its row set of rw
+// words. Member i of a group opens the next level's group prefix+gene(i),
+// whose members are the joins (i, j>i) that survive the minimality prune
+// and miss the target; a group left with fewer than two members joins
+// nothing and is not stored. The next level is built in a second set of slabs and the
 // sets swap. Genes take one byte when n <= 256 (every upper bound of the
 // small-scale profiles), since the frontier's width is what bounds the
-// search's memory. Found bounds are local gene masks of gw words. Every
-// column holds the target, so a candidate holding a found bound has that
-// bound's support, the target: only a hit can fail the minimality prune,
-// which is then a word-AND against each of the at most nl found masks.
+// search's memory. Found bounds are local gene masks of gw words. A
+// candidate holding a found bound has that bound's support, the target, so
+// only a hit can fail the minimality prune, which is then a word-AND
+// against each of the at most nl found masks.
 // Pooled searches keep their slabs, so a warm call allocates only the
 // bounds it returns.
 type lbSearch struct {
 	genes     []int             // global gene of each local position, ascending
 	n, rw, gw int               // local genes, words per row set, words per gene mask
-	target    []uint64          // the row set a bound must hit exactly
 	rows      [2][]uint64       // the two levels' member row sets, rw words each
 	start     [2][]int32        // group k's members are [start[k], start[k+1])
 	lists8    [2]lbLists[uint8] // the two levels' genes, for n <= 256
@@ -146,12 +166,11 @@ type lbSearch struct {
 // prefix's length, and each member's last gene.
 type lbLists[G lbGene] struct{ prefix, last []G }
 
-// reset sizes s for n local genes over rows samples, with the level-1 row
-// sets (gene i's at rows[0][i·rw:]) and the target zeroed for the caller
-// to fill.
-func (s *lbSearch) reset(n, rows int) {
-	s.n, s.rw, s.gw = n, (rows+63)/64, (n+63)/64
-	s.target = zeroed(s.target, s.rw)
+// reset sizes s for n local genes over the given number of rows outside
+// the target, with the level-1 row sets (gene i's at rows[0][i·rw:])
+// zeroed for the caller to fill.
+func (s *lbSearch) reset(n, outside int) {
+	s.n, s.rw, s.gw = n, (outside+63)/64, (n+63)/64
 	s.rows[0] = zeroed(s.rows[0], n*s.rw)
 	s.found, s.nfound = s.found[:0], 0
 	s.mask = grow(s.mask, s.gw)[:s.gw]
@@ -178,8 +197,8 @@ func bfs[G lbGene](s *lbSearch, lists *[2]lbLists[G], nl int, poll func() error)
 	rw := s.rw
 	cur, next := 0, 1
 	// Level 1: the singletons, compacted in place — a gene whose column
-	// hits the target is a bound; the rest survive, as the members of one
-	// group with an empty prefix.
+	// holds no row outside the target is a bound; the rest survive, as the
+	// members of one group with an empty prefix.
 	lists[cur].last = grow(lists[cur].last, s.n)
 	width := 0 // candidates in the current level
 	for i := 0; i < s.n; i++ {
@@ -189,7 +208,7 @@ func bfs[G lbGene](s *lbSearch, lists *[2]lbLists[G], nl int, poll func() error)
 			}
 		}
 		col := s.rows[cur][i*rw : (i+1)*rw]
-		if equalWords(col, s.target) {
+		if noRows(col) {
 			if emit(s, nil, G(i), G(i)) >= nl { // a singleton is its own y and x
 				return nil
 			}
@@ -205,9 +224,9 @@ func bfs[G lbGene](s *lbSearch, lists *[2]lbLists[G], nl int, poll func() error)
 	// Levels 2..n: each member joins the later members of its group. The
 	// levels are in lexicographic order, as the textbook join makes them.
 	// A joined candidate's support is the intersection of the two joined
-	// members' supports; it is a bound when that hits the target and it
-	// holds no found bound. A miss holds none, since a bound's supersets
-	// all have the target as their support.
+	// members' supports; it is a bound when that is the target (its row
+	// set is empty) and it holds no found bound. A miss holds none, since a
+	// bound's supersets all have the target as their support.
 	for l := 1; width > 0 && s.nfound < nl; l++ {
 		s.peak = max(s.peak, width)
 		in, out := &lists[cur], &lists[next]
@@ -234,7 +253,7 @@ func bfs[G lbGene](s *lbSearch, lists *[2]lbLists[G], nl int, poll func() error)
 						}
 					}
 					x := in.last[j]
-					if andHits(dst[built*rw:(built+1)*rw], ar, rows[j*rw:(j+1)*rw], s.target) {
+					if andHits(dst[built*rw:(built+1)*rw], ar, rows[j*rw:(j+1)*rw]) {
 						if emit(s, prefix, y, x) >= nl {
 							return nil
 						}
@@ -265,19 +284,20 @@ func bfs[G lbGene](s *lbSearch, lists *[2]lbLists[G], nl int, poll func() error)
 	return nil
 }
 
-// andHits writes a∧b into dst and reports whether it equals target. It is
-// the BFS's one row-set kernel, for every width: the operands are cut to
-// dst's length so the loop runs without bounds checks, and the comparison
-// ORs each word's difference into one word instead of branching.
-func andHits(dst, a, b, target []uint64) bool {
-	a, b, target = a[:len(dst)], b[:len(dst)], target[:len(dst)]
-	var diff uint64
+// andHits writes a∧b into dst and reports whether it is empty: whether the
+// joined candidate's support is the target. It is the BFS's one row-set
+// kernel, for every width: the operands are cut to dst's length so the
+// loop runs without bounds checks, and the test ORs the words into one
+// instead of branching.
+func andHits(dst, a, b []uint64) bool {
+	a, b = a[:len(dst)], b[:len(dst)]
+	var rows uint64
 	for w := range dst {
 		v := a[w] & b[w]
 		dst[w] = v
-		diff |= v ^ target[w]
+		rows |= v
 	}
-	return diff == 0
+	return rows == 0
 }
 
 // emit is the minimality prune of a hit prefix+y+x: it records the
@@ -327,21 +347,14 @@ func (s *lbSearch) bounds(universe int) []*bitset.Set {
 	return out
 }
 
-func equalWords(a, b []uint64) bool {
-	for w := range a {
-		if a[w] != b[w] {
+// noRows reports whether the row set a is empty.
+func noRows(a []uint64) bool {
+	for _, w := range a {
+		if w != 0 {
 			return false
 		}
 	}
 	return true
-}
-
-// setWords ORs the members of s into the row-set words dst.
-func setWords(dst []uint64, s *bitset.Set) {
-	s.ForEach(func(r int) bool {
-		dst[r/64] |= 1 << (r % 64)
-		return true
-	})
 }
 
 // grow returns s with length at least n, keeping its contents; capacity

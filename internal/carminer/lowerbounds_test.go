@@ -229,6 +229,35 @@ func TestMineLowerBoundsMatchesReference(t *testing.T) {
 	}
 }
 
+// TestLowerBoundsNoOutsideRows runs the search with zero row words: every
+// row holds the upper bound, so each gene's column is the target and every
+// singleton is a bound, found in gene order, by MineLowerBounds, by
+// LowerBounds and by the reference alike.
+func TestLowerBoundsNoOutsideRows(t *testing.T) {
+	d := rowsOf(8, [][]int{{1, 2, 4, 6}, {0, 1, 2, 4, 5, 6}, {1, 2, 3, 4, 6, 7}})
+	g := &RuleGroup{UpperBound: bitset.FromIndices(8, 1, 2, 4, 6)}
+	genes := g.UpperBound.Indices()
+	cols := make([]*bitset.Set, len(genes))
+	for i, gi := range genes {
+		cols[i] = rowsWithGene(d, gi)
+	}
+	target := rowsContaining(d, g.UpperBound)
+	if target.Count() != len(d.Rows) {
+		t.Fatalf("target %v, want every row", target.Indices())
+	}
+	for _, nl := range []int{1, 3, 4, 20} {
+		what := fmt.Sprintf("nl=%d", nl)
+		var want []*bitset.Set
+		for _, gi := range genes[:min(nl, len(genes))] {
+			want = append(want, bitset.FromIndices(8, gi))
+		}
+		got := runLB(MineLowerBounds, d, g, nl, -1)
+		sameRun(t, what, got, runLB(mineLowerBoundsReference, d, g, nl, -1))
+		sameBounds(t, what, got.bounds, want)
+		sameBounds(t, what+" LowerBounds", LowerBounds(d.NumGenes(), genes, cols, target, nl), want)
+	}
+}
+
 // deepWideRows is a dataset for a 300-gene upper bound (every gene) whose
 // unlimited search joins past pairs on the int32 path. Row 0 expresses
 // every gene, so it is the target. 24 genes, half of them at local

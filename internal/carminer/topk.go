@@ -30,12 +30,15 @@
 // per-gene row sets once and tabulates them by gene byte (a
 // bitset.ColumnTable: each of a byte's 256 gene subsets has its AND
 // stored), so each node costs one row-set AND per non-zero byte of its
-// itemset instead of a subset test against every training row. Children
-// and the capacity prune's remaining rows come from word-level walks and
-// counts over the class rows outside the closure. The search counters
-// are counted in the miner and added to the shared registry at the stop
-// poll and when the run returns, so concurrent miners do not contend on its
-// atomics at every node.
+// itemset instead of a subset test against every training row. The rest of
+// a node's step is one pass over each kind of word: its itemset is ANDed
+// and tested for emptiness together, and its closure's class rows are
+// masked out together with the canonical-parent test, which rejects most
+// arrivals. Children and the capacity prune's remaining rows come from
+// word-level walks and counts over the class rows outside the closure. The
+// search counters are counted in the miner and added to the shared
+// registry at the stop poll and when the run returns, so concurrent miners
+// do not contend on its atomics at every node.
 package carminer
 
 import (
@@ -222,9 +225,9 @@ type topkMiner struct {
 	// already added to the registry (see flushCounts).
 	count, flushed topkCounts
 
-	// cols tabulates the training rows holding each gene (see closure)
-	// and classMask is the rows of class ci; rows is the closure's
-	// scratch, read before dfs recurses, so one per miner is enough.
+	// cols tabulates the training rows holding each gene and classMask is
+	// the rows of class ci; rows is a node's closure (see dfs), read
+	// before dfs recurses, so one per miner is enough.
 	cols      *bitset.ColumnTable
 	classMask *bitset.Set
 	rows      *bitset.Set
@@ -361,16 +364,6 @@ func (m *topkMiner) flushCounts() {
 	*f = *c
 }
 
-// closure sets classSet to the class rows containing itemset and returns
-// the training rows of any class containing it, the miner's scratch set:
-// the AND of the itemset genes' row columns, one table entry per non-zero
-// byte of itemset.
-func (m *topkMiner) closure(itemset, classSet *bitset.Set) *bitset.Set {
-	rows := m.rows.IntersectColumns(itemset, m.cols)
-	rows.IntersectInto(classSet, m.classMask)
-	return rows
-}
-
 // dfs extends the current intersection with class row classRows[idx] and
 // recurses over later rows. itemset is the running intersection (the full
 // gene set at the synthetic root) and parent its class support set; level
@@ -394,21 +387,21 @@ func (m *topkMiner) dfs(itemset, parent *bitset.Set, idx, level int) error {
 		}
 	}
 	sc := &m.depth[level]
-	next := itemset.IntersectInto(sc.next, m.d.Rows[m.classRows[idx]])
-	if next.IsEmpty() {
+	r := m.classRows[idx]
+	next, classSet := sc.next, sc.classSet
+	if !itemset.IntersectIntoAny(next, m.d.Rows[r]) {
 		return nil
 	}
-	// Closure: every class row containing the itemset, and every row of
-	// any class for confidence.
-	classSet := sc.classSet
-	rows := m.closure(next, classSet)
-	// Canonical-parent test: the node goes on only if row idx is the lowest
-	// class row its closure gains over the parent's. Every closed node has
-	// exactly one such parent, and depth-first order arrives from it first;
-	// whatever a later arrival could expand, that first one expanded, or a
-	// prune on the way to it cut.
-	r := m.classRows[idx]
-	if classSet.MinDifference(parent) != r {
+	// Closure: every row of any class containing the itemset, for
+	// confidence, the AND of its genes' row columns (one table entry per
+	// non-zero itemset byte); classSet is its class rows. Canonical-parent
+	// test, in the same pass: the node goes on only if row idx is the
+	// lowest class row its closure gains over the parent's. Every closed
+	// node has exactly one such parent, and depth-first order arrives from
+	// it first; whatever a later arrival could expand, that first one
+	// expanded, or a prune on the way to it cut.
+	rows := m.rows.IntersectColumns(next, m.cols)
+	if rows.IntersectMinDifference(classSet, m.classMask, parent) != r {
 		m.count.revisitSkips++
 		return nil
 	}

@@ -38,6 +38,15 @@ func closureRowScan(d *dataset.Bool, ci int, itemset *bitset.Set) (*bitset.Set, 
 	return classSet, total
 }
 
+// closure sets classSet to the class rows containing itemset and returns
+// the training rows of any class containing it, the miner's scratch set,
+// with the kernels dfs computes them with (against an empty parent).
+func (m *topkMiner) closure(itemset, classSet *bitset.Set) *bitset.Set {
+	rows := m.rows.IntersectColumns(itemset, m.cols)
+	rows.IntersectMinDifference(classSet, m.classMask, m.rootRows)
+	return rows
+}
+
 // smallTraining returns a synth small-scale profile's training split at
 // frac, drawn with RandomFractionSplit seed 1 and discretized as the
 // studies do.

@@ -6,6 +6,8 @@ import (
 	"testing"
 
 	"bstc/internal/dataset"
+	"bstc/internal/discretize"
+	"bstc/internal/synth"
 )
 
 // benchClassifier trains a two-class BSTC on a fixed random dataset and
@@ -75,5 +77,47 @@ func BenchmarkClassifyBatchParallel(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_ = cl.ClassifyBatchParallel(test, workers)
+	}
+}
+
+// BenchmarkClassifyOCSmall classifies the 152 held-out rows of the OC small
+// 40% split (RandomFractionSplit seed 1) at one worker, discretized as a CV
+// test discretizes them (cut points fitted on the 101 training rows): the
+// classify layer of a study-oc test, where a column sweep orders about 40
+// outside samples rather than the paper scale's 116.
+func BenchmarkClassifyOCSmall(b *testing.B) {
+	p, err := synth.ProfileByName("OC", synth.Small)
+	if err != nil {
+		b.Fatal(err)
+	}
+	c, err := p.Generate()
+	if err != nil {
+		b.Fatal(err)
+	}
+	sp, err := dataset.RandomFractionSplit(rand.New(rand.NewSource(1)), c.NumSamples(), 0.4)
+	if err != nil {
+		b.Fatal(err)
+	}
+	m, err := discretize.Fit(c.Subset(sp.Train))
+	if err != nil {
+		b.Fatal(err)
+	}
+	train, err := m.Transform(c.Subset(sp.Train))
+	if err != nil {
+		b.Fatal(err)
+	}
+	test, err := m.Transform(c.Subset(sp.Test))
+	if err != nil {
+		b.Fatal(err)
+	}
+	cl, err := Train(train, nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	_ = cl.ClassifyBatchParallel(test, 1) // fill the scratch pools
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		_ = cl.ClassifyBatchParallel(test, 1)
 	}
 }

@@ -1,7 +1,10 @@
 package core
 
 import (
+	"cmp"
 	"math"
+	"math/bits"
+	"slices"
 	"sort"
 
 	"bstc/internal/bitset"
@@ -156,109 +159,79 @@ func (o EvalOptions) sweeps() bool {
 // never visited (the cap), and the genes they would resolve and the black
 // dots, which no outside sample expresses, are worth 1.
 //
-// A sweep visits about a fifth of the outside samples on the OC paper
-// profile, and the next column usually stops near the value the last one
-// stopped at (s.tau). So the samples at or below it are ordered first, and
-// the rest only if those run out; both orders are ascending and every
-// sample of the first is below every sample of the second, so the visit
-// order, and each cell, is what one ordering of all samples gives.
+// The order comes from one pass that files each sample worth less than 1
+// under value bucket ⌊v·B⌋, B = len(s.heads), and from sorting a bucket by
+// value only when the sweep reaches it. B is a power of two, so v·B is
+// exact and the buckets cut [0, 1) into ascending ranges of equal width; a
+// sweep usually stops within its first few occupied buckets and sorts only
+// those.
 func (t *BST) sweepColumn(s *evalScratch, c int) float64 {
-	unresolved := s.unresolved
-	unresolved.CopyFrom(s.qAndCol)
+	s.unresolved.CopyFrom(s.qAndCol)
 	if left := s.qc - s.qAndCol.IntersectionCount(t.exclusiveGenes); left > 0 {
 		nh := len(t.outsideGenes)
 		pairs := t.pairs[c*nh : (c+1)*nh]
-		ranks := s.ranks[:nh]
-		lo, hi := 0, nh
+		clear(s.heads)
+		clear(s.occupied)
 		for h, x := range s.x[:nh] {
-			r := pairRank{v: pairFraction(pairs[h], int(x), s.qc, int(s.qOut[h])), h: int32(h)}
-			switch {
-			case r.v <= s.tau:
-				ranks[lo] = r
-				lo++
-			case r.v < 1:
-				hi--
-				ranks[hi] = r
+			if v := pairFraction(pairs[h], int(x), s.qc, int(s.qOut[h])); v < 1 {
+				s.file(h, v)
 			}
 		}
-		if left = t.resolve(s, ranks[:lo], left); left > 0 {
-			t.resolve(s, ranks[hi:], left)
-		}
+		t.resolve(s, left)
 	}
-	unresolved.Scatter(s.cells, 1)
+	s.unresolved.Scatter(s.cells, 1)
 	return s.qAndCol.Sum(s.cells)
 }
 
-// resolve visits ranks in ascending value order, giving each sample's value
-// to the unresolved genes it expresses, until the left genes still
-// unresolved are; it returns how many remain.
-func (t *BST) resolve(s *evalScratch, ranks rankHeap, left int) int {
-	ranks.init()
-	for len(ranks) > 0 && left > 0 {
-		p := ranks.pop()
-		s.tau = p.v
-		left -= s.unresolved.Extract(t.outsideGenes[p.h], s.cells, p.v)
-	}
-	return left
-}
-
-// pairRank is one outside sample's pair value in a column sweep, packed
-// with its position so the heap moves the pair, not an index into pv.
+// pairRank is outside sample h of a column sweep, worth v, and the next
+// sample of its value bucket (its position plus one; 0 ends the bucket).
 type pairRank struct {
-	v float64
-	h int32
+	v       float64
+	h, next int32
 }
 
-// rankHeap is a binary min-heap of pair ranks by value. A sweep usually
-// resolves every gene after visiting a fraction of the outside samples
-// (about a fifth on the OC paper profile), so building the heap in O(n)
-// and popping only what is visited beats sorting the whole column. Tied
-// samples may pop in any order: they resolve their genes to the same value.
-type rankHeap []pairRank
+// file puts outside sample h, worth v in [0, 1), first in bucket ⌊v·B⌋.
+func (s *evalScratch) file(h int, v float64) {
+	b := int(v * float64(len(s.heads)))
+	s.links[h] = pairRank{v: v, h: int32(h), next: s.heads[b]}
+	s.heads[b] = int32(h) + 1
+	s.occupied[b/64] |= 1 << (b % 64)
+}
 
-func (r rankHeap) init() {
-	for i := len(r)/2 - 1; i >= 0; i-- {
-		r.down(i)
+// resolve visits the filed samples in ascending value order, one occupied
+// bucket at a time, giving each sample's value to the unresolved genes it
+// expresses, until the left genes still unresolved are. Tied samples may
+// come in any order: they resolve their genes to the same value.
+func (t *BST) resolve(s *evalScratch, left int) {
+	for wi, w := range s.occupied {
+		for ; w != 0; w &= w - 1 {
+			bucket := s.bucket[:0]
+			for next := s.heads[64*wi+bits.TrailingZeros64(w)]; next != 0; next = s.links[next-1].next {
+				bucket = append(bucket, s.links[next-1])
+			}
+			sortByValue(bucket)
+			for _, p := range bucket {
+				if left -= s.unresolved.Extract(t.outsideGenes[p.h], s.cells, p.v); left == 0 {
+					return
+				}
+			}
+		}
 	}
 }
 
-// pop removes and returns the smallest rank.
-func (r *rankHeap) pop() pairRank {
-	h := *r
-	top, n := h[0], len(h)-1
-	h[0] = h[n]
-	*r = h[:n]
-	r.down(0)
-	return top
-}
-
-func (r rankHeap) down(i int) {
-	n := len(r)
-	if i >= n {
+// sortByValue sorts a bucket by value. Short buckets are the rule and take
+// an inlined insertion sort; a long one, such as a column whose samples
+// all land in one bucket, takes slices.SortFunc and stays O(n log n).
+func sortByValue(r []pairRank) {
+	if len(r) > 12 {
+		slices.SortFunc(r, func(a, b pairRank) int { return cmp.Compare(a.v, b.v) })
 		return
 	}
-	x := r[i]
-	for {
-		c := 2*i + 1
-		if c >= n {
-			break
+	for i := 1; i < len(r); i++ {
+		for j := i; j > 0 && r[j].v < r[j-1].v; j-- {
+			r[j], r[j-1] = r[j-1], r[j]
 		}
-		cv := r[c].v
-		if d := c + 1; d < n {
-			// Which child is smaller is a coin flip to the branch
-			// predictor, so pick it from the sign of the difference
-			// instead (values are finite and non-negative).
-			dv := r[d].v
-			c += int(math.Float64bits(dv-cv) >> 63)
-			cv = min(cv, dv)
-		}
-		if cv >= x.v {
-			break
-		}
-		r[i] = r[c]
-		i = c
 	}
-	r[i] = x
 }
 
 // cellValue computes Algorithm 5 lines 7-11 for cell (g, c) of the column

@@ -19,11 +19,16 @@ import (
 // the tables rebuilt from Export, whose outside gene sets are transposed at
 // load rather than aliased from the training rows. Both classifiers' values
 // and decisions, which read the pair counts the tables share, must match
-// the per-table reference too.
+// the per-table reference too. The seeds include bucketSeeds' shapes at
+// the edges of the sweep's value buckets.
 func FuzzBSTCE(f *testing.F) {
 	f.Add(uint8(6), uint8(5), uint8(0), []byte{0x5a, 0x3c, 0x99, 0x0f, 0xe1, 0x42})
 	f.Add(uint8(70), uint8(9), uint8(1), []byte{0xff, 0x00, 0x81, 0x7e, 0x18, 0x24, 0xc3})
 	f.Add(uint8(1), uint8(2), uint8(0), []byte{})
+	for _, col := range bucketSeeds() {
+		genes, samples, classes, bits := fuzzSeed(shapeDataset(3, [][]shapeSample{col}))
+		f.Add(genes, samples, classes, bits)
+	}
 	f.Fuzz(func(t *testing.T, genes, samples, classes uint8, bits []byte) {
 		d, q := fuzzDataset(int(genes)%80+1, int(samples)%14+2, int(classes)%2+2, bits)
 		cl, err := Train(d, nil)
