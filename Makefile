@@ -33,14 +33,15 @@ CHAOS_SEED ?= 1
 
 .PHONY: check fmt vet lint build fma-check test bench-module race bench bench-json bench-smoke bench-gate fuzz-smoke chaos load-smoke load-report fleet-smoke
 
-# The tier-1 gate plus the race-sensitive packages: the obs counters are
-# hit concurrently by parallel batch classification, eval threads the
-# registry through every miner (the fold pool runs one Top-k miner per
-# concurrent test), the fold pool stripes discretization and
-# classification across workers, the serving layer coalesces
-# concurrent requests into batches, and the -debug-addr handlers of
-# bstcbench and bstc read the registry, SLO set and span recorder the fold
-# pool writes.
+# The tier-1 gate plus every package under the race detector: the obs
+# counters are hit concurrently by parallel batch classification, eval
+# threads the registry through every miner (the fold pool runs one Top-k
+# miner per concurrent test), the fold pool stripes discretization and
+# classification across workers, the serving layer coalesces concurrent
+# requests into batches, the fault injector is hit from every goroutine
+# that reaches a site, and the -debug-addr handlers of bstcbench and bstc
+# read the registry, SLO set and span recorder the fold pool writes.
+# race runs ./... rather than a list, so a new package is raced by default.
 # bench-smoke keeps the benchmark/benchjson pipeline compiling and parsing
 # (one iteration per benchmark); fuzz-smoke gives every fuzz target a
 # short budget on top of the committed corpora. bench-module vets and
@@ -86,12 +87,7 @@ fma-check:
 	[ "$$n" -eq 0 ]
 
 race:
-	$(GO) test -race ./internal/obs/... ./internal/eval/... \
-		./internal/discretize/... ./internal/core/... \
-		./internal/carminer/... ./internal/experiments/... \
-		./internal/registry/... ./internal/serve/... ./internal/fleet/... \
-		./cmd/bstcd/... ./cmd/bstcload/... ./cmd/bstcgw/... \
-		./cmd/bstcbench/... ./cmd/bstc/...
+	$(GO) test -race ./...
 
 test:
 	$(GO) test ./...

@@ -294,9 +294,10 @@ func TestServeMmap(t *testing.T) {
 	}
 }
 
-// TestServeRejectsV1Artifact: a file in a retired format — v1 gob, or
-// version 2 of the mapped layout, which also stored every exclusion list —
-// must stop the daemon at boot (main exits 1 on a run error) with a message
+// TestServeRejectsV1Artifact: a file in a retired format — v1 gob, version
+// 2 of the mapped layout, which also stored every exclusion list, or
+// version 3, which stored each table's copy of the training rows — must
+// stop the daemon at boot (main exits 1 on a run error) with a message
 // naming the format and the command that rewrites the file.
 func TestServeRejectsV1Artifact(t *testing.T) {
 	dir := t.TempDir()
@@ -308,6 +309,7 @@ func TestServeRejectsV1Artifact(t *testing.T) {
 	for _, tc := range []struct{ path, retired string }{
 		{old, "v1"},
 		{filepath.Join("..", "..", "internal", "eval", "testdata", "artifact_v2.golden"), "version 2"},
+		{filepath.Join("..", "..", "internal", "eval", "testdata", "artifact_v3.golden"), "version 3"},
 	} {
 		var out bytes.Buffer
 		err := run(context.Background(), []string{"-model", tc.path, "-addr", "127.0.0.1:0"}, &out, nil)

@@ -384,10 +384,14 @@ func TestDaemonSignals(t *testing.T) {
 	defer cmd.Process.Kill()
 
 	// The daemon binds :0; learn the port from its startup banner, and keep
-	// draining the pipe so the child never blocks on a full buffer.
+	// draining the pipe so the child never blocks on a full buffer. Wait
+	// closes the pipe once the child exits, so it runs only after this
+	// reader has seen EOF, or the last lines would be lost.
 	var out syncWriter
 	baseCh := make(chan string, 1)
+	readDone := make(chan struct{})
 	go func() {
+		defer close(readDone)
 		sc := bufio.NewScanner(stdout)
 		for sc.Scan() {
 			line := sc.Text()
@@ -436,15 +440,13 @@ func TestDaemonSignals(t *testing.T) {
 	if err := cmd.Process.Signal(syscall.SIGTERM); err != nil {
 		t.Fatal(err)
 	}
-	waitCh := make(chan error, 1)
-	go func() { waitCh <- cmd.Wait() }()
 	select {
-	case err := <-waitCh:
-		if err != nil {
-			t.Fatalf("daemon exited dirty after SIGTERM: %v\n%s", err, out.String())
-		}
+	case <-readDone:
 	case <-time.After(30 * time.Second):
 		t.Fatalf("daemon never exited after SIGTERM:\n%s", out.String())
+	}
+	if err := cmd.Wait(); err != nil {
+		t.Fatalf("daemon exited dirty after SIGTERM: %v\n%s", err, out.String())
 	}
 	for _, want := range []string{"bstcd: reloaded generation 2", "bstcd: draining", "bstcd: stopped"} {
 		if !strings.Contains(out.String(), want) {

@@ -22,10 +22,11 @@ import (
 //
 // Algorithm 1's pointer-sharing trick means the table needs only one list
 // per (c, h) pair, and that list — h\c, or c\h when h ⊆ c — is a function of
-// the two training rows. So a BST stores only its training rows: the column
-// gene sets and the per-gene outside-expresser index (with its transpose).
-// derive computes the rest from them, BSTCE values every pair from counts
-// against the rows (pairValue), and cells and clauses are built on demand.
+// the two training rows. So a BST stores only its training rows — the
+// column gene sets and the outside rows, shared with the training set — and
+// the outside rows' per-gene transpose. derive computes the rest from them,
+// BSTCE values every pair from counts against the rows (pairValue), and
+// cells and clauses are built on demand.
 type BST struct {
 	// Class is the class index C_i this table was built for.
 	Class int
@@ -39,10 +40,10 @@ type BST struct {
 	// colGenes[c] is the gene set of column sample c (shared with dataset).
 	colGenes []*bitset.Set
 	// geneOutside[g] is the set of outside positions h expressing gene g
-	// (universe = len(OutsideSamples)).
+	// (universe = len(OutsideSamples)): outsideGenes transposed.
 	geneOutside []*bitset.Set
-	// outsideGenes[h] is geneOutside transposed: the genes outside sample h
-	// expresses. Pair values count against it, and BSTCE's column sweep
+	// outsideGenes[h] is the gene set of outside sample h (shared with
+	// dataset). Pair values count against it, and BSTCE's column sweep
 	// resolves whole words of genes per outside sample with it.
 	outsideGenes []*bitset.Set
 
@@ -73,7 +74,7 @@ type BST struct {
 	// scratch.go), keeping steady-state evaluation allocation-free while
 	// staying safe for concurrent queries — parallel batch classification
 	// effectively gives each worker its own scratch. The zero value is
-	// ready to use, so loaded classifiers need no extra wiring.
+	// ready to use.
 	scratch sync.Pool
 }
 
@@ -131,8 +132,7 @@ func NewBST(d *dataset.Bool, ci int) (*BST, error) {
 // (Algorithm 1 lines 13-18). The list is the negated h\c, of size
 // |h| − |h∩c|, unless h ⊆ c; then it is the positive c\h, of size
 // |c| − |h|, which is empty for identical samples (excluded by Theorem 2's
-// hypothesis). NewBST and buildTable both end here, so a loaded table holds
-// exactly what the trained one did.
+// hypothesis).
 func (t *BST) derive() {
 	t.exclusiveGenes = bitset.New(t.numGenes)
 	for _, cg := range t.colGenes {

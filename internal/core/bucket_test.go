@@ -109,8 +109,7 @@ func bucketShapes(b int) [][]shapeSample {
 
 // TestSweepBucketEdges runs BSTCE on the constructed bucket-edge shapes
 // and checks every table against referenceEvaluate bit for bit, through
-// Evaluate, EvaluateValue, ValuesInto and Decide, on the trained
-// classifier and on the one rebuilt from Export. A sweep that misplaced a
+// Evaluate, EvaluateValue, ValuesInto and Decide. A sweep that misplaced a
 // value by a bucket, or visited a bucket out of value order, would give
 // some cell a larger value than its smallest pair.
 func TestSweepBucketEdges(t *testing.T) {
@@ -142,23 +141,17 @@ func TestSweepBucketEdges(t *testing.T) {
 			t.Fatalf("%d/%d is not in the last bucket", h.m, h.n)
 		}
 	}
-	loaded, err := BuildClassifier(cl.Export())
-	if err != nil {
-		t.Fatal(err)
-	}
 	want := referenceValues(cl, q)
-	for _, c := range []*Classifier{cl, loaded} {
-		for ci, tb := range c.Tables {
-			if err := matchesReference(tb, q, EvalOptions{}); err != nil {
-				t.Fatalf("class %d: %v", ci, err)
-			}
-			if got := tb.EvaluateValue(q, EvalOptions{}); math.Float64bits(got) != math.Float64bits(want[ci]) {
-				t.Fatalf("class %d: EvaluateValue %v, reference %v", ci, got, want[ci])
-			}
+	for ci, tb := range cl.Tables {
+		if err := matchesReference(tb, q, EvalOptions{}); err != nil {
+			t.Fatalf("class %d: %v", ci, err)
 		}
-		if err := classifierMatches(c, q, want); err != nil {
-			t.Fatal(err)
+		if got := tb.EvaluateValue(q, EvalOptions{}); math.Float64bits(got) != math.Float64bits(want[ci]) {
+			t.Fatalf("class %d: EvaluateValue %v, reference %v", ci, got, want[ci])
 		}
+	}
+	if err := classifierMatches(cl, q, want); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -20,8 +20,11 @@ type Classifier struct {
 	GeneNames  []string
 	Opts       EvalOptions
 
+	// train is the training set the tables were built from; their rows
+	// are its rows, not copies.
+	train *dataset.Bool
 	// shared places every cross-class pair's count for the tables (see
-	// sharePairs); Train and BuildClassifier derive it.
+	// sharePairs).
 	shared *sharedPairs
 }
 
@@ -36,6 +39,7 @@ func Train(d *dataset.Bool, opts *EvalOptions) (*Classifier, error) {
 	cl := &Classifier{
 		ClassNames: d.ClassNames,
 		GeneNames:  d.GeneNames,
+		train:      d,
 	}
 	if opts != nil {
 		cl.Opts = *opts
@@ -51,13 +55,15 @@ func Train(d *dataset.Bool, opts *EvalOptions) (*Classifier, error) {
 		}
 		cl.Tables = append(cl.Tables, t)
 	}
-	sp, err := sharePairs(cl.Tables, d.NumGenes())
-	if err != nil {
-		return nil, err
-	}
-	cl.shared = sp
+	cl.shared = sharePairs(cl.Tables, d.NumGenes())
 	return cl, nil
 }
+
+// TrainingSet returns the training set the classifier was built from. A
+// trained classifier is fully determined by it and Opts, so it is all a
+// model file stores (see internal/eval). The classifier's tables share its
+// rows: treat it as read-only.
+func (cl *Classifier) TrainingSet() *dataset.Bool { return cl.train }
 
 // Values returns the classification value CV(i) = BSTCE(T(i), Q) for every
 // class.

@@ -1,17 +1,23 @@
 package core
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
-	"strings"
 	"testing"
 
 	"bstc/internal/bitset"
 	"bstc/internal/dataset"
+	"bstc/internal/rules"
 )
 
-// TestSaveLoadRoundTrip: a classifier rebuilt from its export, the data the
-// artifact persists, keeps its metadata, values, classes and explanations.
+// A trained classifier is fully determined by its training set and its
+// options, so that pair is what a model file persists (internal/eval's
+// artifact) and Train is what rebuilds it.
+
+// TestSaveLoadRoundTrip: a classifier rebuilt from its training set and
+// options keeps its metadata, values, classes and explanations.
 func TestSaveLoadRoundTrip(t *testing.T) {
 	r := rand.New(rand.NewSource(101))
 	for trial := 0; trial < 10; trial++ {
@@ -20,7 +26,10 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		loaded, err := BuildClassifier(orig.Export())
+		if orig.TrainingSet() != d {
+			t.Fatal("TrainingSet is not the dataset the classifier was trained on")
+		}
+		loaded, err := Train(orig.TrainingSet(), &orig.Opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -42,23 +51,45 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 		}
 		// Explanations survive too (cell derivation relies on every field).
 		q := randomRow(r, d.NumGenes())
-		eo := orig.Explain(q, 0, 0)
-		el := loaded.Explain(q, 0, 0)
-		if len(eo) != len(el) {
-			t.Fatalf("trial %d: explanation counts differ: %d vs %d", trial, len(eo), len(el))
+		for ci := range orig.Tables {
+			if err := sameExplanations(orig.Explain(q, ci, 0), loaded.Explain(q, ci, 0), d.GeneNames); err != nil {
+				t.Fatalf("trial %d class %d: %v", trial, ci, err)
+			}
 		}
 	}
 }
 
+// sameExplanations reports the first field in which two explanation lists
+// differ: gene, supporting sample, satisfaction bits or rendered rule.
+func sameExplanations(want, got []Explanation, genes []string) error {
+	if len(want) != len(got) {
+		return fmt.Errorf("%d explanations, want %d", len(got), len(want))
+	}
+	for i, w := range want {
+		g := got[i]
+		switch {
+		case g.Gene != w.Gene || g.SampleIndex != w.SampleIndex:
+			return fmt.Errorf("explanation %d is cell (%d, sample %d), want (%d, sample %d)",
+				i, g.Gene, g.SampleIndex, w.Gene, w.SampleIndex)
+		case math.Float64bits(g.Satisfaction) != math.Float64bits(w.Satisfaction):
+			return fmt.Errorf("explanation %d satisfaction %v, want %v", i, g.Satisfaction, w.Satisfaction)
+		case g.Rule.Class != w.Rule.Class ||
+			rules.Render(g.Rule.Antecedent, genes) != rules.Render(w.Rule.Antecedent, genes):
+			return fmt.Errorf("explanation %d rule differs", i)
+		}
+	}
+	return nil
+}
+
 // TestPaperExampleSurvivesPersistence: the §5.4 worked example's values
-// survive the export and rebuild.
+// survive a rebuild from the training set.
 func TestPaperExampleSurvivesPersistence(t *testing.T) {
 	d := dataset.PaperTable1()
 	cl, err := Train(d, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := BuildClassifier(cl.Export())
+	loaded, err := Train(cl.TrainingSet(), &cl.Opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,77 +98,4 @@ func TestPaperExampleSurvivesPersistence(t *testing.T) {
 	if vals[0] != 0.75 || vals[1] != 0.375 {
 		t.Errorf("worked example values after load = %v", vals)
 	}
-}
-
-// TestBuildClassifierRejectsDisagreeingTables pins the load-time check the
-// shared pair counts rest on: every table must hold the same row for a
-// sample, and the tables must partition the samples. Train's tables pass;
-// an export edited to break either is refused, whatever the edit touches.
-func TestBuildClassifierRejectsDisagreeingTables(t *testing.T) {
-	d := randomBoolDataset(rand.New(rand.NewSource(107)), 12, 20, 3)
-	cl, err := Train(d, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := BuildClassifier(cl.Export()); err != nil {
-		t.Fatalf("trained model refused: %v", err)
-	}
-	// edited returns a copy of the export that edit may change freely: the
-	// export shares its slices and sets with the live classifier.
-	edited := func(edit func(cd *ClassifierData)) ClassifierData {
-		cd := cl.Export()
-		cd.Tables = append([]TableData(nil), cd.Tables...)
-		for i := range cd.Tables {
-			tb := &cd.Tables[i]
-			tb.ClassSamples = append([]int(nil), tb.ClassSamples...)
-			tb.OutsideSamples = append([]int(nil), tb.OutsideSamples...)
-			tb.ColGenes = cloneSets(tb.ColGenes)
-			tb.GeneOutside = cloneSets(tb.GeneOutside)
-		}
-		edit(&cd)
-		return cd
-	}
-	for _, tc := range []struct {
-		name, want string
-		edit       func(cd *ClassifierData)
-	}{
-		{"flipped bit in one table's copy of a shared row", "different rows", func(cd *ClassifierData) {
-			// Gene 3 of table 0's outside sample 0: the sample's own
-			// table keeps the trained row.
-			if s := cd.Tables[0].GeneOutside[3]; s.Contains(0) {
-				s.Remove(0)
-			} else {
-				s.Add(0)
-			}
-		}},
-		{"sample listed under two classes", "is a column of table 0 and of table 1", func(cd *ClassifierData) {
-			t0, t1 := &cd.Tables[0], &cd.Tables[1]
-			t0.ClassSamples = append(t0.ClassSamples, t1.ClassSamples[0])
-			t0.ColGenes = append(t0.ColGenes, t1.ColGenes[0])
-		}},
-		{"own column listed outside", "not a column of another table", func(cd *ClassifierData) {
-			tb := &cd.Tables[2]
-			tb.OutsideSamples[0] = tb.ClassSamples[0]
-		}},
-		{"outside sample listed twice", "twice", func(cd *ClassifierData) {
-			tb := &cd.Tables[1]
-			tb.OutsideSamples[1] = tb.OutsideSamples[0]
-		}},
-	} {
-		_, err := BuildClassifier(edited(tc.edit))
-		if err == nil || !strings.Contains(err.Error(), tc.want) {
-			t.Errorf("%s: BuildClassifier error %v, want one containing %q", tc.name, err, tc.want)
-		}
-	}
-	if _, err := BuildClassifier(cl.Export()); err != nil {
-		t.Fatalf("the edits reached the trained model: %v", err)
-	}
-}
-
-func cloneSets(sets []*bitset.Set) []*bitset.Set {
-	out := make([]*bitset.Set, len(sets))
-	for i, s := range sets {
-		out[i] = s.Clone()
-	}
-	return out
 }

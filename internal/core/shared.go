@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"sync"
 
 	"bstc/internal/bitset"
@@ -49,28 +48,26 @@ type pairCounts struct {
 	qc   *bitset.Set
 }
 
-// sharePairs derives the shared layout of tables over numGenes genes,
-// which must come from one training set: every sample is a column of
+// sharePairs derives the shared layout of Train's tables over numGenes
+// genes. They come from one training set: every sample is a column of
 // exactly one table and an outside sample of every other, and every table
-// holds the same row for it. Train's tables do by construction; for loaded
-// ones (BuildClassifier) this is where a model that breaks it is rejected,
-// since each table would read counts taken against another table's rows.
-func sharePairs(tables []*BST, numGenes int) (*sharedPairs, error) {
+// holds the same row for it, so each table can read counts taken against
+// another table's rows.
+func sharePairs(tables []*BST, numGenes int) *sharedPairs {
 	type place struct{ table, col int }
 	sp := &sharedPairs{numGenes: numGenes, start: make([]int, len(tables)+1)}
-	owner := map[int]place{}
 	for k, t := range tables {
 		sp.start[k] = len(sp.rows)
-		for c, id := range t.ClassSamples {
-			if p, dup := owner[id]; dup {
-				return nil, fmt.Errorf("core: sample %d is a column of table %d and of table %d", id, p.table, k)
-			}
-			owner[id] = place{k, c}
-			sp.rows = append(sp.rows, t.colGenes[c])
-		}
+		sp.rows = append(sp.rows, t.colGenes...)
 	}
 	n := len(sp.rows)
 	sp.start[len(tables)] = n
+	owner := make([]place, n)
+	for k, t := range tables {
+		for c, id := range t.ClassSamples {
+			owner[id] = place{k, c}
+		}
+	}
 
 	blocks := make([]int, len(tables))
 	for k, t := range tables {
@@ -80,23 +77,10 @@ func sharePairs(tables []*BST, numGenes int) (*sharedPairs, error) {
 	sp.links = make([]tableLinks, len(tables))
 	for k, t := range tables {
 		nh := len(t.OutsideSamples)
-		if nh != n-len(t.ClassSamples) {
-			return nil, fmt.Errorf("core: table %d has %d outside samples, the other tables %d columns", k, nh, n-len(t.ClassSamples))
-		}
 		l := tableLinks{row: make([]int32, nh), base: make([]int, nh), stride: make([]int, nh)}
-		seen := make([]bool, n)
 		for h, id := range t.OutsideSamples {
-			p, ok := owner[id]
-			switch {
-			case !ok || p.table == k:
-				return nil, fmt.Errorf("core: outside sample %d of table %d is not a column of another table", id, k)
-			case seen[sp.start[p.table]+p.col]:
-				return nil, fmt.Errorf("core: table %d lists outside sample %d twice", k, id)
-			case !t.outsideGenes[h].Equal(tables[p.table].colGenes[p.col]):
-				return nil, fmt.Errorf("core: tables %d and %d hold different rows for sample %d", k, p.table, id)
-			}
+			p := owner[id]
 			g := sp.start[p.table] + p.col
-			seen[g] = true
 			l.row[h] = int32(g)
 			if j := p.table; j > k {
 				l.base[h], l.stride[h] = blocks[k]+g-sp.start[k+1], n-sp.start[k+1]
@@ -106,7 +90,7 @@ func sharePairs(tables []*BST, numGenes int) (*sharedPairs, error) {
 		}
 		sp.links[k] = l
 	}
-	return sp, nil
+	return sp
 }
 
 // count fills pc with q's counts: |q∩row| for every row with one batched

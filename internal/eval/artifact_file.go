@@ -69,9 +69,9 @@ func WriteArtifactFile(path string, a *Artifact, format string) (err error) {
 }
 
 // MappedArtifact is an artifact served out of a memory-mapped v2 file: the
-// metadata lives on the heap, every bitset word stays in the mapping. Close
-// unmaps; the artifact (and anything still holding its bitsets) must not be
-// used afterwards.
+// metadata and what Train derives live on the heap, the training rows stay
+// in the mapping. Close unmaps; the artifact (and anything still holding
+// its bitsets) must not be used afterwards.
 type MappedArtifact struct {
 	*Artifact
 	data  []byte
@@ -95,11 +95,10 @@ func (m *MappedArtifact) Close() error {
 
 // LoadArtifactMapped opens a v2 artifact file with zero deserialization of
 // its bitset payload: the file is mapped read-only, the layout and both
-// section checksums are validated, and the classifier's bitsets become
-// frozen views aliasing the mapped words. Cold-start cost is parsing the
-// small metadata section; the words — the overwhelming bulk of a trained
-// artifact — are never copied or even touched until queries fault their
-// pages in.
+// section checksums are validated, the training rows become frozen views
+// aliasing the mapped words, and core.Train builds the classifier on them.
+// Cold-start cost is parsing the metadata section and deriving the tables
+// from the rows; the words are never copied.
 //
 // The file must outlive the returned artifact; Close unmaps. Where mmap is
 // unavailable the file is read into memory instead, and on hosts where

@@ -2,7 +2,9 @@ package eval
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"strings"
 	"testing"
 
 	"bstc/internal/core"
@@ -68,6 +70,46 @@ func TestLoadArtifactRejectsBadStreams(t *testing.T) {
 	for name, data := range cases {
 		if _, err := loadNoPanic(t, name, data); !errors.Is(err, ErrCorruptArtifact) {
 			t.Errorf("%s: err = %v, want ErrCorruptArtifact", name, err)
+		}
+	}
+
+	// Images whose framing and checksums are sound but whose stored
+	// training set is not. The class labels end the metadata, after their
+	// count; each case re-frames edited labels or words with valid CRCs.
+	metaOff := binary.LittleEndian.Uint64(good[16:])
+	meta := good[metaOff : metaOff+binary.LittleEndian.Uint64(good[24:])]
+	words := good[binary.LittleEndian.Uint64(good[32:]):]
+	n := len(art.Classifier.TrainingSet().Classes)
+	labelsAt := len(meta) - 8*n
+	stored := make([]uint64, n)
+	for i := range stored {
+		stored[i] = binary.LittleEndian.Uint64(meta[labelsAt+8*i:])
+	}
+	image := func(labels []uint64, words []byte) []byte {
+		m := binary.LittleEndian.AppendUint64(meta[:labelsAt-8:labelsAt-8], uint64(len(labels)))
+		for _, l := range labels {
+			m = binary.LittleEndian.AppendUint64(m, l)
+		}
+		return frameV2(nil, m, words)
+	}
+	if !bytes.Equal(image(stored, words), good) {
+		t.Fatal("re-framing the stored labels and words does not reproduce the image")
+	}
+	outOfRange := append([]uint64(nil), stored...)
+	outOfRange[n-1] = uint64(len(art.Classifier.ClassNames))
+	for _, tc := range []struct {
+		name, want string
+		data       []byte
+	}{
+		{"class label out of range", "class index", image(outOfRange, words)},
+		{"a label more than rows", "training rows", image(append(stored[:n:n], 0), words)},
+		{"a label fewer than rows", "training rows", image(stored[:n-1], words)},
+		{"a word more than labels x words per row", "training rows", image(stored, append(words[:len(words):len(words)], make([]byte, 8)...))},
+		{"a class with no rows", "no training samples", image(make([]uint64, n), words)},
+	} {
+		_, err := loadNoPanic(t, tc.name, tc.data)
+		if !errors.Is(err, ErrCorruptArtifact) || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: err = %v, want ErrCorruptArtifact mentioning %q", tc.name, err, tc.want)
 		}
 	}
 

@@ -9,22 +9,23 @@ import (
 
 	"bstc/internal/bitset"
 	"bstc/internal/core"
+	"bstc/internal/dataset"
 	"bstc/internal/discretize"
 	"bstc/internal/fault"
 )
 
 // The artifact format: a flat, versioned, offset-indexed binary layout built
 // for memory mapping, and the only artifact format. It separates the
-// artifact into a small metadata section (names, cut points, table shapes,
-// bitset references) and one 8-aligned little-endian words section holding
-// every bitset's storage back to back. A loader with the file mapped
+// artifact into a small metadata section (names, cut points, options, class
+// labels) and one 8-aligned little-endian words section holding the
+// classifier's training rows back to back. A loader with the file mapped
 // aliases the words section in place — the page cache is the storage,
 // shared across every process serving the same artifact — and only the
 // metadata is materialized.
 //
 //	offset 0   magic "BSTCART2"                  (8 bytes)
 //	offset 8   header                            (48 bytes)
-//	             u32 version (=3), u32 reserved
+//	             u32 version (=4), u32 reserved
 //	             u64 metaOff, u64 metaLen
 //	             u64 wordsOff, u64 wordsLen
 //	             u32 metaCRC, u32 wordsCRC       (CRC-32C, Castagnoli)
@@ -32,28 +33,30 @@ import (
 //	...        zero padding to 8-byte alignment
 //	wordsOff   words section                     (wordsLen bytes, 8-aligned)
 //
-// All integers are little-endian. A table persists only its training rows
-// (core.TableData): per table, its class, column and outside sample
-// indices, gene count, and two bitset blocks — the column gene sets and the
-// per-gene outside-expresser sets. Each slice's members share one
-// universe, so the metadata references it as one block (count, n,
-// wordOff): count sets over [0, n), stored back to back at words[wordOff:],
-// ⌈n/64⌉ words each. The loader bounds-checks the block once and carves
-// read-only views out of it in a single pass (bitset.ViewBlock), which is
-// what keeps mapped cold start proportional to the metadata — per set it
-// costs a padding-bit test and two pointer stores, never a decode. The
-// exclusion lists, their sizes and the black dots are derived at load.
+// All integers are little-endian. BSTC is parameter-free: a trained
+// classifier is fully determined by its Boolean training set and its two
+// BSTCE options, so that is all the artifact stores of it
+// (core.Classifier.TrainingSet): class and item names, the options, and one
+// class label per training sample, in sample order. The words section is
+// exactly those samples' rows in the same order, ⌈items/64⌉ words each, in
+// AppendKey's layout. The loader carves read-only views out of it in one
+// pass (bitset.ViewBlock, which also checks that the section holds exactly
+// labels × ⌈items/64⌉ words; per row it costs a padding-bit test and two
+// pointer stores, never a decode) and hands the set to core.Train, the one
+// constructor of every classifier. Train validates it as it validates any
+// training input and derives the rest: the tables, their exclusion lists
+// and black dots, and the shared pair layout.
 //
-// Two retired formats are recognized only to be rejected with a pointer to
-// the fix: v1, a gob stream led by artifactMagicV1, and version 2 of this
+// Three retired formats are recognized only to be rejected with a pointer
+// to the fix: v1, a gob stream led by artifactMagicV1; version 2 of this
 // layout, which also stored every exclusion list, a pair-size cache and
-// black-dot flags.
+// black-dot flags; and version 3, which stored each table's rows, so every
+// sample once per table.
 const (
-	artifactMagicV1        = "BSTC-ARTIFACT\n"
-	artifactMagicV2        = "BSTCART2"
-	artifactVersion        = 3
-	artifactVersionRetired = 2
-	v2HeaderLen            = 8 + 4 + 4 + 4*8 + 4 + 4 // magic through wordsCRC
+	artifactMagicV1 = "BSTC-ARTIFACT\n"
+	artifactMagicV2 = "BSTCART2"
+	artifactVersion = 4
+	v2HeaderLen     = 8 + 4 + 4 + 4*8 + 4 + 4 // magic through wordsCRC
 )
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
@@ -200,85 +203,11 @@ func (d *metaDec) f64s() []float64 {
 	return out
 }
 
-// ---- bitset block table ----
-
-// setWriter appends bitset slices to the shared words section as uniform
-// blocks: every set of a slice shares one universe (a classifier invariant
-// buildTable enforces), so the slice serializes as (count, n, wordOff) with
-// the words laid back to back in AppendKey's little-endian layout. No
-// per-set framing means the loader's work per set is a mask test, not a
-// decode — the property the cold-start SLO rides on.
-type setWriter struct {
-	words []byte
-	err   error
-}
-
-func (w *setWriter) refs(e *metaEnc, sets []*bitset.Set) {
-	e.u64(uint64(len(sets)))
-	n := 0
-	if len(sets) > 0 {
-		n = sets[0].Len()
-	}
-	e.u64(uint64(n))
-	e.u64(uint64(len(w.words) / 8))
-	for i, s := range sets {
-		if s == nil || s.Len() != n {
-			if w.err == nil {
-				w.err = fmt.Errorf("eval: bitset slice not uniform: set %d is %v, want universe %d", i, s, n)
-			}
-			return
-		}
-		w.words = s.AppendKey(w.words)
-	}
-}
-
-// setReader resolves (count, n, wordOff) blocks against the decoded words
-// section. On the zero-copy path the words slice aliases the mapping, so
-// the returned sets cost no memory beyond their headers — two allocations
-// per block (the set headers, the pointer slice), regardless of count.
-type setReader struct {
-	words []uint64
-	d     *metaDec
-}
-
-func (r *setReader) refs() []*bitset.Set {
-	count := r.d.intv()
-	n := r.d.intv()
-	off := r.d.intv()
-	if r.d.err != nil {
-		return nil
-	}
-	// Bound the block in uint64 space before any int arithmetic: count and
-	// the implied word total must fit the words section, so the allocation
-	// below stays proportional to the file itself. Degenerate blocks
-	// (universe 0) consume no words; cap their count by the file footprint.
-	nw := (uint64(n) + 63) / 64
-	total := uint64(count) * nw
-	switch {
-	case nw > 0 && (uint64(off) > uint64(len(r.words)) || total/nw != uint64(count) || total > uint64(len(r.words))-uint64(off)):
-		r.d.fail("bitset block [%d, +%d sets x %d words) outside words section of %d words", off, count, nw, len(r.words))
-		return nil
-	case nw == 0 && count > len(r.d.b)+len(r.words):
-		r.d.fail("bitset block claims %d empty-universe sets", count)
-		return nil
-	}
-	if count == 0 {
-		return nil
-	}
-	sets, err := bitset.ViewBlock(r.words[off:off+int(total):off+int(total)], n, count)
-	if err != nil {
-		r.d.fail("bitset block at word %d: %v", off, err)
-		return nil
-	}
-	return sets
-}
-
 // ---- encode ----
 
 // appendV2 serializes the artifact into the v2 layout, appending to dst.
-func appendV2(dst []byte, a *Artifact) ([]byte, error) {
+func appendV2(dst []byte, a *Artifact) []byte {
 	var meta metaEnc
-	sets := new(setWriter)
 
 	// Discretizer parts.
 	meta.u64(uint64(a.Disc.NumGenes()))
@@ -289,43 +218,41 @@ func appendV2(dst []byte, a *Artifact) ([]byte, error) {
 	meta.strs(a.Disc.ItemNames)
 	meta.strs(a.Disc.ClassNames)
 
-	// Classifier parts.
-	d := a.Classifier.Export()
+	// Classifier parts: its training set and options.
+	d := a.Classifier.TrainingSet()
 	meta.strs(d.ClassNames)
 	meta.strs(d.GeneNames)
-	meta.u64(uint64(d.Opts.Arithmetization))
-	meta.u64(uint64(d.Opts.CullListsTo))
-	meta.u64(uint64(len(d.Tables)))
-	for _, t := range d.Tables {
-		meta.u64(uint64(t.Class))
-		meta.ints(t.ClassSamples)
-		meta.ints(t.OutsideSamples)
-		meta.u64(uint64(t.NumGenes))
-		sets.refs(&meta, t.ColGenes)
-		sets.refs(&meta, t.GeneOutside)
+	meta.u64(uint64(a.Classifier.Opts.Arithmetization))
+	meta.u64(uint64(a.Classifier.Opts.CullListsTo))
+	meta.ints(d.Classes)
+	words := make([]byte, 0, 8*len(d.Rows)*((d.NumGenes()+63)/64))
+	for _, row := range d.Rows {
+		words = row.AppendKey(words)
 	}
-	if sets.err != nil {
-		return nil, sets.err
-	}
+	return frameV2(dst, meta.b, words)
+}
 
+// frameV2 appends the header, the metadata section, the alignment padding
+// and the words section to dst.
+func frameV2(dst, meta, words []byte) []byte {
 	metaOff := uint64(v2HeaderLen)
-	wordsOff := (metaOff + uint64(len(meta.b)) + 7) &^ 7
+	wordsOff := (metaOff + uint64(len(meta)) + 7) &^ 7
 
 	var hdr metaEnc
 	hdr.b = append(dst, artifactMagicV2...)
 	hdr.u64(uint64(artifactVersion)) // u32 version + u32 reserved, both LE
 	hdr.u64(metaOff)
-	hdr.u64(uint64(len(meta.b)))
+	hdr.u64(uint64(len(meta)))
 	hdr.u64(wordsOff)
-	hdr.u64(uint64(len(sets.words)))
-	hdr.u64(uint64(crc32.Checksum(meta.b, castagnoli)) |
-		uint64(crc32.Checksum(sets.words, castagnoli))<<32)
+	hdr.u64(uint64(len(words)))
+	hdr.u64(uint64(crc32.Checksum(meta, castagnoli)) |
+		uint64(crc32.Checksum(words, castagnoli))<<32)
 
-	out := append(hdr.b, meta.b...)
+	out := append(hdr.b, meta...)
 	for uint64(len(out)-len(dst)) < wordsOff {
 		out = append(out, 0)
 	}
-	return append(out, sets.words...), nil
+	return append(out, words...)
 }
 
 // SaveV2 writes the artifact in format v2, the layout LoadArtifactMapped
@@ -337,11 +264,7 @@ func (a *Artifact) SaveV2(w io.Writer) error {
 	if err := fault.Hit("eval.artifact.save"); err != nil {
 		return err
 	}
-	img, err := appendV2(nil, a)
-	if err != nil {
-		return err
-	}
-	_, err = w.Write(img)
+	_, err := w.Write(appendV2(nil, a))
 	return err
 }
 
@@ -373,8 +296,8 @@ func decodeV2(data []byte) (*Artifact, error) {
 	}
 	switch ver := uint32(verWord); ver {
 	case artifactVersion:
-	case artifactVersionRetired:
-		return corrupt("format version 2: the version 2 layout, which stored every exclusion list, is retired; rewrite the file with `bstc artifact`")
+	case 2, 3:
+		return corrupt("format version %d is retired; rewrite the file with `bstc artifact`", ver)
 	default:
 		return corrupt("format version %d, want %d", ver, artifactVersion)
 	}
@@ -407,8 +330,6 @@ func decodeV2(data []byte) (*Artifact, error) {
 	}
 
 	d := &metaDec{b: metaBytes}
-	sets := &setReader{words: words, d: d}
-
 	numGenes := d.intv()
 	geneCuts := make([][]float64, 0, d.count(8))
 	for i := 0; i < cap(geneCuts) && d.err == nil; i++ {
@@ -417,32 +338,26 @@ func decodeV2(data []byte) (*Artifact, error) {
 	itemNames := d.strs()
 	discClassNames := d.strs()
 
-	cd := core.ClassifierData{ClassNames: d.strs(), GeneNames: d.strs()}
-	cd.Opts.Arithmetization = core.Arithmetization(d.intv())
-	cd.Opts.CullListsTo = d.intv()
-	nTables := d.count(1)
-	for i := 0; i < nTables && d.err == nil; i++ {
-		cd.Tables = append(cd.Tables, core.TableData{
-			Class:          d.intv(),
-			ClassSamples:   d.ints(),
-			OutsideSamples: d.ints(),
-			NumGenes:       d.intv(),
-			ColGenes:       sets.refs(),
-			GeneOutside:    sets.refs(),
-		})
-	}
+	train := &dataset.Bool{ClassNames: d.strs(), GeneNames: d.strs()}
+	opts := core.EvalOptions{Arithmetization: core.Arithmetization(d.intv()), CullListsTo: d.intv()}
+	train.Classes = d.ints()
 	if d.err != nil {
 		return corrupt("metadata: %v", d.err)
 	}
 	if d.off != len(d.b) {
 		return corrupt("metadata has %d trailing bytes", len(d.b)-d.off)
 	}
+	rows, err := bitset.ViewBlock(words, len(train.GeneNames), len(train.Classes))
+	if err != nil {
+		return corrupt("training rows: %v", err)
+	}
+	train.Rows = rows
 
 	disc, err := discretize.NewModel(numGenes, geneCuts, itemNames, discClassNames)
 	if err != nil {
 		return corrupt("discretizer: %v", err)
 	}
-	cl, err := core.BuildClassifier(cd)
+	cl, err := core.Train(train, &opts)
 	if err != nil {
 		return corrupt("classifier: %v", err)
 	}

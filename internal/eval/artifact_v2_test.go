@@ -216,10 +216,15 @@ const v1Prefix = "BSTC-ARTIFACT\n=\xff\x99\x03\x01\x01\vartifactDTO\x01\xff\x9a\
 
 // TestLoadArtifactMappedRejectsV1 pins that a file in a retired format
 // fails loudly, naming the retired format and the command that rewrites
-// it: a v1 gob file, and a version 2 image (the committed golden of that
-// version, which also stored every exclusion list).
+// it: a v1 gob file, a version 2 image (the committed golden of that
+// version, which also stored every exclusion list) and a version 3 one
+// (which stored each table's copy of the training rows).
 func TestLoadArtifactMappedRejectsV1(t *testing.T) {
 	v2, err := os.ReadFile(retiredV2Path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v3, err := os.ReadFile(retiredV3Path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,6 +234,7 @@ func TestLoadArtifactMappedRejectsV1(t *testing.T) {
 	}{
 		{"v1", "v1", []byte(v1Prefix)},
 		{"v2", "version 2", v2},
+		{"v3", "version 3", v3},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			path := filepath.Join(t.TempDir(), "model.bstc")
@@ -386,17 +392,21 @@ func TestWriteArtifactFileAtomic(t *testing.T) {
 }
 
 // TestArtifactWordsAreTrainingRows pins what an image persists: its words
-// section is exactly each table's column gene sets and per-gene
-// outside-expresser sets, the training rows. Exclusion lists, their sizes
-// and the black dots are derived at load, so no word of them is stored.
+// section is exactly the training rows, each stored once, in sample order:
+// samples × ⌈items/64⌉ words. The tables' outside sets, the exclusion
+// lists, their sizes and the black dots are derived at load, so no word of
+// them is stored.
 func TestArtifactWordsAreTrainingRows(t *testing.T) {
-	words := func(n int) int { return (n + 63) / 64 }
 	for _, p := range synth.PaperProfiles(synth.Small) {
 		c, err := p.Generate()
 		if err != nil {
 			t.Fatal(err)
 		}
 		art, err := TrainArtifact(c, nil, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		train, err := art.Disc.Transform(c)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -407,14 +417,67 @@ func TestArtifactWordsAreTrainingRows(t *testing.T) {
 		img := buf.Bytes()
 		wordsOff := binary.LittleEndian.Uint64(img[32:])
 		wordsLen := binary.LittleEndian.Uint64(img[40:])
-		want := 0
-		for _, tb := range art.Classifier.Tables {
-			g := tb.NumGenes()
-			want += 8 * (tb.NumColumns()*words(g) + g*words(tb.NumOutside()))
-		}
+		want := 8 * len(c.Values) * ((art.Disc.NumItems() + 63) / 64)
 		if wordsLen != uint64(want) || uint64(len(img)) != wordsOff+wordsLen {
-			t.Errorf("%s: words section holds %d bytes (file %d, section at %d); the training rows take %d",
-				p.Name, wordsLen, len(img), wordsOff, want)
+			t.Errorf("%s: words section holds %d bytes (file %d, section at %d); %d samples' rows take %d",
+				p.Name, wordsLen, len(img), wordsOff, len(c.Values), want)
+			continue
 		}
+		var rows []byte
+		for _, r := range train.Rows {
+			rows = r.AppendKey(rows)
+		}
+		if !bytes.Equal(img[wordsOff:], rows) {
+			t.Errorf("%s: words section is not the training rows in sample order", p.Name)
+		}
+	}
+}
+
+// TestMappedArtifactExplainMatchesTrained pins that explanations survive
+// the file: on one row of every paper profile, the mapped artifact
+// explains each class with the trained classifier's cells, field by field.
+// The supporting sample is a training-set index, so this also pins that
+// the rows are stored in sample order. One row only: every cell builds its
+// full rule, about half a second per PC row, and every sample of every
+// profile takes minutes.
+func TestMappedArtifactExplainMatchesTrained(t *testing.T) {
+	for _, p := range synth.PaperProfiles(synth.Small) {
+		c, err := p.Generate()
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref, err := TrainArtifact(c, nil, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		path := filepath.Join(t.TempDir(), "model.bstc")
+		if err := WriteArtifactFile(path, ref, FormatV2); err != nil {
+			t.Fatal(err)
+		}
+		mapped, err := LoadArtifactMapped(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		i := len(c.Values) / 2
+		q, err := ref.TransformRow(c.Values[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		for ci := range ref.Classifier.Tables {
+			want := ref.Classifier.Explain(q, ci, 0)
+			got := mapped.Classifier.Explain(q, ci, 0)
+			if len(got) != len(want) {
+				t.Fatalf("%s sample %d class %d: %d explanations, trained %d", p.Name, i, ci, len(got), len(want))
+			}
+			for k, w := range want {
+				g := got[k]
+				if g.Gene != w.Gene || g.SampleIndex != w.SampleIndex ||
+					math.Float64bits(g.Satisfaction) != math.Float64bits(w.Satisfaction) {
+					t.Fatalf("%s sample %d class %d explanation %d: mapped (gene %d, sample %d, %v), trained (gene %d, sample %d, %v)",
+						p.Name, i, ci, k, g.Gene, g.SampleIndex, g.Satisfaction, w.Gene, w.SampleIndex, w.Satisfaction)
+				}
+			}
+		}
+		mapped.Close()
 	}
 }

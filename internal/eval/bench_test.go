@@ -32,10 +32,10 @@ func TestMain(m *testing.M) {
 // benchArtifact trains one artifact on the largest paper profile at full
 // paper scale (OC: 15,154 genes × 253 samples, Table 2's biggest dataset).
 // That is the largest artifact the suite produces — 253 training rows over
-// 1,925 items and two tables whose ~30k pair lists are derived at load, in
-// a file of about 0.33 MB — and the shape where cold start matters: the
-// mapped path aliases the rows' words untouched instead of decoding every
-// bitset onto the heap.
+// 1,925 items, from which Train derives two tables and their ~30k pair
+// lists at load, in a file of about 0.25 MB — and the shape where cold
+// start matters: the mapped path aliases the rows' words untouched instead
+// of decoding every bitset onto the heap.
 func benchArtifact(b *testing.B) string {
 	b.Helper()
 	s := &benchState
@@ -66,9 +66,9 @@ func benchArtifact(b *testing.B) string {
 }
 
 // BenchmarkArtifactColdStartMapped measures the zero-copy cold start: mmap,
-// validate, parse the metadata section, alias every bitset in place, and
-// derive each table's pair shapes from its rows. The words — the bulk of
-// the file — are never deserialized.
+// validate, parse the metadata section, alias every training row in place,
+// and build the classifier on them with core.Train. The words are never
+// deserialized.
 func BenchmarkArtifactColdStartMapped(b *testing.B) {
 	path := benchArtifact(b)
 	b.ReportAllocs()

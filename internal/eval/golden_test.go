@@ -8,12 +8,13 @@ import (
 	"testing"
 )
 
-// goldenPath is an artifact in the current format, version 3 of the
-// BSTCART2 layout. retiredV2Path is the same fixture in the retired
-// version 2, which the loader must refuse.
+// goldenPath is an artifact in the current format, version 4 of the
+// BSTCART2 layout. retiredV2Path and retiredV3Path are the same fixture in
+// the retired versions 2 and 3, which the loader must refuse.
 const (
-	goldenPath    = "testdata/artifact_v3.golden"
+	goldenPath    = "testdata/artifact_v4.golden"
 	retiredV2Path = "testdata/artifact_v2.golden"
+	retiredV3Path = "testdata/artifact_v3.golden"
 )
 
 // TestGoldenV2BackCompat proves artifact files written by earlier releases
