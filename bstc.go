@@ -10,11 +10,11 @@
 //
 // The quickest path from expression data to predictions:
 //
-//	model, _ := bstc.Discretize(train)              // entropy-MDL partition
-//	boolTrain, _ := model.Transform(train)          // boolean item matrix
-//	cl, _ := bstc.Train(boolTrain, nil)             // one BST per class
-//	class := cl.Classify(boolTrain.Rows[0])         // Algorithm 6
-//	why := cl.Explain(boolTrain.Rows[0], class, .8) // §5.3.2 rule evidence
+//	model, _ := bstc.Discretize(train)                 // entropy-MDL partition
+//	boolTrain, _ := model.Transform(train)             // boolean item matrix
+//	cl, _ := bstc.Train(boolTrain, nil)                // one BST per class
+//	class := cl.Classify(boolTrain.Rows[0])            // Algorithm 6
+//	why := cl.Explain(boolTrain.Rows[0], class, .8, 0) // §5.3.2 rule evidence
 //
 // This package is a façade over the internal packages; the exported names
 // alias the internal types so downstream code needs only this import.

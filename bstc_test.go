@@ -22,7 +22,7 @@ func TestFacadeWorkedExample(t *testing.T) {
 	if vals[0] != 0.75 || vals[1] != 0.375 {
 		t.Errorf("classification values %v, want [0.75 0.375]", vals)
 	}
-	exps := cl.Explain(q, 0, 0.5)
+	exps := cl.Explain(q, 0, 0.5, 0)
 	if len(exps) == 0 {
 		t.Fatal("no explanations")
 	}

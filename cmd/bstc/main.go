@@ -260,11 +260,7 @@ func cmdClassify(args []string) error {
 		}
 		fmt.Println()
 		if *explain > 0 {
-			exps := cl.Explain(row, pred, *minSat)
-			if len(exps) > *explain {
-				exps = exps[:*explain]
-			}
-			for _, e := range exps {
+			for _, e := range cl.Explain(row, pred, *minSat, *explain) {
 				fmt.Printf("\tsat=%.3f via training sample %d: %s\n",
 					e.Satisfaction, e.SampleIndex+1, bstc.RenderRule(e.Rule.Antecedent, cl.GeneNames))
 			}

@@ -1,6 +1,6 @@
 // Command bstcd serves trained BSTC artifacts (written by `bstc artifact`)
-// over HTTP, batching concurrent classify requests through the parallel
-// evaluation kernel.
+// over HTTP, batching concurrent classify requests across a pool of batch
+// workers per model version.
 //
 //	bstcd -model model.bstc [-model-version v1] [-addr :8080]
 //	bstcd -registry DIR [-registry-poll 5s] [-addr :8080]
@@ -89,7 +89,7 @@ func run(ctx context.Context, args []string, stdout io.Writer, ready func(net.Ad
 	addr := fs.String("addr", ":8080", "listen address")
 	batch := fs.Int("batch", 0, "cap on the queued requests one batch takes; a batch never waits to fill (default 32)")
 	maxInflight := fs.Int("max-inflight", 0, "admitted-request bound before 429 (default 4x batch)")
-	workers := fs.Int("workers", runtime.GOMAXPROCS(0), "goroutines per batch classify")
+	workers := fs.Int("workers", runtime.GOMAXPROCS(0), "batch workers per model version; each classifies its own batch")
 	timeout := fs.Duration("timeout", 0, "per-request deadline (default 5s)")
 	retryAfter := fs.Duration("retry-after", 0, "Retry-After hint on 429/503 responses (default 1s)")
 	runlogPath := fs.String("runlog", "", "append per-batch JSONL records to this file")

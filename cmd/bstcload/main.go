@@ -129,7 +129,7 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 	duration := fs.Duration("duration", 5*time.Second, "how long to drive load when -requests is 0")
 	timeout := fs.Duration("timeout", 5*time.Second, "per-request timeout")
 	batch := fs.Int("batch", 0, "micro-batch size for the self-hosted server (default 32)")
-	workers := fs.Int("workers", runtime.GOMAXPROCS(0), "classify workers for the self-hosted server")
+	workers := fs.Int("workers", runtime.GOMAXPROCS(0), "batch workers per model version for the self-hosted server")
 	reportPath := fs.String("report", "", "write the JSON report here (default: stdout)")
 	minRPS := fs.Float64("min-rps", 0, "fail the run below this throughput (0 disables)")
 	maxP99 := fs.Duration("max-p99", 0, "fail the run above this p99 latency (0 disables)")

@@ -34,7 +34,7 @@ func ExampleClassifier_Explain() {
 		panic(err)
 	}
 	q := bstc.GeneSetOf(data.NumGenes(), 0, 3, 4)
-	for _, e := range cl.Explain(q, 0, 1) { // fully satisfied rules only
+	for _, e := range cl.Explain(q, 0, 1, 0) { // fully satisfied rules only
 		fmt.Printf("%.0f%% via %s: %s\n",
 			100*e.Satisfaction,
 			data.SampleNames[e.SampleIndex],

@@ -37,7 +37,7 @@ func main() {
 	// §5.3.2: justify the classification with the atomic cell rules the
 	// query satisfies at level >= 0.5.
 	fmt.Println("\nsupporting cell rules (satisfaction >= 0.5):")
-	for _, e := range cl.Explain(q, pred, 0.5) {
+	for _, e := range cl.Explain(q, pred, 0.5, 0) {
 		fmt.Printf("  sat=%.2f via %s: %s\n",
 			e.Satisfaction,
 			data.SampleNames[e.SampleIndex],

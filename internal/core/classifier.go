@@ -165,30 +165,42 @@ type Explanation struct {
 	Rule         rules.BAR
 }
 
-// Explain justifies classifying q as class ci by returning all T(ci) atomic
-// cell rules with satisfaction level ≥ minSat, strongest first (§5.3.2).
+// Explain justifies classifying q as class ci by returning T(ci)'s atomic
+// cell rules with satisfaction level ≥ minSat, strongest first (§5.3.2),
+// equal levels in column-then-gene order. A positive limit keeps only the
+// first limit of them, and only the rules kept are built; 0 keeps all.
 // Only cells whose gene the query expresses are reported, mirroring BSTCE.
-func (cl *Classifier) Explain(q *bitset.Set, ci int, minSat float64) []Explanation {
+func (cl *Classifier) Explain(q *bitset.Set, ci int, minSat float64, limit int) []Explanation {
 	t := cl.Tables[ci]
-	var out []Explanation
+	type cell struct {
+		gene, col int
+		sat       float64
+	}
+	var cells []cell
 	s := t.getScratch()
-	defer t.putScratch(s)
 	t.startQuery(q, s)
 	for c := range t.ClassSamples {
 		t.startColumn(q, s, c)
 		s.qAndCol.ForEach(func(g int) bool {
-			v := t.cellValue(s, g, c, cl.Opts)
-			if v >= minSat {
-				out = append(out, Explanation{
-					Gene:         g,
-					SampleIndex:  t.ClassSamples[c],
-					Satisfaction: v,
-					Rule:         t.CellRule(g, c),
-				})
+			if v := t.cellValue(s, g, c, cl.Opts); v >= minSat {
+				cells = append(cells, cell{g, c, v})
 			}
 			return true
 		})
 	}
-	sort.SliceStable(out, func(i, j int) bool { return out[i].Satisfaction > out[j].Satisfaction })
+	t.putScratch(s)
+	sort.SliceStable(cells, func(i, j int) bool { return cells[i].sat > cells[j].sat })
+	if limit > 0 && len(cells) > limit {
+		cells = cells[:limit]
+	}
+	out := make([]Explanation, len(cells))
+	for i, e := range cells {
+		out[i] = Explanation{
+			Gene:         e.gene,
+			SampleIndex:  t.ClassSamples[e.col],
+			Satisfaction: e.sat,
+			Rule:         t.CellRule(e.gene, e.col),
+		}
+	}
 	return out
 }

@@ -1,8 +1,10 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"sync"
 	"testing"
 
 	"bstc/internal/bitset"
@@ -136,7 +138,7 @@ func TestExplain(t *testing.T) {
 
 	// All Cancer cell rules with satisfaction ≥ 0.5: from Figure 3 the
 	// considered cells are (g1,s1)=1, (g5,s1)=0.5, (g1,s2)=1, (g4,s3)=0.5.
-	exps := cl.Explain(q, 0, 0.5)
+	exps := cl.Explain(q, 0, 0.5, 0)
 	if len(exps) != 4 {
 		t.Fatalf("got %d explanations, want 4: %+v", len(exps), exps)
 	}
@@ -150,14 +152,47 @@ func TestExplain(t *testing.T) {
 		t.Errorf("strongest explanation = %+v, want g1 dot cell", exps[0])
 	}
 	// Raising the threshold to 1 keeps only the two black-dot cells.
-	if got := cl.Explain(q, 0, 1); len(got) != 2 {
+	if got := cl.Explain(q, 0, 1, 0); len(got) != 2 {
 		t.Errorf("threshold 1: got %d explanations, want 2", len(got))
 	}
 	// Threshold 0 reports every considered non-blank cell (5 total:
 	// Figure 3 shows g1/g5 under s1, g1 under s2, g4 under s3 — plus none
 	// others since Q only expresses g1, g4, g5).
-	if got := cl.Explain(q, 0, 0); len(got) != 4 {
+	if got := cl.Explain(q, 0, 0, 0); len(got) != 4 {
 		t.Errorf("threshold 0: got %d explanations, want 4", len(got))
+	}
+}
+
+// TestExplainLimitIsPrefix checks that a limited Explain, which builds
+// only the rules it returns, returns exactly the first limit explanations
+// of the unlimited call, field by field: gene, supporting sample,
+// satisfaction bits and rendered rule.
+func TestExplainLimitIsPrefix(t *testing.T) {
+	r := rand.New(rand.NewSource(113))
+	d := randomBoolDataset(r, 30, 60, 3)
+	cl, err := Train(d, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for qn := 0; qn < 3; qn++ {
+		q := randomRow(r, d.NumGenes())
+		for ci := range cl.Tables {
+			for _, minSat := range []float64{0, 0.5} {
+				all := cl.Explain(q, ci, minSat, 0)
+				if minSat == 0 && len(all) < 4 {
+					t.Fatalf("query %d class %d: %d explanations at min-sat 0, too few to test limits", qn, ci, len(all))
+				}
+				for _, limit := range []int{1, 2, 3, len(all) - 1, len(all), len(all) + 5} {
+					if limit < 1 {
+						continue
+					}
+					want := all[:min(limit, len(all))]
+					if err := sameExplanations(want, cl.Explain(q, ci, minSat, limit), d.GeneNames); err != nil {
+						t.Errorf("query %d class %d min-sat %v limit %d: %v", qn, ci, minSat, limit, err)
+					}
+				}
+			}
+		}
 	}
 }
 
@@ -212,11 +247,12 @@ func TestArithmetizationString(t *testing.T) {
 	}
 }
 
-// TestDecideBatchParallelMatchesSerial runs DecideBatchParallel with four
-// workers on a three-class classifier, whose queries share pair counts
+// TestConcurrentDecideMatchesSerial calls Decide from four goroutines at
+// once on one three-class classifier, whose queries share pair counts
 // across tables out of pooled scratch, and requires serial Decide's
-// answers bit for bit; make race runs it under the race detector.
-func TestDecideBatchParallelMatchesSerial(t *testing.T) {
+// answers bit for bit. Serving's batch workers share a classifier this
+// way; make race runs it under the race detector.
+func TestConcurrentDecideMatchesSerial(t *testing.T) {
 	r := rand.New(rand.NewSource(109))
 	d := randomBoolDataset(r, 30, 90, 3)
 	cl, err := Train(d, nil)
@@ -224,16 +260,37 @@ func TestDecideBatchParallelMatchesSerial(t *testing.T) {
 		t.Fatal(err)
 	}
 	rows := make([]*bitset.Set, 200)
+	classes := make([]int, len(rows))
+	confs := make([]float64, len(rows))
 	for i := range rows {
 		rows[i] = randomRow(r, d.NumGenes())
+		classes[i], confs[i] = cl.Decide(rows[i])
 	}
-	for round := 0; round < 3; round++ {
-		classes, confs := cl.DecideBatchParallel(rows, 4)
-		for i, q := range rows {
-			wc, wconf := cl.Decide(q)
-			if classes[i] != wc || math.Float64bits(confs[i]) != math.Float64bits(wconf) {
-				t.Fatalf("round %d row %d: parallel (%d, %v), serial (%d, %v)", round, i, classes[i], confs[i], wc, wconf)
+	const goroutines = 4
+	errs := make(chan error, goroutines)
+	var wg sync.WaitGroup
+	for g := range goroutines {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			// Each goroutine starts a quarter further in, so different
+			// rows are decided at once.
+			for round := 0; round < 3; round++ {
+				for k := range rows {
+					i := (k + g*len(rows)/goroutines) % len(rows)
+					c, conf := cl.Decide(rows[i])
+					if c != classes[i] || math.Float64bits(conf) != math.Float64bits(confs[i]) {
+						errs <- fmt.Errorf("goroutine %d round %d row %d: concurrent (%d, %v), serial (%d, %v)",
+							g, round, i, c, conf, classes[i], confs[i])
+						return
+					}
+				}
 			}
-		}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
 	}
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -133,11 +134,13 @@ func TestClassifyBatchParallelMatchesSerial(t *testing.T) {
 		if !reflect.DeepEqual(got, serial) {
 			t.Errorf("workers=%d: parallel results differ from serial", workers)
 		}
-		// The single-pass batch must give the same classes and the same
-		// confidence bits as the two-pass serial answers.
-		classes, gotConfs := cl.DecideBatchParallel(test.Rows, workers)
-		if !reflect.DeepEqual(classes, serial) || !reflect.DeepEqual(gotConfs, confs) {
-			t.Errorf("workers=%d: DecideBatchParallel differs from Classify/Confidence", workers)
+	}
+	// The single-pass Decide must give the same class and the same
+	// confidence bits as the two-pass serial answers.
+	for i, row := range test.Rows {
+		class, conf := cl.Decide(row)
+		if class != serial[i] || math.Float64bits(conf) != math.Float64bits(confs[i]) {
+			t.Errorf("row %d: Decide (%d, %v), Classify/Confidence (%d, %v)", i, class, conf, serial[i], confs[i])
 		}
 	}
 }

@@ -52,7 +52,7 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 		// Explanations survive too (cell derivation relies on every field).
 		q := randomRow(r, d.NumGenes())
 		for ci := range orig.Tables {
-			if err := sameExplanations(orig.Explain(q, ci, 0), loaded.Explain(q, ci, 0), d.GeneNames); err != nil {
+			if err := sameExplanations(orig.Explain(q, ci, 0, 0), loaded.Explain(q, ci, 0, 0), d.GeneNames); err != nil {
 				t.Fatalf("trial %d class %d: %v", trial, ci, err)
 			}
 		}

@@ -464,8 +464,8 @@ func TestMappedArtifactExplainMatchesTrained(t *testing.T) {
 			t.Fatal(err)
 		}
 		for ci := range ref.Classifier.Tables {
-			want := ref.Classifier.Explain(q, ci, 0)
-			got := mapped.Classifier.Explain(q, ci, 0)
+			want := ref.Classifier.Explain(q, ci, 0, 0)
+			got := mapped.Classifier.Explain(q, ci, 0, 0)
 			if len(got) != len(want) {
 				t.Fatalf("%s sample %d class %d: %d explanations, trained %d", p.Name, i, ci, len(got), len(want))
 			}

@@ -3,28 +3,36 @@ package serve
 import (
 	"time"
 
-	"bstc/internal/bitset"
 	"bstc/internal/fault"
 	"bstc/internal/obs"
 	"bstc/internal/obs/trace"
 )
 
-// runBatcher is a version's one batch worker. It blocks until a request is
+// runBatcher is one of a version's Config.Workers batch workers, which all
+// receive from the version's one queue. A worker blocks until a request is
 // queued, takes whatever else is already queued (up to BatchSize),
-// classifies that batch itself, and only then looks at the queue again. There is no timer: at low load a request waits only for
-// compute, and under load the queue fills while the worker is busy, so
-// batches grow on their own and each version has at most one batch in
-// flight. Batches never mix versions — each model has its own queue and
-// worker. The worker exits once retire closes the queue and it has
-// classified every row still in it.
+// classifies that batch itself, and only then looks at the queue again.
+// There is no timer: at low load a request waits only for compute, and
+// under load the queue fills while every worker is busy, so batches grow on
+// their own and each version has at most Workers batches in flight.
+// Batches never mix versions — each model has its own queue and workers. A
+// worker exits once retire closes the queue and no row is left in it.
 func (m *model) runBatcher() {
 	defer m.batcher.Done()
 	for p := range m.queue {
 		batch := []*pending{p}
-		// The worker is the queue's only receiver, so every row len
-		// reports is there to take without blocking.
-		for len(batch) < m.s.cfg.BatchSize && len(m.queue) > 0 {
-			batch = append(batch, <-m.queue)
+	fill:
+		for len(batch) < m.s.cfg.BatchSize {
+			// Another worker may take a queued row first, so never block.
+			select {
+			case p, ok := <-m.queue:
+				if !ok {
+					break fill
+				}
+				batch = append(batch, p)
+			default:
+				break fill
+			}
 		}
 		m.flushBatch(batch)
 	}
@@ -52,17 +60,17 @@ func failBatch(batch []*pending, err error) {
 	}
 }
 
-// flushBatch classifies one batch on the worker goroutine. The rows go
-// through the parallel single-pass kernel (core.DecideBatchParallel), which
-// evaluates every table once per request for both the class and the
-// confidence. Delivery into the buffered done channels never blocks, so a
-// request that already gave up on its deadline cannot stall the batch.
+// flushBatch classifies one batch on its worker's goroutine, row by row:
+// core.Decide evaluates every table once per row for both the class and
+// the confidence. Delivery into the buffered done channels never blocks, so
+// a request that already gave up on its deadline cannot stall the batch.
 //
 // A panic in the flush is contained into 500s, with the stack in the run
 // log, and the worker moves on to the next batch. Nothing else bounds a
 // flush: a batch that outlives its requests' deadlines has already been
-// answered 504 by their handlers, and requests queued behind it wait for
-// the worker and get a 504 at their own deadlines.
+// answered 504 by their handlers, and requests queued behind it go to the
+// version's other workers, or, when every worker is held, get a 504 at
+// their own deadlines.
 func (m *model) flushBatch(batch []*pending) {
 	s := m.s
 	defer func() {
@@ -84,9 +92,7 @@ func (m *model) flushBatch(batch []*pending) {
 	// one that has waited longest).
 	var flush *trace.Span
 	var traceIDs []string
-	rows := make([]*bitset.Set, len(batch))
-	for i, p := range batch {
-		rows[i] = p.q
+	for _, p := range batch {
 		s.met.queueWait.Record(int64(enq.Sub(p.enqueued)))
 		if p.wait != nil {
 			p.wait.End()
@@ -102,9 +108,9 @@ func (m *model) flushBatch(batch []*pending) {
 	flush.SetAttr("trace_ids", traceIDs)
 
 	classify := flush.StartLayer(s.cfg.Registry, "serve/classify")
-	preds, confs := m.art.Classifier.DecideBatchParallel(rows, s.cfg.Workers)
-	for i, p := range batch {
-		deliver(p, result{class: preds[i], confidence: confs[i]})
+	for _, p := range batch {
+		class, conf := m.art.Classifier.Decide(p.q)
+		deliver(p, result{class: class, confidence: conf})
 	}
 	classifyNS := classify.End()
 	flush.End()
@@ -116,14 +122,17 @@ func (m *model) flushBatch(batch []*pending) {
 	m.met.batchSamples.Add(int64(len(batch)))
 	m.met.batchSize.Record(int64(len(batch)))
 	if s.cfg.RunLog != nil {
+		s.batchLog.Lock()
+		s.batchSeq++
 		s.cfg.RunLog.Emit(obs.RunRecord{
 			Experiment: "serve.batch",
 			Dataset:    m.version,
-			Test:       int(s.batchSeq.Add(1)),
+			Test:       s.batchSeq,
 			Config:     map[string]float64{"batch_size": float64(len(batch)), "workers": float64(s.cfg.Workers)},
 			PhasesMS:   map[string]float64{"serve/classify": float64(classifyNS) / float64(time.Millisecond)},
 			TraceID:    flush.TraceIDString(),
 			SpanID:     flush.SpanIDString(),
 		})
+		s.batchLog.Unlock()
 	}
 }

@@ -147,7 +147,7 @@ func TestHandlerPanicContained(t *testing.T) {
 	}
 }
 
-// TestWedgedBatchAnswersAtDeadline wedges the batch worker (injected
+// TestWedgedBatchAnswersAtDeadline wedges the only batch worker (injected
 // latency far past the request timeout) and checks that the request
 // deadline alone answers its callers: the request in the wedged batch and
 // one queued behind it each get a deadline 504 well before the wedge ends,
@@ -163,6 +163,7 @@ func TestWedgedBatchAnswersAtDeadline(t *testing.T) {
 	reg := obs.NewRegistry()
 	s := New(testArtifact(t), Config{
 		BatchSize:      1,
+		Workers:        1,
 		RequestTimeout: 50 * time.Millisecond,
 		Registry:       reg,
 	})

@@ -14,15 +14,15 @@ import (
 // This file is the multi-model routing layer: the server no longer owns one
 // artifact but an atomically swappable routing snapshot over per-version
 // serving pipelines. Each version gets its own micro-batch queue and
-// batcher (batches are never mixed across versions), its own labeled
+// batch workers (batches are never mixed across versions), its own labeled
 // serve.* series, and its own SLO trackers, so a canary is comparable to
 // the stable version on every axis the obs layer grades.
 //
 // The swap protocol (Apply) is drain-old/warm-new: the new snapshot is
 // published first, so new requests route to the new version immediately;
 // versions that fell out of the table then retire in the background —
-// requests already routed to them finish on them, their batch worker
-// classifies what is queued, and only when their last response is
+// requests already routed to them finish on them, their batch workers
+// classify what is queued, and only when their last response is
 // delivered is the artifact released.
 // No request is ever dropped or answered by a version other than the one
 // it was routed to.
@@ -57,8 +57,8 @@ type Update struct {
 	Seed          uint64
 }
 
-// model is one live serving version: the artifact plus its own queue and
-// batch worker and per-version telemetry.
+// model is one live serving version: the artifact plus its own queue, its
+// batch workers and per-version telemetry.
 type model struct {
 	version     string
 	fingerprint string
@@ -68,7 +68,7 @@ type model struct {
 	release     func()
 
 	queue   chan *pending
-	batcher sync.WaitGroup // the batch worker goroutine
+	batcher sync.WaitGroup // the batch worker goroutines
 
 	mu     sync.Mutex
 	cond   *sync.Cond
@@ -174,7 +174,7 @@ func (sn *snapshot) pick(key []byte, met *metrics) (m *model, canary bool) {
 	return sn.stable, false
 }
 
-// newModel builds a live version and starts its batch worker.
+// newModel builds a live version and starts its Config.Workers batch workers.
 func (s *Server) newModel(d *Model) *model {
 	reg := s.cfg.Registry
 	ver := obs.Label{Key: "version", Value: d.Version}
@@ -209,8 +209,10 @@ func (s *Server) newModel(d *Model) *model {
 	if d.LoadNanos > 0 {
 		reg.GaugeWith("serve.artifact_load_ns", ver).Set(d.LoadNanos)
 	}
-	m.batcher.Add(1)
-	go m.runBatcher()
+	m.batcher.Add(s.cfg.Workers)
+	for range s.cfg.Workers {
+		go m.runBatcher()
+	}
 	return m
 }
 
@@ -240,7 +242,7 @@ func (m *model) done() {
 }
 
 // retire drains the version: already-routed requests finish here, then
-// the queue closes, the batch worker stops, the version's SLOs leave the
+// the queue closes, the batch workers stop, the version's SLOs leave the
 // set, and the artifact is released. Requests that raced the swap and lost
 // (acquire after teardown) re-route to the live snapshot; nothing is
 // dropped. Idempotent; concurrent callers block until the first drain
@@ -255,7 +257,7 @@ func (m *model) retire() {
 		m.mu.Unlock()
 		// Every routed request is answered and acquire now fails, so no
 		// goroutine can still send on the queue; closing it stops the
-		// worker after it classifies rows abandoned to deadlines.
+		// workers once they classify the rows abandoned to deadlines.
 		close(m.queue)
 		m.batcher.Wait()
 		m.s.slos.Remove(m.sloAvail.Name())

@@ -1,7 +1,7 @@
 // Package serve is the online classification layer over trained BSTC
 // artifacts (internal/eval.Artifact): an HTTP/JSON service that coalesces
-// concurrent single-sample requests into micro-batches routed through the
-// parallel classify kernel, under production constraints — per-request
+// concurrent single-sample requests into micro-batches, classified by a pool
+// of batch workers per version, under production constraints — per-request
 // deadlines, bounded in-flight concurrency with load shedding, and a
 // graceful drain that completes everything already admitted.
 //
@@ -15,9 +15,9 @@
 // (stable/canary, keyed by X-Routing-Key or the raw body) → body → query row
 // by the routed version's discretizer (per request, spanned as
 // serve/discretize: one fused scan of a canonical {"values":[…]} body, or
-// decodeRequest then the transform for any other) → enqueue → the
-// version's batch worker takes every queued row (up to BatchSize) whenever
-// it is free → core.DecideBatchParallel (per batch, spanned) → per-request
+// decodeRequest then the transform for any other) → enqueue → a free one of
+// the version's Config.Workers batch workers takes every queued row (up to
+// BatchSize) → core.Decide row by row (per batch, spanned) → per-request
 // response. Predictions are exactly what core.Classify returns for the same
 // row under the same version; batching and routing change latency and
 // placement, never results. A request's deadline (Config.RequestTimeout)
@@ -78,15 +78,15 @@ import (
 // Config tunes the server. The zero value of every field selects a sane
 // default, so Config{} is a working development configuration.
 type Config struct {
-	// BatchSize caps how many queued requests the batch worker takes at
-	// once (default 32). It is a cap, not a flush threshold: the worker
+	// BatchSize caps how many queued requests a batch worker takes at
+	// once (default 32). It is a cap, not a flush threshold: a worker
 	// never waits for a batch to fill.
 	BatchSize int
 	// MaxInFlight bounds admitted-but-unanswered requests across all
 	// versions; excess load is shed with 429 (default 4×BatchSize).
 	MaxInFlight int
-	// Workers is the goroutine count handed to DecideBatchParallel per
-	// batch (default GOMAXPROCS; the kernel clamps to the batch size).
+	// Workers is the number of batch workers per version, each taking and
+	// classifying its own batch off the version's queue (default GOMAXPROCS).
 	Workers int
 	// RequestTimeout is the per-request deadline measured from admission;
 	// a request that cannot be answered in time gets 504 (default 5s). It
@@ -145,7 +145,7 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// result is what the batcher delivers back to a waiting handler. err is set
+// result is what a batch worker delivers back to a waiting handler. err is set
 // when the batch failed (a contained panic or an injected fault) instead of
 // classifying.
 type result struct {
@@ -155,7 +155,7 @@ type result struct {
 }
 
 // pending is one admitted request waiting for its batch. done is buffered
-// so the batch worker can always deliver, even when the handler has already
+// so a batch worker can always deliver, even when the handler has already
 // given up on its deadline. wait is the request's serve/batch_wait span
 // (nil when the request is untraced); the batch worker ends it at flush.
 type pending struct {
@@ -211,8 +211,10 @@ type Server struct {
 
 	met metrics
 	// batchSeq numbers the serve.batch run-log records, 1-based across
-	// every version the server has run.
-	batchSeq atomic.Int64
+	// every version the server has run; batchLog guards it and each write,
+	// so the records reach the log in number order.
+	batchLog sync.Mutex
+	batchSeq int
 
 	slos       *obs.SLOSet
 	sloAvail   *obs.SLO // all-version availability, as before multi-model
@@ -224,7 +226,7 @@ type Server struct {
 }
 
 // New builds a server around one loaded artifact, installed as the stable
-// version "v1". The version's batcher starts immediately; the server is
+// version "v1". The version's batch workers start immediately; the server is
 // ready to accept requests (and Apply can add versions later).
 func New(art *eval.Artifact, cfg Config) *Server {
 	return NewFromModel(&Model{Version: "v1", Artifact: art}, cfg)
@@ -540,7 +542,7 @@ func (s *Server) handleClassify(w http.ResponseWriter, r *http.Request) {
 	defer m.done()
 
 	// Body → query row on the request goroutine (spanned per request), so
-	// the batcher only ever sees rows in its version's item universe.
+	// the batch workers only ever see rows in their version's item universe.
 	disc := span.StartLayer(s.cfg.Registry, "serve/discretize")
 	q, decoded, err := m.queryRow(body)
 	disc.End()

@@ -93,8 +93,9 @@ func valuesBody(t testing.TB, row []float64) string {
 }
 
 // holdWorker arms a latency-only serve.batch fault: the first batch a
-// worker takes sleeps for d before it classifies, which holds that
-// version's worker, and every request queued behind it, for d. The
+// worker takes sleeps for d before it classifies, which holds that worker
+// for d. At Workers: 1 it holds the version's only worker, so every request
+// queued behind it waits too; with more, the other workers take them. The
 // injector is process-wide, so tests using it must not run in parallel.
 func holdWorker(t *testing.T, d time.Duration) *fault.Injector {
 	t.Helper()
@@ -109,8 +110,14 @@ func holdWorker(t *testing.T, d time.Duration) *fault.Injector {
 // hold armed by holdWorker.
 func waitHeld(t *testing.T, in *fault.Injector) {
 	t.Helper()
+	waitFires(t, in, 1)
+}
+
+// waitFires blocks until n batches have begun an injected serve.batch hold.
+func waitFires(t *testing.T, in *fault.Injector, n int64) {
+	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
-	for in.Counts()["serve.batch"].Fires == 0 {
+	for in.Counts()["serve.batch"].Fires < n {
 		if time.Now().After(deadline) {
 			t.Fatal("no batch worker took a request")
 		}
@@ -183,10 +190,11 @@ func TestBatchingDeterminism(t *testing.T) {
 	}
 }
 
-// TestNaturalBatching pins the batch worker's policy: it takes whatever is
+// TestNaturalBatching pins a batch worker's policy: it takes whatever is
 // queued when it is free, up to BatchSize, and never waits for a batch to
 // fill. Under load the queue fills while the worker is busy and batches
-// grow on their own; at low load a request waits only for compute.
+// grow on their own; at low load a request waits only for compute. The
+// first case runs one worker, so nothing else takes the queued rows.
 func TestNaturalBatching(t *testing.T) {
 	art := testArtifact(t)
 	samples := testSamples()
@@ -195,7 +203,7 @@ func TestNaturalBatching(t *testing.T) {
 		in := holdWorker(t, time.Second)
 		reg := obs.NewRegistry()
 		var logBuf syncBuffer
-		s := New(art, Config{BatchSize: 4, Registry: reg, RunLog: obs.NewRunLog(&logBuf)})
+		s := New(art, Config{BatchSize: 4, Workers: 1, Registry: reg, RunLog: obs.NewRunLog(&logBuf)})
 		ts := httptest.NewServer(s.Handler())
 		defer ts.Close()
 		defer s.Close()
@@ -271,6 +279,136 @@ func TestNaturalBatching(t *testing.T) {
 	})
 }
 
+// TestConcurrentBatches pins Workers batch workers per version: while one
+// of two workers holds the first request's batch, the other takes a second
+// request off the version's queue and answers it, byte-identical to the
+// direct classify path, so serve.batches reads 1 before the hold ends.
+func TestConcurrentBatches(t *testing.T) {
+	const hold = time.Second
+	in := holdWorker(t, hold)
+	art := testArtifact(t)
+	samples := testSamples()
+	reg := obs.NewRegistry()
+	s := New(art, Config{Workers: 2, Registry: reg})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	defer s.Close()
+
+	held := make(chan int, 1)
+	go func() {
+		status, _ := postClassify(t, ts.URL, valuesBody(t, samples[0]))
+		held <- status
+	}()
+	waitHeld(t, in)
+	holdEnds := time.Now().Add(hold)
+
+	status, body := postClassify(t, ts.URL, valuesBody(t, samples[1]))
+	if status != http.StatusOK {
+		t.Fatalf("request during the hold: status %d: %s", status, body)
+	}
+	if want := expectedBody(t, art, samples[1]); !bytes.Equal(body, want) {
+		t.Errorf("request during the hold: body %q, want %q", body, want)
+	}
+	// A worker counts its batch just after it delivers the answers.
+	for counterValue(reg, "serve.batches") != 1 {
+		if time.Now().After(holdEnds) {
+			t.Fatalf("serve.batches = %d when the hold ended, want 1 during it", counterValue(reg, "serve.batches"))
+		}
+		time.Sleep(time.Millisecond)
+	}
+	select {
+	case status := <-held:
+		t.Fatalf("held request answered (%d) before its hold ended", status)
+	default:
+	}
+	if status := <-held; status != http.StatusOK {
+		t.Fatalf("held request: status %d, want 200", status)
+	}
+}
+
+// sampleReply is one classify answer collected from a posting goroutine.
+type sampleReply struct {
+	sample, status int
+	body           []byte
+}
+
+// TestCloseDrainsEveryWorker drains a version with both of its two batch
+// workers held: the rows they hold and the rows queued behind them are all
+// classified, and Close returns only after every worker has finished.
+func TestCloseDrainsEveryWorker(t *testing.T) {
+	const hold = 300 * time.Millisecond
+	art := testArtifact(t)
+	samples := testSamples()
+	// holdBoth holds the first two batches taken, one on each worker, and
+	// queues two more rows behind them.
+	holdBoth := func(t *testing.T, s *Server, url string, replies chan<- sampleReply) {
+		in := fault.NewInjector(1)
+		in.Set("serve.batch", fault.Rule{Prob: 1, MaxFires: 2, Latency: hold})
+		fault.Enable(in)
+		t.Cleanup(fault.Disable)
+		post := func(i int) {
+			status, body := postClassify(t, url, valuesBody(t, samples[i]))
+			replies <- sampleReply{i, status, body}
+		}
+		go post(0)
+		waitFires(t, in, 1)
+		go post(1)
+		waitFires(t, in, 2)
+		go post(2)
+		go post(3)
+		waitQueued(t, s.route.Load().stable, 2)
+	}
+
+	t.Run("queued_rows_answered", func(t *testing.T) {
+		reg := obs.NewRegistry()
+		s := New(art, Config{Workers: 2, RequestTimeout: 30 * time.Second, Registry: reg})
+		ts := httptest.NewServer(s.Handler())
+		defer ts.Close()
+		replies := make(chan sampleReply, 4)
+		holdBoth(t, s, ts.URL, replies)
+
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+		for range 4 {
+			r := <-replies
+			if r.status != http.StatusOK {
+				t.Fatalf("sample %d: status %d during drain: %s", r.sample, r.status, r.body)
+			}
+			if want := expectedBody(t, art, samples[r.sample]); !bytes.Equal(r.body, want) {
+				t.Errorf("sample %d: body %q, want %q", r.sample, r.body, want)
+			}
+		}
+		if got := counterValue(reg, "serve.batch_samples"); got != 4 {
+			t.Errorf("serve.batch_samples = %d after Close, want 4", got)
+		}
+	})
+
+	t.Run("close_waits_for_held_workers", func(t *testing.T) {
+		// Every request gives up at its 50ms deadline, so nothing admitted
+		// is left and only the workers can keep Close waiting.
+		reg := obs.NewRegistry()
+		s := New(art, Config{Workers: 2, RequestTimeout: 50 * time.Millisecond, Registry: reg})
+		ts := httptest.NewServer(s.Handler())
+		defer ts.Close()
+		replies := make(chan sampleReply, 4)
+		holdBoth(t, s, ts.URL, replies)
+		for range 4 {
+			if r := <-replies; r.status != http.StatusGatewayTimeout {
+				t.Fatalf("sample %d: status %d (%s), want a deadline 504", r.sample, r.status, r.body)
+			}
+		}
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+		// Both held batches and the two rows queued behind them were
+		// classified and counted before Close returned.
+		if got := counterValue(reg, "serve.batch_samples"); got != 4 {
+			t.Errorf("serve.batch_samples = %d when Close returned, want 4", got)
+		}
+	})
+}
+
 // TestItemsRequestMatchesValues checks the pre-discretized request form: the
 // item names of a transformed row must classify byte-identically to sending
 // the raw values.
@@ -340,9 +478,9 @@ func TestDeadlineExceeded504(t *testing.T) {
 }
 
 // TestSheddingAndDrain exercises admission control end to end: with
-// MaxInFlight=2 occupied by requests a held batch worker has not answered,
-// a third request is shed with 429; Shutdown then answers the two admitted
-// requests with correct bodies as soon as the worker is free, and
+// MaxInFlight=2 occupied by requests the one held batch worker has not
+// answered, a third request is shed with 429; Shutdown then answers the two
+// admitted requests with correct bodies as soon as the worker is free, and
 // post-drain traffic gets 503.
 func TestSheddingAndDrain(t *testing.T) {
 	holdWorker(t, 500*time.Millisecond)
@@ -350,6 +488,7 @@ func TestSheddingAndDrain(t *testing.T) {
 	art := testArtifact(t)
 	s := New(art, Config{
 		MaxInFlight:    2,
+		Workers:        1,
 		RequestTimeout: 30 * time.Second,
 		Registry:       reg,
 	})
@@ -549,6 +688,49 @@ func TestEndpointsAndMetrics(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusNotFound {
 		t.Errorf("GET /runlogz: %d, want 404", resp.StatusCode)
+	}
+}
+
+// TestBatchRecordsInNumberOrder has two batch workers flush batches of
+// one concurrently, from eight clients posting 32 requests each, and
+// requires their serve.batch records to reach the run log in number
+// order: "test" reads 1..n down the file.
+func TestBatchRecordsInNumberOrder(t *testing.T) {
+	art := testArtifact(t)
+	samples := testSamples()
+	reg := obs.NewRegistry()
+	var logBuf syncBuffer
+	s := New(art, Config{BatchSize: 1, MaxInFlight: 64, Workers: 2, Registry: reg, RunLog: obs.NewRunLog(&logBuf)})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	const clients, perClient = 8, 32
+	var wg sync.WaitGroup
+	for c := range clients {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range perClient {
+				row := samples[(c+i)%len(samples)]
+				if status, body := postClassify(t, ts.URL, valuesBody(t, row)); status != http.StatusOK {
+					t.Errorf("client %d request %d: status %d: %s", c, i, status, body)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	recs := batchRecords(t, logBuf.String())
+	if len(recs) != clients*perClient {
+		t.Fatalf("%d serve.batch records, want %d batches of one", len(recs), clients*perClient)
+	}
+	for i, r := range recs {
+		if r.Test != i+1 {
+			t.Fatalf("record %d in the file is number %d, want %d", i+1, r.Test, i+1)
+		}
 	}
 }
 

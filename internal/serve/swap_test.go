@@ -342,8 +342,8 @@ func TestCanaryDeterminism(t *testing.T) {
 }
 
 // TestSwapDrainsInFlight pins drain-old semantics: requests already routed
-// to v1 when the swap lands — one in the batch v1's worker is holding and
-// one waiting in v1's queue behind it — must still be answered by v1,
+// to v1 when the swap lands — one in the batch v1's one worker is holding
+// and one waiting in v1's queue behind it — must still be answered by v1,
 // byte-identical to v1's classification, while new requests go to v2; and
 // once v2 itself is swapped away, its Release hook fires exactly once after
 // the drain.
@@ -351,7 +351,7 @@ func TestSwapDrainsInFlight(t *testing.T) {
 	in := holdWorker(t, 100*time.Millisecond)
 	art1, art2 := testArtifact(t), testArtifactFlipped(t)
 	row := testSamples()[0]
-	s := New(art1, Config{MaxInFlight: 8})
+	s := New(art1, Config{MaxInFlight: 8, Workers: 1})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 	defer s.Close()

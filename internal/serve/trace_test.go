@@ -127,10 +127,10 @@ func TestClassifyTracePropagation(t *testing.T) {
 }
 
 // TestCoalescedBatchRecords pins how flushed batches are recorded: two
-// traced requests coalesced into one batch both appear in that batch's
-// serve/batch_flush trace_ids, and with a canary live, every batch of
-// either version gets one serve.batch run-log record, all numbered in one
-// 1-based sequence.
+// traced requests coalesced into one batch (queued behind the one held
+// worker) both appear in that batch's serve/batch_flush trace_ids, and with
+// a canary live, every batch of either version gets one serve.batch run-log
+// record, all numbered in one 1-based sequence.
 func TestCoalescedBatchRecords(t *testing.T) {
 	in := holdWorker(t, 300*time.Millisecond)
 	art := testArtifact(t)
@@ -139,6 +139,7 @@ func TestCoalescedBatchRecords(t *testing.T) {
 	var logBuf syncBuffer
 	s := New(art, Config{
 		BatchSize: 4,
+		Workers:   1,
 		Registry:  reg,
 		Tracer:    trace.New(trace.Config{Recorder: rec}),
 		RunLog:    obs.NewRunLog(&logBuf),
