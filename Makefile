@@ -3,7 +3,7 @@ GO ?= go
 # The hot-path benchmark set tracked in BENCH_hotpath.json (see
 # EXPERIMENTS.md, "Hot-path benchmarks"). The regex is anchored, so it runs
 # exactly the benchmarks it names.
-HOTPATH_BENCH = ^(BenchmarkTopK|BenchmarkTopKOC|BenchmarkMineLowerBounds|BenchmarkNewBST|BenchmarkEvaluate|BenchmarkClassify|BenchmarkClassifyBatchParallel|BenchmarkClassifyOCSmall|BenchmarkIntersect|BenchmarkIntersectionCount|BenchmarkIntersectColumns|BenchmarkKey|BenchmarkIntersectInto|BenchmarkAppendKey|BenchmarkArtifactColdStartMapped|BenchmarkMappedClassifyRow|BenchmarkDecodeRowOC|BenchmarkFitOC)$$
+HOTPATH_BENCH = ^(BenchmarkTopK|BenchmarkTopKOC|BenchmarkMineLowerBounds|BenchmarkMineLowerBoundsPC|BenchmarkNewBST|BenchmarkEvaluate|BenchmarkClassify|BenchmarkClassifyBatchParallel|BenchmarkClassifyOCSmall|BenchmarkIntersect|BenchmarkIntersectionCount|BenchmarkIntersectColumns|BenchmarkKey|BenchmarkIntersectInto|BenchmarkAppendKey|BenchmarkArtifactColdStartMapped|BenchmarkMappedClassifyRow|BenchmarkDecodeRowOC|BenchmarkFitOC)$$
 HOTPATH_PKGS = ./internal/bitset/ ./internal/carminer/ ./internal/core/ ./internal/discretize/ ./internal/eval/ ./internal/serve/
 
 # Every native fuzz target, as "package:Target" pairs for fuzz-smoke
@@ -11,6 +11,7 @@ HOTPATH_PKGS = ./internal/bitset/ ./internal/carminer/ ./internal/core/ ./intern
 FUZZ_TARGETS = \
 	./internal/bitset:FuzzUnmarshalBinary \
 	./internal/bitset:FuzzIntersectColumns \
+	./internal/carminer:FuzzLowerBounds \
 	./internal/core:FuzzBSTCE \
 	./internal/dataset:FuzzReadBool \
 	./internal/dataset:FuzzReadContinuous \

@@ -29,7 +29,8 @@
 // the synthetic training matrix in -synth mode and from seeded uniform
 // draws (sized by GET /v1/model's gene count) otherwise.
 //
-// The report (written to -report, else stdout) captures request/ok/failure
+// The report (written to -report, else stdout, which then carries nothing
+// else; the one-line summary goes to stderr) captures request/ok/failure
 // counts, wall time, throughput, latency quantiles (p50/p90/p95/p99/max),
 // a per-HTTP-status histogram, per-model-version answer counts (from
 // X-Model-Version — a live canary shows up as two buckets), and the
@@ -63,7 +64,7 @@ import (
 )
 
 func main() {
-	if err := run(context.Background(), os.Args[1:], os.Stdout); err != nil {
+	if err := run(context.Background(), os.Args[1:], os.Stdout, os.Stderr); err != nil {
 		fmt.Fprintln(os.Stderr, "bstcload:", err)
 		os.Exit(1)
 	}
@@ -118,7 +119,9 @@ type sample struct {
 	version string
 }
 
-func run(ctx context.Context, args []string, stdout io.Writer) error {
+// run drives one load run: the JSON report goes to -report or stdout, the
+// summary lines to stderr, so stdout without -report is the report alone.
+func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	fs := flag.NewFlagSet("bstcload", flag.ContinueOnError)
 	url := fs.String("url", "", "base URL of a running bstcd (this, -model, or -synth is required)")
 	model := fs.String("model", "", "serve this artifact file in-process and load against it")
@@ -330,11 +333,11 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 		}
 	}
 
-	fmt.Fprintf(stdout, "bstcload: %d requests in %.2fs (%.0f rps), ok=%d fail=%d, p50=%.2fms p99=%.2fms max=%.2fms\n",
+	fmt.Fprintf(stderr, "bstcload: %d requests in %.2fs (%.0f rps), ok=%d fail=%d, p50=%.2fms p99=%.2fms max=%.2fms\n",
 		rep.Requests, rep.DurationSecs, rep.ThroughputRPS, rep.OK, rep.Failures,
 		rep.LatencyMS.P50, rep.LatencyMS.P99, rep.LatencyMS.Max)
 	if rep.Fleet != nil {
-		fmt.Fprintf(stdout, "bstcload: fleet of %d replicas, retries=%d hedges=%d (wins=%d) ejections=%d restores=%d\n",
+		fmt.Fprintf(stderr, "bstcload: fleet of %d replicas, retries=%d hedges=%d (wins=%d) ejections=%d restores=%d\n",
 			rep.Fleet.Replicas, rep.Fleet.Retries, rep.Fleet.Hedges, rep.Fleet.HedgeWins,
 			rep.Fleet.Ejections, rep.Fleet.Restores)
 	}

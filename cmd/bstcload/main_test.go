@@ -15,21 +15,44 @@ import (
 	"bstc/internal/eval"
 )
 
-// loadReport runs bstcload with -report into a temp file and parses it.
+// loadReport runs bstcload with -report into a temp file and parses it. It
+// also returns what the run wrote to stderr; stdout must stay empty.
 func loadReport(t *testing.T, args ...string) (Report, string, error) {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "load.json")
-	var out bytes.Buffer
-	err := run(context.Background(), append(args, "-report", path), &out)
+	var stdout, stderr bytes.Buffer
+	err := run(context.Background(), append(args, "-report", path), &stdout, &stderr)
+	if stdout.Len() != 0 {
+		t.Errorf("stdout with -report set: %s", stdout.String())
+	}
 	raw, readErr := os.ReadFile(path)
 	if readErr != nil {
-		return Report{}, out.String(), err
+		return Report{}, stderr.String(), err
 	}
 	var rep Report
 	if jerr := json.Unmarshal(raw, &rep); jerr != nil {
 		t.Fatalf("report is not valid JSON: %v\n%s", jerr, raw)
 	}
-	return rep, out.String(), err
+	return rep, stderr.String(), err
+}
+
+// TestReportOnStdout pins stdout without -report to the report alone, so
+// it pipes into a JSON reader; the summary line goes to stderr.
+func TestReportOnStdout(t *testing.T) {
+	var stdout, stderr bytes.Buffer
+	if err := run(context.Background(), []string{"-synth", "-requests", "16", "-concurrency", "2", "-seed", "7"}, &stdout, &stderr); err != nil {
+		t.Fatalf("run: %v (stderr: %s)", err, stderr.String())
+	}
+	var rep Report
+	if err := json.Unmarshal(stdout.Bytes(), &rep); err != nil {
+		t.Fatalf("stdout is not one JSON report: %v\n%s", err, stdout.String())
+	}
+	if rep.Requests != 16 || rep.OK != 16 {
+		t.Errorf("requests/ok = %d/%d, want 16/16", rep.Requests, rep.OK)
+	}
+	if !strings.Contains(stderr.String(), "bstcload: 16 requests") {
+		t.Errorf("summary line missing from stderr: %s", stderr.String())
+	}
 }
 
 // TestSynthSmoke is the self-contained mode CI runs: train, serve, load,
@@ -195,19 +218,19 @@ func TestMaxFailedGate(t *testing.T) {
 
 func TestUsageErrors(t *testing.T) {
 	var out bytes.Buffer
-	if err := run(context.Background(), nil, &out); err == nil {
+	if err := run(context.Background(), nil, &out, &out); err == nil {
 		t.Error("no target should error")
 	}
-	if err := run(context.Background(), []string{"-synth", "-url", "http://x"}, &out); err == nil {
+	if err := run(context.Background(), []string{"-synth", "-url", "http://x"}, &out, &out); err == nil {
 		t.Error("two targets should error")
 	}
-	if err := run(context.Background(), []string{"-fleet", "http://x", "-fleet-replicas", "2"}, &out); err == nil {
+	if err := run(context.Background(), []string{"-fleet", "http://x", "-fleet-replicas", "2"}, &out, &out); err == nil {
 		t.Error("-fleet with -fleet-replicas should error")
 	}
-	if err := run(context.Background(), []string{"-url", "http://x", "-fleet-replicas", "2"}, &out); err == nil {
+	if err := run(context.Background(), []string{"-url", "http://x", "-fleet-replicas", "2"}, &out, &out); err == nil {
 		t.Error("-fleet-replicas without a self-hosted model should error")
 	}
-	if err := run(context.Background(), []string{"-url", "http://127.0.0.1:1"}, &out); err == nil {
+	if err := run(context.Background(), []string{"-url", "http://127.0.0.1:1"}, &out, &out); err == nil {
 		t.Error("unreachable target should error")
 	}
 }

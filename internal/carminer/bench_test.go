@@ -50,6 +50,30 @@ func BenchmarkMineLowerBounds(b *testing.B) {
 	}
 }
 
+// BenchmarkMineLowerBoundsPC runs the lower-bound searches of one study-pc
+// test: every Top-k group of both classes of the synth PC small 60%
+// training split, at nl = 20 (38 searches, 1,115,576 candidates). Most of
+// them are small groups, where the BFS's per-member costs weigh more than
+// in BenchmarkMineLowerBounds's widest group.
+func BenchmarkMineLowerBoundsPC(b *testing.B) {
+	d, groups := pcTraining(b)
+	mine := func() {
+		for _, gs := range groups {
+			for _, g := range gs {
+				if _, err := MineLowerBounds(context.Background(), d, g, 20, Budget{}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+	}
+	mine() // warm the pooled slabs
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		mine()
+	}
+}
+
 // BenchmarkTopKOC mines class 0 of the OC small 40% training split (101
 // samples, 40 items) with RCBT's defaults: the search most of a study-oc
 // run is made of, with sample sets two words wide (249,854 nodes).

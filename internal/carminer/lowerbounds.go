@@ -33,32 +33,7 @@ func MineLowerBounds(ctx context.Context, d *dataset.Bool, g *RuleGroup, nl int,
 	}
 	s := lbPool.Get().(*lbSearch)
 	defer s.release()
-	s.genes = s.genes[:0]
-	g.UpperBound.ForEach(func(gi int) bool {
-		s.genes = append(s.genes, gi)
-		return true
-	})
-	// The target is the rows holding the whole upper bound; row sets
-	// cover the other rows alone (see lbSearch).
-	outside := 0
-	for _, row := range d.Rows {
-		if !g.UpperBound.SubsetOf(row) {
-			outside++
-		}
-	}
-	s.reset(len(s.genes), outside)
-	k := 0
-	for _, row := range d.Rows {
-		if g.UpperBound.SubsetOf(row) {
-			continue
-		}
-		for i, gi := range s.genes {
-			if row.Contains(gi) {
-				s.rows[0][i*s.rw+k/64] |= 1 << (k % 64)
-			}
-		}
-		k++
-	}
+	s.fill(d, g.UpperBound)
 	err := s.run(nl, func() error {
 		met.lbSteps.Add(lbPoll)
 		if err := budget.Check(ctx); err != nil {
@@ -139,13 +114,15 @@ func (s *lbSearch) release() {
 // words. Member i of a group opens the next level's group prefix+gene(i),
 // whose members are the joins (i, j>i) that survive the minimality prune
 // and miss the target; a group left with fewer than two members joins
-// nothing and is not stored. The next level is built in a second set of slabs and the
-// sets swap. Genes take one byte when n <= 256 (every upper bound of the
-// small-scale profiles), since the frontier's width is what bounds the
-// search's memory. Found bounds are local gene masks of gw words. A
-// candidate holding a found bound has that bound's support, the target, so
-// only a hit can fail the minimality prune, which is then a word-AND
-// against each of the at most nl found masks.
+// nothing and is not stored. The next level is built in a second set of
+// slabs and the sets swap; bfs holds the set it builds in locals and
+// stores them back when the level ends or the search stops, so the pool
+// keeps what they grew. Genes take one byte when n <= 256 (every upper
+// bound of the small-scale profiles), since the frontier's width is what
+// bounds the search's memory. Found bounds are local gene masks of gw
+// words. A candidate holding a found bound has that bound's support, the
+// target, so only a hit can fail the minimality prune, which is then a
+// word-AND against each of the at most nl found masks.
 // Pooled searches keep their slabs, so a warm call allocates only the
 // bounds it returns.
 type lbSearch struct {
@@ -177,6 +154,35 @@ func (s *lbSearch) reset(n, outside int) {
 	s.steps, s.peak = 0, 0
 }
 
+// fill resets s for the upper bound ub over d's rows. The target is the
+// rows holding the whole upper bound; row sets cover the other rows alone.
+func (s *lbSearch) fill(d *dataset.Bool, ub *bitset.Set) {
+	s.genes = s.genes[:0]
+	ub.ForEach(func(gi int) bool {
+		s.genes = append(s.genes, gi)
+		return true
+	})
+	outside := 0
+	for _, row := range d.Rows {
+		if !ub.SubsetOf(row) {
+			outside++
+		}
+	}
+	s.reset(len(s.genes), outside)
+	k := 0
+	for _, row := range d.Rows {
+		if ub.SubsetOf(row) {
+			continue
+		}
+		for i, gi := range s.genes {
+			if row.Contains(gi) {
+				s.rows[0][i*s.rw+k/64] |= 1 << (k % 64)
+			}
+		}
+		k++
+	}
+}
+
 // run searches for up to nl bounds. poll, when non-nil, runs every lbPoll
 // candidates; its error stops the search, leaving the bounds found so far.
 func (s *lbSearch) run(nl int, poll func() error) error {
@@ -192,7 +198,9 @@ type lbGene interface{ uint8 | int32 }
 // bfs is s.run with genes of type G: at a level of l-gene candidates,
 // group k's prefix is lists[·].prefix[k·(l−1) : (k+1)·(l−1)] and its
 // members are m in [start[·][k], start[·][k+1]), with last gene
-// lists[·].last[m] and support rows[·][m·rw : (m+1)·rw].
+// lists[·].last[m] and support rows[·][m·rw : (m+1)·rw]. A join of
+// one-word row sets, as every PC small group has, is one AND in the join
+// loop; wider row sets go through andHits.
 func bfs[G lbGene](s *lbSearch, lists *[2]lbLists[G], nl int, poll func() error) error {
 	rw := s.rw
 	cur, next := 0, 1
@@ -229,12 +237,17 @@ func bfs[G lbGene](s *lbSearch, lists *[2]lbLists[G], nl int, poll func() error)
 	// bound's supersets all have the target as their support.
 	for l := 1; width > 0 && s.nfound < nl; l++ {
 		s.peak = max(s.peak, width)
-		in, out := &lists[cur], &lists[next]
-		rows, start := s.rows[cur], s.start[cur]
+		in, rows, start := lists[cur], s.rows[cur], s.start[cur]
+		// The next level is built in locals and stored back into s once
+		// it is done or the search stops: a slice header written into the
+		// heap-held search costs a GC write barrier while a collection
+		// runs, and the pool keeps whatever the slabs grew to.
+		out, dst, outStart := lists[next], s.rows[next], s.start[next][:0]
 		width = 0       // candidates in the next level
 		built := 0      // members stored in the next level
 		nextGroups := 0 // groups stored in the next level
-		s.start[next] = s.start[next][:0]
+		var err error
+	join:
 		for k := 0; k < groups; k++ {
 			prefix := in.prefix[k*(l-1) : (k+1)*(l-1)]
 			end := int(start[k+1])
@@ -244,18 +257,30 @@ func bfs[G lbGene](s *lbSearch, lists *[2]lbLists[G], nl int, poll func() error)
 				y := in.last[i]
 				first := built
 				out.last = grow(out.last, built+end-i-1)
-				s.rows[next] = grow(s.rows[next], (built+end-i-1)*rw)
-				dst, ar := s.rows[next], rows[i*rw:(i+1)*rw]
+				dst = grow(dst, (built+end-i-1)*rw)
+				ar := rows[i*rw : (i+1)*rw]
+				var a uint64 // ar's word, when it has one
+				if rw == 1 {
+					a = ar[0]
+				}
 				for j := i + 1; j < end; j++ {
 					if s.steps++; poll != nil && s.steps%lbPoll == 0 {
-						if err := poll(); err != nil {
-							return err
+						if err = poll(); err != nil {
+							break join
 						}
 					}
 					x := in.last[j]
-					if andHits(dst[built*rw:(built+1)*rw], ar, rows[j*rw:(j+1)*rw]) {
+					var hit bool
+					if rw == 1 {
+						v := a & rows[j]
+						dst[built] = v
+						hit = v == 0
+					} else {
+						hit = andHits(dst[built*rw:(built+1)*rw], ar, rows[j*rw:(j+1)*rw])
+					}
+					if hit {
 						if emit(s, prefix, y, x) >= nl {
-							return nil
+							break join
 						}
 						continue
 					}
@@ -273,11 +298,14 @@ func bfs[G lbGene](s *lbSearch, lists *[2]lbLists[G], nl int, poll func() error)
 				p := out.prefix[nextGroups*l : (nextGroups+1)*l]
 				copy(p, prefix)
 				p[l-1] = y
-				s.start[next] = append(s.start[next], int32(first))
+				outStart = append(outStart, int32(first))
 				nextGroups++
 			}
 		}
-		s.start[next] = append(s.start[next], int32(built))
+		lists[next], s.rows[next], s.start[next] = out, dst, append(outStart, int32(built))
+		if err != nil || s.nfound >= nl {
+			return err
+		}
 		cur, next = next, cur
 		groups = nextGroups
 	}
@@ -285,10 +313,10 @@ func bfs[G lbGene](s *lbSearch, lists *[2]lbLists[G], nl int, poll func() error)
 }
 
 // andHits writes a∧b into dst and reports whether it is empty: whether the
-// joined candidate's support is the target. It is the BFS's one row-set
-// kernel, for every width: the operands are cut to dst's length so the
-// loop runs without bounds checks, and the test ORs the words into one
-// instead of branching.
+// joined candidate's support is the target. It is the BFS's row-set kernel
+// for every width but one word, which the join loop ANDs inline: the
+// operands are cut to dst's length so the loop runs without bounds checks,
+// and the test ORs the words into one instead of branching.
 func andHits(dst, a, b []uint64) bool {
 	a, b = a[:len(dst)], b[:len(dst)]
 	var rows uint64

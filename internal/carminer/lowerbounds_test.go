@@ -115,15 +115,16 @@ func sameBounds(t *testing.T, what string, got, want []*bitset.Set) {
 }
 
 // TestMineLowerBoundsMatchesReference pins the slab BFS to the reference
-// BFS candidate for candidate: for random data, PC-shaped groups and three
+// BFS candidate for candidate: for random data, PC-shaped groups and five
 // constructed ones (a 300-gene upper bound joined past pairs, row sets of
-// three words, joins that leave lone members), at every nl, both return
-// the same bounds in the same order with the same step count, bound count
-// and frontier peak; LowerBounds, fed the same columns, returns the same
-// bounds too. The stop path is pinned by arming the carminer.lb fault site:
-// both searches stop at the same step with the same error and the same
-// partial bounds, which is the poll cadence that budgets and DNF results
-// depend on.
+// three words, joins that leave lone members, and 64 and 65 rows outside
+// the target, so the last row is bit 63 of one word or alone in a second
+// word), at every nl, both return the same bounds in the same order with
+// the same step count, bound count and frontier peak; LowerBounds, fed the
+// same columns, returns the same bounds too. The stop path is pinned by
+// arming the carminer.lb fault site: both searches stop at the same step
+// with the same error and the same partial bounds, which is the poll
+// cadence that budgets and DNF results depend on.
 func TestMineLowerBoundsMatchesReference(t *testing.T) {
 	type job struct {
 		name  string
@@ -186,14 +187,12 @@ func TestMineLowerBoundsMatchesReference(t *testing.T) {
 			return ""
 		}},
 	)
+	for _, outside := range []int{64, 65} {
+		d := edgeRows(outside)
+		jobs = append(jobs, job{name: fmt.Sprintf("edge-%d", outside), d: d, g: all(edgeGenes), skips: skips, shape: edgeShape(d, outside)})
+	}
 
 	for _, j := range jobs {
-		genes := j.g.UpperBound.Indices()
-		cols := make([]*bitset.Set, len(genes))
-		for i, gi := range genes {
-			cols[i] = rowsWithGene(j.d, gi)
-		}
-		target := rowsContaining(j.d, j.g.UpperBound)
 		if j.nls == nil {
 			j.nls = []int{1, 2, 20, 1 << 30}
 		}
@@ -201,7 +200,7 @@ func TestMineLowerBoundsMatchesReference(t *testing.T) {
 			what := fmt.Sprintf("%s nl=%d", j.name, nl)
 			want := runLB(mineLowerBoundsReference, j.d, j.g, nl, -1)
 			sameRun(t, what, runLB(MineLowerBounds, j.d, j.g, nl, -1), want)
-			sameBounds(t, what+" LowerBounds", LowerBounds(j.d.NumGenes(), genes, cols, target, nl), want.bounds)
+			sameBounds(t, what+" LowerBounds", lowerBoundsOf(j.d, j.g, nl), want.bounds)
 			for _, skip := range j.skips {
 				what := fmt.Sprintf("%s fault skip=%d", what, skip)
 				sameRun(t, what, runLB(MineLowerBounds, j.d, j.g, nl, skip), runLB(mineLowerBoundsReference, j.d, j.g, nl, skip))
@@ -237,12 +236,7 @@ func TestLowerBoundsNoOutsideRows(t *testing.T) {
 	d := rowsOf(8, [][]int{{1, 2, 4, 6}, {0, 1, 2, 4, 5, 6}, {1, 2, 3, 4, 6, 7}})
 	g := &RuleGroup{UpperBound: bitset.FromIndices(8, 1, 2, 4, 6)}
 	genes := g.UpperBound.Indices()
-	cols := make([]*bitset.Set, len(genes))
-	for i, gi := range genes {
-		cols[i] = rowsWithGene(d, gi)
-	}
-	target := rowsContaining(d, g.UpperBound)
-	if target.Count() != len(d.Rows) {
+	if target := rowsContaining(d, g.UpperBound); target.Count() != len(d.Rows) {
 		t.Fatalf("target %v, want every row", target.Indices())
 	}
 	for _, nl := range []int{1, 3, 4, 20} {
@@ -254,8 +248,80 @@ func TestLowerBoundsNoOutsideRows(t *testing.T) {
 		got := runLB(MineLowerBounds, d, g, nl, -1)
 		sameRun(t, what, got, runLB(mineLowerBoundsReference, d, g, nl, -1))
 		sameBounds(t, what, got.bounds, want)
-		sameBounds(t, what+" LowerBounds", LowerBounds(d.NumGenes(), genes, cols, target, nl), want)
+		sameBounds(t, what+" LowerBounds", lowerBoundsOf(d, g, nl), want)
 	}
+}
+
+// lowerBoundsOf runs LowerBounds on the columns of g's upper-bound genes,
+// as core's IBRG bounds feed it; it must return what MineLowerBounds does.
+func lowerBoundsOf(d *dataset.Bool, g *RuleGroup, nl int) []*bitset.Set {
+	genes := g.UpperBound.Indices()
+	cols := make([]*bitset.Set, len(genes))
+	for i, gi := range genes {
+		cols[i] = rowsWithGene(d, gi)
+	}
+	return LowerBounds(d.NumGenes(), genes, cols, rowsContaining(d, g.UpperBound), nl)
+}
+
+// FuzzLowerBounds diffs the slab BFS against the reference BFS on small
+// Boolean datasets: genes is 1 + genes%14 genes, so an unlimited search
+// examines at most 2^14 candidates, and each two bytes of rows are one
+// sample's gene mask, for at most 140 samples, so row sets take 0 to 3
+// words. upper, masked to the genes, is the upper bound, and nl 0 runs the
+// search unlimited. Both searches must return the same bounds in the same
+// order with the same steps, bound count and frontier peak, and
+// LowerBounds the same bounds. The seeds include the word-edge datasets of
+// TestMineLowerBoundsMatchesReference.
+func FuzzLowerBounds(f *testing.F) {
+	for _, outside := range []int{64, 65} {
+		f.Add(uint8(edgeGenes-1), uint8(0), uint16(1<<edgeGenes-1), geneMasks(edgeRows(outside)))
+		f.Add(uint8(edgeGenes-1), uint8(3), uint16(1<<edgeGenes-1), geneMasks(edgeRows(outside)))
+	}
+	f.Add(uint8(5), uint8(2), uint16(0x3e), []byte{0x3f, 0, 0x06, 0, 0x18, 0, 0x30, 0, 0x2a, 0})
+	f.Add(uint8(3), uint8(0), uint16(0xf), []byte(nil))
+	f.Fuzz(func(t *testing.T, genes, nl uint8, upper uint16, rows []byte) {
+		n := 1 + int(genes)%14
+		var samples [][]int
+		for k := 0; k+1 < len(rows) && len(samples) < 140; k += 2 {
+			samples = append(samples, maskGenes(uint16(rows[k])|uint16(rows[k+1])<<8, n))
+		}
+		d := rowsOf(n, samples)
+		g := &RuleGroup{UpperBound: bitset.FromIndices(n, maskGenes(upper, n)...)}
+		limit := int(nl)
+		if limit == 0 {
+			limit = 1 << 30
+		}
+		what := fmt.Sprintf("%d genes, %d samples, upper bound %v, nl %d", n, len(samples), g.UpperBound.Indices(), limit)
+		want := runLB(mineLowerBoundsReference, d, g, limit, -1)
+		sameRun(t, what, runLB(MineLowerBounds, d, g, limit, -1), want)
+		sameBounds(t, what+" LowerBounds", lowerBoundsOf(d, g, limit), want.bounds)
+	})
+}
+
+// maskGenes lists the genes below n whose bits are set in m.
+func maskGenes(m uint16, n int) []int {
+	var genes []int
+	for gi := 0; gi < n; gi++ {
+		if m&(1<<gi) != 0 {
+			genes = append(genes, gi)
+		}
+	}
+	return genes
+}
+
+// geneMasks encodes d's samples (of at most 16 genes) as FuzzLowerBounds
+// reads them: each sample's gene mask in two little-endian bytes.
+func geneMasks(d *dataset.Bool) []byte {
+	var b []byte
+	for _, row := range d.Rows {
+		var m uint16
+		row.ForEach(func(gi int) bool {
+			m |= 1 << gi
+			return true
+		})
+		b = append(b, byte(m), byte(m>>8))
+	}
+	return b
 }
 
 // deepWideRows is a dataset for a 300-gene upper bound (every gene) whose
@@ -319,6 +385,75 @@ func loneMemberRows() *dataset.Bool {
 	return rowsOf(6, [][]int{{0, 1, 2, 3, 4, 5}, {0, 1, 2}, {0, 2, 3}, {0, 3, 4}, {4, 5}})
 }
 
+// edgeGenes is the number of genes of edgeRows's datasets.
+const edgeGenes = 12
+
+// edgeRows is a dataset for the upper bound of all edgeGenes genes that
+// leaves exactly outside rows outside the target, the last of them the
+// edge row: with 64 it is bit 63 of the one row-set word, with 65 the only
+// row of a second word. Samples 0 and outside+1 express every gene (the
+// target). Each of the outside−1 samples between them expresses one pair
+// of genes, cycling through every pair but {0,1}, {2,3}, {4,10} and
+// {10,11}; the edge row, sample outside, expresses genes 0–9. So {4,10}
+// and {10,11} hold no outside row and hit at level 2, {0,1} and {2,3}
+// survive level 2 only through the edge row, and every larger candidate
+// holds the edge row at most: those within genes 0–9 survive through it
+// alone, and the rest hit, as {0,1,10} does, a bound whose pairs all
+// survived level 2.
+func edgeRows(outside int) *dataset.Bool {
+	all := make([]int, edgeGenes)
+	for gi := range all {
+		all[gi] = gi
+	}
+	skip := map[[2]int]bool{{0, 1}: true, {2, 3}: true, {4, 10}: true, {10, 11}: true}
+	var pairs [][]int
+	for a := 0; a < edgeGenes; a++ {
+		for b := a + 1; b < edgeGenes; b++ {
+			if !skip[[2]int{a, b}] {
+				pairs = append(pairs, []int{a, b})
+			}
+		}
+	}
+	rows := [][]int{all}
+	for k := 0; k < outside-1; k++ {
+		rows = append(rows, pairs[k%len(pairs)])
+	}
+	rows = append(rows, all[:10], all)
+	return rowsOf(edgeGenes, rows)
+}
+
+// edgeShape reports what the unlimited reference search on edgeRows(outside)
+// no longer exercises: a join that hits at level 2, or a bound of three or
+// more genes holding a pair whose only common row outside the target is the
+// edge row, which only a search that keeps the edge row finds minimal.
+func edgeShape(d *dataset.Bool, outside int) func(lbRun) string {
+	viaEdge := rowsContaining(d, bitset.FromIndices(edgeGenes, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11))
+	viaEdge.Add(outside)
+	return func(want lbRun) string {
+		pairs, edge := 0, 0
+		for _, b := range want.bounds {
+			gs := b.Indices()
+			if len(gs) == 2 {
+				pairs++
+				continue
+			}
+		scan:
+			for x := range gs {
+				for _, y := range gs[x+1:] {
+					if bitset.Intersect(rowsWithGene(d, gs[x]), rowsWithGene(d, y)).Equal(viaEdge) {
+						edge++
+						break scan
+					}
+				}
+			}
+		}
+		if pairs == 0 || edge == 0 {
+			return fmt.Sprintf("%d two-gene bounds and %d larger bounds over an edge-row pair, want some of each", pairs, edge)
+		}
+		return ""
+	}
+}
+
 // rowsOf is a one-class dataset over genes whose sample i expresses rows[i].
 func rowsOf(genes int, rows [][]int) *dataset.Bool {
 	d := &dataset.Bool{GeneNames: make([]string, genes), ClassNames: []string{"C"}}
@@ -331,7 +466,9 @@ func rowsOf(genes int, rows [][]int) *dataset.Bool {
 
 // TestLowerBoundsSteadyStateAllocs pins the slab BFS's allocations: once
 // the pooled slabs are warm, a call allocates only the block its bounds are
-// carved from, however many candidates it examines.
+// carved from, however many candidates it examines. A search that stops on
+// its last bound keeps what its slabs grew in the level it stopped in, so
+// run again it allocates nothing.
 func TestLowerBoundsSteadyStateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops items under the race detector, so pooled paths allocate")
@@ -350,10 +487,43 @@ func TestLowerBoundsSteadyStateAllocs(t *testing.T) {
 			t.Errorf("nl=%d: MineLowerBounds allocates %v per call, want <= %d", nl, got, setup)
 		}
 	}
-	if steps := runLB(MineLowerBounds, d, g, 1<<30, -1).steps; steps < 50000 {
-		t.Errorf("the unlimited search examines only %d candidates; pick a wider group", steps)
+
+	// The early stop runs on searches of its own, outside the pool: at nl
+	// = its bound count the search stops on its last bound, inside a level
+	// that must grow the row slabs past what the levels before it stored
+	// (the polls see those), so a slab the stop left unstored shows in the
+	// warm run.
+	full := new(lbSearch)
+	full.fill(d, g.UpperBound)
+	_ = full.run(1<<30, nil)
+	if full.steps < 50000 {
+		t.Errorf("the unlimited search examines only %d candidates; pick a wider group", full.steps)
+	}
+	last := full.nfound
+	s := new(lbSearch)
+	s.fill(d, g.UpperBound)
+	stored := 0 // the row slabs' words before the stop
+	_ = s.run(last, func() error {
+		stored = max(stored, rowSlabs(s))
+		return nil
+	})
+	if s.steps >= full.steps {
+		t.Fatalf("nl=%d examines %d candidates, the unlimited search %d: it does not stop early", last, s.steps, full.steps)
+	}
+	if got := rowSlabs(s); got <= stored {
+		t.Fatalf("nl=%d stops at candidate %d of %d with row slabs of %d words, no more than the %d the earlier levels stored: the level it stops in does not grow them", last, s.steps, full.steps, got, stored)
+	}
+	stop := func() {
+		s.fill(d, g.UpperBound)
+		_ = s.run(last, nil)
+	}
+	if got := testing.AllocsPerRun(20, stop); got != 0 {
+		t.Errorf("nl=%d: a warm search that stops on its last bound allocates %v per run, want 0", last, got)
 	}
 }
+
+// rowSlabs is the words s's two row slabs hold.
+func rowSlabs(s *lbSearch) int { return cap(s.rows[0]) + cap(s.rows[1]) }
 
 // allocsWithRetry measures steady-state allocations, retrying because the
 // GC may clear the sync.Pool mid-measurement and charge the rebuild to the
